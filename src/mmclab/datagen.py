@@ -370,12 +370,15 @@ def project_latents(z: np.ndarray, cfg: ModalityConfig,
     if z.shape[-1] != cfg.latent_dim:
         raise DimensionError(
             f"latent dim {z.shape[-1]} does not match dictionary latent dim {cfg.latent_dim}")
-    x = z @ cfg.dictionary.matrix.T
-    if cfg.noise_sigma > 0:
-        if rng is None:
-            raise ArgumentError("noisy projection requires an RngStream")
-        g = rng.generator()
-        x = x + (cfg.noise_sigma / np.sqrt(cfg.ambient_dim)) * g.standard_normal(x.shape)
+    if not cfg.noise_sigma > 0:
+        return z @ cfg.dictionary.matrix.T
+    if rng is None:
+        raise ArgumentError("noisy projection requires an RngStream")
+    # built in place to avoid two full-size temporaries; addition commutes
+    # exactly, so the values equal D z + s * noise bit for bit
+    x = rng.generator().standard_normal(z.shape[:-1] + (cfg.ambient_dim,))
+    x *= cfg.noise_sigma / np.sqrt(cfg.ambient_dim)
+    x += z @ cfg.dictionary.matrix.T
     return x
 
 

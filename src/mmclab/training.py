@@ -233,6 +233,7 @@ def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
     loss = np.inf
     grad_norm = np.inf
     blowup = None
+    epochs_run = epochs
     for epoch in range(epochs):
         margins = y * (x @ w)
         loss = float(np.mean(np.logaddexp(0.0, -margins)))
@@ -246,12 +247,13 @@ def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
         if snapshot_every and epoch % snapshot_every == 0:
             snapshots.append(w.copy())
         if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
+            epochs_run = epoch
             break
         # loss-scaled steps counteract the vanishing-gradient tail after
         # separation and reach the max-margin direction at desk scale
         step = lr / max(loss, 1e-300) if loss_scaled else lr
         w = w - step * grad
-    return w, loss, grad_norm, snapshots
+    return w, loss, grad_norm, epochs_run, snapshots
 
 
 def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
@@ -264,6 +266,7 @@ def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
     loss = np.inf
     grad_norm = np.inf
     blowup = None
+    epochs_run = epochs
     for epoch in range(epochs):
         scores = x @ w
         scores = scores - scores.max(axis=1, keepdims=True)
@@ -279,10 +282,11 @@ def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
         if snapshot_every and epoch % snapshot_every == 0:
             snapshots.append(w.copy())
         if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
+            epochs_run = epoch
             break
         step = lr / max(loss, 1e-300) if loss_scaled else lr
         w = w - step * grad
-    return w, loss, grad_norm, snapshots
+    return w, loss, grad_norm, epochs_run, snapshots
 
 
 def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
@@ -297,7 +301,9 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     cross-entropy over the sorted distinct labels. At long horizons the
     normalized direction approaches the hard-margin separator; constant steps
     get there only logarithmically, so ``loss_scaled=True`` offers the usual
-    normalized-step acceleration for oracle comparisons.
+    normalized-step acceleration for oracle comparisons. ``training_meta``
+    records the epoch budget (``epochs``), the steps taken (``epochs_run``)
+    and the dimension GD iterated in (``gd_dim``: n when n < d, else d).
     """
     x = np.asarray(images, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -307,28 +313,48 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     if rng is None:
         raise ArgumentError("sl_fit_gd requires an RngStream for initialization")
     g = rng.generator()
+    n, d = x.shape
     if loss_kind == "logistic":
         y = _as_binary_labels(labels)
-        w0 = init_scale * g.standard_normal(x.shape[1])
-        w, loss, grad_norm, snaps = _logistic_gd(x, y, lr, epochs, w0,
-                                                 snapshot_every, loss_scaled)
-        wmat, q, classes = w[:, None], 1, (-1, 1)
+        q, classes = 1, (-1, 1)
+        w0 = init_scale * g.standard_normal(d)
+
+        def descend(features, start):
+            return _logistic_gd(features, y, lr, epochs, start, snapshot_every,
+                                loss_scaled)
     elif loss_kind == "cross-entropy":
         classes = tuple(int(v) for v in np.unique(np.asarray(labels)))
         index = {label: j for j, label in enumerate(classes)}
         labels_idx = np.array([index[int(v)] for v in np.asarray(labels)])
         q = len(classes)
-        w0 = init_scale * g.standard_normal((x.shape[1], q))
-        wmat, loss, grad_norm, snaps = _cross_entropy_gd(
-            x, labels_idx, q, lr, epochs, w0, snapshot_every, loss_scaled)
+        w0 = init_scale * g.standard_normal((d, q))
+
+        def descend(features, start):
+            return _cross_entropy_gd(features, labels_idx, q, lr, epochs, start,
+                                     snapshot_every, loss_scaled)
     else:
         raise ArgumentError(f"loss_kind must be logistic or cross-entropy, got {loss_kind!r}")
+    if n < d:
+        # GD never leaves w0 + rowspan(x). With x^T = Q R (Q orthonormal,
+        # d x n) the iterates are w0 - Q c0 + Q c, where c follows GD on the
+        # n x n features R^T from c0 = Q^T w0: margins x w = R^T c and
+        # gradient norms ||x^T v|| = ||R v|| are unchanged, so every loss,
+        # stopping and divergence decision sees the same numbers up to rounding.
+        basis, r = np.linalg.qr(x.T)
+        c0 = basis.T @ w0
+        offset = w0 - basis @ c0
+        c, loss, grad_norm, epochs_run, snaps = descend(r.T, c0)
+        w = offset + basis @ c
+        snaps = [offset + basis @ snap for snap in snaps]
+    else:
+        w, loss, grad_norm, epochs_run, snaps = descend(x, w0)
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
+            "epochs_run": epochs_run, "gd_dim": min(n, d),
             "loss_scaled": loss_scaled, "final_loss": loss,
             "final_grad_norm": grad_norm}
     if snapshot_every:
         meta["snapshots"] = snaps
-    return SLModel(W=wmat, q=q, classes=classes, training_meta=meta)
+    return SLModel(W=w.reshape(d, q), q=q, classes=classes, training_meta=meta)
 
 
 # ---------------------------------------------------------------------------

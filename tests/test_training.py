@@ -8,7 +8,8 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss, probe_fit,
                     sample_latents_dm1, sl_fit_gd, supcon_class_mean_cov,
                     supcon_fit_closed_form)
-from mmclab.training import MMCLModel
+from mmclab.training import (GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _cross_entropy_gd,
+                             _logistic_gd)
 
 RNG = RngStream(11, 0)
 
@@ -189,6 +190,102 @@ def test_sl_divergence_reports_lr():
 def test_sl_needs_two_classes():
     with pytest.raises(ArgumentError):
         sl_fit_gd(np.eye(3), [1, 1, 1], "cross-entropy", rng=RNG.child(5))
+
+
+# -- n < d: GD iterates in row-space coordinates; the loops on the raw inputs
+# are the reference
+
+def _wide_problem(seed, q, duplicate):
+    """30 rows in 80 dims; with ``duplicate``, 18 rows plus 12 repeats (rank 18)."""
+    g = RngStream(seed, 31).generator()
+    n, d = (18, 80) if duplicate else (30, 80)
+    labels = np.arange(n) % q if q > 1 else np.where(np.arange(n) % 2, 1, -1)
+    centers = g.standard_normal((max(q, 2), d))
+    x = 0.3 * centers[(labels > 0).astype(int) if q == 1 else labels]
+    x = x + g.standard_normal((n, d))
+    if duplicate:
+        x = np.vstack([x, x[:12]])
+        labels = np.concatenate([labels, labels[:12]])
+    return x, labels
+
+
+def _direct_fit(x, labels, kind, rng, lr, epochs, snapshot_every, loss_scaled):
+    g = rng.generator()
+    d = x.shape[1]
+    if kind == "logistic":
+        w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal(d)
+        w, loss, grad_norm, epochs_run, snaps = _logistic_gd(
+            x, labels.astype(float), lr, epochs, w0, snapshot_every, loss_scaled)
+        return w0[:, None], w[:, None], loss, grad_norm, epochs_run, snaps
+    q = int(labels.max()) + 1
+    w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal((d, q))
+    w, loss, grad_norm, epochs_run, snaps = _cross_entropy_gd(
+        x, labels, q, lr, epochs, w0, snapshot_every, loss_scaled)
+    return w0, w, loss, grad_norm, epochs_run, snaps
+
+
+def _assert_close(a, b):
+    assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("kind,q", [("logistic", 1), ("cross-entropy", 3)])
+@pytest.mark.parametrize("loss_scaled,snapshot_every", [(False, 0), (True, 40)])
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_sl_row_space_gd_matches_raw_loop(kind, q, loss_scaled, snapshot_every,
+                                          duplicate):
+    x, labels = _wide_problem(21, q, duplicate)
+    lr, epochs = (0.01, 200) if loss_scaled else (0.5, 400)
+    model = sl_fit_gd(x, labels, kind, lr=lr, epochs=epochs, rng=RNG.child(20),
+                      snapshot_every=snapshot_every, loss_scaled=loss_scaled)
+    w0, w, loss, grad_norm, epochs_run, snaps = _direct_fit(
+        x, labels, kind, RNG.child(20), lr, epochs, snapshot_every, loss_scaled)
+    meta = model.training_meta
+    _assert_close(model.W, w)
+    np.testing.assert_allclose(meta["final_loss"], loss, rtol=1e-12)
+    np.testing.assert_allclose(meta["final_grad_norm"], grad_norm, rtol=1e-12)
+    assert meta["epochs_run"] == epochs_run
+    assert meta["gd_dim"] == x.shape[0]
+    if snapshot_every:
+        assert len(meta["snapshots"]) == len(snaps) > 1
+        for got, want in zip(meta["snapshots"], snaps):
+            _assert_close(got, want)
+    # the displacement from the initialization lies in rowspan(x)
+    _, sv, vt = np.linalg.svd(x, full_matrices=False)
+    basis = vt[sv > 1e-10 * sv[0]]
+    assert len(basis) == (18 if duplicate else 30)
+    move = model.W - w0
+    off_span = move - basis.T @ (basis @ move)
+    assert np.linalg.norm(off_span) <= 1e-10 * np.linalg.norm(move)
+
+
+def test_sl_row_space_gd_divergence_reports_lr():
+    # each row appears twice with opposite labels, so no direction separates
+    # and a huge step drives the loss up
+    x, labels = _wide_problem(22, 1, False)
+    x, labels = np.vstack([x, x]), np.concatenate([labels, -labels])
+    assert x.shape[0] < x.shape[1]
+    with pytest.raises(TrainingError, match="lr"):
+        sl_fit_gd(x, labels, "logistic", lr=1e6, rng=RNG.child(21))
+
+
+def test_sl_meta_reports_epochs_run_and_gd_dim():
+    x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    y = np.array([1, -1, -1, 1])
+    model = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=20000, rng=RNG.child(22))
+    meta = model.training_meta
+    assert meta["gd_dim"] == 1
+    assert meta["epochs"] == 20000
+    assert 0 < meta["epochs_run"] < 20000
+    assert meta["final_grad_norm"] < GRAD_TOL
+    # epochs_run counts weight updates: that many reach the returned weights
+    steps = meta["epochs_run"]
+    budget = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=steps, rng=RNG.child(22))
+    fewer = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=steps - 1, rng=RNG.child(22))
+    np.testing.assert_array_equal(budget.W, model.W)
+    assert not np.array_equal(fewer.W, model.W)
+    exhausted = sl_fit_gd(x[:2], [1, -1], "logistic", epochs=50,
+                          rng=RNG.child(23)).training_meta
+    assert exhausted["epochs_run"] == 50
 
 
 def test_oracle_binary_one_dimensional():
