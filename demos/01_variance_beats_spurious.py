@@ -29,7 +29,7 @@ report = evaluate_zero_shot(mmcl, prompts, EvalSampler(params, "true", cfg2),
 
 bound = zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
 print("== contrastive zero-shot on the shifted (true) distribution ==")
-print(f"(no model can beat {theory.DM1_BEST_POSSIBLE_ACCURACY} here; "
+print(f"(no model can beat {theory.DM1_BEST_POSSIBLE_ACCURACY:.4f} here; "
       "the core feature itself is noisy)")
 print(f"overall  : {report.overall_accuracy:.4f}   predicted {bound.values['overall']:.4f}")
 print(f"minority : {report.minority_accuracy():.4f}   predicted {bound.values['minority']:.4f}")

@@ -44,6 +44,11 @@ _EVAL_KEYS = {"n_eval", "splits", "exhaustive", "noise_sigma",
               "supcon_restarts", "supcon_geometry", "adversarial_probe_epochs"}
 _SWEEPABLE = {"pi_core", "pi_spu", "pi", "p_spu", "sigma_core", "sigma_spu",
               "alpha", "beta", "m", "n_train", "p_dim", "rho"}
+# typed section fields: integer counts with their lower bound, and step sizes
+_INT_FIELDS = {("train", "n_train"): 1, ("train", "epochs"): 1,
+               ("train", "probe_epochs"): 1, ("eval", "n_eval"): 1,
+               ("eval", "adversarial_probe_epochs"): 1, ("eval", "supcon_restarts"): 0}
+_STEP_FIELDS = (("train", "lr"), ("train", "probe_lr"))
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,38 @@ def _check_keys(section: dict, allowed: set, where: str):
         raise ValidationError(f"unknown keys in {where}: {', '.join(unknown)}")
 
 
+def _require_int(value, where: str, low: int):
+    if not isinstance(value, int) or isinstance(value, bool) or value < low:
+        raise ValidationError(f"{where} must be an integer >= {low}, got {value!r}")
+
+
+def _require_number(value, where: str, rule: str, ok):
+    """A finite int or float (not a bool) for which ``ok`` holds."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or not ok(value)):
+        raise ValidationError(f"{where} must be a finite number {rule}, got {value!r}")
+
+
+def _reject_nonfinite(section: dict, where: str):
+    for key, value in section.items():
+        values = value if isinstance(value, list) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
+
+
+def _check_values(sections: dict, prefix: str = ""):
+    """Reject non-finite numbers and mistyped counts and step sizes."""
+    for name, section in sections.items():
+        _reject_nonfinite(section, prefix + name)
+    for (sec, key), low in _INT_FIELDS.items():
+        if key in sections.get(sec, {}):
+            _require_int(sections[sec][key], f"{prefix}{sec}.{key}", low)
+    for sec, key in _STEP_FIELDS:
+        if key in sections.get(sec, {}):
+            _require_number(sections[sec][key], f"{prefix}{sec}.{key}", "> 0",
+                            lambda v: v > 0)
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from a parsed JSON document."""
     if not isinstance(doc, dict):
@@ -83,8 +120,15 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
     trials = doc.get("trials", 1)
-    if not isinstance(trials, int) or trials < 1:
-        raise ValidationError(f"trials must be an integer >= 1, got {trials!r}")
+    _require_int(trials, "trials", 1)
+    tolerance = doc.get("tolerance", 0.02)
+    _require_number(tolerance, "tolerance", ">= 0", lambda v: v >= 0)
+    min_pass_fraction = doc.get("min_pass_fraction", 1.0)
+    _require_number(min_pass_fraction, "min_pass_fraction", "in [0, 1]",
+                    lambda v: 0 <= v <= 1)
+    slacks = dict(doc.get("slacks", {}))
+    for key, value in slacks.items():
+        _require_number(value, f"slacks.{key}", ">= 0", lambda v: v >= 0)
     data = dict(doc.get("data", {}))
     _check_keys(data, _DATA_KEYS, "data")
     modality = dict(doc.get("modality", {}))
@@ -98,6 +142,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     for key, values in sweep.items():
         if not isinstance(values, list) or not values:
             raise ValidationError(f"sweep.{key} must be a non-empty list")
+    for value in sweep.get("n_train", ()):
+        _require_int(value, "sweep.n_train", 1)
+    _check_values({"data": data, "modality": modality, "train": train,
+                   "eval": eval_sec, "sweep": sweep})
     methods = tuple(doc.get("methods", ()))
     bad = [mth for mth in methods if mth not in METHODS]
     if bad:
@@ -115,15 +163,16 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _check_keys(sec.get("modality", {}), _MODALITY_KEYS, f"method_overrides.{mth}.modality")
         _check_keys(sec.get("train", {}), _TRAIN_KEYS, f"method_overrides.{mth}.train")
         _check_keys(sec.get("eval", {}), _EVAL_KEYS, f"method_overrides.{mth}.eval")
+        _check_values(sec, f"method_overrides.{mth}.")
     return ExperimentConfig(
         experiment=experiment,
         name=doc.get("name", experiment),
         root_seed=doc.get("root_seed", 0),
         trials=trials,
-        tolerance=doc.get("tolerance", 0.02),
-        min_pass_fraction=doc.get("min_pass_fraction", 1.0),
+        tolerance=tolerance,
+        min_pass_fraction=min_pass_fraction,
         data=data, modality=modality, methods=methods, train=train,
-        eval=eval_sec, sweep=sweep, slacks=dict(doc.get("slacks", {})),
+        eval=eval_sec, sweep=sweep, slacks=slacks,
         method_overrides=overrides,
     )
 

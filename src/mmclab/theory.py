@@ -14,9 +14,11 @@ from .numerics import phi_cdf
 
 COMPARATORS = ("lower-bound", "upper-bound", "equality-threshold", "boolean-condition")
 
-# Best achievable model-1 accuracy at sigma_core = 1 (Bayes ceiling used as an
-# upper reference line for the dm1 suite, not re-derived here).
-DM1_BEST_POSSIBLE_ACCURACY = 0.85
+# Best achievable model-1 accuracy on the shifted (true) split at sigma_core = 1:
+# there the spurious feature carries no label information, so the Bayes rule
+# thresholds the core feature y + sigma_core * N(0, 1) at zero, and its
+# accuracy is Phi(1 / sigma_core) = 0.8413.
+DM1_BEST_POSSIBLE_ACCURACY = phi_cdf(1.0)
 
 
 @dataclass(frozen=True)

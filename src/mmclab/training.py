@@ -4,6 +4,8 @@ contrastive closed form, and linear probes on frozen representations.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +20,10 @@ from .numerics import Dictionary, RngStream, _readonly, svd_top
 MMCL_GD_DEFAULTS = dict(lr=0.1, epochs=2000, init_scale=1e-3)
 SL_GD_DEFAULTS = dict(lr=0.05, epochs=20000, init_scale=1e-3)
 GRAD_TOL = 1e-8
+_LOG2 = math.log(2.0)
+# The logistic loss bound must undercut blowup by this factor before the exact
+# loss is skipped; the slack dwarfs the rounding of either mean.
+_BOUND_CLEARANCE = 1.0 - 1e-6
 
 
 @dataclass(frozen=True)
@@ -136,6 +142,13 @@ def mmcl_fit_closed_form(S: CrossCov, p_dim: int, rho: float,
                      training_meta={"fit": "closed-form", "rank": top.rank})
 
 
+def _check_gd_budget(lr, epochs):
+    if not (isinstance(lr, numbers.Real) and math.isfinite(lr) and lr > 0):
+        raise DomainError(f"lr must be positive and finite, got {lr!r}")
+    if not isinstance(epochs, numbers.Integral) or isinstance(epochs, bool) or epochs < 0:
+        raise ArgumentError(f"epochs must be an integer >= 0, got {epochs!r}")
+
+
 def _mmcl_objective(w_i: np.ndarray, w_t: np.ndarray, s: np.ndarray, rho: float):
     g = w_i.T @ w_t
     loss = -np.einsum("ij,ij->", g, s) + 0.5 * rho * np.einsum("ij,ij->", g, g)
@@ -157,8 +170,7 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
     """
     if data.n < 2:
         raise ArgumentError("gradient-descent fit needs n >= 2")
-    if lr <= 0:
-        raise DomainError(f"lr must be positive, got {lr}")
+    _check_gd_budget(lr, epochs)
     if rng is None:
         raise ArgumentError("mmcl_fit_gd requires an RngStream for initialization")
     s = empirical_cross_cov(data).S
@@ -217,33 +229,44 @@ def _as_binary_labels(labels) -> np.ndarray:
     return y.astype(float)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _logistic_loss(margins: np.ndarray) -> float:
+    return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
 def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
     n = x.shape[0]
     w = w0.copy()
+    # per-epoch work arrays, reused so that no n-sized temporary is allocated
+    margins = np.empty(n)
+    e = np.empty(n)
+    work = np.empty(n)
     snapshots = []
     loss = np.inf
     grad_norm = np.inf
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
-        margins = y * (x @ w)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)))
-        if blowup is None:
-            blowup = 1e3 * (loss + 1.0)
-        if not np.isfinite(loss) or loss > blowup:
-            raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
-        sig = _stable_sigmoid(-margins)
-        grad = -(x.T @ (y * sig)) / n
-        grad_norm = float(np.linalg.norm(grad))
+        np.multiply(y, np.matmul(x, w, out=margins), out=margins)
+        # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed only
+        # to set the blowup level, for loss-scaled steps, and when the bound
+        # does not clear blowup by more than rounding (NaN or inf margins never
+        # do); every divergence decision is the one the exact loss would make
+        if (blowup is None or loss_scaled
+                or not _LOG2 - np.add.reduce(np.minimum(margins, 0.0, out=work)) / n
+                < _BOUND_CLEARANCE * blowup):
+            loss = _logistic_loss(margins)
+            if blowup is None:
+                blowup = 1e3 * (loss + 1.0)
+            if not math.isfinite(loss) or loss > blowup:
+                raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
+        # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
+        # e/(1+e); max(e, m <= 0) picks the numerator since e <= 1
+        np.exp(np.negative(np.abs(margins, out=e), out=e), out=e)
+        np.add(e, 1.0, out=work)
+        np.maximum(e, margins <= 0.0, out=e)
+        np.multiply(y, np.divide(e, work, out=e), out=e)
+        descent = x.T @ e / n                  # minus the gradient
+        grad_norm = math.sqrt(descent @ descent)
         if snapshot_every and epoch % snapshot_every == 0:
             snapshots.append(w.copy())
         if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
@@ -252,7 +275,9 @@ def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
         # loss-scaled steps counteract the vanishing-gradient tail after
         # separation and reach the max-margin direction at desk scale
         step = lr / max(loss, 1e-300) if loss_scaled else lr
-        w = w - step * grad
+        w += step * descent
+    if epochs:                                 # the exact loss of the last margins
+        loss = _logistic_loss(margins)
     return w, loss, grad_norm, epochs_run, snapshots
 
 
@@ -262,30 +287,35 @@ def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
     w = w0.copy()
     onehot = np.zeros((n, q))
     onehot[np.arange(n), labels_idx] = 1.0
+    own = np.arange(n) * q + labels_idx    # flat index of each row's own class
     snapshots = []
     loss = np.inf
     grad_norm = np.inf
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
-        scores = x @ w
-        scores = scores - scores.max(axis=1, keepdims=True)
-        expsc = np.exp(scores)
-        probs = expsc / expsc.sum(axis=1, keepdims=True)
-        loss = float(-np.mean(np.log(probs[np.arange(n), labels_idx] + 1e-300)))
+        # softmax in place; the reductions keep the axis and summation order
+        # of ndarray.max / ndarray.sum, so every probability is unchanged
+        probs = x @ w
+        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=1, keepdims=True)
+        loss = -float(np.add.reduce(np.log(np.take(probs, own) + 1e-300))) / n
         if blowup is None:
             blowup = 1e3 * (loss + 1.0)
-        if not np.isfinite(loss) or loss > blowup:
+        if not math.isfinite(loss) or loss > blowup:
             raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-        grad = x.T @ (probs - onehot) / n
-        grad_norm = float(np.linalg.norm(grad))
+        probs -= onehot
+        grad = x.T @ probs / n
+        flat = grad.ravel()
+        grad_norm = math.sqrt(flat @ flat)
         if snapshot_every and epoch % snapshot_every == 0:
             snapshots.append(w.copy())
         if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
             epochs_run = epoch
             break
         step = lr / max(loss, 1e-300) if loss_scaled else lr
-        w = w - step * grad
+        w -= step * grad
     return w, loss, grad_norm, epochs_run, snapshots
 
 
@@ -310,6 +340,7 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
         raise ArgumentError("images must be finite")
     if len(np.unique(np.asarray(labels))) < 2:
         raise ArgumentError("labels must cover at least 2 classes")
+    _check_gd_budget(lr, epochs)
     if rng is None:
         raise ArgumentError("sl_fit_gd requires an RngStream for initialization")
     g = rng.generator()
@@ -323,9 +354,8 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
             return _logistic_gd(features, y, lr, epochs, start, snapshot_every,
                                 loss_scaled)
     elif loss_kind == "cross-entropy":
-        classes = tuple(int(v) for v in np.unique(np.asarray(labels)))
-        index = {label: j for j, label in enumerate(classes)}
-        labels_idx = np.array([index[int(v)] for v in np.asarray(labels)])
+        distinct, labels_idx = np.unique(np.asarray(labels), return_inverse=True)
+        classes = tuple(int(v) for v in distinct)
         q = len(classes)
         w0 = init_scale * g.standard_normal((d, q))
 

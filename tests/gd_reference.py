@@ -1,0 +1,82 @@
+"""Frozen reference copies of the supervised GD loops, test-only.
+
+These are the straightforward per-epoch loops that ``mmclab.training`` once
+ran: the exact logistic loss every epoch, a masked stable sigmoid, and
+cross-entropy through fresh temporaries. The library's fused loops must return
+bit-identical weights, snapshots, losses, gradient norms and step counts.
+Do not optimise this file.
+"""
+import numpy as np
+
+from mmclab.errors import TrainingError
+from mmclab.training import GRAD_TOL
+
+
+def _stable_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
+    n = x.shape[0]
+    w = w0.copy()
+    snapshots = []
+    loss = np.inf
+    grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        margins = y * (x @ w)
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
+        if blowup is None:
+            blowup = 1e3 * (loss + 1.0)
+        if not np.isfinite(loss) or loss > blowup:
+            raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
+        sig = _stable_sigmoid(-margins)
+        grad = -(x.T @ (y * sig)) / n
+        grad_norm = float(np.linalg.norm(grad))
+        if snapshot_every and epoch % snapshot_every == 0:
+            snapshots.append(w.copy())
+        if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
+            epochs_run = epoch
+            break
+        step = lr / max(loss, 1e-300) if loss_scaled else lr
+        w = w - step * grad
+    return w, loss, grad_norm, epochs_run, snapshots
+
+
+def cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
+                     loss_scaled=False):
+    n = x.shape[0]
+    w = w0.copy()
+    onehot = np.zeros((n, q))
+    onehot[np.arange(n), labels_idx] = 1.0
+    snapshots = []
+    loss = np.inf
+    grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        scores = x @ w
+        scores = scores - scores.max(axis=1, keepdims=True)
+        expsc = np.exp(scores)
+        probs = expsc / expsc.sum(axis=1, keepdims=True)
+        loss = float(-np.mean(np.log(probs[np.arange(n), labels_idx] + 1e-300)))
+        if blowup is None:
+            blowup = 1e3 * (loss + 1.0)
+        if not np.isfinite(loss) or loss > blowup:
+            raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
+        grad = x.T @ (probs - onehot) / n
+        grad_norm = float(np.linalg.norm(grad))
+        if snapshot_every and epoch % snapshot_every == 0:
+            snapshots.append(w.copy())
+        if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
+            epochs_run = epoch
+            break
+        step = lr / max(loss, 1e-300) if loss_scaled else lr
+        w = w - step * grad
+    return w, loss, grad_norm, epochs_run, snapshots

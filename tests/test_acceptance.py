@@ -113,7 +113,7 @@ def test_criterion_02_dm1_mmcl_robustness(dm1_records):
     ok = (abs(overall - 0.8123) <= 0.02 and abs(minority - 0.6915) <= 0.02
           and overall <= DM1_BEST_POSSIBLE_ACCURACY + 0.02)
     _criterion("02", ok, f"zero-shot overall {overall:.4f} (0.8123 +- 0.02, below the "
-                         f"{DM1_BEST_POSSIBLE_ACCURACY} ceiling), "
+                         f"{DM1_BEST_POSSIBLE_ACCURACY:.4f} ceiling), "
                          f"minority {minority:.4f} (0.6915 +- 0.02)")
 
 

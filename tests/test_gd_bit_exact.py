@@ -1,0 +1,186 @@
+"""The fused supervised GD loops return exactly what the straightforward loops
+in ``gd_reference`` return: weights, snapshots, final loss, final gradient
+norm, steps taken, and the epoch at which a divergent run stops."""
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import gd_reference
+from mmclab import RngStream, TrainingError, sl_fit_gd
+from mmclab import training
+from mmclab.training import _cross_entropy_gd, _logistic_gd
+
+RNG = RngStream(17, 0)
+
+
+def _assert_identical(got, want):
+    assert not isinstance(got, TrainingError), got
+    w, loss, grad_norm, epochs_run, snaps = got
+    w_ref, loss_ref, grad_norm_ref, epochs_run_ref, snaps_ref = want
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(loss, loss_ref)
+    assert np.array_equal(grad_norm, grad_norm_ref)
+    assert epochs_run == epochs_run_ref
+    assert len(snaps) == len(snaps_ref)
+    for snap, snap_ref in zip(snaps, snaps_ref):
+        assert np.array_equal(snap, snap_ref)
+
+
+def _problem(seed, n, d, q):
+    """Gaussian inputs around per-class centers; q = 1 means +-1 labels."""
+    g = np.random.default_rng(seed)
+    classes = max(q, 2)
+    labels = np.arange(n) % classes
+    g.shuffle(labels)
+    x = 0.7 * g.standard_normal((classes, d))[labels] + g.standard_normal((n, d))
+    if q == 1:
+        labels = np.where(labels == 1, 1, -1)
+    return x, labels
+
+
+def _both(x, labels, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
+    """Run the fused loop and the reference; each gives a result or its error."""
+    if q == 1:
+        y = labels.astype(float)
+        runs = (lambda: _logistic_gd(x, y, lr, epochs, w0, snapshot_every, loss_scaled),
+                lambda: gd_reference.logistic_gd(x, y, lr, epochs, w0, snapshot_every,
+                                                 loss_scaled))
+    else:
+        runs = (lambda: _cross_entropy_gd(x, labels, q, lr, epochs, w0, snapshot_every,
+                                          loss_scaled),
+                lambda: gd_reference.cross_entropy_gd(x, labels, q, lr, epochs, w0,
+                                                      snapshot_every, loss_scaled))
+    outcomes = []
+    for run in runs:
+        try:
+            outcomes.append(run())
+        except TrainingError as err:
+            outcomes.append(err)
+    return outcomes
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, TrainingError):
+        assert isinstance(got, TrainingError) and str(got) == str(want)
+    else:
+        _assert_identical(got, want)
+
+
+def _init(seed, d, q):
+    g = np.random.default_rng(seed)
+    return 1e-3 * (g.standard_normal(d) if q == 1 else g.standard_normal((d, q)))
+
+
+@pytest.mark.parametrize("n,d,q,lr,epochs", [
+    (5000, 2, 1, 0.05, 300),      # logistic, n >> d (the supcon-dm1 probe shape)
+    (16, 4, 4, 0.05, 3000),       # cross-entropy at the supcon-dm2 probe shape
+    (96, 6, 6, 0.05, 2000),       # cross-entropy at the dm2-sl shape
+    (300, 5, 11, 0.05, 500),      # q >= 9: numpy's pairwise row sums
+])
+def test_loops_match_reference(n, d, q, lr, epochs):
+    x, labels = _problem(n + q, n, d, q)
+    got, want = _both(x, labels, q, lr, epochs, _init(q, d, q))
+    assert not isinstance(want, TrainingError)
+    _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_loss_scaled_with_snapshots_matches_reference(q):
+    x, labels = _problem(3, 60, 4, q)
+    got, want = _both(x, labels, q, 0.01, 400, _init(4, 4, q), snapshot_every=25,
+                      loss_scaled=True)
+    assert len(want[4]) > 1
+    _assert_identical(got, want)
+
+
+def test_stop_on_gradient_tolerance_matches_reference():
+    x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
+    y = np.array([1, -1, -1, 1])
+    got, want = _both(x, y, 1, 0.5, 20000, np.array([1e-3]))
+    assert 0 < want[3] < 20000
+    _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("q", [1, 4])
+def test_zero_epochs_returns_init(q):
+    x, labels = _problem(5, 20, 3, q)
+    w0 = _init(5, 3, q)
+    got, want = _both(x, labels, q, 0.05, 0, w0)
+    _assert_identical(got, want)
+    w, loss, grad_norm, epochs_run, snaps = got
+    assert np.array_equal(w, w0) and w is not w0
+    assert loss == grad_norm == math.inf
+    assert epochs_run == 0 and snaps == []
+
+
+@pytest.mark.parametrize("q,lr,scale", [(1, 1e6, 1.0), (1, 1e300, 1.0), (4, 1e300, 1e10)])
+def test_divergence_stops_at_the_reference_epoch(q, lr, scale):
+    # each row appears with two labels, so no direction separates and a huge
+    # step drives the loss up; the cross-entropy loss is capped near
+    # -log(1e-300) < blowup, so that loop stops only once the scores overflow
+    x, labels = _problem(6, 12, 3, q)
+    x = scale * np.vstack([x, x])
+    labels = np.concatenate([labels, -labels if q == 1 else (labels + 1) % q])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _both(x, labels, q, lr, 50, _init(6, 3, q))
+    assert isinstance(want, TrainingError) and "lr" in str(want)
+    _assert_same_outcome(got, want)
+
+
+def test_exact_loss_decides_when_the_bound_does_not_clear_blowup():
+    # margins (w, -2w) from w0 = 0: the first step lands at a loss just under
+    # the blowup level while the loss bound lies above it; only the exact
+    # loss tells that epoch 1 has not diverged, and the next step has
+    x = np.array([[1.0], [-2.0]])
+    y = np.array([1, 1])
+    blowup = 1e3 * (math.log(2.0) + 1.0)
+    lr = 8.0 * (blowup - 0.3)
+    got, want = _both(x, y, 1, lr, 2, np.zeros(1))
+    assert not isinstance(want, TrainingError)
+    assert blowup - 1.0 < want[1] <= blowup
+    margins = y * (x @ np.array([-0.25 * lr]))  # after the first step
+    assert np.mean(np.maximum(-margins, 0.0)) + math.log(2.0) > blowup
+    _assert_identical(got, want)
+    got, want = _both(x, y, 1, lr, 3, np.zeros(1))
+    assert "epoch 2" in str(want)
+    _assert_same_outcome(got, want)
+
+
+def _fit_with_reference_loops(*args, **kwargs):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "_logistic_gd", gd_reference.logistic_gd)
+        patch.setattr(training, "_cross_entropy_gd", gd_reference.cross_entropy_gd)
+        return sl_fit_gd(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind,q", [("logistic", 1), ("cross-entropy", 5)])
+@pytest.mark.parametrize("n,d", [(40, 90), (200, 3)])
+def test_sl_fit_matches_reference_fit(kind, q, n, d):
+    """Whole fits, including the n < d row-space path, give identical models."""
+    x, labels = _problem(7, n, d, q)
+    kwargs = dict(lr=0.5, epochs=300, rng=RNG.child(n), snapshot_every=50)
+    got = sl_fit_gd(x, labels, kind, **kwargs)
+    want = _fit_with_reference_loops(x, labels, kind, **kwargs)
+    assert np.array_equal(got.W, want.W)
+    assert got.classes == want.classes
+    meta, meta_ref = dict(got.training_meta), dict(want.training_meta)
+    for snap, snap_ref in zip(meta.pop("snapshots"), meta_ref.pop("snapshots"), strict=True):
+        assert np.array_equal(snap, snap_ref)
+    assert meta == meta_ref
+    assert meta["gd_dim"] == min(n, d)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 8),
+       q=st.sampled_from([1, 2, 3, 5, 9, 12]), log_lr=st.floats(-3.0, 4.0),
+       epochs=st.integers(0, 80), snapshot_every=st.integers(0, 7),
+       loss_scaled=st.booleans())
+def test_random_problems_match_reference(seed, n, d, q, log_lr, epochs, snapshot_every,
+                                         loss_scaled):
+    x, labels = _problem(seed, n, d, q)
+    got, want = _both(x, labels, q, 10.0 ** log_lr, epochs, _init(seed, d, q),
+                      snapshot_every, loss_scaled)
+    _assert_same_outcome(got, want)

@@ -39,6 +39,41 @@ def test_zero_trials_rejected():
         config_from_dict(_tiny_dm1_config(trials=0))
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "n_train", "500"),
+    ("train", "epochs", 2000.0),
+    ("train", "probe_epochs", True),
+    ("eval", "n_eval", 0),
+    ("eval", "adversarial_probe_epochs", -5),
+    ("eval", "supcon_restarts", -1),
+    ("train", "lr", float("nan")),
+    ("train", "probe_lr", 0.0),
+])
+def test_section_field_types_rejected(section, key, value):
+    bad = _tiny_dm1_config()
+    bad[section][key] = value
+    with pytest.raises(ValidationError, match=f"{section}.{key}"):
+        config_from_dict(bad)
+    override = _tiny_dm1_config(method_overrides={"mmcl-closed": {section: {key: value}}})
+    with pytest.raises(ValidationError, match=f"method_overrides.mmcl-closed.{section}.{key}"):
+        config_from_dict(override)
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"tolerance": -0.01}, "tolerance"),
+    ({"tolerance": float("inf")}, "tolerance"),
+    ({"min_pass_fraction": 1.5}, "min_pass_fraction"),
+    ({"min_pass_fraction": float("nan")}, "min_pass_fraction"),
+    ({"slacks": {"mmcl:true:overall:accuracy": float("nan")}}, "slacks.mmcl:true"),
+    ({"sweep": {"n_train": [100, "200"]}}, "sweep.n_train"),
+    ({"trials": True}, "trials"),
+    ({"data": {"model": "dm1", "sigma_core": float("nan")}}, "data.sigma_core"),
+])
+def test_top_level_numbers_rejected(extra, key):
+    with pytest.raises(ValidationError, match=key):
+        config_from_dict(_tiny_dm1_config(**extra))
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ValidationError, match="finetune"):
         config_from_dict(_tiny_dm1_config(methods=["finetune"]))
@@ -164,10 +199,14 @@ def test_cli_run_and_exit_codes(tmp_path):
     out = tmp_path / "out"
     assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     assert (out / "results.csv").exists() and (out / "summary.json").exists()
-    # impossible slack forces a failed comparison -> exit code 1
-    failing = _tiny_dm1_config(slacks={"mmcl:true:overall:accuracy": -1.0})
+    # a zero slack on a Monte Carlo accuracy forces a failed comparison -> exit code 1
+    failing = _tiny_dm1_config(slacks={"mmcl:true:overall:accuracy": 0.0})
     config_path.write_text(json.dumps(failing))
     assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    # a negative slack is an invalid config -> exit code 2
+    invalid = _tiny_dm1_config(slacks={"mmcl:true:overall:accuracy": -1.0})
+    config_path.write_text(json.dumps(invalid))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 2
 
 
 def test_cli_sweep_requires_sweep_section(tmp_path):

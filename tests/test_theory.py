@@ -5,11 +5,23 @@ import pytest
 from mmclab import (DomainError, in_distribution_predictions_dm1, sl_failure_bounds_dm1, zero_shot_robustness_dm1,
                     sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2, masked_minority_accuracy_dm1,
                     caption_masking_threshold_dm2)
+from mmclab import DataModel1Params, RngStream, sample_latents_dm1
+from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY
 
 
 def phi_oracle(x):
     mpmath.mp.dps = 40
     return float(0.5 * (1 + mpmath.erf(mpmath.mpf(x) / mpmath.sqrt(2))))
+
+
+def test_dm1_best_possible_accuracy_is_the_core_feature_bayes_rate():
+    assert DM1_BEST_POSSIBLE_ACCURACY == pytest.approx(phi_oracle(1.0), abs=1e-15)
+    # on the true split the sign of the core feature is the Bayes rule
+    n = 200_000
+    batch = sample_latents_dm1(DataModel1Params(1.0, 0.01, 0.999), n, "true",
+                               RngStream(3, 0))
+    acc = np.mean(np.sign(batch.z[:, 0]) == batch.y)
+    assert abs(acc - DM1_BEST_POSSIBLE_ACCURACY) <= 4 * np.sqrt(0.25 / n)
 
 
 def test_sl_failure_bounds_constants():

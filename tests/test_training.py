@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
-                    DataModel2Params, DimensionError, InfeasibleError, ModalityConfig,
-                    RngStream, TrainingError, empirical_cross_cov, enumerate_latents_dm2,
-                    hard_margin_oracle, make_dictionary, make_paired_dataset,
-                    mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss, probe_fit,
-                    sample_latents_dm1, sl_fit_gd, supcon_class_mean_cov,
+                    DataModel2Params, DimensionError, DomainError, InfeasibleError,
+                    ModalityConfig, RngStream, TrainingError, empirical_cross_cov,
+                    enumerate_latents_dm2, hard_margin_oracle, make_dictionary,
+                    make_paired_dataset, mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss,
+                    probe_fit, sample_latents_dm1, sl_fit_gd, supcon_class_mean_cov,
                     supcon_fit_closed_form)
 from mmclab.training import (GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _cross_entropy_gd,
                              _logistic_gd)
@@ -190,6 +190,24 @@ def test_sl_divergence_reports_lr():
 def test_sl_needs_two_classes():
     with pytest.raises(ArgumentError):
         sl_fit_gd(np.eye(3), [1, 1, 1], "cross-entropy", rng=RNG.child(5))
+
+
+@pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
+def test_gd_fits_reject_bad_learning_rate(lr):
+    data = _model1_dataset(9, n=20, d=4)
+    with pytest.raises(DomainError, match="lr"):
+        sl_fit_gd(data.x_image, data.latents.y, lr=lr, epochs=10, rng=RNG.child(6))
+    with pytest.raises(DomainError, match="lr"):
+        mmcl_fit_gd(data, 2, 1.0, lr=lr, epochs=10, rng=RNG.child(6))
+
+
+@pytest.mark.parametrize("epochs", [2000.0, -1, True, "500"])
+def test_gd_fits_reject_bad_epochs(epochs):
+    data = _model1_dataset(9, n=20, d=4)
+    with pytest.raises(ArgumentError, match="epochs"):
+        sl_fit_gd(data.x_image, data.latents.y, lr=0.05, epochs=epochs, rng=RNG.child(6))
+    with pytest.raises(ArgumentError, match="epochs"):
+        mmcl_fit_gd(data, 2, 1.0, epochs=epochs, rng=RNG.child(6))
 
 
 # -- n < d: GD iterates in row-space coordinates; the loops on the raw inputs
