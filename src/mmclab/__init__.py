@@ -11,13 +11,12 @@ from .covariance import (ClassMeanCov, CrossCov, empirical_cross_cov,
                          population_cross_cov_dm1, population_cross_cov_dm2,
                          supcon_class_mean_cov)
 from .datagen import (CaptionMask, DataModel1Params, DataModel2Params, LatentBatch,
-                      LatentSample, ModalityConfig, PairedDataset,
-                      enumerate_latents_dm2, make_paired_dataset,
-                      mask_caption_features, project_latents, sample_latents_dm1,
+                      ModalityConfig, PairedDataset, enumerate_latents_dm2,
+                      make_paired_dataset, project_latents, sample_latents_dm1,
                       sample_latents_dm2)
 from .errors import (ArgumentError, ConfigurationError, DimensionError, DomainError,
-                     InfeasibleError, MmclabError, NumericError, SizeError,
-                     TrainingError, ValidationError)
+                     MmclabError, NumericError, SizeError, TrainingError,
+                     ValidationError)
 from .evaluation import (EvalReport, EvalSampler, GroupGeometry, PromptSet,
                          build_prompts, evaluate_probe, evaluate_sl,
                          evaluate_zero_shot, supcon_group_geometry,
@@ -31,8 +30,8 @@ from .theory import (TheoremPrediction, in_distribution_predictions_dm1, sl_fail
                      zero_shot_robustness_dm1, sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
                      masked_minority_accuracy_dm1, caption_masking_threshold_dm2)
 from .training import (MMCLModel, ProbeModel, SLModel, SupConEncoder,
-                       hard_margin_oracle, mmcl_fit_closed_form, mmcl_fit_gd,
-                       mmcl_loss, probe_fit, sl_fit_gd, supcon_fit_closed_form)
+                       mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss, probe_fit,
+                       sl_fit_gd, supcon_fit_closed_form)
 
 __version__ = "0.1.0"
 

@@ -73,10 +73,6 @@ def main(argv=None) -> int:
                 config = replace(config, root_seed=args.seed)
             records = run_experiment(config, args.threads)
             min_fraction = config.min_pass_fraction
-            if config.experiment == "verify-theorems":
-                from .harness import suite_configs
-                min_fraction = min(cfg.min_pass_fraction
-                                   for cfg in suite_configs("all", config.root_seed))
     except MmclabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

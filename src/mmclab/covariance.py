@@ -22,26 +22,18 @@ class CrossCov:
 
     ``space`` records whether the matrix lives in ambient input coordinates
     ("ambient", the empirical case) or latent coordinates ("latent", the
-    population case, lifted through dictionaries at fit time). ``scale`` is an
-    arbitrary positive constant carried through to the factorization; it never
-    affects argmax predictions.
+    population case, lifted through dictionaries at fit time).
     """
 
     S: np.ndarray
     provenance: str           # "empirical" | "population"
     n: int | None = None
-    scale: float = 1.0
     space: str = "ambient"
 
     def __post_init__(self):
         if self.provenance == "empirical" and self.n is None:
             raise ArgumentError("empirical cross-covariance must record n")
-        if self.scale <= 0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
         object.__setattr__(self, "S", _readonly(self.S))
-
-    def scaled(self) -> np.ndarray:
-        return self.scale * self.S
 
 
 def empirical_cross_cov(data: PairedDataset) -> CrossCov:

@@ -3,12 +3,11 @@ into modality input spaces.
 
 Model 1 is the binary core/spurious Gaussian model; model 2 is the 2m-class
 shared-feature model whose training split pins the spurious coordinate to the
-label. Batches are numpy-backed sequences so large draws stay vectorized.
+label. Latents travel as numpy-backed batches so large draws stay vectorized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,28 +70,16 @@ class DataModel2Params:
         return (y + 1) // 2, 1 if y % 2 == 1 else -1
 
 
-@dataclass(frozen=True)
-class LatentSample:
-    """One latent vector with its label metadata."""
-
-    z: np.ndarray
-    y: int
-    a: int | None = None       # model 1 spurious attribute
-    k: int | None = None       # model 2 alias
-    c: int | None = None
-
-
-class LatentBatch(Sequence):
-    """A vectorized sequence of latent samples sharing one data model.
+class LatentBatch:
+    """A batch of latent samples sharing one data model.
 
     Arrays: ``z`` is (n, l); ``y`` is (n,) labels; ``a`` (model 1) holds the
-    spurious attribute; ``k``/``c`` (model 2) hold label aliases. Indexing
-    returns a :class:`LatentSample` view.
+    spurious attribute; ``k``/``c`` (model 2) hold label aliases.
     """
 
     def __init__(self, model: str, split: str, z: np.ndarray, y: np.ndarray,
                  a: np.ndarray | None = None, k: np.ndarray | None = None,
-                 c: np.ndarray | None = None, sampled: bool = True):
+                 c: np.ndarray | None = None):
         self.model = model
         self.split = split
         self.z = _readonly(z)
@@ -100,7 +87,6 @@ class LatentBatch(Sequence):
         self.a = None if a is None else np.asarray(a, dtype=int)
         self.k = None if k is None else np.asarray(k, dtype=int)
         self.c = None if c is None else np.asarray(c, dtype=int)
-        self.sampled = sampled
 
     @property
     def l(self) -> int:
@@ -108,21 +94,6 @@ class LatentBatch(Sequence):
 
     def __len__(self) -> int:
         return self.z.shape[0]
-
-    def __getitem__(self, i) -> LatentSample:
-        if isinstance(i, slice):
-            raise TypeError("LatentBatch does not support slicing")
-        return LatentSample(
-            z=self.z[i],
-            y=int(self.y[i]),
-            a=None if self.a is None else int(self.a[i]),
-            k=None if self.k is None else int(self.k[i]),
-            c=None if self.c is None else int(self.c[i]),
-        )
-
-    def __iter__(self) -> Iterator[LatentSample]:
-        for i in range(len(self)):
-            yield self[i]
 
     def spurious_agrees(self) -> np.ndarray:
         """Boolean mask of samples whose spurious feature agrees with the label
@@ -199,7 +170,7 @@ def enumerate_latents_dm2(params: DataModel2Params, split: str) -> LatentBatch:
             cs.append(np.full(n_pat, c))
     return LatentBatch("dm2", split, np.concatenate(blocks),
                        np.concatenate(ys), k=np.concatenate(ks),
-                       c=np.concatenate(cs), sampled=False)
+                       c=np.concatenate(cs))
 
 
 def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
@@ -290,28 +261,6 @@ def _mask_batch(batch: LatentBatch, mask: CaptionMask,
     psi = (g.random((n, l)) < mask.pi).astype(float)
     psi[np.arange(n), batch.k - 1] = 1.0  # class coordinate always survives
     return psi * batch.z
-
-
-def mask_caption_features(sample: LatentSample, mask: CaptionMask,
-                          rng: RngStream | None = None) -> np.ndarray:
-    """Text-modality latent mu_T(z) for one sample, with fresh Bernoulli draws."""
-    if mask.variant == "none":
-        return np.array(sample.z, dtype=float)
-    if mask.variant == "model1":
-        if sample.a is None:
-            raise ConfigurationError("model1 mask requires a model-1 sample")
-        g = rng.generator()
-        psi_core = float(g.random() < mask.pi_core)
-        psi_spu = float(g.random() < mask.pi_spu)
-        y, a = sample.y, sample.a
-        return np.array([y + psi_core * (sample.z[0] - y),
-                         a + psi_spu * (sample.z[1] - a)])
-    if sample.k is None:
-        raise ConfigurationError("model2 mask requires a model-2 sample")
-    g = rng.generator()
-    psi = (g.random(sample.z.shape[0]) < mask.pi).astype(float)
-    psi[sample.k - 1] = 1.0
-    return psi * sample.z
 
 
 @dataclass(frozen=True)

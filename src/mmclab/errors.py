@@ -33,9 +33,5 @@ class TrainingError(MmclabError, RuntimeError):
     """Gradient descent diverged or produced non-finite values."""
 
 
-class InfeasibleError(MmclabError, RuntimeError):
-    """No weight vector satisfies the margin constraints."""
-
-
 class NumericError(MmclabError, RuntimeError):
     """A computation produced non-finite scores where finite ones are required."""

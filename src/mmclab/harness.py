@@ -19,11 +19,9 @@ import numpy as np
 
 from . import covariance, datagen, evaluation, theory, training
 from .datagen import CaptionMask, DataModel1Params, DataModel2Params
-from .errors import MmclabError, ValidationError
+from .errors import DomainError, MmclabError, ValidationError
 from .numerics import RngStream, make_dictionary, stream_id_for
 
-EXPERIMENT_KINDS = ("dm1-robustness", "dm2-robustness", "caption-sweep-dm1",
-                    "caption-sweep-dm2", "method-compare", "verify-theorems")
 METHODS = ("mmcl-closed", "mmcl-gd", "mmcl-analytic", "sl", "supcon")
 SUITES = ("all", "dm1", "dm2", "captions", "supcon", "id")
 
@@ -35,15 +33,19 @@ CSV_COLUMNS = ("run_id", "experiment", "seed", "method", "n_train", "d_I", "d_T"
 _TOP_KEYS = {"experiment", "name", "root_seed", "trials", "tolerance",
              "min_pass_fraction", "data", "modality", "methods", "train",
              "eval", "sweep", "slacks", "method_overrides"}
-_DATA_KEYS = {"model", "sigma_core", "sigma_spu", "p_spu", "m", "alpha", "beta",
-              "pi_core", "pi_spu", "pi", "exponent_variant"}
-_MODALITY_KEYS = {"d_I", "d_T", "noise_sigma_I", "noise_sigma_T", "dictionary"}
-_TRAIN_KEYS = {"n_train", "p_dim", "rho", "lr", "epochs", "exhaustive",
-               "probe_lr", "probe_epochs"}
-_EVAL_KEYS = {"n_eval", "splits", "exhaustive", "noise_sigma",
-              "supcon_restarts", "supcon_geometry", "adversarial_probe_epochs"}
-_SWEEPABLE = {"pi_core", "pi_spu", "pi", "p_spu", "sigma_core", "sigma_spu",
-              "alpha", "beta", "m", "n_train", "p_dim", "rho"}
+_SECTION_KEYS = {
+    "data": {"model", "sigma_core", "sigma_spu", "p_spu", "m", "alpha", "beta",
+             "pi_core", "pi_spu", "pi", "exponent_variant"},
+    "modality": {"d_I", "d_T", "noise_sigma_I", "noise_sigma_T", "dictionary"},
+    "train": {"n_train", "p_dim", "rho", "lr", "epochs", "exhaustive",
+              "probe_lr", "probe_epochs"},
+    "eval": {"n_eval", "splits", "exhaustive", "noise_sigma",
+             "supcon_restarts", "supcon_geometry", "adversarial_probe_epochs"},
+    "sweep": {"pi_core", "pi_spu", "pi", "p_spu", "sigma_core", "sigma_spu",
+              "alpha", "beta", "m", "n_train", "p_dim", "rho"},
+}
+# sweep keys that land in the train section; every other one is a data key
+_TRAIN_SWEEPABLE = ("n_train", "p_dim", "rho")
 # typed section fields: integer counts with their lower bound, and step sizes
 _INT_FIELDS = {("train", "n_train"): 1, ("train", "epochs"): 1,
                ("train", "probe_epochs"): 1, ("eval", "n_eval"): 1,
@@ -90,6 +92,17 @@ def _require_number(value, where: str, rule: str, ok):
         raise ValidationError(f"{where} must be a finite number {rule}, got {value!r}")
 
 
+def _require_object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _require_strings(value, where: str):
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValidationError(f"{where} must be a list of strings, got {value!r}")
+
+
 def _reject_nonfinite(section: dict, where: str):
     for key, value in section.items():
         values = value if isinstance(value, list) else [value]
@@ -97,9 +110,11 @@ def _reject_nonfinite(section: dict, where: str):
             raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
 
 
-def _check_values(sections: dict, prefix: str = ""):
-    """Reject non-finite numbers and mistyped counts and step sizes."""
+def _check_sections(sections: dict, prefix: str = ""):
+    """Reject unknown keys, non-finite numbers and mistyped counts, step sizes
+    and split lists."""
     for name, section in sections.items():
+        _check_keys(section, _SECTION_KEYS[name], prefix + name)
         _reject_nonfinite(section, prefix + name)
     for (sec, key), low in _INT_FIELDS.items():
         if key in sections.get(sec, {}):
@@ -108,17 +123,21 @@ def _check_values(sections: dict, prefix: str = ""):
         if key in sections.get(sec, {}):
             _require_number(sections[sec][key], f"{prefix}{sec}.{key}", "> 0",
                             lambda v: v > 0)
+    if "splits" in sections.get("eval", {}):
+        _require_strings(sections["eval"]["splits"], f"{prefix}eval.splits")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from a parsed JSON document."""
-    if not isinstance(doc, dict):
-        raise ValidationError("config document must be a JSON object")
+    doc = _require_object(doc, "config document")
     _check_keys(doc, _TOP_KEYS, "config")
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENT_KINDS:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
+    root_seed = doc.get("root_seed", 0)
+    if not isinstance(root_seed, int) or isinstance(root_seed, bool):
+        raise ValidationError(f"root_seed must be an integer, got {root_seed!r}")
     trials = doc.get("trials", 1)
     _require_int(trials, "trials", 1)
     tolerance = doc.get("tolerance", 0.02)
@@ -126,54 +145,45 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     min_pass_fraction = doc.get("min_pass_fraction", 1.0)
     _require_number(min_pass_fraction, "min_pass_fraction", "in [0, 1]",
                     lambda v: 0 <= v <= 1)
-    slacks = dict(doc.get("slacks", {}))
+    slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
         _require_number(value, f"slacks.{key}", ">= 0", lambda v: v >= 0)
-    data = dict(doc.get("data", {}))
-    _check_keys(data, _DATA_KEYS, "data")
-    modality = dict(doc.get("modality", {}))
-    _check_keys(modality, _MODALITY_KEYS, "modality")
-    train = dict(doc.get("train", {}))
-    _check_keys(train, _TRAIN_KEYS, "train")
-    eval_sec = dict(doc.get("eval", {}))
-    _check_keys(eval_sec, _EVAL_KEYS, "eval")
-    sweep = dict(doc.get("sweep", {}))
-    _check_keys(sweep, _SWEEPABLE, "sweep")
-    for key, values in sweep.items():
+    sections = {name: _require_object(doc.get(name, {}), name) for name in _SECTION_KEYS}
+    _check_sections(sections)
+    for key, values in sections["sweep"].items():
         if not isinstance(values, list) or not values:
             raise ValidationError(f"sweep.{key} must be a non-empty list")
-    for value in sweep.get("n_train", ()):
+    for value in sections["sweep"].get("n_train", ()):
         _require_int(value, "sweep.n_train", 1)
-    _check_values({"data": data, "modality": modality, "train": train,
-                   "eval": eval_sec, "sweep": sweep})
-    methods = tuple(doc.get("methods", ()))
+    methods = doc.get("methods", [])
+    _require_strings(methods, "methods")
     bad = [mth for mth in methods if mth not in METHODS]
     if bad:
         raise ValidationError(f"unknown methods: {', '.join(bad)}")
-    if experiment != "verify-theorems":
-        if not methods:
-            raise ValidationError("methods must be non-empty")
-        if data.get("model") not in ("dm1", "dm2"):
-            raise ValidationError("data.model must be dm1 or dm2")
-    overrides = dict(doc.get("method_overrides", {}))
+    if not methods:
+        raise ValidationError("methods must be non-empty")
+    models = _KINDS[experiment][0]
+    if sections["data"].get("model") not in models:
+        raise ValidationError(f"data.model must be {' or '.join(models)} for "
+                              f"{experiment}, got {sections['data'].get('model')!r}")
+    overrides = _require_object(doc.get("method_overrides", {}), "method_overrides")
     for mth, sec in overrides.items():
         if mth not in METHODS:
             raise ValidationError(f"method_overrides for unknown method {mth!r}")
-        _check_keys(sec, {"modality", "train", "eval"}, f"method_overrides.{mth}")
-        _check_keys(sec.get("modality", {}), _MODALITY_KEYS, f"method_overrides.{mth}.modality")
-        _check_keys(sec.get("train", {}), _TRAIN_KEYS, f"method_overrides.{mth}.train")
-        _check_keys(sec.get("eval", {}), _EVAL_KEYS, f"method_overrides.{mth}.eval")
-        _check_values(sec, f"method_overrides.{mth}.")
+        where = f"method_overrides.{mth}"
+        _check_keys(_require_object(sec, where), {"modality", "train", "eval"}, where)
+        _check_sections({name: _require_object(value, f"{where}.{name}")
+                         for name, value in sec.items()}, where + ".")
     return ExperimentConfig(
         experiment=experiment,
         name=doc.get("name", experiment),
-        root_seed=doc.get("root_seed", 0),
+        root_seed=root_seed,
         trials=trials,
         tolerance=tolerance,
         min_pass_fraction=min_pass_fraction,
-        data=data, modality=modality, methods=methods, train=train,
-        eval=eval_sec, sweep=sweep, slacks=slacks,
-        method_overrides=overrides,
+        data=sections["data"], modality=sections["modality"], methods=tuple(methods),
+        train=sections["train"], eval=sections["eval"], sweep=sections["sweep"],
+        slacks=slacks, method_overrides=overrides,
     )
 
 
@@ -226,21 +236,19 @@ def _sweep_cells(config: ExperimentConfig) -> list[dict]:
             for combo in itertools.product(*(config.sweep[k] for k in keys))]
 
 
-def _resolved_sections(config: ExperimentConfig, method: str, cell: dict):
+def _cell_data(config: ExperimentConfig, cell: dict) -> dict:
+    """The data section of one sweep cell; method overrides never touch it."""
     data = dict(config.data)
-    modality = dict(config.modality)
-    train = dict(config.train)
-    eval_sec = dict(config.eval)
+    data.update((k, v) for k, v in cell.items() if k not in _TRAIN_SWEEPABLE)
+    return data
+
+
+def _method_sections(config: ExperimentConfig, method: str, cell: dict):
     override = config.method_overrides.get(method, {})
-    modality.update(override.get("modality", {}))
-    train.update(override.get("train", {}))
-    eval_sec.update(override.get("eval", {}))
-    for key, value in cell.items():
-        if key in ("n_train", "p_dim", "rho"):
-            train[key] = value
-        else:
-            data[key] = value
-    return data, modality, train, eval_sec
+    modality = {**config.modality, **override.get("modality", {})}
+    train = {**config.train, **override.get("train", {})}
+    train.update((k, v) for k, v in cell.items() if k in _TRAIN_SWEEPABLE)
+    return modality, train, {**config.eval, **override.get("eval", {})}
 
 
 def _make_params(data: dict):
@@ -292,14 +300,11 @@ def _train_latents(params, split, train: dict, rng: RngStream):
 class _CellContext:
     """Resolved objects for running one method inside one (cell, trial)."""
 
-    def __init__(self, config, method, cell, rng: RngStream):
-        self.config = config
-        self.method = method
-        self.rng = rng
-        data, modality, train, eval_sec = _resolved_sections(config, method, cell)
-        self.data_sec, self.train_sec, self.eval_sec = data, train, eval_sec
-        self.params = _make_params(data)
-        self.mask = _make_mask(data)
+    def __init__(self, config, method, cell, data, params, mask, rng: RngStream):
+        self.method, self.rng = method, rng
+        self.data_sec, self.params, self.mask = data, params, mask
+        modality, train, eval_sec = _method_sections(config, method, cell)
+        self.train_sec, self.eval_sec = train, eval_sec
         l = self.params.l
         d_i = modality.get("d_I", l)
         d_t = modality.get("d_T", d_i)
@@ -429,72 +434,84 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
 # theory comparisons
 
 
-def _method_family(method: str) -> str:
-    return "mmcl" if method.startswith("mmcl") else method
+def _declared(pred: theory.TheoremPrediction, key: str) -> tuple:
+    """A check exactly as a theory function declares it: (prediction, comparator)."""
+    return pred.values[key], pred.comparators[key]
 
 
-def _checks_for(config: ExperimentConfig, ctx: _CellContext) -> dict:
-    """Map (family, split, group, metric) -> (prediction, comparator)."""
-    kind = config.experiment
-    params, mask = ctx.params, ctx.mask
-    checks = {}
-    if kind == "dm1-robustness":
-        bound = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
-        checks[("mmcl", "true", "overall", "accuracy")] = (bound.values["overall"],
-                                                           "equality-threshold")
-        checks[("mmcl", "true", "minority", "accuracy")] = (bound.values["minority"],
-                                                            "equality-threshold")
-        sl = theory.sl_failure_bounds_dm1()
-        checks[("sl", "true", "overall", "accuracy")] = (sl.values["overall"], "upper-bound")
-        checks[("sl", "true", "minority", "accuracy")] = (sl.values["minority"], "upper-bound")
-    elif kind == "dm2-robustness":
-        holds = theory.perfect_zero_shot_condition_dm2(params.m, params.alpha, params.beta).values["condition"]
-        if holds:
-            checks[("mmcl", "true", "overall", "accuracy")] = (1.0, "equality-threshold")
-            checks[("mmcl", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
-        else:
-            checks[("mmcl", "true", "overall", "accuracy")] = (0.5, "upper-bound")
-        try:
-            sl = theory.sl_shift_ceiling_dm2(params.alpha, params.beta)
-            checks[("sl", "true", "overall", "accuracy")] = (sl.values["overall"], "upper-bound")
-        except MmclabError:
-            pass  # vacuous bound: nothing to compare
-        checks[("sl", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
-    elif kind == "caption-sweep-dm1":
-        pred = theory.masked_minority_accuracy_dm1(
-            params.sigma_core, params.sigma_spu, params.p_spu,
-            mask.pi_core if mask.variant == "model1" else 1.0,
-            ctx.data_sec.get("exponent_variant", "linear"))
-        checks[("mmcl", "true", "minority", "accuracy")] = (pred.values["minority"],
-                                                            "equality-threshold")
-    elif kind == "caption-sweep-dm2":
-        pi = mask.pi if mask.variant == "model2" else 1.0
-        try:
-            pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha,
-                                              params.beta).values["pi_threshold"]
-        except MmclabError:
-            return checks
-        if pi > pi_tilde:
-            checks[("mmcl", "true", "overall", "accuracy")] = (1.0, "equality-threshold")
-        elif pi < pi_tilde:
-            checks[("mmcl", "true", "overall", "accuracy")] = (0.5, "upper-bound")
-    elif kind == "method-compare":
-        if isinstance(params, DataModel1Params):
-            idp = theory.in_distribution_predictions_dm1(params.sigma_core, params.sigma_spu,
-                                                  params.p_spu)
-            checks[("sl", "train", "overall", "accuracy")] = (idp.values["sl_id"],
-                                                              "lower-bound")
-            checks[("mmcl", "train", "overall", "accuracy")] = (idp.values["mmcl_id"],
-                                                                "equality-threshold")
-            checks[("sl-vs-mmcl", "train", "overall", "id_gap")] = (0.0, "lower-bound")
-            checks[("supcon", "true", "overall", "accuracy")] = (0.5, "upper-bound")
-            checks[("supcon", "true", "minority", "accuracy")] = (0.0, "upper-bound")
-        else:
-            checks[("supcon", "true", "overall", "accuracy")] = (0.5, "equality-threshold")
-            checks[("supcon", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
-            checks[("supcon", "true", "geometry", "collinearity_residual")] = (0.0, "upper-bound")
-            checks[("supcon", "true", "*", "best_probe_accuracy")] = (0.75, "upper-bound")
+# Each builder maps (family, split, group, metric) -> (prediction, comparator)
+# for one cell. Constants that no theory function computes (accuracies of 1.0
+# and 0.5, the supervised-contrastive claims, id_gap >= 0) carry their
+# comparator here; every other check comes from theory unchanged.
+
+
+def _dm1_robustness_checks(params, mask, data) -> dict:
+    mmcl = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
+    sl = theory.sl_failure_bounds_dm1()
+    return {(family, "true", group, "accuracy"): _declared(pred, group)
+            for family, pred in (("mmcl", mmcl), ("sl", sl))
+            for group in ("overall", "minority")}
+
+
+def _dm2_robustness_checks(params, mask, data) -> dict:
+    if theory.perfect_zero_shot_condition_dm2(params.m, params.alpha,
+                                              params.beta).values["condition"]:
+        checks = {("mmcl", split, "overall", "accuracy"): (1.0, "equality-threshold")
+                  for split in ("true", "train")}
+    else:
+        checks = {("mmcl", "true", "overall", "accuracy"): (0.5, "upper-bound")}
+    checks[("sl", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
+    try:
+        sl = theory.sl_shift_ceiling_dm2(params.alpha, params.beta)
+    except DomainError:
+        return checks  # vacuous bound: nothing to compare
+    checks[("sl", "true", "overall", "accuracy")] = _declared(sl, "overall")
     return checks
+
+
+def _caption_dm1_checks(params, mask, data) -> dict:
+    pred = theory.masked_minority_accuracy_dm1(
+        params.sigma_core, params.sigma_spu, params.p_spu,
+        mask.pi_core if mask.variant == "model1" else 1.0,
+        data.get("exponent_variant", "linear"))
+    return {("mmcl", "true", "minority", "accuracy"): _declared(pred, "minority")}
+
+
+def _caption_dm2_checks(params, mask, data) -> dict:
+    pi = mask.pi if mask.variant == "model2" else 1.0
+    try:
+        pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha,
+                                                        params.beta).values["pi_threshold"]
+    except DomainError:
+        return {}
+    key = ("mmcl", "true", "overall", "accuracy")
+    if pi > pi_tilde:
+        return {key: (1.0, "equality-threshold")}
+    return {key: (0.5, "upper-bound")} if pi < pi_tilde else {}
+
+
+def _method_compare_checks(params, mask, data) -> dict:
+    if isinstance(params, DataModel2Params):
+        return {("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
+                ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
+                ("supcon", "true", "geometry", "collinearity_residual"): (0.0, "upper-bound"),
+                ("supcon", "true", "*", "best_probe_accuracy"): (0.75, "upper-bound")}
+    idp = theory.in_distribution_predictions_dm1(params.sigma_core, params.sigma_spu,
+                                                 params.p_spu)
+    return {("sl", "train", "overall", "accuracy"): _declared(idp, "sl_id"),
+            ("mmcl", "train", "overall", "accuracy"): _declared(idp, "mmcl_id"),
+            ("sl-vs-mmcl", "train", "overall", "id_gap"): (0.0, "lower-bound"),
+            ("supcon", "true", "overall", "accuracy"): (0.5, "upper-bound"),
+            ("supcon", "true", "minority", "accuracy"): (0.0, "upper-bound")}
+
+
+# experiment kind -> (data models it runs on, checks of one cell)
+_KINDS = {"dm1-robustness": (("dm1",), _dm1_robustness_checks),
+          "dm2-robustness": (("dm2",), _dm2_robustness_checks),
+          "caption-sweep-dm1": (("dm1",), _caption_dm1_checks),
+          "caption-sweep-dm2": (("dm2",), _caption_dm2_checks),
+          "method-compare": (("dm1", "dm2"), _method_compare_checks)}
+EXPERIMENT_KINDS = tuple(_KINDS)
 
 
 def _slack_for(config: ExperimentConfig, family, split, group, metric) -> float:
@@ -502,6 +519,18 @@ def _slack_for(config: ExperimentConfig, family, split, group, metric) -> float:
         if key in config.slacks:
             return config.slacks[key]
     return config.tolerance
+
+
+def _compare(config: ExperimentConfig, checks: dict, family, split, group, metric,
+             value) -> dict:
+    """The prediction, comparator and verdict of one value; empty if unchecked."""
+    check = checks.get((family, split, group, metric)) or checks.get((family, split, "*", metric))
+    if check is None:
+        return {}
+    prediction, comparator = check
+    slack = _slack_for(config, family, split, group, metric)
+    return {"prediction": prediction, "comparator": comparator,
+            "passed": check_passes(value, prediction, comparator, slack)}
 
 
 # ---------------------------------------------------------------------------
@@ -515,47 +544,48 @@ def _run_task(config: ExperimentConfig, cell: dict, cell_idx: int,
     rng = RngStream(config.root_seed, seed)
     started = time.perf_counter()
     records = []
-    method_values = {}
+    measured = {}
+    # data model, mask and checks depend on the cell only, not on the method
+    try:
+        data = _cell_data(config, cell)
+        params, mask = _make_params(data), _make_mask(data)
+        checks = _KINDS[config.experiment][1](params, mask, data)
+        cell_error = None
+    except MmclabError as exc:
+        cell_error = exc
     for method in config.methods:
-        try:
-            ctx = _CellContext(config, method, cell, rng.child(METHODS.index(method)))
-            param_row = _cell_param_row(ctx.params, ctx.train_sec, ctx.modality_sec,
-                                        ctx.mask)
-            rows = _run_method(ctx)
-        except MmclabError as exc:
+        error = cell_error
+        if error is None:
+            try:
+                ctx = _CellContext(config, method, cell, data, params, mask,
+                                   rng.child(METHODS.index(method)))
+                param_row = _cell_param_row(params, ctx.train_sec, ctx.modality_sec, mask)
+                rows = _run_method(ctx)
+            except MmclabError as exc:
+                error = exc
+        if error is not None:
             records.append(RunRecord(
                 run_id=run_id, experiment=config.experiment, seed=seed, method=method,
                 params=dict(cell), split="", group="error", metric="error",
-                value=float("nan"), passed=False, error=f"{type(exc).__name__}: {exc}"))
+                value=float("nan"), passed=False, error=f"{type(error).__name__}: {error}"))
             continue
-        checks = _checks_for(config, ctx)
-        family = _method_family(method)
+        family = "mmcl" if method.startswith("mmcl") else method
         for split, group, metric, value in rows:
-            check = checks.get((family, split, group, metric))
-            if check is None:
-                check = checks.get((family, split, "*", metric))
-            prediction = comparator = passed = None
-            if check is not None:
-                prediction, comparator = check
-                slack = _slack_for(config, family, split, group, metric)
-                passed = check_passes(value, prediction, comparator, slack)
             records.append(RunRecord(
                 run_id=run_id, experiment=config.experiment, seed=seed, method=method,
                 params=param_row, split=split, group=group, metric=metric,
-                value=float(value), prediction=prediction, comparator=comparator,
-                passed=passed))
-            method_values[(family, split, group, metric)] = float(value)
+                value=float(value),
+                **_compare(config, checks, family, split, group, metric, value)))
+            measured[(family, split, group, metric)] = float(value)
     # derived in-distribution comparison when both model families ran
-    sl_id = method_values.get(("sl", "train", "overall", "accuracy"))
-    mmcl_id = method_values.get(("mmcl", "train", "overall", "accuracy"))
+    sl_id = measured.get(("sl", "train", "overall", "accuracy"))
+    mmcl_id = measured.get(("mmcl", "train", "overall", "accuracy"))
     if config.experiment == "method-compare" and sl_id is not None and mmcl_id is not None:
         gap = sl_id - mmcl_id
-        slack = _slack_for(config, "sl-vs-mmcl", "train", "overall", "id_gap")
         records.append(RunRecord(
             run_id=run_id, experiment=config.experiment, seed=seed, method="sl-vs-mmcl",
             params={}, split="train", group="overall", metric="id_gap", value=gap,
-            prediction=0.0, comparator="lower-bound",
-            passed=check_passes(gap, 0.0, "lower-bound", slack)))
+            **_compare(config, checks, "sl-vs-mmcl", "train", "overall", "id_gap", gap)))
     elapsed = time.perf_counter() - started
     return [replace(rec, wall_time=elapsed) for rec in records]
 
@@ -564,11 +594,6 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
     """Run every sweep cell and trial; deterministic for a fixed root seed
     regardless of thread count (records come back in cell-major, trial-minor
     order and each task owns an independent random stream)."""
-    if config.experiment == "verify-theorems":
-        records = []
-        for suite_cfg in suite_configs("all", config.root_seed):
-            records.extend(run_experiment(suite_cfg, threads))
-        return records
     cells = _sweep_cells(config)
     tasks = [(cell, cell_idx, trial)
              for cell_idx, cell in enumerate(cells)

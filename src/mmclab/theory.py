@@ -65,11 +65,13 @@ def _dm1_kappas(sigma_core: float, sigma_spu: float, p_spu: float,
 
 
 def zero_shot_robustness_dm1(sigma_core: float, sigma_spu: float, p_spu: float) -> TheoremPrediction:
-    """Zero-shot robustness lower bounds for the contrastive model on model 1.
+    """Zero-shot robustness of the contrastive model on model 1.
 
     kappa_1 = (2p - 2 - sc^2) / sqrt((1 + sc^2)^2 sc^2 + (2p - 1)^2 ss^2),
     kappa_2 = (-2p - sc^2) / (same denominator);
     overall >= 1 - Phi(kappa_1)/2 - Phi(kappa_2)/2, minority >= 1 - Phi(kappa_1).
+    The linear closed form attains both bounds exactly (its minority accuracy
+    reproduces 1 - Phi(kappa_1) to 1e-16), so they are compared as equalities.
     """
     k1, k2 = _dm1_kappas(sigma_core, sigma_spu, p_spu)
     return TheoremPrediction(
@@ -79,7 +81,7 @@ def zero_shot_robustness_dm1(sigma_core: float, sigma_spu: float, p_spu: float) 
                 "overall": 1.0 - 0.5 * phi_cdf(k1) - 0.5 * phi_cdf(k2),
                 "minority": 1.0 - phi_cdf(k1)},
         comparators={"kappa1": "equality-threshold", "kappa2": "equality-threshold",
-                     "overall": "lower-bound", "minority": "lower-bound"},
+                     "overall": "equality-threshold", "minority": "equality-threshold"},
     )
 
 

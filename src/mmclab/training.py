@@ -1,5 +1,5 @@
 """Model fitting: contrastive encoders by closed-form SVD and by gradient
-descent, supervised linear models with a hard-margin oracle, the supervised-
+descent, supervised linear models by gradient descent, the supervised-
 contrastive closed form, and linear probes on frozen representations.
 """
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from .covariance import ClassMeanCov, CrossCov, empirical_cross_cov
 from .datagen import PairedDataset
-from .errors import ArgumentError, DimensionError, DomainError, InfeasibleError, TrainingError
+from .errors import ArgumentError, DimensionError, DomainError, TrainingError
 from .numerics import Dictionary, RngStream, _readonly, svd_top
 
 # Defaults for gradient-descent fits. Long horizons matter for the supervised
@@ -132,7 +132,7 @@ def mmcl_fit_closed_form(S: CrossCov, p_dim: int, rho: float,
         raise DomainError(f"rho must be positive, got {rho}")
     if not 1 <= p_dim <= min(S.S.shape):
         raise DimensionError(f"p_dim={p_dim} out of range for covariance shape {S.S.shape}")
-    top = svd_top(S.scaled(), p_dim)
+    top = svd_top(S.S, p_dim)
     g = top.reconstruct() / rho
     if S.space == "latent":
         g = _lift(g, image_dictionary, text_dictionary)
@@ -385,130 +385,6 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     if snapshot_every:
         meta["snapshots"] = snaps
     return SLModel(W=w.reshape(d, q), q=q, classes=classes, training_meta=meta)
-
-
-# ---------------------------------------------------------------------------
-# hard-margin oracle (dual projected gradient ascent; test oracle only)
-
-_ORACLE_MAX_SIZE = 500
-_ORACLE_FEAS_TOL = 1e-6
-_ORACLE_DUAL_CAP = 1e12
-
-
-def _accelerated_ascent(grad_fn, alpha0, step, max_iter, done_fn):
-    """FISTA-style projected ascent on a concave quadratic, alpha >= 0."""
-    alpha = alpha0
-    momentum = alpha0
-    t = 1.0
-    for it in range(max_iter):
-        g = grad_fn(momentum)
-        nxt = np.maximum(0.0, momentum + step * g)
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        momentum = nxt + ((t - 1.0) / t_next) * (nxt - alpha)
-        alpha, t = nxt, t_next
-        if it % 200 == 0 and done_fn(alpha):
-            break
-    return alpha
-
-
-def hard_margin_oracle(images: np.ndarray, labels,
-                       max_iter: int = 200_000) -> SLModel:
-    """Minimum-norm weights satisfying all pairwise unit-margin constraints.
-
-    Solves the hard-margin dual by accelerated projected gradient ascent and
-    certifies feasibility within 1e-6 before returning. Intended only as a test
-    oracle on small instances (n, d <= 500); non-separable data raises.
-    """
-    x = np.asarray(images, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    n, d = x.shape
-    if n > _ORACLE_MAX_SIZE or d > _ORACLE_MAX_SIZE:
-        raise ArgumentError(f"oracle restricted to n, d <= {_ORACLE_MAX_SIZE}, got {x.shape}")
-    y = np.asarray(labels)
-    binary = set(np.unique(y)) <= {-1, 1}
-
-    if binary:
-        yv = y.astype(float)
-        k = (x @ x.T) * np.outer(yv, yv)
-        step = 1.0 / max(np.linalg.eigvalsh(k).max(), 1e-12)
-
-        def w_of(alpha):
-            return x.T @ (alpha * yv)
-
-        def feasible(alpha):
-            margins = yv * (x @ w_of(alpha))
-            return margins.min() >= 1.0 - _ORACLE_FEAS_TOL
-
-        def done(alpha):
-            # feasible with the duality gap closed (KKT: sum(alpha) = ||w||^2)
-            w = w_of(alpha)
-            norm2 = float(w @ w)
-            if not feasible(alpha):
-                return False
-            return abs(norm2 - alpha.sum()) <= 1e-8 * max(1.0, norm2)
-
-        def grad(alpha):
-            dual = alpha.sum() - 0.5 * float(alpha @ k @ alpha)
-            if dual > _ORACLE_DUAL_CAP:
-                raise InfeasibleError("dual unbounded: training data are not separable")
-            return 1.0 - k @ alpha
-
-        alpha = _accelerated_ascent(grad, np.zeros(n), step, max_iter, done)
-        w = w_of(alpha)
-        if not feasible(alpha):
-            raise InfeasibleError("margin constraints unsatisfied: data not separable "
-                                  "(or oracle iteration budget too small)")
-        return SLModel(W=w[:, None], q=1, classes=(-1, 1),
-                       training_meta={"fit": "hard-margin-oracle"})
-
-    classes = tuple(int(v) for v in np.unique(y))
-    q = len(classes)
-    index = {label: j for j, label in enumerate(classes)}
-    own = np.array([index[int(v)] for v in y])
-    onehot = np.zeros((n, q))
-    onehot[np.arange(n), own] = 1.0
-    gram = x @ x.T
-    lam = max(np.linalg.eigvalsh(gram).max(), 1e-12)
-    step = 1.0 / (lam * (1.0 + np.sqrt(q)) ** 2)
-
-    def w_of(alpha):
-        coeff = onehot * alpha.sum(axis=1, keepdims=True) - alpha
-        return x.T @ coeff
-
-    def margins_of(alpha):
-        scores = x @ w_of(alpha)
-        own_scores = scores[np.arange(n), own]
-        gaps = own_scores[:, None] - scores
-        gaps[np.arange(n), own] = np.inf
-        return gaps
-
-    def feasible(alpha):
-        return margins_of(alpha).min() >= 1.0 - _ORACLE_FEAS_TOL
-
-    def done(alpha):
-        if not feasible(alpha):
-            return False
-        w = w_of(alpha)
-        norm2 = float(np.einsum("ij,ij->", w, w))
-        return abs(norm2 - alpha.sum()) <= 1e-8 * max(1.0, norm2)
-
-    def grad(alpha):
-        w = w_of(alpha)
-        dual = alpha.sum() - 0.5 * float(np.einsum("ij,ij->", w, w))
-        if dual > _ORACLE_DUAL_CAP:
-            raise InfeasibleError("dual unbounded: training data are not separable")
-        scores = x @ w
-        g = 1.0 - (scores[np.arange(n), own][:, None] - scores)
-        g[np.arange(n), own] = 0.0
-        return g
-
-    alpha = _accelerated_ascent(grad, np.zeros((n, q)), step, max_iter, done)
-    if not feasible(alpha):
-        raise InfeasibleError("margin constraints unsatisfied: data not separable "
-                              "(or oracle iteration budget too small)")
-    return SLModel(W=w_of(alpha), q=q, classes=classes,
-                   training_meta={"fit": "hard-margin-oracle"})
 
 
 # ---------------------------------------------------------------------------

@@ -239,7 +239,7 @@ def test_criterion_10_argmax_invariances():
         base = mmcl_fit_closed_form(base_cov, 2, 1.0)
         half_rho = mmcl_fit_closed_form(base_cov, 2, 2.0)
         rescaled = mmcl_fit_closed_form(
-            CrossCov(S=base_cov.S, provenance="population", space="latent", scale=11.0),
+            CrossCov(S=11.0 * base_cov.S, provenance="population", space="latent"),
             2, 1.0)
         batch = sample_latents_dm1(params, 30, "train", rng.child(1))
         cfg = ModalityConfig(make_dictionary(2, 2))

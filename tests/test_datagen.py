@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from mmclab import (ArgumentError, CaptionMask, ConfigurationError, DataModel1Params,
-                    DataModel2Params, DimensionError, ModalityConfig, RngStream,
-                    SizeError, enumerate_latents_dm2, make_dictionary,
-                    make_paired_dataset, mask_caption_features, sample_latents_dm1,
-                    sample_latents_dm2)
+                    DataModel2Params, DimensionError, LatentBatch, ModalityConfig,
+                    RngStream, SizeError, enumerate_latents_dm2, make_dictionary,
+                    make_paired_dataset, sample_latents_dm1, sample_latents_dm2)
+from mmclab.datagen import _mask_batch
 
 RNG = RngStream(2024, 0)
 
@@ -40,18 +40,18 @@ def test_dm1_rejects_empty_draw():
 
 def _check_dm2_constraints(batch, params, split):
     m, alpha, beta = params.m, params.alpha, params.beta
-    for i in range(len(batch)):
-        s = batch[i]
-        assert s.k == (s.y + 1) // 2 and s.c == (1 if s.y % 2 == 1 else -1)
-        assert s.z[s.k - 1] == s.c
-        if split == "train":
-            assert s.z[s.k - 1 + m] == s.c * alpha
-        else:
-            assert abs(s.z[s.k - 1 + m]) == alpha
-        for j in range(m):
-            if j != s.k - 1:
-                assert abs(s.z[j]) == beta
-                assert abs(s.z[j + m]) == beta * alpha
+    rows = np.arange(len(batch))
+    assert np.all(batch.k == (batch.y + 1) // 2)
+    assert np.all(batch.c == np.where(batch.y % 2 == 1, 1, -1))
+    assert np.all(batch.z[rows, batch.k - 1] == batch.c)
+    spu = batch.z[rows, batch.k - 1 + m]
+    if split == "train":
+        assert np.all(spu == batch.c * alpha)
+    else:
+        assert np.all(np.abs(spu) == alpha)
+    off = ~np.eye(m, dtype=bool)[batch.k - 1]
+    assert np.all(np.abs(batch.z[:, :m][off]) == beta)
+    assert np.all(np.abs(batch.z[:, m:][off]) == beta * alpha)
 
 
 @pytest.mark.parametrize("split,expected", [("train", 16), ("true", 32)])
@@ -61,7 +61,6 @@ def test_dm2_enumeration_counts(split, expected):
     assert len(batch) == expected
     counts = np.bincount(batch.y)[1:]
     assert np.all(counts == counts[0])
-    assert not batch.sampled
     _check_dm2_constraints(batch, params, split)
 
 
@@ -94,38 +93,34 @@ def test_dm2_offclass_coordinate_moments():
 def test_mask_identity_when_probabilities_one():
     params = DataModel1Params(1.0, 0.5, 0.9)
     batch = sample_latents_dm1(params, 50, "train", RNG.child(8))
-    mask = CaptionMask.model1(1.0, 1.0)
-    for i in (0, 17, 49):
-        np.testing.assert_array_equal(
-            mask_caption_features(batch[i], mask, RNG.child(9, i)), batch[i].z)
+    np.testing.assert_array_equal(
+        _mask_batch(batch, CaptionMask.model1(1.0, 1.0), RNG.child(9)), batch.z)
     batch2 = sample_latents_dm2(DataModel2Params(2, 1.0, 0.5), 50, "true", RNG.child(10))
-    mask2 = CaptionMask.model2(1.0)
-    for i in (0, 31):
-        np.testing.assert_array_equal(
-            mask_caption_features(batch2[i], mask2, RNG.child(11, i)), batch2[i].z)
+    np.testing.assert_array_equal(
+        _mask_batch(batch2, CaptionMask.model2(1.0), RNG.child(11)), batch2.z)
 
 
 def test_mask_full_collapse_to_group_means():
-    z = np.array([1.37, -0.42])
-    from mmclab import LatentSample
-    sample = LatentSample(z=z, y=1, a=-1)
-    out = mask_caption_features(sample, CaptionMask.model1(0.0, 0.0), RNG.child(12))
-    np.testing.assert_array_equal(out, [1.0, -1.0])
+    batch = LatentBatch("dm1", "train", np.array([[1.37, -0.42]]), [1], a=[-1])
+    out = _mask_batch(batch, CaptionMask.model1(0.0, 0.0), RNG.child(12))
+    np.testing.assert_array_equal(out, [[1.0, -1.0]])
 
 
 def test_mask_model2_keeps_only_class_coordinate():
     batch = sample_latents_dm2(DataModel2Params(2, 1.0, 0.5), 10, "true", RNG.child(13))
-    s = batch[3]
-    out = mask_caption_features(s, CaptionMask.model2(0.0), RNG.child(14))
-    expected = np.zeros(4)
-    expected[s.k - 1] = s.c
+    out = _mask_batch(batch, CaptionMask.model2(0.0), RNG.child(14))
+    expected = np.zeros((10, 4))
+    expected[np.arange(10), batch.k - 1] = batch.c
     np.testing.assert_array_equal(out, expected)
 
 
 def test_mask_variant_mismatch():
     batch = sample_latents_dm1(DataModel1Params(1.0, 0.5, 0.9), 5, "train", RNG.child(15))
     with pytest.raises(ConfigurationError):
-        mask_caption_features(batch[0], CaptionMask.model2(0.5), RNG.child(16))
+        _mask_batch(batch, CaptionMask.model2(0.5), RNG.child(16))
+    batch2 = sample_latents_dm2(DataModel2Params(2, 1.0, 0.5), 5, "true", RNG.child(17))
+    with pytest.raises(ConfigurationError):
+        _mask_batch(batch2, CaptionMask.model1(0.5, 0.5), RNG.child(18))
 
 
 def test_mask_probability_range_checked():

@@ -103,7 +103,7 @@ def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():
 def test_crosscov_scale_field_never_changes_predictions():
     params = DataModel1Params(1.0, 0.1, 0.9)
     base = population_cross_cov_dm1(params)
-    rescaled = CrossCov(S=base.S, provenance="population", space="latent", scale=7.3)
+    rescaled = CrossCov(S=7.3 * base.S, provenance="population", space="latent")
     prompts = build_prompts(params, make_dictionary(2, 2))
     m1 = mmcl_fit_closed_form(base, 2, 1.0)
     m2 = mmcl_fit_closed_form(rescaled, 2, 1.0)

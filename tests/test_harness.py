@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mmclab import ValidationError
+from mmclab import ValidationError, theory
 from mmclab.cli import main as cli_main
 from mmclab.harness import (CSV_COLUMNS, check_passes, config_from_dict,
                             config_from_file, emit_csv, emit_json_summary,
@@ -48,6 +48,8 @@ def test_zero_trials_rejected():
     ("eval", "supcon_restarts", -1),
     ("train", "lr", float("nan")),
     ("train", "probe_lr", 0.0),
+    ("eval", "splits", "true"),
+    ("eval", "splits", ["true", 1]),
 ])
 def test_section_field_types_rejected(section, key, value):
     bad = _tiny_dm1_config()
@@ -68,6 +70,17 @@ def test_section_field_types_rejected(section, key, value):
     ({"sweep": {"n_train": [100, "200"]}}, "sweep.n_train"),
     ({"trials": True}, "trials"),
     ({"data": {"model": "dm1", "sigma_core": float("nan")}}, "data.sigma_core"),
+    ({"root_seed": "7"}, "root_seed"),
+    ({"root_seed": 1.5}, "root_seed"),
+    ({"root_seed": None}, "root_seed"),
+    ({"root_seed": False}, "root_seed"),
+    ({"data": "dm1"}, "data"),
+    ({"modality": [2, 2]}, "modality"),
+    ({"slacks": 5}, "slacks"),
+    ({"method_overrides": {"sl": 5}}, "method_overrides.sl"),
+    ({"method_overrides": {"sl": {"train": 5}}}, "method_overrides.sl.train"),
+    ({"methods": "sl"}, "methods"),
+    ({"experiment": "dm2-robustness"}, "data.model"),
 ])
 def test_top_level_numbers_rejected(extra, key):
     with pytest.raises(ValidationError, match=key):
@@ -155,12 +168,12 @@ def test_csv_bytes_identical_across_reruns_and_threads(tmp_path):
 
 
 def test_failed_cell_records_error_and_suite_continues():
-    doc = _tiny_dm1_config(trials=1)
+    doc = _tiny_dm1_config(trials=1, methods=["mmcl-closed", "mmcl-analytic"])
     doc["sweep"] = {"sigma_spu": [-0.5, 0.05]}  # first cell violates the domain
     records = run_experiment(config_from_dict(doc))
     errors = [r for r in records if r.error]
     fine = [r for r in records if not r.error]
-    assert errors and fine
+    assert [r.method for r in errors] == ["mmcl-closed", "mmcl-analytic"] and fine
     summary = summarize(records)
     assert summary["errors"] and not summary["all_passed"]
 
@@ -176,9 +189,57 @@ def test_json_summary_aggregates_and_verdict(tmp_path):
     assert loaded["all_passed"] == summary["all_passed"]
 
 
-def test_verify_theorems_requires_no_other_sections():
-    cfg = config_from_dict({"experiment": "verify-theorems", "root_seed": 3})
-    assert cfg.methods == ()
+def test_verify_theorems_kind_rejected(tmp_path):
+    # the preset union is `mmclab verify --suite all`, not an experiment kind
+    doc = {"experiment": "verify-theorems", "root_seed": 3}
+    with pytest.raises(ValidationError, match="experiment"):
+        config_from_dict(doc)
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(config_path),
+                     "--out", str(tmp_path / "o")]) == 2
+
+
+_DM1 = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.05, "p_spu": 0.95}
+_DM1_SMALL = {"modality": {"d_I": 2, "d_T": 2},
+              "train": {"n_train": 400, "p_dim": 2, "rho": 1.0, "epochs": 200},
+              "eval": {"n_eval": 400, "splits": ["true", "train"]}}
+_ZERO_SHOT = theory.zero_shot_robustness_dm1(1.0, 0.05, 0.95)
+_ID = theory.in_distribution_predictions_dm1(1.0, 0.05, 0.95)
+
+
+@pytest.mark.parametrize("doc,declared", [
+    ({"experiment": "dm1-robustness", "data": _DM1, "methods": ["mmcl-closed", "sl"],
+      **_DM1_SMALL},
+     {("mmcl-closed", "true", "overall"): (_ZERO_SHOT, "overall"),
+      ("mmcl-closed", "true", "minority"): (_ZERO_SHOT, "minority"),
+      ("sl", "true", "overall"): (theory.sl_failure_bounds_dm1(), "overall"),
+      ("sl", "true", "minority"): (theory.sl_failure_bounds_dm1(), "minority")}),
+    ({"experiment": "dm2-robustness", "methods": ["sl"],
+      "data": {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1 / 3},
+      "modality": {"d_I": 6}, "train": {"exhaustive": True, "epochs": 200},
+      "eval": {"exhaustive": True, "splits": ["true"]}},
+     {("sl", "true", "overall"): (theory.sl_shift_ceiling_dm2(10.0, 1 / 3), "overall")}),
+    ({"experiment": "caption-sweep-dm1", "data": {**_DM1, "pi_core": 0.5, "pi_spu": 1.0},
+      "methods": ["mmcl-closed"], **_DM1_SMALL},
+     {("mmcl-closed", "true", "minority"):
+      (theory.masked_minority_accuracy_dm1(1.0, 0.05, 0.95, 0.5), "minority")}),
+    ({"experiment": "method-compare", "data": _DM1, "methods": ["mmcl-closed", "sl"],
+      **_DM1_SMALL},
+     {("sl", "train", "overall"): (_ID, "sl_id"),
+      ("mmcl-closed", "train", "overall"): (_ID, "mmcl_id")}),
+], ids=["dm1-robustness", "dm2-robustness", "caption-sweep-dm1", "method-compare"])
+def test_theory_checks_carry_the_declared_prediction_and_comparator(doc, declared):
+    records = run_experiment(config_from_dict({"name": "decl", "root_seed": 2, **doc}))
+    seen = set()
+    for rec in records:
+        key = (rec.method, rec.split, rec.group)
+        if key in declared:
+            pred, name = declared[key]
+            assert (rec.prediction, rec.comparator) == (pred.values[name],
+                                                        pred.comparators[name]), key
+            seen.add(key)
+    assert seen == set(declared)
 
 
 def test_suite_presets_are_valid_configs():

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from margin_oracle import InfeasibleError, hard_margin_oracle
 from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
-                    DataModel2Params, DimensionError, DomainError, InfeasibleError,
-                    ModalityConfig, RngStream, TrainingError, empirical_cross_cov,
-                    enumerate_latents_dm2, hard_margin_oracle, make_dictionary,
-                    make_paired_dataset, mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss,
-                    probe_fit, sample_latents_dm1, sl_fit_gd, supcon_class_mean_cov,
-                    supcon_fit_closed_form)
+                    DataModel2Params, DimensionError, DomainError, ModalityConfig,
+                    RngStream, TrainingError, empirical_cross_cov, enumerate_latents_dm2,
+                    make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
+                    mmcl_fit_gd, mmcl_loss, probe_fit, sample_latents_dm1, sl_fit_gd,
+                    supcon_class_mean_cov, supcon_fit_closed_form)
 from mmclab.training import (GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _cross_entropy_gd,
                              _logistic_gd)
 
