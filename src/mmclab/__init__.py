@@ -19,8 +19,7 @@ from .errors import (ArgumentError, ConfigurationError, DimensionError, DomainEr
                      ValidationError)
 from .evaluation import (EvalReport, EvalSampler, GroupGeometry, PromptSet,
                          build_prompts, evaluate_probe, evaluate_sl,
-                         evaluate_zero_shot, supcon_group_geometry,
-                         zero_shot_predict)
+                         evaluate_zero_shot, supcon_group_geometry)
 from .harness import (ExperimentConfig, RunRecord, config_from_dict, config_from_file,
                       emit_csv, emit_json_summary, run_experiment, run_suite,
                       suite_configs, summarize)
@@ -30,7 +29,7 @@ from .theory import (TheoremPrediction, in_distribution_predictions_dm1, sl_fail
                      zero_shot_robustness_dm1, sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
                      masked_minority_accuracy_dm1, caption_masking_threshold_dm2)
 from .training import (MMCLModel, ProbeModel, SLModel, SupConEncoder,
-                       mmcl_fit_closed_form, mmcl_fit_gd, mmcl_loss, probe_fit,
+                       mmcl_fit_closed_form, mmcl_fit_gd, probe_fit,
                        sl_fit_gd, supcon_fit_closed_form)
 
 __version__ = "0.1.0"

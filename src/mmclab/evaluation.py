@@ -62,17 +62,6 @@ def _argmax_labels(scores: np.ndarray, classes: tuple) -> np.ndarray:
     return np.asarray(classes)[picks]
 
 
-def zero_shot_predict(model: MMCLModel, x_image: np.ndarray, prompts: PromptSet) -> int:
-    """Predicted class: argmax_y x^T G p_y (ties to the lowest class)."""
-    x = np.asarray(x_image, dtype=float)
-    if x.shape != (model.G.shape[0],):
-        raise DimensionError(f"input shape {x.shape} does not match G {model.G.shape}")
-    if prompts.prompts.shape[1] != model.G.shape[1]:
-        raise DimensionError("prompt dimension does not match G")
-    scores = (x @ model.G) @ prompts.prompts.T
-    return int(_argmax_labels(scores[None, :], prompts.classes)[0])
-
-
 @dataclass(frozen=True)
 class EvalSampler:
     """Where evaluation inputs come from: data-model parameters, a split, and
@@ -140,29 +129,23 @@ def _mc_radius(acc: float, n: int) -> float:
 def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> EvalReport:
     n = len(batch)
     agree = batch.spurious_agrees()
-    groups = {}
+    # (name, members, minority) per group: model 1 by (y, a), model 2 by class
+    # and whether the spurious coordinate agrees with it
     if batch.model == "dm1":
-        keys = [(y, a) for y in (-1, 1) for a in (-1, 1)]
-        for y, a in keys:
-            sel = (batch.y == y) & (batch.a == a)
-            cnt = int(sel.sum())
-            if cnt == 0:
-                continue
-            acc = float(correct[sel].mean())
-            groups[f"y={y:+d},a={a:+d}"] = GroupStat(
-                acc, cnt, _mc_radius(acc, cnt), minority=(a != y),
-                small_sample=cnt < SMALL_GROUP_COUNT)
+        cells = [(f"y={y:+d},a={a:+d}", (batch.y == y) & (batch.a == a), a != y)
+                 for y in (-1, 1) for a in (-1, 1)]
     else:
-        for y in np.unique(batch.y):
-            for flag, tag in ((True, "agree"), (False, "flip")):
-                sel = (batch.y == y) & (agree == flag)
-                cnt = int(sel.sum())
-                if cnt == 0:
-                    continue
-                acc = float(correct[sel].mean())
-                groups[f"y={int(y)},spu={tag}"] = GroupStat(
-                    acc, cnt, _mc_radius(acc, cnt), minority=not flag,
-                    small_sample=cnt < SMALL_GROUP_COUNT)
+        cells = [(f"y={int(y)},spu={tag}", (batch.y == y) & (agree == flag), not flag)
+                 for y in np.unique(batch.y)
+                 for flag, tag in ((True, "agree"), (False, "flip"))]
+    groups = {}
+    for name, sel, minority in cells:
+        cnt = int(sel.sum())
+        if cnt == 0:
+            continue
+        acc = float(correct[sel].mean())
+        groups[name] = GroupStat(acc, cnt, _mc_radius(acc, cnt), minority=minority,
+                                 small_sample=cnt < SMALL_GROUP_COUNT)
     overall = float(correct.mean())
     return EvalReport(overall_accuracy=overall, groups=groups, n_eval=n,
                       mc_radius=_mc_radius(overall, n), split=split, mode=mode)

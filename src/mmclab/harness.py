@@ -51,6 +51,8 @@ _INT_FIELDS = {("train", "n_train"): 1, ("train", "epochs"): 1,
                ("train", "probe_epochs"): 1, ("eval", "n_eval"): 1,
                ("eval", "adversarial_probe_epochs"): 1, ("eval", "supcon_restarts"): 0}
 _STEP_FIELDS = (("train", "lr"), ("train", "probe_lr"))
+# data keys that hold text; every other data key is a number, and m a count
+_DATA_TEXT = ("model", "exponent_variant")
 
 
 @dataclass(frozen=True)
@@ -85,11 +87,11 @@ def _require_int(value, where: str, low: int):
         raise ValidationError(f"{where} must be an integer >= {low}, got {value!r}")
 
 
-def _require_number(value, where: str, rule: str, ok):
+def _require_number(value, where: str, rule: str = "", ok=lambda v: True):
     """A finite int or float (not a bool) for which ``ok`` holds."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not math.isfinite(value) or not ok(value)):
-        raise ValidationError(f"{where} must be a finite number {rule}, got {value!r}")
+        raise ValidationError(f"{where} must be a finite number{rule}, got {value!r}")
 
 
 def _require_object(value, where: str) -> dict:
@@ -99,8 +101,16 @@ def _require_object(value, where: str) -> dict:
 
 
 def _require_strings(value, where: str):
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"{where} must be a list of strings, got {value!r}")
+    if (not isinstance(value, list) or not all(isinstance(v, str) for v in value)
+            or len(set(value)) < len(value)):
+        raise ValidationError(f"{where} must be a list of distinct strings, got {value!r}")
+
+
+def _check_data_value(key: str, value, where: str):
+    if key == "m":
+        _require_int(value, where, 2)
+    elif key not in _DATA_TEXT:
+        _require_number(value, where)
 
 
 def _reject_nonfinite(section: dict, where: str):
@@ -111,17 +121,19 @@ def _reject_nonfinite(section: dict, where: str):
 
 
 def _check_sections(sections: dict, prefix: str = ""):
-    """Reject unknown keys, non-finite numbers and mistyped counts, step sizes
-    and split lists."""
+    """Reject unknown keys, non-finite numbers, and mistyped data values,
+    counts, step sizes and split lists."""
     for name, section in sections.items():
         _check_keys(section, _SECTION_KEYS[name], prefix + name)
         _reject_nonfinite(section, prefix + name)
+    for key, value in sections.get("data", {}).items():
+        _check_data_value(key, value, f"{prefix}data.{key}")
     for (sec, key), low in _INT_FIELDS.items():
         if key in sections.get(sec, {}):
             _require_int(sections[sec][key], f"{prefix}{sec}.{key}", low)
     for sec, key in _STEP_FIELDS:
         if key in sections.get(sec, {}):
-            _require_number(sections[sec][key], f"{prefix}{sec}.{key}", "> 0",
+            _require_number(sections[sec][key], f"{prefix}{sec}.{key}", " > 0",
                             lambda v: v > 0)
     if "splits" in sections.get("eval", {}):
         _require_strings(sections["eval"]["splits"], f"{prefix}eval.splits")
@@ -141,20 +153,23 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     trials = doc.get("trials", 1)
     _require_int(trials, "trials", 1)
     tolerance = doc.get("tolerance", 0.02)
-    _require_number(tolerance, "tolerance", ">= 0", lambda v: v >= 0)
+    _require_number(tolerance, "tolerance", " >= 0", lambda v: v >= 0)
     min_pass_fraction = doc.get("min_pass_fraction", 1.0)
-    _require_number(min_pass_fraction, "min_pass_fraction", "in [0, 1]",
+    _require_number(min_pass_fraction, "min_pass_fraction", " in [0, 1]",
                     lambda v: 0 <= v <= 1)
     slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
-        _require_number(value, f"slacks.{key}", ">= 0", lambda v: v >= 0)
+        _require_number(value, f"slacks.{key}", " >= 0", lambda v: v >= 0)
     sections = {name: _require_object(doc.get(name, {}), name) for name in _SECTION_KEYS}
     _check_sections(sections)
     for key, values in sections["sweep"].items():
         if not isinstance(values, list) or not values:
             raise ValidationError(f"sweep.{key} must be a non-empty list")
-    for value in sections["sweep"].get("n_train", ()):
-        _require_int(value, "sweep.n_train", 1)
+        for value in values:
+            if key == "n_train":
+                _require_int(value, "sweep.n_train", 1)
+            elif key not in _TRAIN_SWEEPABLE:
+                _check_data_value(key, value, f"sweep.{key}")
     methods = doc.get("methods", [])
     _require_strings(methods, "methods")
     bad = [mth for mth in methods if mth not in METHODS]
@@ -256,7 +271,7 @@ def _make_params(data: dict):
         return DataModel1Params(data.get("sigma_core", 1.0),
                                 data.get("sigma_spu", 0.0),
                                 data.get("p_spu", 0.999))
-    return DataModel2Params(int(data.get("m", 2)), data.get("alpha", 1.0),
+    return DataModel2Params(data.get("m", 2), data.get("alpha", 1.0),
                             data.get("beta", 0.0))
 
 
@@ -327,13 +342,13 @@ class _CellContext:
         return evaluation.EvalSampler(self.params, split, self.eval_image_cfg,
                                       exhaustive=exhaustive)
 
-    def evaluate_splits(self, eval_one) -> dict:
-        reports = {}
+    def evaluate_splits(self, eval_one) -> list[tuple]:
+        rows = []
         for i, split in enumerate(self.eval_sec.get("splits", ["true"])):
-            reports[split] = eval_one(self.sampler(split),
-                                      self.eval_sec.get("n_eval"),
-                                      self.rng.child(40 + i))
-        return reports
+            report = eval_one(self.sampler(split), self.eval_sec.get("n_eval"),
+                              self.rng.child(40 + i))
+            rows.extend(_report_rows(report, split))
+        return rows
 
 
 def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
@@ -373,9 +388,8 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
                     epochs=train.get("epochs", training.MMCL_GD_DEFAULTS["epochs"]),
                     rng=rng.child(22))
         prompts = evaluation.build_prompts(params, ctx.dict_text)
-        reports = ctx.evaluate_splits(
+        return ctx.evaluate_splits(
             lambda sampler, n, r: evaluation.evaluate_zero_shot(model, prompts, sampler, n, r))
-        return [row for split, rep in reports.items() for row in _report_rows(rep, split)]
 
     if method == "sl":
         latents = _train_latents(params, "train", train, rng.child(20))
@@ -386,9 +400,8 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             lr=train.get("lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(24))
-        reports = ctx.evaluate_splits(
+        return ctx.evaluate_splits(
             lambda sampler, n, r: evaluation.evaluate_sl(model, sampler, n, r))
-        return [row for split, rep in reports.items() for row in _report_rows(rep, split)]
 
     if method == "supcon":
         latents = _train_latents(params, "train", train, rng.child(20))
@@ -401,9 +414,8 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             lr=train.get("probe_lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("probe_epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(25))
-        reports = ctx.evaluate_splits(
+        rows = ctx.evaluate_splits(
             lambda sampler, n, r: evaluation.evaluate_probe(encoder, probe, sampler, n, r))
-        rows = [row for split, rep in reports.items() for row in _report_rows(rep, split)]
         if ctx.eval_sec.get("supcon_geometry", False):
             true_latents = datagen.enumerate_latents_dm2(params, "true")
             true_data = datagen.make_paired_dataset(

@@ -24,6 +24,7 @@ _LOG2 = math.log(2.0)
 # The logistic loss bound must undercut blowup by this factor before the exact
 # loss is skipped; the slack dwarfs the rounding of either mean.
 _BOUND_CLEARANCE = 1.0 - 1e-6
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,7 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
 
     The pairwise loss equals -<G, S> + (rho/2)||G||_F^2 exactly (S the
     empirical cross-covariance), so gradients are computed in that form; the
-    identity itself is exercised by :func:`mmcl_loss` tests.
+    tests check the identity against the pairwise loss.
     """
     if data.n < 2:
         raise ArgumentError("gradient-descent fit needs n >= 2")
@@ -196,127 +197,148 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
                      training_meta=meta)
 
 
-def mmcl_loss(model: MMCLModel, data: PairedDataset) -> float:
-    """Exact contrastive loss of a factored model on a dataset.
-
-    Averages the symmetric contrast terms over ordered pairs i != j and adds
-    the (rho/2)||W_I^T W_T||_F^2 regularizer. The pair sums are collapsed
-    algebraically (sum_ij s_ij = <sum_i g_I, sum_j g_T>) so no n x n similarity
-    matrix is formed; the value is identical to the literal double sum.
-    """
-    if model.W_I is None:
-        raise ArgumentError("mmcl_loss needs a model with factors")
-    n = data.n
-    if n < 2:
-        raise ArgumentError("mmcl loss needs n >= 2")
-    r_i = data.x_image @ model.W_I.T
-    r_t = data.x_text @ model.W_T.T
-    total = float(r_i.sum(axis=0) @ r_t.sum(axis=0))
-    diag = float(np.einsum("ij,ij->", r_i, r_t))
-    contrast = ((total - diag) - (n - 1) * diag) / (n * (n - 1))
-    g = model.W_I.T @ model.W_T
-    return contrast + 0.5 * model.rho * float(np.einsum("ij,ij->", g, g))
-
-
 # ---------------------------------------------------------------------------
 # supervised fits (logistic / cross-entropy gradient descent)
-
-
-def _as_binary_labels(labels) -> np.ndarray:
-    y = np.asarray(labels)
-    if not set(np.unique(y)) <= {-1, 1}:
-        raise ArgumentError("logistic loss expects labels in {-1, +1}")
-    return y.astype(float)
 
 
 def _logistic_loss(margins: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
+class _Margins:
+    """Supervised GD state in margin space, for n < d.
+
+    GD never leaves w0 + rowspan(x), so W = w0 + x^T A. With K = x x^T, a step
+    of A by s/n * V moves the scores x W by s/n * K V, and the gradient norm
+    ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n product per epoch.
+    """
+
+    def __init__(self, x, w0):
+        n, d = x.shape
+        self.x, self.w0, self.gram = x, w0, x @ x.T
+        self.scores, self.coef = x @ w0, np.zeros((n,) + w0.shape[1:])
+        # rounding bound of <V, K V> per unit ||V||^2
+        self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
+
+    def grad_norm(self, v, tol):
+        """The norm if it clears ``tol`` by more than rounding, else None."""
+        self.kv = self.gram @ v
+        quad = np.vdot(v, self.kv)
+        if quad - self.slack * np.vdot(v, v) > (tol * len(v)) ** 2:
+            return math.sqrt(quad) / len(v)
+        return None
+
+    def step(self, step, v):
+        """Step A by step/n * v, with the K v of the last grad_norm call."""
+        self.scores += step / len(v) * self.kv
+        self.coef += step / len(v) * v
+
+    def weights(self):
+        return self.w0 + self.x.T @ self.coef
+
+
 def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
+    """Logistic GD on the weights: the path that tests pin to reference loops."""
+    return _descend(x, y, 1, lr, epochs, w0, snapshot_every, loss_scaled)
+
+
+def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
+                      loss_scaled=False):
+    """Cross-entropy GD on the weights: the path that tests pin to reference loops."""
+    return _descend(x, labels_idx, q, lr, epochs, w0, snapshot_every, loss_scaled)
+
+
+def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
+             kernel=None):
+    """Full-batch GD from w0 on the logistic loss (q = 1, ``target`` the +-1
+    labels) or on cross-entropy (``target`` the class indices). It steps the
+    weights, or the margins when ``kernel`` is a :class:`_Margins` state; the
+    two differ only in how scores, the gradient norm and the step are formed.
+    Returns the weights, final loss and gradient norm, steps taken, snapshots.
+    """
     n = x.shape[0]
     w = w0.copy()
-    # per-epoch work arrays, reused so that no n-sized temporary is allocated
-    margins = np.empty(n)
-    e = np.empty(n)
-    work = np.empty(n)
+    if q == 1:
+        neg_y = -target                    # sign flips are exact: same steps, same bytes
+        # per-epoch work arrays, reused so that no n-sized temporary is allocated
+        margins = np.empty(n)
+        e = np.empty(n)
+        work = np.empty(n)
+    else:
+        onehot = np.zeros((n, q))
+        onehot[np.arange(n), target] = 1.0
+        own = np.arange(n) * q + target    # flat index of each row's own class
     snapshots = []
     loss = np.inf
     grad_norm = np.inf
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
-        np.multiply(y, np.matmul(x, w, out=margins), out=margins)
-        # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed only
-        # to set the blowup level, for loss-scaled steps, and when the bound
-        # does not clear blowup by more than rounding (NaN or inf margins never
-        # do); every divergence decision is the one the exact loss would make
-        if (blowup is None or loss_scaled
-                or not _LOG2 - np.add.reduce(np.minimum(margins, 0.0, out=work)) / n
-                < _BOUND_CLEARANCE * blowup):
-            loss = _logistic_loss(margins)
+        if q == 1:
+            scores = np.matmul(x, w, out=margins) if kernel is None else kernel.scores
+            np.multiply(target, scores, out=margins)
+            # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed
+            # only to set the blowup level, for loss-scaled steps, and when the
+            # bound does not clear blowup by more than rounding (NaN or inf
+            # margins never do); each divergence decision is the exact loss's
+            if (blowup is None or loss_scaled
+                    or not _LOG2 - np.add.reduce(np.minimum(margins, 0.0, out=work)) / n
+                    < _BOUND_CLEARANCE * blowup):
+                loss = _logistic_loss(margins)
+                if blowup is None:
+                    blowup = 1e3 * (loss + 1.0)
+                if not math.isfinite(loss) or loss > blowup:
+                    raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
+            # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
+            # e/(1+e); max(e, m <= 0) picks the numerator since e <= 1
+            np.exp(np.negative(np.abs(margins, out=e), out=e), out=e)
+            np.add(e, 1.0, out=work)
+            np.maximum(e, margins <= 0.0, out=e)
+            v = np.multiply(neg_y, np.divide(e, work, out=e), out=e)
+        else:
+            # softmax in place; the reductions keep the axis and summation
+            # order of ndarray.max / ndarray.sum, so every probability is unchanged
+            probs = x @ w if kernel is None else kernel.scores.copy()
+            probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
+            np.exp(probs, out=probs)
+            probs /= np.add.reduce(probs, axis=1, keepdims=True)
+            own_probs = np.take(probs, own)
+            loss = decisive = -float(np.add.reduce(np.log(own_probs + 1e-300))) / n
+            # the 1e-300 floor caps a row's loss near 690.8, under any blowup
+            # level; a row below it adds over 690 to the sum, so the exact loss decides
+            if loss * n > 690.0 and own_probs.min() < 1e-300:
+                shifted = x @ w if kernel is None else kernel.scores.copy()
+                shifted -= shifted.max(axis=1, keepdims=True)
+                decisive = float(np.mean(np.log(np.exp(shifted).sum(axis=1))
+                                         - np.take(shifted, own)))
             if blowup is None:
-                blowup = 1e3 * (loss + 1.0)
-            if not math.isfinite(loss) or loss > blowup:
-                raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
-        # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
-        # e/(1+e); max(e, m <= 0) picks the numerator since e <= 1
-        np.exp(np.negative(np.abs(margins, out=e), out=e), out=e)
-        np.add(e, 1.0, out=work)
-        np.maximum(e, margins <= 0.0, out=e)
-        np.multiply(y, np.divide(e, work, out=e), out=e)
-        descent = x.T @ e / n                  # minus the gradient
-        grad_norm = math.sqrt(descent @ descent)
+                blowup = 1e3 * (decisive + 1.0)
+            if not math.isfinite(decisive) or decisive > blowup:
+                raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
+            probs -= onehot
+            v = probs
+        # v is the residual of each row, so x^T v / n is the gradient
+        tol = GRAD_TOL * loss if loss_scaled else GRAD_TOL
+        grad_norm = None if kernel is None else kernel.grad_norm(v, tol)
+        if grad_norm is None:
+            grad = x.T @ v / n
+            flat = grad.ravel()
+            grad_norm = math.sqrt(flat @ flat)
         if snapshot_every and epoch % snapshot_every == 0:
-            snapshots.append(w.copy())
-        if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
+            snapshots.append(w.copy() if kernel is None else kernel.weights())
+        if grad_norm < tol:
             epochs_run = epoch
             break
         # loss-scaled steps counteract the vanishing-gradient tail after
         # separation and reach the max-margin direction at desk scale
         step = lr / max(loss, 1e-300) if loss_scaled else lr
-        w += step * descent
-    if epochs:                                 # the exact loss of the last margins
+        if kernel is None:
+            w -= step * grad
+        else:
+            kernel.step(-step, v)
+    if epochs and q == 1:                      # the exact loss of the last margins
         loss = _logistic_loss(margins)
-    return w, loss, grad_norm, epochs_run, snapshots
-
-
-def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
-                      loss_scaled=False):
-    n = x.shape[0]
-    w = w0.copy()
-    onehot = np.zeros((n, q))
-    onehot[np.arange(n), labels_idx] = 1.0
-    own = np.arange(n) * q + labels_idx    # flat index of each row's own class
-    snapshots = []
-    loss = np.inf
-    grad_norm = np.inf
-    blowup = None
-    epochs_run = epochs
-    for epoch in range(epochs):
-        # softmax in place; the reductions keep the axis and summation order
-        # of ndarray.max / ndarray.sum, so every probability is unchanged
-        probs = x @ w
-        probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-        np.exp(probs, out=probs)
-        probs /= np.add.reduce(probs, axis=1, keepdims=True)
-        loss = -float(np.add.reduce(np.log(np.take(probs, own) + 1e-300))) / n
-        if blowup is None:
-            blowup = 1e3 * (loss + 1.0)
-        if not math.isfinite(loss) or loss > blowup:
-            raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-        probs -= onehot
-        grad = x.T @ probs / n
-        flat = grad.ravel()
-        grad_norm = math.sqrt(flat @ flat)
-        if snapshot_every and epoch % snapshot_every == 0:
-            snapshots.append(w.copy())
-        if grad_norm < (GRAD_TOL * loss if loss_scaled else GRAD_TOL):
-            epochs_run = epoch
-            break
-        step = lr / max(loss, 1e-300) if loss_scaled else lr
-        w -= step * grad
-    return w, loss, grad_norm, epochs_run, snapshots
+    return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run, snapshots
 
 
 def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
@@ -331,13 +353,14 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     cross-entropy over the sorted distinct labels. At long horizons the
     normalized direction approaches the hard-margin separator; constant steps
     get there only logarithmically, so ``loss_scaled=True`` offers the usual
-    normalized-step acceleration for oracle comparisons. ``training_meta``
-    records the epoch budget (``epochs``), the steps taken (``epochs_run``)
-    and the dimension GD iterated in (``gd_dim``: n when n < d, else d).
+    normalized-step acceleration for oracle comparisons. When n < d, GD runs
+    in margin space (:class:`_Margins`). ``training_meta`` records the epoch
+    budget (``epochs``), the steps taken (``epochs_run``) and the dimension GD
+    iterated in (``gd_dim``: n when n < d, else d).
     """
     x = np.asarray(images, dtype=float)
     if not np.all(np.isfinite(x)):
-        raise ArgumentError("images must be finite")
+        raise ArgumentError("inputs must be finite")
     if len(np.unique(np.asarray(labels))) < 2:
         raise ArgumentError("labels must cover at least 2 classes")
     _check_gd_budget(lr, epochs)
@@ -346,38 +369,24 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     g = rng.generator()
     n, d = x.shape
     if loss_kind == "logistic":
-        y = _as_binary_labels(labels)
-        q, classes = 1, (-1, 1)
-        w0 = init_scale * g.standard_normal(d)
-
-        def descend(features, start):
-            return _logistic_gd(features, y, lr, epochs, start, snapshot_every,
-                                loss_scaled)
+        if not set(np.unique(labels)) <= {-1, 1}:
+            raise ArgumentError("logistic loss expects labels in {-1, +1}")
+        q, classes, target = 1, (-1, 1), np.asarray(labels).astype(float)
     elif loss_kind == "cross-entropy":
-        distinct, labels_idx = np.unique(np.asarray(labels), return_inverse=True)
+        distinct, target = np.unique(np.asarray(labels), return_inverse=True)
         classes = tuple(int(v) for v in distinct)
         q = len(classes)
-        w0 = init_scale * g.standard_normal((d, q))
-
-        def descend(features, start):
-            return _cross_entropy_gd(features, labels_idx, q, lr, epochs, start,
-                                     snapshot_every, loss_scaled)
     else:
         raise ArgumentError(f"loss_kind must be logistic or cross-entropy, got {loss_kind!r}")
+    w0 = init_scale * g.standard_normal(d if q == 1 else (d, q))
+    budget = (lr, epochs, w0, snapshot_every, loss_scaled)
     if n < d:
-        # GD never leaves w0 + rowspan(x). With x^T = Q R (Q orthonormal,
-        # d x n) the iterates are w0 - Q c0 + Q c, where c follows GD on the
-        # n x n features R^T from c0 = Q^T w0: margins x w = R^T c and
-        # gradient norms ||x^T v|| = ||R v|| are unchanged, so every loss,
-        # stopping and divergence decision sees the same numbers up to rounding.
-        basis, r = np.linalg.qr(x.T)
-        c0 = basis.T @ w0
-        offset = w0 - basis @ c0
-        c, loss, grad_norm, epochs_run, snaps = descend(r.T, c0)
-        w = offset + basis @ c
-        snaps = [offset + basis @ snap for snap in snaps]
+        fit = _descend(x, target, q, *budget, kernel=_Margins(x, w0))
+    elif q == 1:
+        fit = _logistic_gd(x, target, *budget)
     else:
-        w, loss, grad_norm, epochs_run, snaps = descend(x, w0)
+        fit = _cross_entropy_gd(x, target, q, *budget)
+    w, loss, grad_norm, epochs_run, snaps = fit
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
             "epochs_run": epochs_run, "gd_dim": min(n, d),
             "loss_scaled": loss_scaled, "final_loss": loss,
@@ -417,12 +426,9 @@ def probe_fit(representations: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["l
               epochs: int = SL_GD_DEFAULTS["epochs"],
               rng: RngStream | None = None) -> ProbeModel:
     """Linear classifier on frozen representations (same GD contract as sl_fit_gd)."""
-    reps = np.asarray(representations, dtype=float)
-    if not np.all(np.isfinite(reps)):
-        raise ArgumentError("representations must be finite")
     y = np.asarray(labels)
     binary = set(np.unique(y)) <= {-1, 1}
     kind = "logistic" if binary else "cross-entropy"
-    model = sl_fit_gd(reps, y, loss_kind=kind, lr=lr, epochs=epochs, rng=rng)
+    model = sl_fit_gd(representations, y, loss_kind=kind, lr=lr, epochs=epochs, rng=rng)
     return ProbeModel(B=model.W.T, classes=model.classes,
                       training_meta=model.training_meta)

@@ -10,11 +10,13 @@ import pytest
 
 from mmclab import (CaptionMask, CrossCov, DataModel1Params, ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
-                    mmcl_fit_gd, mmcl_loss, population_cross_cov_dm1,
+                    mmcl_fit_gd, population_cross_cov_dm1,
                     sample_latents_dm1, perfect_zero_shot_condition_dm2, masked_minority_accuracy_dm1,
-                    caption_masking_threshold_dm2, zero_shot_predict)
+                    caption_masking_threshold_dm2)
 from mmclab.harness import config_from_dict, emit_csv, run_experiment, run_suite
 from mmclab.training import MMCLModel
+from contrastive_loss import mmcl_loss
+from zero_shot_rule import zero_shot_predict
 
 SEED = 7
 

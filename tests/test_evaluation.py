@@ -8,10 +8,10 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     phi_cdf, population_cross_cov_dm1, population_cross_cov_dm2,
                     probe_fit, sample_latents_dm1, supcon_class_mean_cov,
-                    supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1,
-                    zero_shot_predict)
+                    supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
 from mmclab.evaluation import evaluate_probe
 from mmclab.training import MMCLModel, SLModel
+from zero_shot_rule import zero_shot_predict
 
 RNG = RngStream(31, 0)
 

@@ -50,6 +50,7 @@ def test_zero_trials_rejected():
     ("train", "probe_lr", 0.0),
     ("eval", "splits", "true"),
     ("eval", "splits", ["true", 1]),
+    ("eval", "splits", ["true", "train", "true"]),
 ])
 def test_section_field_types_rejected(section, key, value):
     bad = _tiny_dm1_config()
@@ -81,10 +82,27 @@ def test_section_field_types_rejected(section, key, value):
     ({"method_overrides": {"sl": {"train": 5}}}, "method_overrides.sl.train"),
     ({"methods": "sl"}, "methods"),
     ({"experiment": "dm2-robustness"}, "data.model"),
+    ({"data": {"model": "dm1", "sigma_core": "1.0"}}, "data.sigma_core"),
+    ({"data": {"model": "dm1", "p_spu": [0.9]}}, "data.p_spu"),
+    ({"data": {"model": "dm1", "sigma_spu": True}}, "data.sigma_spu"),
+    ({"sweep": {"p_spu": [0.9, "0.95"]}}, "sweep.p_spu"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "m": 2.7}}, "data.m"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "m": 1}}, "data.m"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2"}, "sweep": {"m": [3, 2.0]}},
+     "sweep.m"),
+    ({"methods": ["mmcl-closed", "mmcl-closed"]}, "methods"),
 ])
 def test_top_level_numbers_rejected(extra, key):
     with pytest.raises(ValidationError, match=key):
         config_from_dict(_tiny_dm1_config(**extra))
+
+
+def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(_tiny_dm1_config(
+        data={"model": "dm1", "sigma_core": "1.0"})))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    assert "data.sigma_core" in capsys.readouterr().err
 
 
 def test_unknown_method_rejected():

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
+from contrastive_loss import mmcl_loss
 from margin_oracle import InfeasibleError, hard_margin_oracle
 from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     DataModel2Params, DimensionError, DomainError, ModalityConfig,
                     RngStream, TrainingError, empirical_cross_cov, enumerate_latents_dm2,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
-                    mmcl_fit_gd, mmcl_loss, probe_fit, sample_latents_dm1, sl_fit_gd,
+                    mmcl_fit_gd, probe_fit, sample_latents_dm1, sl_fit_gd,
                     supcon_class_mean_cov, supcon_fit_closed_form)
 from mmclab.training import (GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _cross_entropy_gd,
-                             _logistic_gd)
+                             _logistic_gd, _Margins)
 
 RNG = RngStream(11, 0)
 
@@ -284,6 +285,58 @@ def test_sl_row_space_gd_divergence_reports_lr():
     assert x.shape[0] < x.shape[1]
     with pytest.raises(TrainingError, match="lr"):
         sl_fit_gd(x, labels, "logistic", lr=1e6, rng=RNG.child(21))
+
+
+@pytest.mark.parametrize("d", [3, 60])
+@pytest.mark.parametrize("lr", [1e6, 1e300])
+def test_cross_entropy_divergence_reports_lr(d, lr):
+    # each row appears under two labels, so no direction separates and a huge
+    # step drives the loss up; the 1e-300 guard caps the computed loss below
+    # any blowup level, so the exact loss has to decide. 40 x 3 runs the loop
+    # on the raw inputs, 40 x 60 the margin-space path
+    g = RngStream(24, d).generator()
+    x, labels = g.standard_normal((20, d)), np.arange(20) % 4
+    x, labels = np.vstack([x, x]), np.concatenate([labels, (labels + 1) % 4])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingError, match="lr"):
+            sl_fit_gd(x, labels, "cross-entropy", lr=lr, epochs=50, rng=RNG.child(24))
+
+
+@pytest.mark.parametrize("kind,q", [("logistic", 1), ("cross-entropy", 3)])
+def test_sl_margin_space_gd_stops_on_gradient_tolerance_like_raw_loop(kind, q):
+    # 10 rows in 40 dims, each repeated under every label: the loss is least
+    # where all scores of a row agree, which GD reaches, so the gradient
+    # vanishes; near GRAD_TOL the quadratic form is below its own rounding,
+    # so the stop is decided on the directly formed gradient
+    g = RngStream(25, q).generator()
+    x = g.standard_normal((10, 40))
+    first = np.arange(10) % 2 * 2 - 1 if q == 1 else np.arange(10) % q
+    labels = (np.concatenate([first, -first]) if q == 1 else
+              np.concatenate([(first + shift) % q for shift in range(q)]))
+    x = np.vstack([x] * max(q, 2))
+    model = sl_fit_gd(x, labels, kind, lr=0.5, epochs=20000, rng=RNG.child(25))
+    _, w, loss, grad_norm, epochs_run, _ = _direct_fit(
+        x, labels, kind, RNG.child(25), 0.5, 20000, 0, False)
+    meta = model.training_meta
+    assert 0 < epochs_run < 20000
+    assert meta["epochs_run"] == epochs_run
+    assert meta["final_grad_norm"] < GRAD_TOL
+    np.testing.assert_allclose(meta["final_grad_norm"], grad_norm, rtol=1e-6)
+    np.testing.assert_allclose(meta["final_loss"], loss, rtol=1e-12)
+    _assert_close(model.W, w)
+
+
+def test_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
+    # rows one ulp apart with opposite residuals: ||x^T v|| is about 1e-12,
+    # under GRAD_TOL, while <v, K v> is a difference of two 1e8-sized products
+    # whose rounding (about 6e-8 here) would read as a norm near 1e-4
+    row = 1e4 * RngStream(26, 2).generator().standard_normal(5)
+    x = np.vstack([row, np.nextafter(row, np.inf)])
+    v = np.array([1.0, -1.0])
+    direct = np.linalg.norm(x.T @ v) / 2
+    assert direct < GRAD_TOL
+    norm = _Margins(x, np.zeros(5)).grad_norm(v, GRAD_TOL)
+    assert norm is None or norm < GRAD_TOL
 
 
 def test_sl_meta_reports_epochs_run_and_gd_dim():
