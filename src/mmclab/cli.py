@@ -62,6 +62,8 @@ def main(argv=None) -> int:
         p.add_argument("--threads", type=int, default=1)
 
     args = parser.parse_args(argv)
+    if args.threads < 1:
+        parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
         if args.command == "verify":
             records, min_fraction = run_suite(args.suite, args.seed, args.threads)

@@ -14,6 +14,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -33,26 +34,6 @@ CSV_COLUMNS = ("run_id", "experiment", "seed", "method", "n_train", "d_I", "d_T"
 _TOP_KEYS = {"experiment", "name", "root_seed", "trials", "tolerance",
              "min_pass_fraction", "data", "modality", "methods", "train",
              "eval", "sweep", "slacks", "method_overrides"}
-_SECTION_KEYS = {
-    "data": {"model", "sigma_core", "sigma_spu", "p_spu", "m", "alpha", "beta",
-             "pi_core", "pi_spu", "pi", "exponent_variant"},
-    "modality": {"d_I", "d_T", "noise_sigma_I", "noise_sigma_T", "dictionary"},
-    "train": {"n_train", "p_dim", "rho", "lr", "epochs", "exhaustive",
-              "probe_lr", "probe_epochs"},
-    "eval": {"n_eval", "splits", "exhaustive", "noise_sigma",
-             "supcon_restarts", "supcon_geometry", "adversarial_probe_epochs"},
-    "sweep": {"pi_core", "pi_spu", "pi", "p_spu", "sigma_core", "sigma_spu",
-              "alpha", "beta", "m", "n_train", "p_dim", "rho"},
-}
-# sweep keys that land in the train section; every other one is a data key
-_TRAIN_SWEEPABLE = ("n_train", "p_dim", "rho")
-# typed section fields: integer counts with their lower bound, and step sizes
-_INT_FIELDS = {("train", "n_train"): 1, ("train", "epochs"): 1,
-               ("train", "probe_epochs"): 1, ("eval", "n_eval"): 1,
-               ("eval", "adversarial_probe_epochs"): 1, ("eval", "supcon_restarts"): 0}
-_STEP_FIELDS = (("train", "lr"), ("train", "probe_lr"))
-# data keys that hold text; every other data key is a number, and m a count
-_DATA_TEXT = ("model", "exponent_variant")
 
 
 @dataclass(frozen=True)
@@ -106,37 +87,56 @@ def _require_strings(value, where: str):
         raise ValidationError(f"{where} must be a list of distinct strings, got {value!r}")
 
 
-def _check_data_value(key: str, value, where: str):
-    if key == "m":
-        _require_int(value, where, 2)
-    elif key not in _DATA_TEXT:
-        _require_number(value, where)
+def _require_a(kind: type, what: str):
+    def check(value, where: str):
+        if not isinstance(value, kind):
+            raise ValidationError(f"{where} must be {what}, got {value!r}")
+    return check
 
 
-def _reject_nonfinite(section: dict, where: str):
-    for key, value in section.items():
-        values = value if isinstance(value, list) else [value]
-        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
-            raise ValidationError(f"{where}.{key} must be finite, got {value!r}")
+_NUMBER, _COUNT = _require_number, partial(_require_int, low=1)
+_STEP = partial(_require_number, rule=" > 0", ok=lambda v: v > 0)
+_BOOL, _TEXT = _require_a(bool, "true or false"), _require_a(str, "a string")
+# The config schema: (section, key) -> (type rule, sweeps, data model or None for both)
+_FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys in (
+    ("data", _TEXT, False, None, "model"),
+    ("data", _NUMBER, True, "dm1", "sigma_core sigma_spu p_spu pi_core pi_spu"),
+    ("data", _TEXT, False, "dm1", "exponent_variant"),
+    ("data", partial(_require_int, low=2), True, "dm2", "m"),
+    ("data", _NUMBER, True, "dm2", "alpha beta pi"),
+    ("modality", _COUNT, False, None, "d_I d_T"),
+    ("modality", _NUMBER, False, None, "noise_sigma_I noise_sigma_T"),
+    ("modality", _TEXT, False, None, "dictionary"),
+    ("train", _COUNT, True, None, "n_train p_dim"),
+    ("train", _NUMBER, True, None, "rho"),
+    ("train", _STEP, False, None, "lr probe_lr"),
+    ("train", _COUNT, False, None, "epochs probe_epochs"),
+    ("train", _BOOL, False, "dm2", "exhaustive"),
+    ("eval", _COUNT, False, None, "n_eval adversarial_probe_epochs"),
+    ("eval", _require_strings, False, None, "splits"),
+    ("eval", _BOOL, False, "dm2", "exhaustive supcon_geometry"),
+    ("eval", _NUMBER, False, None, "noise_sigma"),
+    ("eval", partial(_require_int, low=0), False, "dm2", "supcon_restarts"),
+) for key in keys.split()}
+# sweep key -> the section its values land in
+_SWEEPS = {key: sec for (sec, key), (_, sweeps, _) in _FIELDS.items() if sweeps}
 
 
-def _check_sections(sections: dict, prefix: str = ""):
-    """Reject unknown keys, non-finite numbers, and mistyped data values,
-    counts, step sizes and split lists."""
+def _check_field(section: str, key: str, value, model: str, where: str):
+    """Type-check one value by its ``_FIELDS`` rule, and reject a key of the other
+    data model: a data key always, a train or eval switch only when turned on."""
+    rule, _, owner = _FIELDS[section, key]
+    rule(value, where)
+    if owner not in (None, model) and (section == "data" or value):
+        raise ValidationError(f"{where} applies to {owner} data only, not {model}")
+
+
+def _check_sections(sections: dict, model: str, prefix: str = ""):
+    """Reject unknown keys and every value that breaks its ``_FIELDS`` row."""
     for name, section in sections.items():
-        _check_keys(section, _SECTION_KEYS[name], prefix + name)
-        _reject_nonfinite(section, prefix + name)
-    for key, value in sections.get("data", {}).items():
-        _check_data_value(key, value, f"{prefix}data.{key}")
-    for (sec, key), low in _INT_FIELDS.items():
-        if key in sections.get(sec, {}):
-            _require_int(sections[sec][key], f"{prefix}{sec}.{key}", low)
-    for sec, key in _STEP_FIELDS:
-        if key in sections.get(sec, {}):
-            _require_number(sections[sec][key], f"{prefix}{sec}.{key}", " > 0",
-                            lambda v: v > 0)
-    if "splits" in sections.get("eval", {}):
-        _require_strings(sections["eval"]["splits"], f"{prefix}eval.splits")
+        _check_keys(section, {key for sec, key in _FIELDS if sec == name}, prefix + name)
+        for key, value in section.items():
+            _check_field(name, key, value, model, f"{prefix}{name}.{key}")
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
@@ -160,16 +160,9 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
         _require_number(value, f"slacks.{key}", " >= 0", lambda v: v >= 0)
-    sections = {name: _require_object(doc.get(name, {}), name) for name in _SECTION_KEYS}
-    _check_sections(sections)
-    for key, values in sections["sweep"].items():
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"sweep.{key} must be a non-empty list")
-        for value in values:
-            if key == "n_train":
-                _require_int(value, "sweep.n_train", 1)
-            elif key not in _TRAIN_SWEEPABLE:
-                _check_data_value(key, value, f"sweep.{key}")
+    sections = {name: _require_object(doc.get(name, {}), name)
+                for name in ("data", "modality", "train", "eval", "sweep")}
+    sweep = sections.pop("sweep")
     methods = doc.get("methods", [])
     _require_strings(methods, "methods")
     bad = [mth for mth in methods if mth not in METHODS]
@@ -178,9 +171,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if not methods:
         raise ValidationError("methods must be non-empty")
     models = _KINDS[experiment][0]
-    if sections["data"].get("model") not in models:
+    model = sections["data"].get("model")
+    if model not in models:
         raise ValidationError(f"data.model must be {' or '.join(models)} for "
-                              f"{experiment}, got {sections['data'].get('model')!r}")
+                              f"{experiment}, got {model!r}")
+    _check_sections(sections, model)
+    _check_keys(sweep, set(_SWEEPS), "sweep")
+    for key, values in sweep.items():
+        if not isinstance(values, list) or not values:
+            raise ValidationError(f"sweep.{key} must be a non-empty list")
+        for value in values:
+            _check_field(_SWEEPS[key], key, value, model, f"sweep.{key}")
     overrides = _require_object(doc.get("method_overrides", {}), "method_overrides")
     for mth, sec in overrides.items():
         if mth not in METHODS:
@@ -188,7 +189,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         where = f"method_overrides.{mth}"
         _check_keys(_require_object(sec, where), {"modality", "train", "eval"}, where)
         _check_sections({name: _require_object(value, f"{where}.{name}")
-                         for name, value in sec.items()}, where + ".")
+                         for name, value in sec.items()}, model, where + ".")
     return ExperimentConfig(
         experiment=experiment,
         name=doc.get("name", experiment),
@@ -197,7 +198,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         tolerance=tolerance,
         min_pass_fraction=min_pass_fraction,
         data=sections["data"], modality=sections["modality"], methods=tuple(methods),
-        train=sections["train"], eval=sections["eval"], sweep=sections["sweep"],
+        train=sections["train"], eval=sections["eval"], sweep=sweep,
         slacks=slacks, method_overrides=overrides,
     )
 
@@ -254,7 +255,7 @@ def _sweep_cells(config: ExperimentConfig) -> list[dict]:
 def _cell_data(config: ExperimentConfig, cell: dict) -> dict:
     """The data section of one sweep cell; method overrides never touch it."""
     data = dict(config.data)
-    data.update((k, v) for k, v in cell.items() if k not in _TRAIN_SWEEPABLE)
+    data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
     return data
 
 
@@ -262,7 +263,7 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict):
     override = config.method_overrides.get(method, {})
     modality = {**config.modality, **override.get("modality", {})}
     train = {**config.train, **override.get("train", {})}
-    train.update((k, v) for k, v in cell.items() if k in _TRAIN_SWEEPABLE)
+    train.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "train")
     return modality, train, {**config.eval, **override.get("eval", {})}
 
 
@@ -276,9 +277,9 @@ def _make_params(data: dict):
 
 
 def _make_mask(data: dict) -> CaptionMask:
-    if data["model"] == "dm1" and ("pi_core" in data or "pi_spu" in data):
+    if "pi_core" in data or "pi_spu" in data:  # _FIELDS keeps each on its own model
         return CaptionMask.model1(data.get("pi_core", 1.0), data.get("pi_spu", 1.0))
-    if data["model"] == "dm2" and "pi" in data:
+    if "pi" in data:
         return CaptionMask.model2(data["pi"])
     return CaptionMask.none()
 
@@ -301,8 +302,6 @@ def _cell_param_row(params, train: dict, modality: dict, mask: CaptionMask) -> d
 
 def _train_latents(params, split, train: dict, rng: RngStream):
     if train.get("exhaustive", False):
-        if not isinstance(params, DataModel2Params):
-            raise ValidationError("train.exhaustive requires data.model = dm2")
         return datagen.enumerate_latents_dm2(params, split)
     n = train.get("n_train")
     if n is None:
@@ -337,10 +336,8 @@ class _CellContext:
         self.rho = train.get("rho", 1.0)
 
     def sampler(self, split: str) -> evaluation.EvalSampler:
-        exhaustive = (self.eval_sec.get("exhaustive", False)
-                      and isinstance(self.params, DataModel2Params))
         return evaluation.EvalSampler(self.params, split, self.eval_image_cfg,
-                                      exhaustive=exhaustive)
+                                      exhaustive=self.eval_sec.get("exhaustive", False))
 
     def evaluate_splits(self, eval_one) -> list[tuple]:
         rows = []

@@ -173,7 +173,7 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
     assert meta["gd_dim"] == min(n, d)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 8),
        q=st.sampled_from([1, 2, 3, 5, 9, 12]), log_lr=st.floats(-3.0, 4.0),
        epochs=st.integers(0, 80), snapshot_every=st.integers(0, 7),

@@ -11,6 +11,9 @@ from mmclab.harness import (CSV_COLUMNS, check_passes, config_from_dict,
                             run_experiment, summarize)
 
 
+_DM1 = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.05, "p_spu": 0.95}
+
+
 def _tiny_dm1_config(**extra):
     doc = {
         "experiment": "dm1-robustness", "name": "tiny", "root_seed": 5, "trials": 2,
@@ -51,6 +54,15 @@ def test_zero_trials_rejected():
     ("eval", "splits", "true"),
     ("eval", "splits", ["true", 1]),
     ("eval", "splits", ["true", "train", "true"]),
+    ("train", "p_dim", "2"),
+    ("train", "rho", "1.0"),
+    ("modality", "d_I", "2"),
+    ("modality", "noise_sigma_I", "0.1"),
+    ("modality", "dictionary", 3),
+    ("eval", "noise_sigma", "0"),
+    ("train", "exhaustive", "false"),
+    ("eval", "exhaustive", 1),
+    ("eval", "supcon_geometry", "no"),
 ])
 def test_section_field_types_rejected(section, key, value):
     bad = _tiny_dm1_config()
@@ -91,18 +103,73 @@ def test_section_field_types_rejected(section, key, value):
     ({"experiment": "dm2-robustness", "data": {"model": "dm2"}, "sweep": {"m": [3, 2.0]}},
      "sweep.m"),
     ({"methods": ["mmcl-closed", "mmcl-closed"]}, "methods"),
+    ({"sweep": {"p_dim": ["2"]}}, "sweep.p_dim"),
+    ({"sweep": {"rho": ["1.0"]}}, "sweep.rho"),
+    # a key of the other data model
+    ({"experiment": "caption-sweep-dm1", "data": {**_DM1, "pi": 0.1}}, "data.pi"),
+    ({"data": {**_DM1, "alpha": 9.0}}, "data.alpha"),
+    ({"sweep": {"m": [2, 3]}}, "sweep.m"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "pi_core": 0.5}},
+     "data.pi_core"),
+    # a dm2-only switch turned on for dm1 data
+    ({"train": {"n_train": 100, "exhaustive": True}}, "train.exhaustive"),
+    ({"eval": {"exhaustive": True}}, "eval.exhaustive"),
+    ({"experiment": "method-compare", "methods": ["supcon"],
+      "eval": {"supcon_geometry": True}}, "eval.supcon_geometry"),
+    ({"experiment": "method-compare", "methods": ["supcon"],
+      "eval": {"supcon_restarts": 1}}, "eval.supcon_restarts"),
+    ({"method_overrides": {"mmcl-closed": {"eval": {"exhaustive": True}}}},
+     "method_overrides.mmcl-closed.eval.exhaustive"),
 ])
 def test_top_level_numbers_rejected(extra, key):
     with pytest.raises(ValidationError, match=key):
         config_from_dict(_tiny_dm1_config(**extra))
 
 
-def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys):
+def test_dm2_switches_off_are_accepted_on_dm1():
+    doc = _tiny_dm1_config(experiment="method-compare")
+    doc["train"]["exhaustive"] = False
+    doc["eval"].update(exhaustive=False, supcon_geometry=False, supcon_restarts=0)
+    assert config_from_dict(doc).eval["supcon_restarts"] == 0
+
+
+@pytest.mark.parametrize("extra,key", [
+    ({"data": {"model": "dm1", "sigma_core": "1.0"}}, "data.sigma_core"),
+    ({"train": {"n_train": 100, "p_dim": "2"}}, "train.p_dim"),
+    ({"experiment": "method-compare", "methods": ["supcon"],
+      "eval": {"n_eval": 100, "supcon_geometry": True}}, "eval.supcon_geometry"),
+], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry"])
+def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys, extra, key):
     config_path = tmp_path / "bad.json"
-    config_path.write_text(json.dumps(_tiny_dm1_config(
-        data={"model": "dm1", "sigma_core": "1.0"})))
+    config_path.write_text(json.dumps(_tiny_dm1_config(**extra)))
     assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
-    assert "data.sigma_core" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "dm1"], ["run", "--config", "c.json"], ["sweep", "--config", "c.json"],
+], ids=["verify", "run", "sweep"])
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
+    with pytest.raises(SystemExit) as exc:
+        cli_main([*command, "--out", str(tmp_path / "o"), "--threads", threads])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_docs_example_covers_every_field():
+    from pathlib import Path
+
+    from mmclab.harness import _FIELDS, _SWEEPS
+
+    doc = (Path(__file__).parent.parent / "docs" / "configuration.md").read_text()
+    example = doc.split("```jsonc")[1].split("```")[0]
+    missing = sorted(f"{sec}.{key}" for sec, key in _FIELDS if f'"{key}"' not in example)
+    assert not missing
+    listed = example.split("Sweepable:")[1].split(".")[0].replace("//", "")
+    assert sorted(k.strip() for k in listed.split(",")) == sorted(_SWEEPS)
 
 
 def test_unknown_method_rejected():
@@ -218,7 +285,6 @@ def test_verify_theorems_kind_rejected(tmp_path):
                      "--out", str(tmp_path / "o")]) == 2
 
 
-_DM1 = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.05, "p_spu": 0.95}
 _DM1_SMALL = {"modality": {"d_I": 2, "d_T": 2},
               "train": {"n_train": 400, "p_dim": 2, "rho": 1.0, "epochs": 200},
               "eval": {"n_eval": 400, "splits": ["true", "train"]}}
