@@ -128,22 +128,24 @@ def _mc_radius(acc: float, n: int) -> float:
 
 def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> EvalReport:
     n = len(batch)
-    agree = batch.spurious_agrees()
-    # (name, members, minority) per group: model 1 by (y, a), model 2 by class
-    # and whether the spurious coordinate agrees with it
+    # one group index per row, and (name, minority) per index: model 1 by
+    # (y, a), model 2 by class and whether the spurious coordinate agrees with it
     if batch.model == "dm1":
-        cells = [(f"y={y:+d},a={a:+d}", (batch.y == y) & (batch.a == a), a != y)
-                 for y in (-1, 1) for a in (-1, 1)]
+        gid = 2 * (batch.y > 0) + (batch.a > 0)
+        cells = [(f"y={y:+d},a={a:+d}", a != y) for y in (-1, 1) for a in (-1, 1)]
     else:
-        cells = [(f"y={int(y)},spu={tag}", (batch.y == y) & (agree == flag), not flag)
-                 for y in np.unique(batch.y)
-                 for flag, tag in ((True, "agree"), (False, "flip"))]
+        classes, inverse = np.unique(batch.y, return_inverse=True)
+        gid = 2 * inverse + ~batch.spurious_agrees()
+        cells = [(f"y={int(y)},spu={tag}", minority) for y in classes
+                 for tag, minority in (("agree", False), ("flip", True))]
+    # hit counts are exact integers in float64, so hit / cnt is the group mean
+    counts = np.bincount(gid, minlength=len(cells)).tolist()
+    hits = np.bincount(gid, weights=correct, minlength=len(cells)).tolist()
     groups = {}
-    for name, sel, minority in cells:
-        cnt = int(sel.sum())
+    for (name, minority), cnt, hit in zip(cells, counts, hits):
         if cnt == 0:
             continue
-        acc = float(correct[sel].mean())
+        acc = hit / cnt
         groups[name] = GroupStat(acc, cnt, _mc_radius(acc, cnt), minority=minority,
                                  small_sample=cnt < SMALL_GROUP_COUNT)
     overall = float(correct.mean())

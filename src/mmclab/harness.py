@@ -21,7 +21,7 @@ import numpy as np
 from . import covariance, datagen, evaluation, theory, training
 from .datagen import CaptionMask, DataModel1Params, DataModel2Params
 from .errors import DomainError, MmclabError, ValidationError
-from .numerics import RngStream, make_dictionary, stream_id_for
+from .numerics import RngStream, blas_threads_per_worker, make_dictionary, stream_id_for
 
 METHODS = ("mmcl-closed", "mmcl-gd", "mmcl-analytic", "sl", "supcon")
 SUITES = ("all", "dm1", "dm2", "captions", "supcon", "id")
@@ -190,7 +190,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _check_keys(_require_object(sec, where), {"modality", "train", "eval"}, where)
         _check_sections({name: _require_object(value, f"{where}.{name}")
                          for name, value in sec.items()}, model, where + ".")
-    return ExperimentConfig(
+    config = ExperimentConfig(
         experiment=experiment,
         name=doc.get("name", experiment),
         root_seed=root_seed,
@@ -201,6 +201,24 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         train=sections["train"], eval=sections["eval"], sweep=sweep,
         slacks=slacks, method_overrides=overrides,
     )
+    _check_sample_sizes(config)
+    return config
+
+
+def _check_sample_sizes(config: ExperimentConfig):
+    """Require the sizes of sampled data for each method, with its overrides
+    merged: ``train.n_train`` unless the method trains on none (mmcl-analytic)
+    or enumerates it, and ``eval.n_eval`` unless evaluation enumerates."""
+    cell = {key: values[0] for key, values in config.sweep.items()}  # keys, not values, matter
+    for method in config.methods:
+        _, train, eval_sec = _method_sections(config, method, cell)
+        if (method != "mmcl-analytic" and not train.get("exhaustive", False)
+                and "n_train" not in train):
+            raise ValidationError(f"train.n_train is required for sampled training data "
+                                  f"(method {method})")
+        if not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec:
+            raise ValidationError(f"eval.n_eval is required for sampled evaluation "
+                                  f"(method {method})")
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -226,6 +244,7 @@ class RunRecord:
     passed: bool | None = None
     wall_time: float = 0.0
     error: str | None = None
+    blas_threads: int | None = None  # BLAS threads per pool worker; None when serial
 
 
 def check_passes(value: float, prediction: float, comparator: str, slack: float) -> bool:
@@ -303,12 +322,9 @@ def _cell_param_row(params, train: dict, modality: dict, mask: CaptionMask) -> d
 def _train_latents(params, split, train: dict, rng: RngStream):
     if train.get("exhaustive", False):
         return datagen.enumerate_latents_dm2(params, split)
-    n = train.get("n_train")
-    if n is None:
-        raise ValidationError("train.n_train is required for sampled training data")
     if isinstance(params, DataModel1Params):
-        return datagen.sample_latents_dm1(params, n, split, rng)
-    return datagen.sample_latents_dm2(params, n, split, rng)
+        return datagen.sample_latents_dm1(params, train["n_train"], split, rng)
+    return datagen.sample_latents_dm2(params, train["n_train"], split, rng)
 
 
 class _CellContext:
@@ -546,8 +562,8 @@ def _compare(config: ExperimentConfig, checks: dict, family, split, group, metri
 # runner
 
 
-def _run_task(config: ExperimentConfig, cell: dict, cell_idx: int,
-              trial: int) -> list[RunRecord]:
+def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
+              cell_idx: int, trial: int) -> list[RunRecord]:
     run_id = f"{config.name}-c{cell_idx:03d}-t{trial:02d}"
     seed = stream_id_for(cell_idx, trial)
     rng = RngStream(config.root_seed, seed)
@@ -596,22 +612,26 @@ def _run_task(config: ExperimentConfig, cell: dict, cell_idx: int,
             params={}, split="train", group="overall", metric="id_gap", value=gap,
             **_compare(config, checks, "sl-vs-mmcl", "train", "overall", "id_gap", gap)))
     elapsed = time.perf_counter() - started
-    return [replace(rec, wall_time=elapsed) for rec in records]
+    return [replace(rec, wall_time=elapsed, blas_threads=blas_threads) for rec in records]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord]:
     """Run every sweep cell and trial; deterministic for a fixed root seed
     regardless of thread count (records come back in cell-major, trial-minor
-    order and each task owns an independent random stream)."""
+    order and each task owns an independent random stream). While more than
+    one worker runs, BLAS threads are split across the workers in use."""
     cells = _sweep_cells(config)
     tasks = [(cell, cell_idx, trial)
              for cell_idx, cell in enumerate(cells)
              for trial in range(config.trials)]
-    if threads <= 1:
-        chunks = [_run_task(config, *task) for task in tasks]
+    workers = min(threads, len(tasks))
+    if workers <= 1:
+        chunks = [_run_task(config, None, *task) for task in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda t: _run_task(config, *t), tasks))
+        # the pool joins its workers before the BLAS thread count is restored
+        with (blas_threads_per_worker(workers) as blas,
+              ThreadPoolExecutor(max_workers=workers) as pool):
+            chunks = list(pool.map(lambda t: _run_task(config, blas, *t), tasks))
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -692,6 +712,7 @@ def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:
             all_passed = all_passed and entry["passed"]
         cells.append(entry)
     errors = [{"run_id": r.run_id, "error": r.error} for r in records if r.error]
+    pooled = {r.blas_threads for r in records if r.blas_threads is not None}
     if errors:
         all_passed = False
     return {
@@ -701,6 +722,8 @@ def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:
         "errors": errors,
         "all_passed": all_passed,
         "total_wall_time": round(sum({r.run_id: r.wall_time for r in records}.values()), 3),
+        # the smallest per-worker count when a suite's configs split BLAS differently
+        "blas_threads_per_worker": min(pooled) if pooled else None,
     }
 
 

@@ -1,4 +1,5 @@
-"""Deterministic RNG streams, normal CDF, orthonormal dictionaries and SVD helpers.
+"""Deterministic RNG streams, normal CDF, orthonormal dictionaries, SVD helpers
+and the BLAS thread split for parallel runs.
 
 Everything downstream builds on this module: all randomness flows through
 counter-based :class:`RngStream` values so that a run is reproducible for a
@@ -6,7 +7,10 @@ fixed root seed no matter how work is scheduled across threads.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -156,3 +160,61 @@ def svd_top(matrix: np.ndarray, p: int) -> SvdTop:
     rank = int(np.count_nonzero(s[:p] > cutoff))
     return SvdTop(values=_readonly(s[:p]), left=_readonly(u[:, :p]),
                   right=_readonly(vt[:p].T), cutoff=float(cutoff), rank=rank)
+
+
+# (prefix, suffix) of the thread-count calls that OpenBLAS builds export, e.g.
+# scipy_openblas_set_num_threads64_ in the numpy wheels
+_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                   ("openblas", ""), ("openblas", "64_"))
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None
+    when none is found (MKL, Accelerate, or no ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5)
+                                                     for line in fh)
+                            if len(fields) == 6 and "openblas" in fields[5].lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in _OPENBLAS_NAMES:
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def blas_threads_per_worker(workers: int):
+    """Split the BLAS thread count across ``workers`` concurrent callers.
+
+    Inside the block BLAS runs ``max(1, threads // workers)`` threads per call,
+    so a pool of workers does not oversubscribe the cores with BLAS threads of
+    its own; the previous count is restored on exit, also when the block
+    raises. Yields the per-worker count, or None when ``workers`` is 1 (BLAS
+    is then the only parallelism and keeps its default) or when BLAS cannot be
+    controlled. The count is process-wide: do not nest or overlap blocks
+    from different threads.
+    """
+    calls = _openblas_threads() if workers > 1 else None
+    if calls is None:
+        yield None
+        return
+    get, put = calls
+    before = get()
+    per_worker = max(1, before // workers)
+    put(per_worker)
+    try:
+        yield per_worker
+    finally:
+        put(before)

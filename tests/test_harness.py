@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from mmclab import ValidationError, theory
+from mmclab import ValidationError, harness, numerics, theory
 from mmclab.cli import main as cli_main
 from mmclab.harness import (CSV_COLUMNS, check_passes, config_from_dict,
                             config_from_file, emit_csv, emit_json_summary,
@@ -126,6 +126,45 @@ def test_top_level_numbers_rejected(extra, key):
         config_from_dict(_tiny_dm1_config(**extra))
 
 
+def _tiny_dm2_config(**extra):
+    doc = {
+        "experiment": "dm2-robustness", "name": "tiny2", "root_seed": 5,
+        "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 0.3333},
+        "methods": ["mmcl-closed"],
+        "train": {"exhaustive": True, "p_dim": 6},
+        "eval": {"exhaustive": True, "splits": ["true"]},
+    }
+    doc.update(extra)
+    return doc
+
+
+@pytest.mark.parametrize("doc,match", [
+    (_tiny_dm1_config(train={"p_dim": 2}), r"train\.n_train .*mmcl-closed"),
+    (_tiny_dm1_config(eval={"splits": ["true"]}), r"eval\.n_eval .*mmcl-closed"),
+    (_tiny_dm1_config(methods=["mmcl-analytic", "sl"], train={"p_dim": 2}),
+     r"train\.n_train .*\(method sl\)"),
+    (_tiny_dm2_config(train={"p_dim": 6}), r"train\.n_train"),
+    (_tiny_dm2_config(eval={"splits": ["true"]}), r"eval\.n_eval"),
+    (_tiny_dm2_config(method_overrides={"mmcl-closed": {"eval": {"exhaustive": False}}}),
+     r"eval\.n_eval"),
+], ids=["dm1-n_train", "dm1-n_eval", "dm1-sl-n_train", "dm2-n_train", "dm2-n_eval",
+        "dm2-override-n_eval"])
+def test_sampled_data_needs_its_size(doc, match):
+    with pytest.raises(ValidationError, match=match):
+        config_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    _tiny_dm1_config(methods=["mmcl-analytic"], train={"p_dim": 2}),
+    _tiny_dm1_config(methods=["sl"], train={},
+                     method_overrides={"sl": {"train": {"n_train": 100}}}),
+    _tiny_dm1_config(train={"p_dim": 2}, sweep={"n_train": [100, 200]}),
+    _tiny_dm2_config(),
+], ids=["analytic", "override", "sweep", "dm2-exhaustive"])
+def test_sample_sizes_are_found_where_they_apply(doc):
+    config_from_dict(doc)
+
+
 def test_dm2_switches_off_are_accepted_on_dm1():
     doc = _tiny_dm1_config(experiment="method-compare")
     doc["train"]["exhaustive"] = False
@@ -138,7 +177,10 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"train": {"n_train": 100, "p_dim": "2"}}, "train.p_dim"),
     ({"experiment": "method-compare", "methods": ["supcon"],
       "eval": {"n_eval": 100, "supcon_geometry": True}}, "eval.supcon_geometry"),
-], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry"])
+    ({"train": {"p_dim": 2}}, "train.n_train"),
+    ({"eval": {"splits": ["true"]}}, "eval.n_eval"),
+], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry", "train.n_train-missing",
+        "eval.n_eval-missing"])
 def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys, extra, key):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(_tiny_dm1_config(**extra)))
@@ -250,6 +292,66 @@ def test_csv_bytes_identical_across_reruns_and_threads(tmp_path):
         emit_csv(records, path)
         digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
     assert digests[0] == digests[1] == digests[2]
+
+
+@pytest.mark.parametrize("doc", [
+    {"experiment": "dm1-robustness", "name": "wide-sl", "root_seed": 4, "trials": 2,
+     "data": _DM1, "modality": {"d_I": 2000, "noise_sigma_I": 0.1}, "methods": ["sl"],
+     "train": {"n_train": 300, "epochs": 40}, "eval": {"n_eval": 2000, "splits": ["true"]}},
+    {"experiment": "dm2-robustness", "name": "m10", "root_seed": 4, "trials": 2,
+     "data": {"model": "dm2", "m": 10, "alpha": 0.7, "beta": 0.3},
+     "modality": {"d_I": 200, "d_T": 200, "noise_sigma_I": 0.1, "noise_sigma_T": 0.1},
+     "methods": ["mmcl-closed"], "train": {"n_train": 4000, "p_dim": 20},
+     "eval": {"n_eval": 4000, "splits": ["true", "train"]}},
+], ids=["sl-d2000", "dm2-m10-sampled"])
+def test_csv_bytes_identical_at_sizes_where_blas_threads(tmp_path, doc):
+    digests = []
+    for threads in (1, 2):
+        path = tmp_path / f"t{threads}.csv"
+        emit_csv(run_experiment(config_from_dict(doc), threads=threads), path)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests[0] == digests[1]
+
+
+@pytest.mark.skipif(numerics._openblas_threads() is None,
+                    reason="BLAS thread count cannot be controlled here")
+@pytest.mark.parametrize("threads,trials,in_task,recorded", [
+    (2, 2, 2, 2), (3, 2, 2, 2), (3, 3, 1, 1), (2, 1, 4, None)])
+def test_blas_threads_split_across_workers_and_restored(monkeypatch, threads, trials,
+                                                        in_task, recorded):
+    # BLAS starts at 4 threads; workers in use are min(threads, trials)
+    get, put = numerics._openblas_threads()
+    before = get()
+    seen = []
+
+    def task(config, blas, *args):
+        seen.append((get(), blas))
+        return []
+
+    def failing(config, blas, *args):
+        raise RuntimeError("task failed")
+
+    monkeypatch.setattr(harness, "_run_task", task)
+    config = config_from_dict(_tiny_dm1_config(trials=trials))
+    try:
+        put(4)
+        run_experiment(config, threads=threads)
+        assert get() == 4
+        assert seen == [(in_task, recorded)] * trials
+        monkeypatch.setattr(harness, "_run_task", failing)
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_experiment(config, threads=threads)
+        assert get() == 4
+    finally:
+        put(before)
+
+
+def test_summary_records_blas_threads_per_worker():
+    config = config_from_dict(_tiny_dm1_config(trials=2))
+    assert summarize(run_experiment(config))["blas_threads_per_worker"] is None
+    calls = numerics._openblas_threads()
+    expected = None if calls is None else max(1, calls[0]() // 2)
+    assert summarize(run_experiment(config, threads=2))["blas_threads_per_worker"] == expected
 
 
 def test_failed_cell_records_error_and_suite_continues():
