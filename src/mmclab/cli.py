@@ -20,6 +20,15 @@ from .harness import (SUITES, config_from_file, emit_csv, emit_json_summary,
                       run_experiment, run_suite)
 
 
+def _check_out_dir(out_dir: Path) -> None:
+    """Fail before the run when --out, or its nearest existing ancestor, is not a directory."""
+    for path in (out_dir, *out_dir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValidationError(f"--out {out_dir}: {path} exists and is not a directory")
+            return
+
+
 def _write_outputs(records, out_dir: Path, min_pass_fraction: float) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     emit_csv(records, out_dir / "results.csv")
@@ -65,6 +74,7 @@ def main(argv=None) -> int:
     if args.threads < 1:
         parser.error(f"--threads must be >= 1, got {args.threads}")
     try:
+        _check_out_dir(Path(args.out))
         if args.command == "verify":
             records, min_fraction = run_suite(args.suite, args.seed, args.threads)
         else:

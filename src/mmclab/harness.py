@@ -222,8 +222,12 @@ def _check_sample_sizes(config: ExperimentConfig):
 
 
 def config_from_file(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_dict(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    return config_from_dict(doc)
 
 
 @dataclass(frozen=True)

@@ -205,6 +205,11 @@ def _logistic_loss(margins: np.ndarray) -> float:
     return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
+def _cross_entropy_loss(own_probs: np.ndarray) -> float:
+    """Mean -log of the own-class probabilities, floored at 1e-300."""
+    return -float(np.add.reduce(np.log(own_probs + 1e-300))) / len(own_probs)
+
+
 class _Margins:
     """Supervised GD state in margin space, for n < d.
 
@@ -255,6 +260,9 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
     weights, or the margins when ``kernel`` is a :class:`_Margins` state; the
     two differ only in how scores, the gradient norm and the step are formed.
     Returns the weights, final loss and gradient norm, steps taken, snapshots.
+    The final loss is the exact (logistic) or floored (cross-entropy) loss of
+    the last epoch's scores, taken after the loop since epochs whose loss
+    bound clears the blowup level skip it.
     """
     n = x.shape[0]
     w = w0.copy()
@@ -268,6 +276,15 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
         onehot = np.zeros((n, q))
         onehot[np.arange(n), target] = 1.0
         own = np.arange(n) * q + target    # flat index of each row's own class
+        log_q = math.log(q)
+        # per-epoch work arrays; the residual has its own, so that the last
+        # epoch's probabilities survive the loop for the final loss
+        probs = np.empty((n, q))
+        resid = np.empty((n, q))
+        scores_t = np.empty((q, n))
+        row_max = np.empty(n)
+        row_sum = np.empty(n)
+        max_col, sum_col = row_max[:, None], row_sum[:, None]
     snapshots = []
     loss = np.inf
     grad_norm = np.inf
@@ -296,27 +313,39 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
             np.maximum(e, margins <= 0.0, out=e)
             v = np.multiply(neg_y, np.divide(e, work, out=e), out=e)
         else:
-            # softmax in place; the reductions keep the axis and summation
-            # order of ndarray.max / ndarray.sum, so every probability is unchanged
-            probs = x @ w if kernel is None else kernel.scores.copy()
-            probs -= np.maximum.reduce(probs, axis=1, keepdims=True)
-            np.exp(probs, out=probs)
-            probs /= np.add.reduce(probs, axis=1, keepdims=True)
-            own_probs = np.take(probs, own)
-            loss = decisive = -float(np.add.reduce(np.log(own_probs + 1e-300))) / n
-            # the 1e-300 floor caps a row's loss near 690.8, under any blowup
-            # level; a row below it adds over 690 to the sum, so the exact loss decides
-            if loss * n > 690.0 and own_probs.min() < 1e-300:
-                shifted = x @ w if kernel is None else kernel.scores.copy()
-                shifted -= shifted.max(axis=1, keepdims=True)
-                decisive = float(np.mean(np.log(np.exp(shifted).sum(axis=1))
-                                         - np.take(shifted, own)))
-            if blowup is None:
-                blowup = 1e3 * (decisive + 1.0)
-            if not math.isfinite(decisive) or decisive > blowup:
-                raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-            probs -= onehot
-            v = probs
+            scores = x @ w if kernel is None else kernel.scores
+            # the row max reduces a transposed copy along its contiguous rows;
+            # a max is exact in any order, so it matches ndarray.max to the bit
+            np.copyto(scores_t, scores.T)
+            np.maximum.reduce(scores_t, axis=0, out=row_max)
+            shifted = np.subtract(scores, max_col, out=probs)
+            own_shifted = shifted.take(own)
+            # shifted scores are <= 0 with a 0 in every row, so a row's exact
+            # loss log(sum_j e^s_j) - s_own is at most log q - s_own, and the
+            # mean of that is >= the exact loss >= the floored loss
+            bound = log_q - float(own_shifted.sum()) / n
+            # softmax in place; the row sums stay on the n x q layout, where
+            # numpy folds a row left below 8 entries and pairwise from 8 just
+            # as ndarray.sum does, so every probability is unchanged
+            np.exp(shifted, out=probs)
+            np.add.reduce(probs, axis=1, out=row_sum)
+            np.divide(probs, sum_col, out=probs)
+            # as in the logistic branch, the floored loss is needed only to set
+            # the blowup level, for loss-scaled steps, and when the bound does
+            # not clear blowup by more than rounding (NaN or inf scores never do)
+            if blowup is None or loss_scaled or not bound < _BOUND_CLEARANCE * blowup:
+                own_probs = probs.take(own)
+                loss = decisive = _cross_entropy_loss(own_probs)
+                # the 1e-300 floor caps a row's loss near 690.8, under any blowup
+                # level; a row below it adds over 690 to the sum, so the exact
+                # loss decides
+                if loss * n > 690.0 and own_probs.min() < 1e-300:
+                    decisive = float(np.mean(np.log(row_sum) - own_shifted))
+                if blowup is None:
+                    blowup = 1e3 * (decisive + 1.0)
+                if not math.isfinite(decisive) or decisive > blowup:
+                    raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
+            v = np.subtract(probs, onehot, out=resid)
         # v is the residual of each row, so x^T v / n is the gradient
         tol = GRAD_TOL * loss if loss_scaled else GRAD_TOL
         grad_norm = None if kernel is None else kernel.grad_norm(v, tol)
@@ -336,8 +365,8 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
             w -= step * grad
         else:
             kernel.step(-step, v)
-    if epochs and q == 1:                      # the exact loss of the last margins
-        loss = _logistic_loss(margins)
+    if epochs:                                 # the loss of the last epoch's scores
+        loss = _logistic_loss(margins) if q == 1 else _cross_entropy_loss(probs.take(own))
     return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run, snapshots
 
 

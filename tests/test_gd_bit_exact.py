@@ -78,6 +78,7 @@ def _init(seed, d, q):
     (5000, 2, 1, 0.05, 300),      # logistic, n >> d (the supcon-dm1 probe shape)
     (16, 4, 4, 0.05, 3000),       # cross-entropy at the supcon-dm2 probe shape
     (96, 6, 6, 0.05, 2000),       # cross-entropy at the dm2-sl shape
+    (40, 3, 8, 0.05, 1000),       # q = 8: the first width numpy sums pairwise
     (300, 5, 11, 0.05, 500),      # q >= 9: numpy's pairwise row sums
 ])
 def test_loops_match_reference(n, d, q, lr, epochs):
@@ -100,6 +101,18 @@ def test_stop_on_gradient_tolerance_matches_reference():
     x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     y = np.array([1, -1, -1, 1])
     got, want = _both(x, y, 1, 0.5, 20000, np.array([1e-3]))
+    assert 0 < want[3] < 20000
+    _assert_identical(got, want)
+
+
+def test_cross_entropy_stop_on_gradient_tolerance_matches_reference():
+    # each of 10 rows appears under every label, so GD heads to equal scores
+    # within each row and stops on GRAD_TOL; the loop skips the loss of the
+    # stopping epoch and takes it from that epoch's probabilities afterwards
+    g = np.random.default_rng(8)
+    x = np.tile(g.standard_normal((10, 3)), (3, 1))
+    labels = np.repeat(np.arange(3), 10)
+    got, want = _both(x, labels, 3, 0.5, 20000, _init(8, 3, 3))
     assert 0 < want[3] < 20000
     _assert_identical(got, want)
 
@@ -145,6 +158,30 @@ def test_exact_loss_decides_when_the_bound_does_not_clear_blowup():
     assert np.mean(np.maximum(-margins, 0.0)) + math.log(2.0) > blowup
     _assert_identical(got, want)
     got, want = _both(x, y, 1, lr, 3, np.zeros(1))
+    assert "epoch 2" in str(want)
+    _assert_same_outcome(got, want)
+
+
+def test_exact_loss_decides_when_the_cross_entropy_bound_does_not_clear_blowup():
+    # one input, two classes, both rows of class 1: from w0 = 0 the first step
+    # gives row 0 the shifted own score -lr/2 and row 1 a score of 0; epoch 1's
+    # exact loss lies just under blowup while log 2 - mean(own shifted score)
+    # lies above it, so only the exact loss tells that epoch 1 has not
+    # diverged, and the next step has
+    x = np.array([[1.0], [-2.0]])
+    labels = np.array([1, 1])
+    blowup = 1e3 * (math.log(2.0) + 1.0)
+    lr = 4.0 * (blowup - 0.3)
+    got, want = _both(x, labels, 2, lr, 2, np.zeros((1, 2)))
+    assert not isinstance(want, TrainingError)
+    assert want[1] < blowup                                   # the floored loss
+    scores = x @ np.array([[0.25 * lr, -0.25 * lr]])          # after the first step
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    own = shifted[np.arange(2), labels]
+    assert math.log(2.0) - np.mean(own) >= training._BOUND_CLEARANCE * blowup
+    assert blowup - 1.0 < np.mean(np.log(np.exp(shifted).sum(axis=1)) - own) < blowup
+    _assert_identical(got, want)
+    got, want = _both(x, labels, 2, lr, 3, np.zeros((1, 2)))
     assert "epoch 2" in str(want)
     _assert_same_outcome(got, want)
 

@@ -201,6 +201,36 @@ def test_cli_rejects_threads_below_one(tmp_path, capsys, command, threads):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("content", [None, b'{"experiment": ', b"\xff\xfe{}"],
+                         ids=["missing", "malformed-json", "not-utf8"])
+def test_cli_exits_2_on_an_unreadable_config(tmp_path, capsys, content):
+    config_path = tmp_path / "cfg.json"
+    if content is not None:
+        config_path.write_bytes(content)
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(config_path) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--suite", "dm2"], ["run"], ["sweep"],
+], ids=["verify", "run", "sweep"])
+@pytest.mark.parametrize("nested", [False, True], ids=["file", "under-a-file"])
+def test_cli_exits_2_when_out_is_not_a_directory(tmp_path, capsys, command, nested):
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(_tiny_dm1_config(sweep={"p_dim": [1, 2]})))
+    if command[0] != "verify":
+        command = [*command, "--config", str(config_path)]
+    blocker = tmp_path / "taken"
+    blocker.write_text("keep")
+    out = blocker / "o" if nested else blocker
+    assert cli_main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and "Traceback" not in err
+    assert blocker.read_text() == "keep"
+
+
 def test_docs_example_covers_every_field():
     from pathlib import Path
 
