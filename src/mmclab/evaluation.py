@@ -1,5 +1,8 @@
 """Zero-shot prompts, classification rules, and grouped accuracy reports on the
 training (ID) and true (OOD) distributions.
+
+All three rules (x G P^T, x W, x W_enc^T B^T) score through one path, which
+multiplies the factors left to right in the old order; that is why the CSV bytes hold.
 """
 from __future__ import annotations
 
@@ -55,13 +58,6 @@ def build_prompts(params, text_dictionary: Dictionary) -> PromptSet:
                      prompts=means @ text_dictionary.matrix.T)
 
 
-def _argmax_labels(scores: np.ndarray, classes: tuple) -> np.ndarray:
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite classification scores")
-    picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
-    return np.asarray(classes)[picks]
-
-
 @dataclass(frozen=True)
 class EvalSampler:
     """Where evaluation inputs come from: data-model parameters, a split, and
@@ -74,21 +70,23 @@ class EvalSampler:
     exhaustive: bool = False
 
     def draw(self, n_eval: int | None, rng: RngStream | None) -> LatentBatch:
-        if isinstance(self.params, DataModel1Params):
-            if self.exhaustive:
-                raise ConfigurationError("model 1 has no exhaustive evaluation mode")
-            if n_eval is None or n_eval < 1:
-                raise ArgumentError("sampled evaluation needs n_eval >= 1")
-            return sample_latents_dm1(self.params, n_eval, self.split, rng.child(11))
         if self.exhaustive:
+            if isinstance(self.params, DataModel1Params):
+                raise ConfigurationError("model 1 has no exhaustive evaluation mode")
             return enumerate_latents_dm2(self.params, self.split)
         if n_eval is None or n_eval < 1:
             raise ArgumentError("sampled evaluation needs n_eval >= 1")
-        return sample_latents_dm2(self.params, n_eval, self.split, rng.child(11))
+        if rng is None:
+            raise ArgumentError("sampled evaluation requires an RngStream")
+        sample = (sample_latents_dm1 if isinstance(self.params, DataModel1Params)
+                  else sample_latents_dm2)
+        return sample(self.params, n_eval, self.split, rng)
 
 
 @dataclass(frozen=True)
 class GroupStat:
+    """One group's accuracy; ``mc_radius`` is its 95% Wilson score half-width."""
+
     accuracy: float
     count: int
     mc_radius: float
@@ -102,8 +100,8 @@ class EvalReport:
 
     Group keys: model 1 uses (y, a) pairs; model 2 uses the class label plus
     whether the spurious coordinate agreed with it. ``mc_radius`` is the 95%
-    normal-approximation half-width; groups with fewer than 50 samples are
-    flagged ``small_sample``.
+    Wilson score half-width (Wilson 1927), positive even at accuracy 0 or 1;
+    groups with fewer than 50 samples are flagged ``small_sample``.
     """
 
     overall_accuracy: float
@@ -122,8 +120,8 @@ class EvalReport:
         return hits / total
 
 
-def _mc_radius(acc: float, n: int) -> float:
-    return 1.96 * np.sqrt(max(acc * (1.0 - acc), 0.0) / n)
+def _wilson_radius(acc: float, n: int, z: float = 1.96) -> float:
+    return z / (1.0 + z * z / n) * np.sqrt(acc * (1.0 - acc) / n + z * z / (4.0 * n * n))
 
 
 def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> EvalReport:
@@ -146,62 +144,63 @@ def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> E
         if cnt == 0:
             continue
         acc = hit / cnt
-        groups[name] = GroupStat(acc, cnt, _mc_radius(acc, cnt), minority=minority,
+        groups[name] = GroupStat(acc, cnt, _wilson_radius(acc, cnt), minority=minority,
                                  small_sample=cnt < SMALL_GROUP_COUNT)
     overall = float(correct.mean())
     return EvalReport(overall_accuracy=overall, groups=groups, n_eval=n,
-                      mc_radius=_mc_radius(overall, n), split=split, mode=mode)
+                      mc_radius=_wilson_radius(overall, n), split=split, mode=mode)
 
 
-def _eval_inputs(sampler: EvalSampler, n_eval, rng):
-    batch = sampler.draw(n_eval, rng)
+def _predict(factors: tuple, classes: tuple, x: np.ndarray) -> np.ndarray:
+    """Labels of x @ factors[0] @ ... @ factors[-1], multiplied left to right: the sign
+    rule when the last factor has one column (0 goes to classes[0]), else argmax."""
+    *head, last = factors
+    for factor in head:
+        x = x @ factor
+    if last.shape[1] == 1:
+        raw = np.sign(x @ last[:, 0])
+        return np.where(raw == 0, classes[0], raw).astype(int)
+    scores = x @ last
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite classification scores")
+    picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
+    return np.asarray(classes)[picks]
+
+
+def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
+              n_eval: int | None, rng: RngStream | None) -> EvalReport:
+    """Draw and project evaluation inputs, and report the accuracy of :func:`_predict`."""
+    if sampler.image_cfg.ambient_dim != factors[0].shape[0]:
+        raise ConfigurationError(f"image dim {sampler.image_cfg.ambient_dim} does not "
+                                 f"match the rule's input dim {factors[0].shape[0]}")
+    batch = sampler.draw(n_eval, None if rng is None else rng.child(11))
     noise_rng = None if rng is None else rng.child(12)
     if sampler.image_cfg.noise_sigma > 0 and noise_rng is None:
         raise ArgumentError("noisy evaluation requires an RngStream")
     x = project_latents(batch.z, sampler.image_cfg, noise_rng)
+    pred = _predict(factors, classes, x)
     mode = "exhaustive" if sampler.exhaustive else "sampled"
-    return x, batch, mode
+    return _report(pred == batch.y, batch, sampler.split, mode)
 
 
 def evaluate_zero_shot(model: MMCLModel, prompts: PromptSet, sampler: EvalSampler,
                        n_eval: int | None = None,
                        rng: RngStream | None = None) -> EvalReport:
     """Grouped zero-shot accuracy of a contrastive model on fresh inputs."""
-    if sampler.image_cfg.ambient_dim != model.G.shape[0]:
-        raise ConfigurationError(
-            f"image dim {sampler.image_cfg.ambient_dim} does not match G rows {model.G.shape[0]}")
-    x, batch, mode = _eval_inputs(sampler, n_eval, rng)
-    scores = (x @ model.G) @ prompts.prompts.T
-    pred = _argmax_labels(scores, prompts.classes)
-    return _report(pred == batch.y, batch, sampler.split, mode)
-
-
-def _linear_predictions(w: np.ndarray, classes: tuple, x: np.ndarray) -> np.ndarray:
-    if w.shape[1] == 1:
-        raw = np.sign(x @ w[:, 0])
-        return np.where(raw == 0, classes[0], raw).astype(int)
-    return _argmax_labels(x @ w, classes)
+    return _evaluate((model.G, prompts.prompts.T), prompts.classes, sampler, n_eval, rng)
 
 
 def evaluate_sl(model: SLModel, sampler: EvalSampler, n_eval: int | None = None,
                 rng: RngStream | None = None) -> EvalReport:
     """Grouped accuracy of a supervised linear model (sign or argmax rule)."""
-    if sampler.image_cfg.ambient_dim != model.W.shape[0]:
-        raise ConfigurationError("image dim does not match the model weight rows")
-    x, batch, mode = _eval_inputs(sampler, n_eval, rng)
-    pred = _linear_predictions(model.W, model.classes, x)
-    return _report(pred == batch.y, batch, sampler.split, mode)
+    return _evaluate((model.W,), model.classes, sampler, n_eval, rng)
 
 
 def evaluate_probe(encoder: SupConEncoder, probe: ProbeModel, sampler: EvalSampler,
                    n_eval: int | None = None,
                    rng: RngStream | None = None) -> EvalReport:
     """Grouped accuracy of a linear probe on frozen encoder representations."""
-    if sampler.image_cfg.ambient_dim != encoder.W.shape[1]:
-        raise ConfigurationError("image dim does not match the encoder input dim")
-    x, batch, mode = _eval_inputs(sampler, n_eval, rng)
-    pred = _linear_predictions(probe.B.T, probe.classes, encoder.transform(x))
-    return _report(pred == batch.y, batch, sampler.split, mode)
+    return _evaluate((encoder.W.T, probe.B.T), probe.classes, sampler, n_eval, rng)
 
 
 @dataclass(frozen=True)

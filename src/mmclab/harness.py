@@ -323,14 +323,6 @@ def _cell_param_row(params, train: dict, modality: dict, mask: CaptionMask) -> d
     return row
 
 
-def _train_latents(params, split, train: dict, rng: RngStream):
-    if train.get("exhaustive", False):
-        return datagen.enumerate_latents_dm2(params, split)
-    if isinstance(params, DataModel1Params):
-        return datagen.sample_latents_dm1(params, train["n_train"], split, rng)
-    return datagen.sample_latents_dm2(params, train["n_train"], split, rng)
-
-
 class _CellContext:
     """Resolved objects for running one method inside one (cell, trial)."""
 
@@ -358,6 +350,11 @@ class _CellContext:
     def sampler(self, split: str) -> evaluation.EvalSampler:
         return evaluation.EvalSampler(self.params, split, self.eval_image_cfg,
                                       exhaustive=self.eval_sec.get("exhaustive", False))
+
+    def train_latents(self):
+        sampler = evaluation.EvalSampler(self.params, "train", self.image_cfg,
+                                         exhaustive=self.train_sec.get("exhaustive", False))
+        return sampler.draw(self.train_sec.get("n_train"), self.rng.child(20))
 
     def evaluate_splits(self, eval_one) -> list[tuple]:
         rows = []
@@ -392,7 +389,7 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             model = training.mmcl_fit_closed_form(s, ctx.p_dim, ctx.rho,
                                                   ctx.dict_image, ctx.dict_text)
         else:
-            latents = _train_latents(params, "train", train, rng.child(20))
+            latents = ctx.train_latents()
             dataset = datagen.make_paired_dataset(latents, ctx.image_cfg,
                                                   ctx.text_cfg, ctx.mask, rng.child(21))
             if method == "mmcl-closed":
@@ -405,11 +402,10 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
                     epochs=train.get("epochs", training.MMCL_GD_DEFAULTS["epochs"]),
                     rng=rng.child(22))
         prompts = evaluation.build_prompts(params, ctx.dict_text)
-        return ctx.evaluate_splits(
-            lambda sampler, n, r: evaluation.evaluate_zero_shot(model, prompts, sampler, n, r))
+        return ctx.evaluate_splits(partial(evaluation.evaluate_zero_shot, model, prompts))
 
     if method == "sl":
-        latents = _train_latents(params, "train", train, rng.child(20))
+        latents = ctx.train_latents()
         images = datagen.project_latents(latents.z, ctx.image_cfg, rng.child(23))
         kind = "logistic" if isinstance(params, DataModel1Params) else "cross-entropy"
         model = training.sl_fit_gd(
@@ -417,11 +413,10 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             lr=train.get("lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(24))
-        return ctx.evaluate_splits(
-            lambda sampler, n, r: evaluation.evaluate_sl(model, sampler, n, r))
+        return ctx.evaluate_splits(partial(evaluation.evaluate_sl, model))
 
     if method == "supcon":
-        latents = _train_latents(params, "train", train, rng.child(20))
+        latents = ctx.train_latents()
         dataset = datagen.make_paired_dataset(latents, ctx.image_cfg, ctx.image_cfg,
                                               CaptionMask.none(), rng.child(21))
         cov = covariance.supcon_class_mean_cov(dataset, latents.model)
@@ -431,8 +426,7 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             lr=train.get("probe_lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("probe_epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(25))
-        rows = ctx.evaluate_splits(
-            lambda sampler, n, r: evaluation.evaluate_probe(encoder, probe, sampler, n, r))
+        rows = ctx.evaluate_splits(partial(evaluation.evaluate_probe, encoder, probe))
         if ctx.eval_sec.get("supcon_geometry", False):
             true_latents = datagen.enumerate_latents_dm2(params, "true")
             true_data = datagen.make_paired_dataset(
@@ -451,7 +445,7 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             for i in range(restarts):
                 adv = training.probe_fit(true_reps, true_latents.y,
                                          epochs=epochs, rng=rng.child(300 + i))
-                pred = evaluation._linear_predictions(adv.B.T, adv.classes, true_reps)
+                pred = evaluation._predict((adv.B.T,), adv.classes, true_reps)
                 acc = float(np.mean(pred == true_latents.y))
                 rows.append(("true", f"restart={i:02d}", "best_probe_accuracy", acc))
         return rows

@@ -242,17 +242,6 @@ class _Margins:
         return self.w0 + self.x.T @ self.coef
 
 
-def _logistic_gd(x, y, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
-    """Logistic GD on the weights: the path that tests pin to reference loops."""
-    return _descend(x, y, 1, lr, epochs, w0, snapshot_every, loss_scaled)
-
-
-def _cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
-                      loss_scaled=False):
-    """Cross-entropy GD on the weights: the path that tests pin to reference loops."""
-    return _descend(x, labels_idx, q, lr, epochs, w0, snapshot_every, loss_scaled)
-
-
 def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
              kernel=None):
     """Full-batch GD from w0 on the logistic loss (q = 1, ``target`` the +-1
@@ -408,14 +397,9 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
     else:
         raise ArgumentError(f"loss_kind must be logistic or cross-entropy, got {loss_kind!r}")
     w0 = init_scale * g.standard_normal(d if q == 1 else (d, q))
-    budget = (lr, epochs, w0, snapshot_every, loss_scaled)
-    if n < d:
-        fit = _descend(x, target, q, *budget, kernel=_Margins(x, w0))
-    elif q == 1:
-        fit = _logistic_gd(x, target, *budget)
-    else:
-        fit = _cross_entropy_gd(x, target, q, *budget)
-    w, loss, grad_norm, epochs_run, snaps = fit
+    w, loss, grad_norm, epochs_run, snaps = _descend(
+        x, target, q, lr, epochs, w0, snapshot_every, loss_scaled,
+        kernel=_Margins(x, w0) if n < d else None)
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
             "epochs_run": epochs_run, "gd_dim": min(n, d),
             "loss_scaled": loss_scaled, "final_loss": loss,

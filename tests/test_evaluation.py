@@ -9,8 +9,8 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     phi_cdf, population_cross_cov_dm1, population_cross_cov_dm2,
                     probe_fit, sample_latents_dm1, supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
-from mmclab.evaluation import evaluate_probe
-from mmclab.training import MMCLModel, SLModel
+from mmclab.evaluation import _wilson_radius, evaluate_probe
+from mmclab.training import MMCLModel, ProbeModel, SLModel, SupConEncoder
 from zero_shot_rule import zero_shot_predict
 
 RNG = RngStream(31, 0)
@@ -121,6 +121,12 @@ def test_evaluate_zero_shot_dm2_perfect_accuracy_both_paths():
                                     make_dictionary(6, 6), make_dictionary(6, 6))
     rep = evaluate_zero_shot(analytic, prompts, sampler)
     assert rep.overall_accuracy == 1.0 and rep.mode == "exhaustive"
+    # at accuracy 1 the Wilson radius is z^2 / (2 (n + z^2)) overall and per
+    # group, where a normal-approximation radius is 0
+    for n, radius in [(rep.n_eval, rep.mc_radius),
+                      *((g.count, g.mc_radius) for g in rep.groups.values())]:
+        assert radius > 0
+        assert radius == pytest.approx(1.96 ** 2 / (2 * (n + 1.96 ** 2)), rel=1e-12)
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(4))
     empirical = mmcl_fit_closed_form(empirical_cross_cov(train), 6, 1.0)
@@ -171,6 +177,38 @@ def test_evaluate_sl_spurious_only_weights():
     assert rep.overall_accuracy == pytest.approx(0.9, abs=0.01)
     assert rep.minority_accuracy() < 0.01
     assert rep.split == "train"
+
+
+def test_wilson_radius_matches_the_score_interval_roots():
+    # the Wilson interval is where (acc - p)^2 = z^2 p (1 - p) / n, a quadratic in p
+    acc, n, z = 0.3, 50, 1.96
+    roots = np.roots([n + z * z, -(2 * n * acc + z * z), n * acc * acc])
+    assert _wilson_radius(acc, n) == pytest.approx(abs(roots[0] - roots[1]) / 2, rel=1e-12)
+    assert _wilson_radius(acc, n) < z * np.sqrt(acc * (1 - acc) / n)
+
+
+def _dm1_rule(params):
+    """Each evaluator with a fixed rule that reads z_core, on 2-dim inputs."""
+    return {
+        "zero-shot": lambda sampler, *args: evaluate_zero_shot(
+            MMCLModel(G=np.eye(2), p_dim=2, rho=1.0),
+            build_prompts(params, make_dictionary(2, 2)), sampler, *args),
+        "sl": lambda sampler, *args: evaluate_sl(
+            SLModel(W=np.array([[1.0], [0.0]]), q=1, classes=(-1, 1)), sampler, *args),
+        "probe": lambda sampler, *args: evaluate_probe(
+            SupConEncoder(W=np.eye(2), eigenvalues=np.ones(2), p_dim=2, rho=1.0),
+            ProbeModel(B=np.array([[1.0, 0.0]]), classes=(-1, 1)), sampler, *args),
+    }
+
+
+@pytest.mark.parametrize("method", ["zero-shot", "sl", "probe"])
+def test_sampled_evaluation_without_rng_is_argument_error(method):
+    params = DataModel1Params(1.0, 0.02, 0.999)
+    sampler = EvalSampler(params, "true", _identity_cfg(2, 2))
+    evaluate = _dm1_rule(params)[method]
+    with pytest.raises(ArgumentError, match="RngStream"):
+        evaluate(sampler, 100)
+    assert evaluate(sampler, 100, RNG.child(40)).n_eval == 100
 
 
 def test_eval_report_group_flags():

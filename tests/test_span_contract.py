@@ -1,0 +1,71 @@
+"""The benchmark's span contract holds on shrunken workloads.
+
+``perfbench/run.py`` lists, per workload, the spans and "parent>child" edges
+that a traced run must see fire, and ``perfbench/tracer.py`` wraps only the
+public functions of the traced modules. A refactor that moves a public call
+under a new caller, or behind a private helper that the benchmark cannot see,
+breaks that list. This test reads both files as they are, runs each workload's
+configs at desk scale through the CLI with the tracer installed, and checks
+that every expected span fires.
+"""
+import contextlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+import mmclab
+from mmclab import cli
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH_DIR / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load("run").WORKLOADS
+Tracer = _load("tracer").Tracer
+
+
+def _shrunk(doc: dict) -> dict:
+    """One trial, at most 20 epochs of any fit, at most 200 evaluation rows,
+    and one adversarial restart."""
+    doc = dict(doc, trials=1)
+    train, eval_sec = dict(doc.get("train", {})), dict(doc.get("eval", {}))
+    for key in ("epochs", "probe_epochs"):
+        if key in train:
+            train[key] = min(train[key], 20)
+    if "n_eval" in eval_sec:
+        eval_sec["n_eval"] = min(eval_sec["n_eval"], 200)
+    if eval_sec.get("supcon_restarts"):
+        eval_sec.update(supcon_restarts=1, adversarial_probe_epochs=20)
+    return dict(doc, train=train, eval=eval_sec)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_every_expected_span_fires(workload, tmp_path):
+    spec = WORKLOADS[workload]
+    paths = []
+    for name in spec["configs"]:
+        doc = json.loads((BENCH_DIR / "configs" / f"{name}.json").read_text())
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(_shrunk(doc)))
+    tracer = Tracer()
+    tracer.install(mmclab)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for path in paths:
+                cli.main(["run", "--config", str(path), "--out", str(tmp_path / path.stem),
+                          "--seed", "3", "--threads", "1"])
+    finally:
+        tracer.uninstall()
+    report = tracer.report(0.0)
+    fired = set(report["calls"]) | set(report["edges"])
+    assert [span for span in spec["spans"] if span not in fired] == []
+    assert report["counts"]["harness.errors"] == 0

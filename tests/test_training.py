@@ -9,8 +9,7 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     mmcl_fit_gd, probe_fit, sample_latents_dm1, sl_fit_gd,
                     supcon_class_mean_cov, supcon_fit_closed_form)
-from mmclab.training import (GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _cross_entropy_gd,
-                             _logistic_gd, _Margins)
+from mmclab.training import GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _descend, _Margins
 
 RNG = RngStream(11, 0)
 
@@ -233,12 +232,12 @@ def _direct_fit(x, labels, kind, rng, lr, epochs, snapshot_every, loss_scaled):
     d = x.shape[1]
     if kind == "logistic":
         w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal(d)
-        w, loss, grad_norm, epochs_run, snaps = _logistic_gd(
-            x, labels.astype(float), lr, epochs, w0, snapshot_every, loss_scaled)
+        w, loss, grad_norm, epochs_run, snaps = _descend(
+            x, labels.astype(float), 1, lr, epochs, w0, snapshot_every, loss_scaled)
         return w0[:, None], w[:, None], loss, grad_norm, epochs_run, snaps
     q = int(labels.max()) + 1
     w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal((d, q))
-    w, loss, grad_norm, epochs_run, snaps = _cross_entropy_gd(
+    w, loss, grad_norm, epochs_run, snaps = _descend(
         x, labels, q, lr, epochs, w0, snapshot_every, loss_scaled)
     return w0, w, loss, grad_norm, epochs_run, snaps
 

@@ -1,12 +1,12 @@
 """The zero-shot rule on a single input, for tests (test-only).
 
 The library scores whole batches in ``evaluation.evaluate_zero_shot``; these
-tests state the rule one input at a time, with the same tie-break.
+tests state the rule one input at a time, through the same scoring path.
 """
 import numpy as np
 
 from mmclab import DimensionError
-from mmclab.evaluation import _argmax_labels
+from mmclab.evaluation import _predict
 
 
 def zero_shot_predict(model, x_image, prompts) -> int:
@@ -16,5 +16,4 @@ def zero_shot_predict(model, x_image, prompts) -> int:
         raise DimensionError(f"input shape {x.shape} does not match G {model.G.shape}")
     if prompts.prompts.shape[1] != model.G.shape[1]:
         raise DimensionError("prompt dimension does not match G")
-    scores = (x @ model.G) @ prompts.prompts.T
-    return int(_argmax_labels(scores[None, :], prompts.classes)[0])
+    return int(_predict((model.G, prompts.prompts.T), prompts.classes, x[None, :])[0])
