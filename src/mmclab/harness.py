@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -24,16 +24,14 @@ from .errors import DomainError, MmclabError, ValidationError
 from .numerics import RngStream, blas_threads_per_worker, make_dictionary, stream_id_for
 
 METHODS = ("mmcl-closed", "mmcl-gd", "mmcl-analytic", "sl", "supcon")
-SUITES = ("all", "dm1", "dm2", "captions", "supcon", "id")
 
 CSV_COLUMNS = ("run_id", "experiment", "seed", "method", "n_train", "d_I", "d_T",
                "p_dim", "rho", "sigma_core", "sigma_spu", "p_spu", "m", "alpha",
                "beta", "pi_core", "pi_spu", "pi", "split", "group", "metric",
                "value", "prediction", "comparator", "pass")
-
-_TOP_KEYS = {"experiment", "name", "root_seed", "trials", "tolerance",
-             "min_pass_fraction", "data", "modality", "methods", "train",
-             "eval", "sweep", "slacks", "method_overrides"}
+# the families, splits and metrics of the records a run emits, which slack keys name
+_FAMILIES = ("mmcl", "sl", "supcon", "sl-vs-mmcl")
+_METRICS = ("accuracy", "collinearity_residual", "best_probe_accuracy", "id_gap")
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,9 @@ class ExperimentConfig:
     sweep: dict = field(default_factory=dict)
     slacks: dict = field(default_factory=dict)
     method_overrides: dict = field(default_factory=dict)
+
+
+_TOP_KEYS = {f.name for f in fields(ExperimentConfig)}
 
 
 def _check_keys(section: dict, allowed: set, where: str):
@@ -81,10 +82,15 @@ def _require_object(value, where: str) -> dict:
     return dict(value)
 
 
-def _require_strings(value, where: str):
+def _require_strings(value, where: str, allowed: tuple):
+    """A list of distinct strings, each one of ``allowed``."""
     if (not isinstance(value, list) or not all(isinstance(v, str) for v in value)
             or len(set(value)) < len(value)):
         raise ValidationError(f"{where} must be a list of distinct strings, got {value!r}")
+    bad = [v for v in value if v not in allowed]
+    if bad:
+        raise ValidationError(f"unknown {where}: {', '.join(bad)} "
+                              f"(expected any of {', '.join(allowed)})")
 
 
 def _require_a(kind: type, what: str):
@@ -113,7 +119,7 @@ _FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys 
     ("train", _COUNT, False, None, "epochs probe_epochs"),
     ("train", _BOOL, False, "dm2", "exhaustive"),
     ("eval", _COUNT, False, None, "n_eval adversarial_probe_epochs"),
-    ("eval", _require_strings, False, None, "splits"),
+    ("eval", partial(_require_strings, allowed=datagen.SPLITS), False, None, "splits"),
     ("eval", _BOOL, False, "dm2", "exhaustive supcon_geometry"),
     ("eval", _NUMBER, False, None, "noise_sigma"),
     ("eval", partial(_require_int, low=0), False, "dm2", "supcon_restarts"),
@@ -139,6 +145,18 @@ def _check_sections(sections: dict, model: str, prefix: str = ""):
             _check_field(name, key, value, model, f"{prefix}{name}.{key}")
 
 
+def _check_slack_key(key: str):
+    """A slack key is family:split:group:metric. The group stays free, since group
+    names depend on the data model; the other parts must name what a run emits."""
+    parts = key.split(":")
+    if (len(parts) != 4 or parts[0] not in _FAMILIES or parts[1] not in datagen.SPLITS
+            or parts[3] not in _METRICS):
+        raise ValidationError(
+            f"slacks key {key!r} must be family:split:group:metric, with family one of "
+            f"{', '.join(_FAMILIES)}, split one of {', '.join(datagen.SPLITS)} and "
+            f"metric one of {', '.join(_METRICS)}")
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from a parsed JSON document."""
     doc = _require_object(doc, "config document")
@@ -147,6 +165,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if experiment not in EXPERIMENT_KINDS:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
+    name = doc.get("name", experiment)
+    _TEXT(name, "name")
     root_seed = doc.get("root_seed", 0)
     if not isinstance(root_seed, int) or isinstance(root_seed, bool):
         raise ValidationError(f"root_seed must be an integer, got {root_seed!r}")
@@ -160,14 +180,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
         _require_number(value, f"slacks.{key}", " >= 0", lambda v: v >= 0)
+        _check_slack_key(key)
     sections = {name: _require_object(doc.get(name, {}), name)
                 for name in ("data", "modality", "train", "eval", "sweep")}
     sweep = sections.pop("sweep")
     methods = doc.get("methods", [])
-    _require_strings(methods, "methods")
-    bad = [mth for mth in methods if mth not in METHODS]
-    if bad:
-        raise ValidationError(f"unknown methods: {', '.join(bad)}")
+    _require_strings(methods, "methods", METHODS)
     if not methods:
         raise ValidationError("methods must be non-empty")
     models = _KINDS[experiment][0]
@@ -192,7 +210,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
                          for name, value in sec.items()}, model, where + ".")
     config = ExperimentConfig(
         experiment=experiment,
-        name=doc.get("name", experiment),
+        name=name,
         root_seed=root_seed,
         trials=trials,
         tolerance=tolerance,
@@ -441,7 +459,8 @@ def _run_method(ctx: _CellContext) -> list[tuple]:
             true_images = datagen.project_latents(true_latents.z, ctx.eval_image_cfg,
                                                   rng.child(27))
             true_reps = encoder.transform(true_images)
-            epochs = ctx.eval_sec.get("adversarial_probe_epochs", 20000)
+            epochs = ctx.eval_sec.get("adversarial_probe_epochs",
+                                      training.SL_GD_DEFAULTS["epochs"])
             for i in range(restarts):
                 adv = training.probe_fit(true_reps, true_latents.y,
                                          epochs=epochs, rng=rng.child(300 + i))
@@ -782,7 +801,9 @@ def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
         "data": {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1.0 / 3.0},
         "modality": {"d_I": 6},
         "methods": ["sl"],
-        "train": {"exhaustive": True, "epochs": 40000},
+        # predictions on both exhaustive splits are final by epoch 250: 250, 1000
+        # and 5000 epochs write the CSV bytes of 40000 at seeds 0-9
+        "train": {"exhaustive": True, "epochs": 5000},
         "eval": {"exhaustive": True, "splits": ["true", "train"]},
         "slacks": {"sl:true:overall:accuracy": 0.60 - sl_bound,
                    "sl:train:overall:accuracy": 0.0},
@@ -822,7 +843,10 @@ def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999},
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["supcon"],
-        "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0},
+        # the encoder has rank one, so the bias-free probe's rule is the sign of
+        # its first step: 1, 10 and 100 epochs write the CSV bytes of 20000 at
+        # seeds 0-9 (README "Known red check")
+        "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0, "probe_epochs": 100},
         "eval": {"n_eval": 20000, "splits": ["true"]},
         # claimed bounds 0.50 / 0.00; measurements land near 0.74 / 0.50, see notes
         "slacks": {"supcon:true:overall:accuracy": 0.05,
@@ -833,7 +857,9 @@ def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
         "data": {"model": "dm2", "m": 2, "alpha": 1.5, "beta": 1.0 / 3.0},
         "modality": {"d_I": 4, "d_T": 4},
         "methods": ["supcon"],
-        "train": {"exhaustive": True, "p_dim": 4, "rho": 1.0, "probe_epochs": 60000},
+        # probe predictions on both exhaustive splits are final by epoch 250: 250,
+        # 1000 and 5000 epochs write the CSV bytes of 60000 at seeds 0-9
+        "train": {"exhaustive": True, "p_dim": 4, "rho": 1.0, "probe_epochs": 5000},
         "eval": {"exhaustive": True, "splits": ["true", "train"],
                  "supcon_geometry": True, "supcon_restarts": 20},
         "slacks": {"supcon:true:overall:accuracy": 0.0,
@@ -864,15 +890,16 @@ def _id_suite(root_seed: int) -> list[ExperimentConfig]:
     return [cfg]
 
 
+# suite name -> its configs; "all" runs every suite in this order
 _SUITE_BUILDERS = {"dm1": _dm1_suite, "dm2": _dm2_suite, "captions": _captions_suite,
                    "supcon": _supcon_suite, "id": _id_suite}
+SUITES = ("all", *_SUITE_BUILDERS)
 
 
 def suite_configs(suite: str, root_seed: int = 0) -> list[ExperimentConfig]:
     """Preset configs implementing the verification suites."""
     if suite == "all":
-        return [cfg for name in ("dm1", "dm2", "captions", "supcon", "id")
-                for cfg in _SUITE_BUILDERS[name](root_seed)]
+        return [cfg for build in _SUITE_BUILDERS.values() for cfg in build(root_seed)]
     if suite not in _SUITE_BUILDERS:
         raise ValidationError(f"unknown suite {suite!r}; expected one of {SUITES}")
     return _SUITE_BUILDERS[suite](root_seed)

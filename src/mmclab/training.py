@@ -161,8 +161,7 @@ def _mmcl_objective(w_i: np.ndarray, w_t: np.ndarray, s: np.ndarray, rho: float)
 def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
                 lr: float = MMCL_GD_DEFAULTS["lr"],
                 epochs: int = MMCL_GD_DEFAULTS["epochs"],
-                rng: RngStream | None = None,
-                init_scale: float = MMCL_GD_DEFAULTS["init_scale"]) -> MMCLModel:
+                rng: RngStream | None = None) -> MMCLModel:
     """Full-batch gradient descent on the contrastive loss from small Gaussian init.
 
     The pairwise loss equals -<G, S> + (rho/2)||G||_F^2 exactly (S the
@@ -176,6 +175,7 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
         raise ArgumentError("mmcl_fit_gd requires an RngStream for initialization")
     s = empirical_cross_cov(data).S
     g = rng.generator()
+    init_scale = MMCL_GD_DEFAULTS["init_scale"]
     w_i = init_scale * g.standard_normal((p_dim, data.d_image))
     w_t = init_scale * g.standard_normal((p_dim, data.d_text))
     loss0, _, _ = _mmcl_objective(w_i, w_t, s, rho)
@@ -225,11 +225,11 @@ class _Margins:
         # rounding bound of <V, K V> per unit ||V||^2
         self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
 
-    def grad_norm(self, v, tol):
-        """The norm if it clears ``tol`` by more than rounding, else None."""
+    def grad_norm(self, v):
+        """The norm if it clears ``GRAD_TOL`` by more than rounding, else None."""
         self.kv = self.gram @ v
         quad = np.vdot(v, self.kv)
-        if quad - self.slack * np.vdot(v, v) > (tol * len(v)) ** 2:
+        if quad - self.slack * np.vdot(v, v) > (GRAD_TOL * len(v)) ** 2:
             return math.sqrt(quad) / len(v)
         return None
 
@@ -242,13 +242,12 @@ class _Margins:
         return self.w0 + self.x.T @ self.coef
 
 
-def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
-             kernel=None):
+def _descend(x, target, q, lr, epochs, w0, kernel=None):
     """Full-batch GD from w0 on the logistic loss (q = 1, ``target`` the +-1
     labels) or on cross-entropy (``target`` the class indices). It steps the
     weights, or the margins when ``kernel`` is a :class:`_Margins` state; the
     two differ only in how scores, the gradient norm and the step are formed.
-    Returns the weights, final loss and gradient norm, steps taken, snapshots.
+    Returns the weights, final loss and gradient norm, and steps taken.
     The final loss is the exact (logistic) or floored (cross-entropy) loss of
     the last epoch's scores, taken after the loop since epochs whose loss
     bound clears the blowup level skip it.
@@ -274,7 +273,6 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
         row_max = np.empty(n)
         row_sum = np.empty(n)
         max_col, sum_col = row_max[:, None], row_sum[:, None]
-    snapshots = []
     loss = np.inf
     grad_norm = np.inf
     blowup = None
@@ -284,10 +282,10 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
             scores = np.matmul(x, w, out=margins) if kernel is None else kernel.scores
             np.multiply(target, scores, out=margins)
             # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed
-            # only to set the blowup level, for loss-scaled steps, and when the
-            # bound does not clear blowup by more than rounding (NaN or inf
-            # margins never do); each divergence decision is the exact loss's
-            if (blowup is None or loss_scaled
+            # only to set the blowup level and when the bound does not clear
+            # blowup by more than rounding (NaN or inf margins never do); each
+            # divergence decision is the exact loss's
+            if (blowup is None
                     or not _LOG2 - np.add.reduce(np.minimum(margins, 0.0, out=work)) / n
                     < _BOUND_CLEARANCE * blowup):
                 loss = _logistic_loss(margins)
@@ -320,9 +318,9 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
             np.add.reduce(probs, axis=1, out=row_sum)
             np.divide(probs, sum_col, out=probs)
             # as in the logistic branch, the floored loss is needed only to set
-            # the blowup level, for loss-scaled steps, and when the bound does
-            # not clear blowup by more than rounding (NaN or inf scores never do)
-            if blowup is None or loss_scaled or not bound < _BOUND_CLEARANCE * blowup:
+            # the blowup level and when the bound does not clear blowup by more
+            # than rounding (NaN or inf scores never do)
+            if blowup is None or not bound < _BOUND_CLEARANCE * blowup:
                 own_probs = probs.take(own)
                 loss = decisive = _cross_entropy_loss(own_probs)
                 # the 1e-300 floor caps a row's loss near 690.8, under any blowup
@@ -336,45 +334,36 @@ def _descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
                     raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
             v = np.subtract(probs, onehot, out=resid)
         # v is the residual of each row, so x^T v / n is the gradient
-        tol = GRAD_TOL * loss if loss_scaled else GRAD_TOL
-        grad_norm = None if kernel is None else kernel.grad_norm(v, tol)
+        grad_norm = None if kernel is None else kernel.grad_norm(v)
         if grad_norm is None:
             grad = x.T @ v / n
             flat = grad.ravel()
             grad_norm = math.sqrt(flat @ flat)
-        if snapshot_every and epoch % snapshot_every == 0:
-            snapshots.append(w.copy() if kernel is None else kernel.weights())
-        if grad_norm < tol:
+        if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break
-        # loss-scaled steps counteract the vanishing-gradient tail after
-        # separation and reach the max-margin direction at desk scale
-        step = lr / max(loss, 1e-300) if loss_scaled else lr
         if kernel is None:
-            w -= step * grad
+            w -= lr * grad
         else:
-            kernel.step(-step, v)
+            kernel.step(-lr, v)
     if epochs:                                 # the loss of the last epoch's scores
         loss = _logistic_loss(margins) if q == 1 else _cross_entropy_loss(probs.take(own))
-    return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run, snapshots
+    return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run
 
 
 def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
               lr: float = SL_GD_DEFAULTS["lr"],
               epochs: int = SL_GD_DEFAULTS["epochs"],
-              rng: RngStream | None = None,
-              init_scale: float = SL_GD_DEFAULTS["init_scale"],
-              snapshot_every: int = 0, loss_scaled: bool = False) -> SLModel:
-    """Supervised linear fit by full-batch gradient descent.
+              rng: RngStream | None = None) -> SLModel:
+    """Supervised linear fit by full-batch gradient descent at a constant step.
 
     Binary uses logistic loss on +-1 labels (q = 1, sign rule); multiclass uses
     cross-entropy over the sorted distinct labels. At long horizons the
-    normalized direction approaches the hard-margin separator; constant steps
-    get there only logarithmically, so ``loss_scaled=True`` offers the usual
-    normalized-step acceleration for oracle comparisons. When n < d, GD runs
-    in margin space (:class:`_Margins`). ``training_meta`` records the epoch
-    budget (``epochs``), the steps taken (``epochs_run``) and the dimension GD
-    iterated in (``gd_dim``: n when n < d, else d).
+    normalized direction approaches the hard-margin separator, logarithmically
+    slowly. When n < d, GD runs in margin space (:class:`_Margins`).
+    ``training_meta`` records the epoch budget (``epochs``), the steps taken
+    (``epochs_run``) and the dimension GD iterated in (``gd_dim``: n when
+    n < d, else d).
     """
     x = np.asarray(images, dtype=float)
     if not np.all(np.isfinite(x)):
@@ -396,16 +385,12 @@ def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
         q = len(classes)
     else:
         raise ArgumentError(f"loss_kind must be logistic or cross-entropy, got {loss_kind!r}")
-    w0 = init_scale * g.standard_normal(d if q == 1 else (d, q))
-    w, loss, grad_norm, epochs_run, snaps = _descend(
-        x, target, q, lr, epochs, w0, snapshot_every, loss_scaled,
-        kernel=_Margins(x, w0) if n < d else None)
+    w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal(d if q == 1 else (d, q))
+    w, loss, grad_norm, epochs_run = _descend(
+        x, target, q, lr, epochs, w0, kernel=_Margins(x, w0) if n < d else None)
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
-            "epochs_run": epochs_run, "gd_dim": min(n, d),
-            "loss_scaled": loss_scaled, "final_loss": loss,
+            "epochs_run": epochs_run, "gd_dim": min(n, d), "final_loss": loss,
             "final_grad_norm": grad_norm}
-    if snapshot_every:
-        meta["snapshots"] = snaps
     return SLModel(W=w.reshape(d, q), q=q, classes=classes, training_meta=meta)
 
 

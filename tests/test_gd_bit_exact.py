@@ -1,6 +1,6 @@
 """The fused supervised GD loops return exactly what the straightforward loops
-in ``gd_reference`` return: weights, snapshots, final loss, final gradient
-norm, steps taken, and the epoch at which a divergent run stops."""
+in ``gd_reference`` return at constant steps: weights, final loss, final
+gradient norm, steps taken, and the epoch at which a divergent run stops."""
 import math
 
 import numpy as np
@@ -18,15 +18,12 @@ RNG = RngStream(17, 0)
 
 def _assert_identical(got, want):
     assert not isinstance(got, TrainingError), got
-    w, loss, grad_norm, epochs_run, snaps = got
-    w_ref, loss_ref, grad_norm_ref, epochs_run_ref, snaps_ref = want
+    w, loss, grad_norm, epochs_run = got
+    w_ref, loss_ref, grad_norm_ref, epochs_run_ref = want
     assert np.array_equal(w, w_ref)
     assert np.array_equal(loss, loss_ref)
     assert np.array_equal(grad_norm, grad_norm_ref)
     assert epochs_run == epochs_run_ref
-    assert len(snaps) == len(snaps_ref)
-    for snap, snap_ref in zip(snaps, snaps_ref):
-        assert np.array_equal(snap, snap_ref)
 
 
 def _problem(seed, n, d, q):
@@ -41,24 +38,24 @@ def _problem(seed, n, d, q):
     return x, labels
 
 
-def _reference_descend(x, target, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False,
-                       kernel=None):
-    """The reference loops behind ``_descend``'s signature. ``kernel`` is ignored,
-    so an n < d fit runs the loop on the raw inputs."""
+def _reference_descend(x, target, q, lr, epochs, w0, kernel=None):
+    """The reference loops at constant steps, behind ``_descend``'s signature and
+    return value. ``kernel`` is ignored, so an n < d fit runs the loop on the raw
+    inputs."""
     if q == 1:
-        return gd_reference.logistic_gd(x, target, lr, epochs, w0, snapshot_every,
-                                        loss_scaled)
-    return gd_reference.cross_entropy_gd(x, target, q, lr, epochs, w0, snapshot_every,
-                                         loss_scaled)
+        result = gd_reference.logistic_gd(x, target, lr, epochs, w0)
+    else:
+        result = gd_reference.cross_entropy_gd(x, target, q, lr, epochs, w0)
+    return result[:4]                          # without the (empty) snapshots
 
 
-def _both(x, labels, q, lr, epochs, w0, snapshot_every=0, loss_scaled=False):
+def _both(x, labels, q, lr, epochs, w0):
     """Run the fused loop and the reference; each gives a result or its error."""
     target = labels.astype(float) if q == 1 else labels
     outcomes = []
     for run in (_descend, _reference_descend):
         try:
-            outcomes.append(run(x, target, q, lr, epochs, w0, snapshot_every, loss_scaled))
+            outcomes.append(run(x, target, q, lr, epochs, w0))
         except TrainingError as err:
             outcomes.append(err)
     return outcomes
@@ -90,15 +87,6 @@ def test_loops_match_reference(n, d, q, lr, epochs):
     _assert_identical(got, want)
 
 
-@pytest.mark.parametrize("q", [1, 3])
-def test_loss_scaled_with_snapshots_matches_reference(q):
-    x, labels = _problem(3, 60, 4, q)
-    got, want = _both(x, labels, q, 0.01, 400, _init(4, 4, q), snapshot_every=25,
-                      loss_scaled=True)
-    assert len(want[4]) > 1
-    _assert_identical(got, want)
-
-
 def test_stop_on_gradient_tolerance_matches_reference():
     x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     y = np.array([1, -1, -1, 1])
@@ -125,10 +113,10 @@ def test_zero_epochs_returns_init(q):
     w0 = _init(5, 3, q)
     got, want = _both(x, labels, q, 0.05, 0, w0)
     _assert_identical(got, want)
-    w, loss, grad_norm, epochs_run, snaps = got
+    w, loss, grad_norm, epochs_run = got
     assert np.array_equal(w, w0) and w is not w0
     assert loss == grad_norm == math.inf
-    assert epochs_run == 0 and snaps == []
+    assert epochs_run == 0
 
 
 @pytest.mark.parametrize("q,lr,scale", [(1, 1e6, 1.0), (1, 1e300, 1.0), (4, 1e300, 1e10)])
@@ -205,15 +193,13 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
     to 1e-12 relative with the same step count on the n < d margin path, whose
     products round differently from the raw-input loop."""
     x, labels = _problem(7, n, d, q)
-    kwargs = dict(lr=0.5, epochs=300, rng=RNG.child(n), snapshot_every=50)
+    kwargs = dict(lr=0.5, epochs=300, rng=RNG.child(n))
     got = sl_fit_gd(x, labels, kind, **kwargs)
     want = _fit_with_reference_loops(x, labels, kind, **kwargs)
     same = np.array_equal if n >= d else _close
     assert got.classes == want.classes
+    assert same(got.W, want.W)
     meta, meta_ref = dict(got.training_meta), dict(want.training_meta)
-    snaps = zip(meta.pop("snapshots"), meta_ref.pop("snapshots"), strict=True)
-    for a, b in [(got.W, want.W), *snaps]:
-        assert same(a, b)
     if n < d:
         for key in ("final_loss", "final_grad_norm"):
             np.testing.assert_allclose(meta.pop(key), meta_ref.pop(key), rtol=1e-12)
@@ -224,11 +210,8 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 8),
        q=st.sampled_from([1, 2, 3, 5, 9, 12]), log_lr=st.floats(-3.0, 4.0),
-       epochs=st.integers(0, 80), snapshot_every=st.integers(0, 7),
-       loss_scaled=st.booleans())
-def test_random_problems_match_reference(seed, n, d, q, log_lr, epochs, snapshot_every,
-                                         loss_scaled):
+       epochs=st.integers(0, 80))
+def test_random_problems_match_reference(seed, n, d, q, log_lr, epochs):
     x, labels = _problem(seed, n, d, q)
-    got, want = _both(x, labels, q, 10.0 ** log_lr, epochs, _init(seed, d, q),
-                      snapshot_every, loss_scaled)
+    got, want = _both(x, labels, q, 10.0 ** log_lr, epochs, _init(seed, d, q))
     _assert_same_outcome(got, want)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -179,8 +180,20 @@ def test_dm2_switches_off_are_accepted_on_dm1():
       "eval": {"n_eval": 100, "supcon_geometry": True}}, "eval.supcon_geometry"),
     ({"train": {"p_dim": 2}}, "train.n_train"),
     ({"eval": {"splits": ["true"]}}, "eval.n_eval"),
+    ({"eval": {"n_eval": 100, "splits": ["true", "ood"]}}, "eval.splits: ood"),
+    ({"method_overrides": {"mmcl-closed": {"eval": {"splits": ["ood"]}}}},
+     "method_overrides.mmcl-closed.eval.splits: ood"),
+    ({"name": 5}, "name"),
+    ({"name": ["a", "b"]}, "name"),
+    ({"slacks": {"nonsense": 0.1}}, "'nonsense'"),
+    ({"slacks": {"mmcl:true:accuracy": 0.1}}, "'mmcl:true:accuracy'"),
+    ({"slacks": {"clip:true:overall:accuracy": 0.1}}, "'clip:true:overall:accuracy'"),
+    ({"slacks": {"mmcl:ood:overall:accuracy": 0.1}}, "'mmcl:ood:overall:accuracy'"),
+    ({"slacks": {"mmcl:true:overall:acc": 0.1}}, "'mmcl:true:overall:acc'"),
 ], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry", "train.n_train-missing",
-        "eval.n_eval-missing"])
+        "eval.n_eval-missing", "eval.splits-unknown", "override-eval.splits-unknown",
+        "name-number", "name-list", "slack-one-part", "slack-three-parts",
+        "slack-family", "slack-split", "slack-metric"])
 def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys, extra, key):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(_tiny_dm1_config(**extra)))
@@ -468,6 +481,17 @@ def test_suite_presets_are_valid_configs():
         assert cfg.root_seed == 9
     with pytest.raises(ValidationError):
         suite_configs("nope")
+
+
+def test_supcon_dm1_probe_is_decided_by_its_first_step():
+    # the encoder has rank one, so the bias-free probe predicts the sign of its
+    # first step along the encoder row; more epochs cannot change a report
+    (cfg,) = [c for c in harness.suite_configs("supcon", 7) if c.name == "supcon-dm1"]
+    assert cfg.train["probe_epochs"] == 100
+    runs = [run_experiment(replace(cfg, train={**cfg.train, "probe_epochs": epochs}))
+            for epochs in (1, 100)]
+    one, hundred = ([replace(rec, wall_time=0.0) for rec in recs] for recs in runs)
+    assert one == hundred and len(one) > 2
 
 
 def test_cli_run_and_exit_codes(tmp_path):
