@@ -13,7 +13,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -21,7 +21,8 @@ import numpy as np
 from . import covariance, datagen, evaluation, theory, training
 from .datagen import CaptionMask, DataModel1Params, DataModel2Params
 from .errors import DomainError, MmclabError, ValidationError
-from .numerics import RngStream, blas_threads_per_worker, make_dictionary, stream_id_for
+from .numerics import (DICTIONARY_KINDS, RngStream, blas_threads_per_worker,
+                       make_dictionary, stream_id_for)
 
 METHODS = ("mmcl-closed", "mmcl-gd", "mmcl-analytic", "sl", "supcon")
 
@@ -94,34 +95,52 @@ def _require_strings(value, where: str, allowed: tuple):
 
 
 def _require_a(kind: type, what: str):
+    """A value of ``kind``; a bool passes only as a bool, not as an int."""
     def check(value, where: str):
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ValidationError(f"{where} must be {what}, got {value!r}")
     return check
 
 
+def _require_one_of(allowed: tuple):
+    def check(value, where: str):
+        if value not in allowed:
+            raise ValidationError(f"{where} must be one of {', '.join(allowed)}, "
+                                  f"got {value!r}")
+    return check
+
+
 _NUMBER, _COUNT = _require_number, partial(_require_int, low=1)
+_TWO_OR_MORE = partial(_require_int, low=2)
 _STEP = partial(_require_number, rule=" > 0", ok=lambda v: v > 0)
+_NONNEG = partial(_require_number, rule=" >= 0", ok=lambda v: v >= 0)
 _BOOL, _TEXT = _require_a(bool, "true or false"), _require_a(str, "a string")
+# top-level key -> its rule; the defaults live on ExperimentConfig
+_TOP_FIELDS = {"name": _TEXT, "root_seed": _require_a(int, "an integer"),
+               "trials": _COUNT, "tolerance": _NONNEG,
+               "min_pass_fraction": partial(_require_number, rule=" in [0, 1]",
+                                            ok=lambda v: 0 <= v <= 1)}
 # The config schema: (section, key) -> (type rule, sweeps, data model or None for both)
 _FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys in (
     ("data", _TEXT, False, None, "model"),
     ("data", _NUMBER, True, "dm1", "sigma_core sigma_spu p_spu pi_core pi_spu"),
-    ("data", _TEXT, False, "dm1", "exponent_variant"),
-    ("data", partial(_require_int, low=2), True, "dm2", "m"),
+    ("data", _require_one_of(covariance.EXPONENT_VARIANTS), False, "dm1",
+     "exponent_variant"),
+    ("data", _TWO_OR_MORE, True, "dm2", "m"),
     ("data", _NUMBER, True, "dm2", "alpha beta pi"),
     ("modality", _COUNT, False, None, "d_I d_T"),
-    ("modality", _NUMBER, False, None, "noise_sigma_I noise_sigma_T"),
-    ("modality", _TEXT, False, None, "dictionary"),
-    ("train", _COUNT, True, None, "n_train p_dim"),
-    ("train", _NUMBER, True, None, "rho"),
+    ("modality", _NONNEG, False, None, "noise_sigma_I noise_sigma_T"),
+    ("modality", _require_one_of(DICTIONARY_KINDS), False, None, "dictionary"),
+    ("train", _TWO_OR_MORE, True, None, "n_train"),
+    ("train", _COUNT, True, None, "p_dim"),
+    ("train", _STEP, True, None, "rho"),
     ("train", _STEP, False, None, "lr probe_lr"),
     ("train", _COUNT, False, None, "epochs probe_epochs"),
     ("train", _BOOL, False, "dm2", "exhaustive"),
     ("eval", _COUNT, False, None, "n_eval adversarial_probe_epochs"),
     ("eval", partial(_require_strings, allowed=datagen.SPLITS), False, None, "splits"),
     ("eval", _BOOL, False, "dm2", "exhaustive supcon_geometry"),
-    ("eval", _NUMBER, False, None, "noise_sigma"),
+    ("eval", _NONNEG, False, None, "noise_sigma"),
     ("eval", partial(_require_int, low=0), False, "dm2", "supcon_restarts"),
 ) for key in keys.split()}
 # sweep key -> the section its values land in
@@ -165,21 +184,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     if experiment not in EXPERIMENT_KINDS:
         raise ValidationError(
             f"experiment must be one of {EXPERIMENT_KINDS}, got {experiment!r}")
-    name = doc.get("name", experiment)
-    _TEXT(name, "name")
-    root_seed = doc.get("root_seed", 0)
-    if not isinstance(root_seed, int) or isinstance(root_seed, bool):
-        raise ValidationError(f"root_seed must be an integer, got {root_seed!r}")
-    trials = doc.get("trials", 1)
-    _require_int(trials, "trials", 1)
-    tolerance = doc.get("tolerance", 0.02)
-    _require_number(tolerance, "tolerance", " >= 0", lambda v: v >= 0)
-    min_pass_fraction = doc.get("min_pass_fraction", 1.0)
-    _require_number(min_pass_fraction, "min_pass_fraction", " in [0, 1]",
-                    lambda v: 0 <= v <= 1)
+    scalars = {"name": experiment, **{key: doc[key] for key in _TOP_FIELDS if key in doc}}
+    for key, value in scalars.items():
+        _TOP_FIELDS[key](value, key)
     slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
-        _require_number(value, f"slacks.{key}", " >= 0", lambda v: v >= 0)
+        _NONNEG(value, f"slacks.{key}")
         _check_slack_key(key)
     sections = {name: _require_object(doc.get(name, {}), name)
                 for name in ("data", "modality", "train", "eval", "sweep")}
@@ -209,34 +219,45 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         _check_sections({name: _require_object(value, f"{where}.{name}")
                          for name, value in sec.items()}, model, where + ".")
     config = ExperimentConfig(
-        experiment=experiment,
-        name=name,
-        root_seed=root_seed,
-        trials=trials,
-        tolerance=tolerance,
-        min_pass_fraction=min_pass_fraction,
+        experiment=experiment, **scalars,
         data=sections["data"], modality=sections["modality"], methods=tuple(methods),
         train=sections["train"], eval=sections["eval"], sweep=sweep,
         slacks=slacks, method_overrides=overrides,
     )
-    _check_sample_sizes(config)
+    _check_cells(config)
     return config
 
 
-def _check_sample_sizes(config: ExperimentConfig):
-    """Require the sizes of sampled data for each method, with its overrides
-    merged: ``train.n_train`` unless the method trains on none (mmcl-analytic)
-    or enumerates it, and ``eval.n_eval`` unless evaluation enumerates."""
-    cell = {key: values[0] for key, values in config.sweep.items()}  # keys, not values, matter
-    for method in config.methods:
-        _, train, eval_sec = _method_sections(config, method, cell)
-        if (method != "mmcl-analytic" and not train.get("exhaustive", False)
-                and "n_train" not in train):
-            raise ValidationError(f"train.n_train is required for sampled training data "
-                                  f"(method {method})")
-        if not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec:
-            raise ValidationError(f"eval.n_eval is required for sampled evaluation "
-                                  f"(method {method})")
+def _check_cells(config: ExperimentConfig):
+    """Build the data model, caption mask and checks of every sweep cell, so that
+    a value out of its domain fails before anything runs. Then require, for each
+    method with its overrides merged, input dimensions of at least the latent
+    dimension l, ``train.n_train`` unless the method trains on none
+    (mmcl-analytic) or enumerates it, and ``eval.n_eval`` unless evaluation
+    enumerates. Bounds that depend on the method (``p_dim``) and enumeration
+    size caps stay with the run."""
+    for cell in _sweep_cells(config):
+        where = f" (sweep cell {cell})" if cell else ""
+        try:
+            data = _cell_data(config, cell)
+            params = _make_params(data)
+            _KINDS[config.experiment][1](params, _make_mask(data), data)
+        except MmclabError as exc:
+            raise ValidationError(f"{exc}{where}") from exc
+        for method in config.methods:
+            modality, train, eval_sec = _method_sections(config, method, cell)
+            if (method != "mmcl-analytic" and not train.get("exhaustive", False)
+                    and "n_train" not in train):
+                raise ValidationError(f"train.n_train is required for sampled training "
+                                      f"data (method {method})")
+            if not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec:
+                raise ValidationError(f"eval.n_eval is required for sampled evaluation "
+                                      f"(method {method})")
+            d_i = modality.get("d_I", params.l)
+            for key, dim in (("d_I", d_i), ("d_T", modality.get("d_T", d_i))):
+                if dim < params.l:
+                    raise ValidationError(f"modality.{key} is {dim}, below the latent "
+                                          f"dimension {params.l} (method {method}){where}")
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -325,64 +346,6 @@ def _make_mask(data: dict) -> CaptionMask:
     return CaptionMask.none()
 
 
-def _cell_param_row(params, train: dict, modality: dict, mask: CaptionMask) -> dict:
-    row = {"n_train": train.get("n_train"), "p_dim": train.get("p_dim"),
-           "rho": train.get("rho", 1.0), "d_I": modality.get("d_I"),
-           "d_T": modality.get("d_T", modality.get("d_I"))}
-    if isinstance(params, DataModel1Params):
-        row.update(sigma_core=params.sigma_core, sigma_spu=params.sigma_spu,
-                   p_spu=params.p_spu)
-    else:
-        row.update(m=params.m, alpha=params.alpha, beta=params.beta)
-    if mask.variant == "model1":
-        row.update(pi_core=mask.pi_core, pi_spu=mask.pi_spu)
-    elif mask.variant == "model2":
-        row.update(pi=mask.pi)
-    return row
-
-
-class _CellContext:
-    """Resolved objects for running one method inside one (cell, trial)."""
-
-    def __init__(self, config, method, cell, data, params, mask, rng: RngStream):
-        self.method, self.rng = method, rng
-        self.data_sec, self.params, self.mask = data, params, mask
-        modality, train, eval_sec = _method_sections(config, method, cell)
-        self.train_sec, self.eval_sec = train, eval_sec
-        l = self.params.l
-        d_i = modality.get("d_I", l)
-        d_t = modality.get("d_T", d_i)
-        kind = modality.get("dictionary", "identity-embed")
-        self.dict_image = make_dictionary(d_i, l, kind, rng.child(1))
-        self.dict_text = make_dictionary(d_t, l, kind, rng.child(2))
-        self.image_cfg = datagen.ModalityConfig(self.dict_image,
-                                                modality.get("noise_sigma_I", 0.0))
-        self.text_cfg = datagen.ModalityConfig(self.dict_text,
-                                               modality.get("noise_sigma_T", 0.0))
-        eval_noise = eval_sec.get("noise_sigma", self.image_cfg.noise_sigma)
-        self.eval_image_cfg = datagen.ModalityConfig(self.dict_image, eval_noise)
-        self.modality_sec = {"d_I": d_i, "d_T": d_t}
-        self.p_dim = train.get("p_dim", l)
-        self.rho = train.get("rho", 1.0)
-
-    def sampler(self, split: str) -> evaluation.EvalSampler:
-        return evaluation.EvalSampler(self.params, split, self.eval_image_cfg,
-                                      exhaustive=self.eval_sec.get("exhaustive", False))
-
-    def train_latents(self):
-        sampler = evaluation.EvalSampler(self.params, "train", self.image_cfg,
-                                         exhaustive=self.train_sec.get("exhaustive", False))
-        return sampler.draw(self.train_sec.get("n_train"), self.rng.child(20))
-
-    def evaluate_splits(self, eval_one) -> list[tuple]:
-        rows = []
-        for i, split in enumerate(self.eval_sec.get("splits", ["true"])):
-            report = eval_one(self.sampler(split), self.eval_sec.get("n_eval"),
-                              self.rng.child(40 + i))
-            rows.extend(_report_rows(report, split))
-        return rows
-
-
 def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
     rows = [("overall", "accuracy", report.overall_accuracy)]
     if any(g.minority for g in report.groups.values()):
@@ -391,85 +354,102 @@ def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
     return [(split, group, metric, value) for group, metric, value in rows]
 
 
-def _run_method(ctx: _CellContext) -> list[tuple]:
-    """Fit one method and return (split, group, metric, value) tuples."""
-    method, params, rng = ctx.method, ctx.params, ctx.rng
-    train = ctx.train_sec
+def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, params,
+                mask: CaptionMask, rng: RngStream) -> tuple[dict, list[tuple]]:
+    """Fit one method in one (cell, trial). Returns the CSV parameters of its
+    records and (split, group, metric, value) tuples."""
+    modality, train, eval_sec = _method_sections(config, method, cell)
+    d_i = modality.get("d_I", params.l)
+    d_t = modality.get("d_T", d_i)
+    kind = modality.get("dictionary", "identity-embed")
+    dict_image = make_dictionary(d_i, params.l, kind, rng.child(1))
+    dict_text = make_dictionary(d_t, params.l, kind, rng.child(2))
+    image_cfg = datagen.ModalityConfig(dict_image, modality.get("noise_sigma_I", 0.0))
+    text_cfg = datagen.ModalityConfig(dict_text, modality.get("noise_sigma_T", 0.0))
+    eval_cfg = datagen.ModalityConfig(dict_image,
+                                      eval_sec.get("noise_sigma", image_cfg.noise_sigma))
+    p_dim, rho = train.get("p_dim", params.l), train.get("rho", 1.0)
+    param_row = {"n_train": train.get("n_train"), "p_dim": train.get("p_dim"), "rho": rho,
+                 "d_I": d_i, "d_T": d_t, **asdict(params),
+                 **{k: v for k, v in asdict(mask).items() if k != "variant" and v is not None}}
+    if method != "mmcl-analytic":  # the analytic fit trains on no samples
+        sampler = evaluation.EvalSampler(params, "train", image_cfg,
+                                         exhaustive=train.get("exhaustive", False))
+        latents = sampler.draw(train.get("n_train"), rng.child(20))
+    extra = []  # supcon's rows beyond the split reports
 
-    if method in ("mmcl-closed", "mmcl-gd", "mmcl-analytic"):
+    if method.startswith("mmcl"):
         if method == "mmcl-analytic":
             if isinstance(params, DataModel1Params):
                 s = covariance.population_cross_cov_dm1(
-                    params, ctx.mask, ctx.data_sec.get("exponent_variant", "linear"))
+                    params, mask, data.get("exponent_variant", "linear"))
             else:
-                pi = ctx.mask.pi if ctx.mask.variant == "model2" else 1.0
+                pi = mask.pi if mask.variant == "model2" else 1.0
                 s = covariance.population_cross_cov_dm2(params, pi)
-            model = training.mmcl_fit_closed_form(s, ctx.p_dim, ctx.rho,
-                                                  ctx.dict_image, ctx.dict_text)
+            model = training.mmcl_fit_closed_form(s, p_dim, rho, dict_image, dict_text)
         else:
-            latents = ctx.train_latents()
-            dataset = datagen.make_paired_dataset(latents, ctx.image_cfg,
-                                                  ctx.text_cfg, ctx.mask, rng.child(21))
+            dataset = datagen.make_paired_dataset(latents, image_cfg, text_cfg, mask,
+                                                  rng.child(21))
             if method == "mmcl-closed":
                 s = covariance.empirical_cross_cov(dataset)
-                model = training.mmcl_fit_closed_form(s, ctx.p_dim, ctx.rho)
+                model = training.mmcl_fit_closed_form(s, p_dim, rho)
             else:
                 model = training.mmcl_fit_gd(
-                    dataset, ctx.p_dim, ctx.rho,
+                    dataset, p_dim, rho,
                     lr=train.get("lr", training.MMCL_GD_DEFAULTS["lr"]),
                     epochs=train.get("epochs", training.MMCL_GD_DEFAULTS["epochs"]),
                     rng=rng.child(22))
-        prompts = evaluation.build_prompts(params, ctx.dict_text)
-        return ctx.evaluate_splits(partial(evaluation.evaluate_zero_shot, model, prompts))
-
-    if method == "sl":
-        latents = ctx.train_latents()
-        images = datagen.project_latents(latents.z, ctx.image_cfg, rng.child(23))
-        kind = "logistic" if isinstance(params, DataModel1Params) else "cross-entropy"
+        prompts = evaluation.build_prompts(params, dict_text)
+        evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
+    elif method == "sl":
+        images = datagen.project_latents(latents.z, image_cfg, rng.child(23))
+        loss = "logistic" if isinstance(params, DataModel1Params) else "cross-entropy"
         model = training.sl_fit_gd(
-            images, latents.y, loss_kind=kind,
+            images, latents.y, loss_kind=loss,
             lr=train.get("lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(24))
-        return ctx.evaluate_splits(partial(evaluation.evaluate_sl, model))
-
-    if method == "supcon":
-        latents = ctx.train_latents()
-        dataset = datagen.make_paired_dataset(latents, ctx.image_cfg, ctx.image_cfg,
+        evaluate = partial(evaluation.evaluate_sl, model)
+    else:  # supcon
+        dataset = datagen.make_paired_dataset(latents, image_cfg, image_cfg,
                                               CaptionMask.none(), rng.child(21))
         cov = covariance.supcon_class_mean_cov(dataset, latents.model)
-        encoder = training.supcon_fit_closed_form(cov, ctx.p_dim, ctx.rho)
+        encoder = training.supcon_fit_closed_form(cov, p_dim, rho)
         probe = training.probe_fit(
             encoder.transform(dataset.x_image), latents.y,
             lr=train.get("probe_lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("probe_epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(25))
-        rows = ctx.evaluate_splits(partial(evaluation.evaluate_probe, encoder, probe))
-        if ctx.eval_sec.get("supcon_geometry", False):
+        evaluate = partial(evaluation.evaluate_probe, encoder, probe)
+        geometry, restarts = (eval_sec.get("supcon_geometry", False),
+                              eval_sec.get("supcon_restarts", 0))
+        if geometry or restarts:
             true_latents = datagen.enumerate_latents_dm2(params, "true")
-            true_data = datagen.make_paired_dataset(
-                true_latents, ctx.eval_image_cfg, ctx.eval_image_cfg,
-                CaptionMask.none(), rng.child(26))
-            geometry = evaluation.supcon_group_geometry(encoder, true_data)
-            rows.append(("true", "geometry", "collinearity_residual", geometry.residual))
-        restarts = ctx.eval_sec.get("supcon_restarts", 0)
+        if geometry:
+            true_data = datagen.make_paired_dataset(true_latents, eval_cfg, eval_cfg,
+                                                    CaptionMask.none(), rng.child(26))
+            residual = evaluation.supcon_group_geometry(encoder, true_data).residual
+            extra.append(("true", "geometry", "collinearity_residual", residual))
         if restarts:
             # strongest attack: probes retrained on true-split representations
-            true_latents = datagen.enumerate_latents_dm2(params, "true")
-            true_images = datagen.project_latents(true_latents.z, ctx.eval_image_cfg,
-                                                  rng.child(27))
+            true_images = datagen.project_latents(true_latents.z, eval_cfg, rng.child(27))
             true_reps = encoder.transform(true_images)
-            epochs = ctx.eval_sec.get("adversarial_probe_epochs",
-                                      training.SL_GD_DEFAULTS["epochs"])
+            epochs = eval_sec.get("adversarial_probe_epochs",
+                                  training.SL_GD_DEFAULTS["epochs"])
             for i in range(restarts):
                 adv = training.probe_fit(true_reps, true_latents.y,
                                          epochs=epochs, rng=rng.child(300 + i))
                 pred = evaluation._predict((adv.B.T,), adv.classes, true_reps)
                 acc = float(np.mean(pred == true_latents.y))
-                rows.append(("true", f"restart={i:02d}", "best_probe_accuracy", acc))
-        return rows
+                extra.append(("true", f"restart={i:02d}", "best_probe_accuracy", acc))
 
-    raise ValidationError(f"unknown method {method!r}")
+    rows = []
+    for i, split in enumerate(eval_sec.get("splits", ["true"])):
+        sampler = evaluation.EvalSampler(params, split, eval_cfg,
+                                         exhaustive=eval_sec.get("exhaustive", False))
+        report = evaluate(sampler, eval_sec.get("n_eval"), rng.child(40 + i))
+        rows.extend(_report_rows(report, split))
+    return param_row, rows + extra
 
 
 # ---------------------------------------------------------------------------
@@ -587,25 +567,16 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
     started = time.perf_counter()
     records = []
     measured = {}
-    # data model, mask and checks depend on the cell only, not on the method
-    try:
-        data = _cell_data(config, cell)
-        params, mask = _make_params(data), _make_mask(data)
-        checks = _KINDS[config.experiment][1](params, mask, data)
-        cell_error = None
-    except MmclabError as exc:
-        cell_error = exc
+    # data model, mask and checks depend on the cell only, not on the method;
+    # config_from_dict built them for every cell, so they cannot fail here
+    data = _cell_data(config, cell)
+    params, mask = _make_params(data), _make_mask(data)
+    checks = _KINDS[config.experiment][1](params, mask, data)
     for method in config.methods:
-        error = cell_error
-        if error is None:
-            try:
-                ctx = _CellContext(config, method, cell, data, params, mask,
-                                   rng.child(METHODS.index(method)))
-                param_row = _cell_param_row(params, ctx.train_sec, ctx.modality_sec, mask)
-                rows = _run_method(ctx)
-            except MmclabError as exc:
-                error = exc
-        if error is not None:
+        try:
+            param_row, rows = _run_method(config, method, cell, data, params, mask,
+                                          rng.child(METHODS.index(method)))
+        except MmclabError as error:
             records.append(RunRecord(
                 run_id=run_id, experiment=config.experiment, seed=seed, method=method,
                 params=dict(cell), split="", group="error", metric="error",

@@ -171,26 +171,20 @@ _OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
 @functools.cache
 def _openblas_threads():
     """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None
-    when none is found (MKL, Accelerate, or no ``/proc/self/maps``)."""
+    when none is found (MKL, Accelerate, or a numpy built otherwise). The calls
+    are looked up through numpy's linear-algebra extension, whose symbol search
+    also covers the libraries it links, such as its BLAS."""
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({fields[5] for fields in (line.rstrip("\n").split(None, 5)
-                                                     for line in fh)
-                            if len(fields) == 6 and "openblas" in fields[5].lower()})
-    except OSError:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for prefix, suffix in _OPENBLAS_NAMES:
-            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
-            if get is not None and put is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                put.argtypes, put.restype = [ctypes.c_int], None
-                return get, put
+    for prefix, suffix in _OPENBLAS_NAMES:
+        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
     return None
 
 

@@ -264,7 +264,7 @@ def test_evaluate_probe_dm2_and_geometry():
                                 CaptionMask.none(), RNG.child(13))
     enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
     probe = probe_fit(enc.transform(train.x_image), train.latents.y,
-                      epochs=60_000, rng=RNG.child(14))
+                      epochs=5000, rng=RNG.child(14))
     rep_train = evaluate_probe(enc, probe, EvalSampler(params, "train", cfg, True))
     rep_true = evaluate_probe(enc, probe, EvalSampler(params, "true", cfg, True))
     assert rep_train.overall_accuracy == 1.0

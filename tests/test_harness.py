@@ -64,6 +64,14 @@ def test_zero_trials_rejected():
     ("train", "exhaustive", "false"),
     ("eval", "exhaustive", 1),
     ("eval", "supcon_geometry", "no"),
+    # out of the domain
+    ("modality", "noise_sigma_I", -1.0),
+    ("modality", "noise_sigma_T", -1.0),
+    ("eval", "noise_sigma", -1.0),
+    ("train", "rho", 0),
+    ("train", "rho", -1.0),
+    ("modality", "dictionary", "bogus"),
+    ("train", "n_train", 1),
 ])
 def test_section_field_types_rejected(section, key, value):
     bad = _tiny_dm1_config()
@@ -121,6 +129,20 @@ def test_section_field_types_rejected(section, key, value):
       "eval": {"supcon_restarts": 1}}, "eval.supcon_restarts"),
     ({"method_overrides": {"mmcl-closed": {"eval": {"exhaustive": True}}}},
      "method_overrides.mmcl-closed.eval.exhaustive"),
+    # values out of the data model's domain, found when the cells are built
+    ({"data": {**_DM1, "p_spu": 0.3}}, "p_spu must lie in"),
+    ({"data": {**_DM1, "sigma_core": 0}}, "sigma_core must be > 0"),
+    ({"data": {**_DM1, "sigma_spu": -1}}, "sigma_spu must be >= 0"),
+    ({"data": {**_DM1, "pi_core": 1.5}}, "pi_core must lie in"),
+    ({"data": {**_DM1, "exponent_variant": "cubic"}}, "data.exponent_variant"),
+    ({"sweep": {"sigma_spu": [0.05, -0.5]}}, "sweep cell {'sigma_spu': -0.5}"),
+    ({"modality": {"d_I": 1, "d_T": 2}}, "modality.d_I is 1, below the latent dimension 2"),
+    ({"modality": {"d_I": 2, "d_T": 1}}, "modality.d_T is 1"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "m": 2},
+      "modality": {"d_I": 4}, "sweep": {"m": [2, 3]}},
+     "modality.d_I is 4, below the latent dimension 6 .*sweep cell {'m': 3}"),
+    ({"method_overrides": {"mmcl-closed": {"modality": {"d_T": 1}}}},
+     r"modality.d_T is 1, .*mmcl-closed"),
 ])
 def test_top_level_numbers_rejected(extra, key):
     with pytest.raises(ValidationError, match=key):
@@ -190,10 +212,28 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"slacks": {"clip:true:overall:accuracy": 0.1}}, "'clip:true:overall:accuracy'"),
     ({"slacks": {"mmcl:ood:overall:accuracy": 0.1}}, "'mmcl:ood:overall:accuracy'"),
     ({"slacks": {"mmcl:true:overall:acc": 0.1}}, "'mmcl:true:overall:acc'"),
+    ({"data": {**_DM1, "p_spu": 0.3}}, "p_spu"),
+    ({"data": {**_DM1, "sigma_core": 0}}, "sigma_core"),
+    ({"data": {**_DM1, "sigma_spu": -1}}, "sigma_spu"),
+    ({"data": {**_DM1, "pi_core": 1.5}}, "pi_core"),
+    ({"data": {**_DM1, "exponent_variant": "cubic"}}, "data.exponent_variant"),
+    ({"sweep": {"sigma_spu": [0.05, -0.5]}}, "sweep cell"),
+    ({"modality": {"d_I": 2, "d_T": 2, "noise_sigma_I": -1}}, "modality.noise_sigma_I"),
+    ({"modality": {"d_I": 2, "d_T": 2, "noise_sigma_T": -1}}, "modality.noise_sigma_T"),
+    ({"eval": {"n_eval": 100, "noise_sigma": -1}}, "eval.noise_sigma"),
+    ({"train": {"n_train": 100, "rho": 0}}, "train.rho"),
+    ({"train": {"n_train": 100, "rho": -1}}, "train.rho"),
+    ({"modality": {"d_I": 2, "dictionary": "bogus"}}, "modality.dictionary"),
+    ({"train": {"n_train": 1}}, "train.n_train"),
+    ({"modality": {"d_I": 1}}, "modality.d_I"),
 ], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry", "train.n_train-missing",
         "eval.n_eval-missing", "eval.splits-unknown", "override-eval.splits-unknown",
         "name-number", "name-list", "slack-one-part", "slack-three-parts",
-        "slack-family", "slack-split", "slack-metric"])
+        "slack-family", "slack-split", "slack-metric", "p_spu-domain", "sigma_core-zero",
+        "sigma_spu-negative", "pi_core-domain", "exponent_variant-unknown",
+        "sweep-cell-domain", "noise_sigma_I-negative", "noise_sigma_T-negative",
+        "eval.noise_sigma-negative", "rho-zero", "rho-negative", "dictionary-unknown",
+        "n_train-one", "d_I-below-l"])
 def test_cli_exits_2_on_a_mistyped_data_number(tmp_path, capsys, extra, key):
     config_path = tmp_path / "bad.json"
     config_path.write_text(json.dumps(_tiny_dm1_config(**extra)))
@@ -398,12 +438,16 @@ def test_summary_records_blas_threads_per_worker():
 
 
 def test_failed_cell_records_error_and_suite_continues():
-    doc = _tiny_dm1_config(trials=1, methods=["mmcl-closed", "mmcl-analytic"])
-    doc["sweep"] = {"sigma_spu": [-0.5, 0.05]}  # first cell violates the domain
+    # every value is in its domain, but only a run finds that exhaustive m = 10
+    # data exceeds ENUMERATION_CAP: the first cell records errors, the second runs
+    doc = _tiny_dm2_config(trials=1, methods=["mmcl-closed", "mmcl-analytic"],
+                           train={"exhaustive": True}, sweep={"m": [10, 2]})
     records = run_experiment(config_from_dict(doc))
     errors = [r for r in records if r.error]
     fine = [r for r in records if not r.error]
     assert [r.method for r in errors] == ["mmcl-closed", "mmcl-analytic"] and fine
+    assert all(r.error.startswith("SizeError") and r.run_id.endswith("c000-t00")
+               for r in errors)
     summary = summarize(records)
     assert summary["errors"] and not summary["all_passed"]
 

@@ -165,13 +165,19 @@ def test_sl_dm2_exhaustive_reaches_full_train_accuracy():
     assert np.all(pred == batch.y)
 
 
-def test_sl_direction_approaches_margin_oracle_monotonically():
+def _separable_with_oracle():
+    """A separable binary problem (n = 40, d = 5) and its unit max-margin direction."""
     g = RngStream(13, 0).generator()
     n, d = 40, 5
     y = np.repeat([1, -1], n // 2)
     x = g.standard_normal((n, d)) * 0.4 + np.outer(y, [2.0, 1.0, 0.0, 0.0, 0.0])
-    oracle = hard_margin_oracle(x, y).W[:, 0].copy()
-    oracle /= np.linalg.norm(oracle)
+    oracle = hard_margin_oracle(x, y).W[:, 0]
+    return x, y, oracle / np.linalg.norm(oracle)
+
+
+def test_sl_direction_approaches_margin_oracle_monotonically():
+    x, y, oracle = _separable_with_oracle()
+    d = x.shape[1]
     # constant steps reach the direction only logarithmically slowly, so the
     # reference loop takes loss-scaled steps from the init sl_fit_gd would use
     w0 = SL_GD_DEFAULTS["init_scale"] * RNG.child(3).generator().standard_normal(d)
@@ -183,6 +189,19 @@ def test_sl_direction_approaches_margin_oracle_monotonically():
     tail = cosines[2:]
     assert all(b >= a - 1e-6 for a, b in zip(tail, tail[1:]))
     assert cosines[-1] > 0.99
+
+
+def test_sl_fit_gd_heads_toward_margin_oracle_at_constant_steps():
+    # the library's own fit at its default step: at n = 40, d = 5 the cosine to
+    # the max-margin direction rises 0.9354, 0.9381, 0.9409, 0.9438 over these
+    # budgets (the preset supervised budget is 5000, the default 20000)
+    x, y, oracle = _separable_with_oracle()
+    cosines = []
+    for epochs in (100, 1000, 5000, 20_000):
+        w = sl_fit_gd(x, y, "logistic", epochs=epochs, rng=RNG.child(3)).W[:, 0]
+        cosines.append(w @ oracle / np.linalg.norm(w))
+    assert all(b >= a for a, b in zip(cosines, cosines[1:]))
+    assert cosines[-1] > cosines[0] + 0.005
 
 
 def test_sl_divergence_reports_lr():
@@ -476,7 +495,7 @@ def test_probe_dm2_train_and_true_accuracy():
                                 CaptionMask.none(), RNG.child(9))
     enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
     probe = probe_fit(enc.transform(train.x_image), train.latents.y,
-                      epochs=60_000, rng=RNG.child(10))
+                      epochs=5000, rng=RNG.child(10))
     true_batch = enumerate_latents_dm2(params, "true")
     reps_true = enc.transform(true_batch.z)
     pred_train = np.asarray(probe.classes)[
