@@ -41,7 +41,7 @@ sl_params = DataModel1Params(sigma_core=1.0, sigma_spu=0.01, p_spu=0.99)
 cfg_wide = ModalityConfig(make_dictionary(2000, 2), noise_sigma=0.1)
 latents = sample_latents_dm1(sl_params, 500, "train", rng.child(4))
 images = project_latents(latents.z, cfg_wide, rng.child(5))
-sl = sl_fit_gd(images, latents.y, "logistic", epochs=5000, rng=rng.child(6))
+sl = sl_fit_gd(images, latents.y, epochs=5000, rng=rng.child(6))
 sl_report = evaluate_sl(sl, EvalSampler(sl_params, "true", cfg_wide), 10000, rng.child(7))
 
 limits = sl_failure_bounds_dm1()

@@ -39,7 +39,7 @@ for m, alpha, beta in [(3, 0.7, 1 / 3), (3, 2.0, 1 / 3), (8, 2.0, 0.0), (30, 1.1
 params = DataModel2Params(3, 10.0, 1 / 3)
 cfg = ModalityConfig(make_dictionary(6, 6))
 train = enumerate_latents_dm2(params, "train")
-sl = sl_fit_gd(train.z, train.y, "cross-entropy", epochs=40000, rng=rng.child(99))
+sl = sl_fit_gd(train.z, train.y, epochs=40000, rng=rng.child(99))
 id_report = evaluate_sl(sl, EvalSampler(params, "train", cfg, exhaustive=True))
 ood_report = evaluate_sl(sl, EvalSampler(params, "true", cfg, exhaustive=True))
 bound = sl_shift_ceiling_dm2(params.alpha, params.beta)

@@ -22,7 +22,7 @@ cfg = ModalityConfig(make_dictionary(4, 4))
 
 train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                             CaptionMask.none(), rng.child(1))
-encoder = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), p_dim=4, rho=1.0)
+encoder = supcon_fit_closed_form(supcon_class_mean_cov(train), p_dim=4, rho=1.0)
 print("encoder eigenvalues:", np.round(encoder.eigenvalues, 6),
       " (2(1+a^2)/(2m-1) with multiplicity m, then zeros)")
 
@@ -47,7 +47,7 @@ print("ordering (-1,-), (+1,-), (-1,+), (+1,+): the middle two are the "
 weak = DataModel2Params(m=2, alpha=0.8, beta=1 / 3)
 train_w = make_paired_dataset(enumerate_latents_dm2(weak, "train"), cfg, cfg,
                               CaptionMask.none(), rng.child(4))
-enc_w = supcon_fit_closed_form(supcon_class_mean_cov(train_w, "dm2"), 4, 1.0)
+enc_w = supcon_fit_closed_form(supcon_class_mean_cov(train_w), 4, 1.0)
 true_w = make_paired_dataset(enumerate_latents_dm2(weak, "true"), cfg, cfg,
                              CaptionMask.none(), rng.child(5))
 print(f"\nat alpha=0.8 (< 1) the ordering becomes: "
@@ -59,7 +59,7 @@ reps_true = encoder.transform(true_data.x_image)
 for restart in range(10):
     adv = probe_fit(reps_true, true_data.latents.y, epochs=20000,
                     rng=rng.child(100 + restart))
-    pred = np.asarray(adv.classes)[(reps_true @ adv.B.T).argmax(axis=1)]
+    pred = np.asarray(adv.classes)[(reps_true @ adv.W).argmax(axis=1)]
     best = max(best, float(np.mean(pred == true_data.latents.y)))
 print(f"best probe trained directly on true-split representations: {best:.4f} "
       "(cannot beat 0.75)")

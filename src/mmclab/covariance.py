@@ -18,21 +18,19 @@ EXPONENT_VARIANTS = ("linear", "squared")
 
 @dataclass(frozen=True)
 class CrossCov:
-    """A d_I x d_T cross-covariance with provenance.
+    """A d_I x d_T cross-covariance.
 
     ``space`` records whether the matrix lives in ambient input coordinates
-    ("ambient", the empirical case) or latent coordinates ("latent", the
-    population case, lifted through dictionaries at fit time).
+    ("ambient", the empirical case, estimated from ``n`` pairs) or latent
+    coordinates ("latent", the population case with ``n`` None, lifted through
+    dictionaries at fit time).
     """
 
     S: np.ndarray
-    provenance: str           # "empirical" | "population"
     n: int | None = None
     space: str = "ambient"
 
     def __post_init__(self):
-        if self.provenance == "empirical" and self.n is None:
-            raise ArgumentError("empirical cross-covariance must record n")
         object.__setattr__(self, "S", _readonly(self.S))
 
 
@@ -45,12 +43,10 @@ def empirical_cross_cov(data: PairedDataset) -> CrossCov:
     so the cost stays O(n * d_I * d_T).
     """
     n = data.n
-    if n < 2:
-        raise ArgumentError(f"empirical cross-covariance needs n >= 2, got {n}")
     paired = data.x_image.T @ data.x_text
     sums = np.outer(data.x_image.sum(axis=0), data.x_text.sum(axis=0))
     s = paired / (n - 1) - sums / (n * (n - 1))
-    return CrossCov(S=s, provenance="empirical", n=n, space="ambient")
+    return CrossCov(S=s, n=n, space="ambient")
 
 
 def population_cross_cov_dm1(params: DataModel1Params,
@@ -75,7 +71,7 @@ def population_cross_cov_dm1(params: DataModel1Params,
     q = 2 * params.p_spu - 1
     s = np.array([[1 + e_core * params.sigma_core ** 2, q],
                   [q, 1 + e_spu * params.sigma_spu ** 2]])
-    return CrossCov(S=s, provenance="population", space="latent")
+    return CrossCov(S=s, space="latent")
 
 
 def population_cross_cov_dm2(params: DataModel2Params, pi: float = 1.0) -> CrossCov:
@@ -97,7 +93,7 @@ def population_cross_cov_dm2(params: DataModel2Params, pi: float = 1.0) -> Cross
     s[:m, m:] = pi * a / m * eye
     s[m:, :m] = a / m * eye
     s[m:, m:] = pi * a ** 2 * shared / m * eye
-    return CrossCov(S=s, provenance="population", space="latent")
+    return CrossCov(S=s, space="latent")
 
 
 @dataclass(frozen=True)
@@ -112,16 +108,15 @@ class ClassMeanCov:
         object.__setattr__(self, "S", _readonly(self.S))
 
 
-def supcon_class_mean_cov(data: PairedDataset, model: str) -> ClassMeanCov:
-    """Class-mean covariance of the image modality.
+def supcon_class_mean_cov(data: PairedDataset) -> ClassMeanCov:
+    """Class-mean covariance of the image modality under ``data.latents.model``.
 
     Model 1 (binary +-1 labels):
         S = 1/2 (sum_y xbar_y xbar_y^T - sum_y xbar_y xbar_{-y}^T)
     Model 2 (labels 1..2m):
         S = 1/(2m - 1) sum_y xbar_y xbar_y^T
     """
-    if model not in ("dm1", "dm2"):
-        raise ArgumentError(f"model must be dm1 or dm2, got {model!r}")
+    model = data.latents.model
     labels = data.latents.y
     classes = (-1, 1) if model == "dm1" else tuple(range(1, 2 * (data.latents.l // 2) + 1))
     means = {}

@@ -80,6 +80,8 @@ class LatentBatch:
     def __init__(self, model: str, split: str, z: np.ndarray, y: np.ndarray,
                  a: np.ndarray | None = None, k: np.ndarray | None = None,
                  c: np.ndarray | None = None):
+        if model not in ("dm1", "dm2"):
+            raise ArgumentError(f"model must be dm1 or dm2, got {model!r}")
         self.model = model
         self.split = split
         self.z = _readonly(z)

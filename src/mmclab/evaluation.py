@@ -1,7 +1,7 @@
 """Zero-shot prompts, classification rules, and grouped accuracy reports on the
 training (ID) and true (OOD) distributions.
 
-All three rules (x G P^T, x W, x W_enc^T B^T) score through one path, which
+All three rules (x G P^T, x W, x W_enc^T W) score through one path, which
 multiplies the factors left to right in the old order; that is why the CSV bytes hold.
 """
 from __future__ import annotations
@@ -15,7 +15,7 @@ from .datagen import (DataModel1Params, DataModel2Params, LatentBatch,
                       project_latents, sample_latents_dm1, sample_latents_dm2)
 from .errors import ArgumentError, ConfigurationError, DimensionError, NumericError
 from .numerics import Dictionary, RngStream, _readonly
-from .training import MMCLModel, ProbeModel, SLModel, SupConEncoder
+from .training import MMCLModel, SLModel, SupConEncoder
 
 SMALL_GROUP_COUNT = 50
 
@@ -175,8 +175,6 @@ def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
                                  f"match the rule's input dim {factors[0].shape[0]}")
     batch = sampler.draw(n_eval, None if rng is None else rng.child(11))
     noise_rng = None if rng is None else rng.child(12)
-    if sampler.image_cfg.noise_sigma > 0 and noise_rng is None:
-        raise ArgumentError("noisy evaluation requires an RngStream")
     x = project_latents(batch.z, sampler.image_cfg, noise_rng)
     pred = _predict(factors, classes, x)
     mode = "exhaustive" if sampler.exhaustive else "sampled"
@@ -196,11 +194,11 @@ def evaluate_sl(model: SLModel, sampler: EvalSampler, n_eval: int | None = None,
     return _evaluate((model.W,), model.classes, sampler, n_eval, rng)
 
 
-def evaluate_probe(encoder: SupConEncoder, probe: ProbeModel, sampler: EvalSampler,
+def evaluate_probe(encoder: SupConEncoder, probe: SLModel, sampler: EvalSampler,
                    n_eval: int | None = None,
                    rng: RngStream | None = None) -> EvalReport:
     """Grouped accuracy of a linear probe on frozen encoder representations."""
-    return _evaluate((encoder.W.T, probe.B.T), probe.classes, sampler, n_eval, rng)
+    return _evaluate((encoder.W.T, probe.W), probe.classes, sampler, n_eval, rng)
 
 
 @dataclass(frozen=True)

@@ -403,9 +403,8 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, p
         evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
     elif method == "sl":
         images = datagen.project_latents(latents.z, image_cfg, rng.child(23))
-        loss = "logistic" if isinstance(params, DataModel1Params) else "cross-entropy"
         model = training.sl_fit_gd(
-            images, latents.y, loss_kind=loss,
+            images, latents.y,
             lr=train.get("lr", training.SL_GD_DEFAULTS["lr"]),
             epochs=train.get("epochs", training.SL_GD_DEFAULTS["epochs"]),
             rng=rng.child(24))
@@ -413,7 +412,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, p
     else:  # supcon
         dataset = datagen.make_paired_dataset(latents, image_cfg, image_cfg,
                                               CaptionMask.none(), rng.child(21))
-        cov = covariance.supcon_class_mean_cov(dataset, latents.model)
+        cov = covariance.supcon_class_mean_cov(dataset)
         encoder = training.supcon_fit_closed_form(cov, p_dim, rho)
         probe = training.probe_fit(
             encoder.transform(dataset.x_image), latents.y,
@@ -439,7 +438,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, p
             for i in range(restarts):
                 adv = training.probe_fit(true_reps, true_latents.y,
                                          epochs=epochs, rng=rng.child(300 + i))
-                pred = evaluation._predict((adv.B.T,), adv.classes, true_reps)
+                pred = evaluation._predict((adv.W,), adv.classes, true_reps)
                 acc = float(np.mean(pred == true_latents.y))
                 extra.append(("true", f"restart={i:02d}", "best_probe_accuracy", acc))
 

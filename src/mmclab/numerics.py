@@ -119,7 +119,7 @@ def make_dictionary(d: int, l: int, kind: str = "identity-embed",
     if d < l or l < 1:
         raise DimensionError(f"need d >= l >= 1, got d={d}, l={l}")
     if kind == "identity-embed":
-        return Dictionary(np.eye(d)[:, :l], kind)
+        return Dictionary(np.eye(d, l), kind)
     if kind == "random-orthonormal":
         if rng is None:
             raise DomainError("random-orthonormal dictionary requires an RngStream")

@@ -62,14 +62,15 @@ class SLModel:
     column per class (argmax rule over ``classes``)."""
 
     W: np.ndarray                     # d x q
-    q: int
     classes: tuple
     training_meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "W", _readonly(self.W))
-        if self.W.shape[1] != self.q:
-            raise DimensionError(f"W has {self.W.shape[1]} columns but q={self.q}")
+
+    @property
+    def q(self) -> int:
+        return self.W.shape[1]
 
 
 @dataclass(frozen=True)
@@ -91,18 +92,6 @@ class SupConEncoder:
 
     def transform(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float) @ self.W.T
-
-
-@dataclass(frozen=True)
-class ProbeModel:
-    """Linear classifier fitted on frozen representations."""
-
-    B: np.ndarray                     # q x p
-    classes: tuple
-    training_meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "B", _readonly(self.B))
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +157,6 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
     empirical cross-covariance), so gradients are computed in that form; the
     tests check the identity against the pairwise loss.
     """
-    if data.n < 2:
-        raise ArgumentError("gradient-descent fit needs n >= 2")
     _check_gd_budget(lr, epochs)
     if rng is None:
         raise ArgumentError("mmcl_fit_gd requires an RngStream for initialization")
@@ -351,47 +338,43 @@ def _descend(x, target, q, lr, epochs, w0, kernel=None):
     return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run
 
 
-def sl_fit_gd(images: np.ndarray, labels, loss_kind: str = "logistic",
-              lr: float = SL_GD_DEFAULTS["lr"],
+def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
               epochs: int = SL_GD_DEFAULTS["epochs"],
               rng: RngStream | None = None) -> SLModel:
     """Supervised linear fit by full-batch gradient descent at a constant step.
 
-    Binary uses logistic loss on +-1 labels (q = 1, sign rule); multiclass uses
-    cross-entropy over the sorted distinct labels. At long horizons the
-    normalized direction approaches the hard-margin separator, logarithmically
-    slowly. When n < d, GD runs in margin space (:class:`_Margins`).
-    ``training_meta`` records the epoch budget (``epochs``), the steps taken
-    (``epochs_run``) and the dimension GD iterated in (``gd_dim``: n when
-    n < d, else d).
+    Labels in {-1, +1} take the logistic loss (q = 1, sign rule); any other
+    labels take cross-entropy over the sorted distinct ones. At long horizons
+    the normalized direction approaches the hard-margin separator,
+    logarithmically slowly. When n < d, GD runs in margin space
+    (:class:`_Margins`). ``training_meta`` records the loss (``loss_kind``),
+    the epoch budget (``epochs``), the steps taken (``epochs_run``) and the
+    dimension GD iterated in (``gd_dim``: n when n < d, else d).
     """
     x = np.asarray(images, dtype=float)
     if not np.all(np.isfinite(x)):
         raise ArgumentError("inputs must be finite")
-    if len(np.unique(np.asarray(labels))) < 2:
+    y = np.asarray(labels)
+    distinct, index = np.unique(y, return_inverse=True)
+    if len(distinct) < 2:
         raise ArgumentError("labels must cover at least 2 classes")
     _check_gd_budget(lr, epochs)
     if rng is None:
         raise ArgumentError("sl_fit_gd requires an RngStream for initialization")
     g = rng.generator()
     n, d = x.shape
-    if loss_kind == "logistic":
-        if not set(np.unique(labels)) <= {-1, 1}:
-            raise ArgumentError("logistic loss expects labels in {-1, +1}")
-        q, classes, target = 1, (-1, 1), np.asarray(labels).astype(float)
-    elif loss_kind == "cross-entropy":
-        distinct, target = np.unique(np.asarray(labels), return_inverse=True)
-        classes = tuple(int(v) for v in distinct)
-        q = len(classes)
+    if distinct.tolist() == [-1, 1]:
+        loss_kind, q, classes, target = "logistic", 1, (-1, 1), y.astype(float)
     else:
-        raise ArgumentError(f"loss_kind must be logistic or cross-entropy, got {loss_kind!r}")
+        loss_kind, q, target = "cross-entropy", len(distinct), index
+        classes = tuple(distinct.tolist())
     w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal(d if q == 1 else (d, q))
     w, loss, grad_norm, epochs_run = _descend(
         x, target, q, lr, epochs, w0, kernel=_Margins(x, w0) if n < d else None)
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
             "epochs_run": epochs_run, "gd_dim": min(n, d), "final_loss": loss,
             "final_grad_norm": grad_norm}
-    return SLModel(W=w.reshape(d, q), q=q, classes=classes, training_meta=meta)
+    return SLModel(W=w.reshape(d, q), classes=classes, training_meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +405,6 @@ def supcon_fit_closed_form(cov: ClassMeanCov, p_dim: int, rho: float) -> SupConE
 
 def probe_fit(representations: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
               epochs: int = SL_GD_DEFAULTS["epochs"],
-              rng: RngStream | None = None) -> ProbeModel:
-    """Linear classifier on frozen representations (same GD contract as sl_fit_gd)."""
-    y = np.asarray(labels)
-    binary = set(np.unique(y)) <= {-1, 1}
-    kind = "logistic" if binary else "cross-entropy"
-    model = sl_fit_gd(representations, y, loss_kind=kind, lr=lr, epochs=epochs, rng=rng)
-    return ProbeModel(B=model.W.T, classes=model.classes,
-                      training_meta=model.training_meta)
+              rng: RngStream | None = None) -> SLModel:
+    """Linear classifier on frozen representations: :func:`sl_fit_gd` on them."""
+    return sl_fit_gd(representations, labels, lr=lr, epochs=epochs, rng=rng)

@@ -97,6 +97,6 @@ def hard_margin_oracle(images: np.ndarray, labels,
                               "(or oracle iteration budget too small)")
     w = w_of(alpha)
     if classes == (-1, 1):
-        return SLModel(W=(w[:, 1] - w[:, 0])[:, None], q=1, classes=classes,
+        return SLModel(W=(w[:, 1] - w[:, 0])[:, None], classes=classes,
                        training_meta={"fit": "hard-margin-oracle"})
-    return SLModel(W=w, q=q, classes=classes, training_meta={"fit": "hard-margin-oracle"})
+    return SLModel(W=w, classes=classes, training_meta={"fit": "hard-margin-oracle"})

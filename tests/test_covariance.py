@@ -57,7 +57,7 @@ def test_empirical_monte_carlo_converges_to_population_dm1():
 def test_population_dm1_literal():
     cov = population_cross_cov_dm1(DataModel1Params(1.0, 0.1, 0.9))
     np.testing.assert_allclose(cov.S, [[2.0, 0.8], [0.8, 1.01]], atol=1e-15)
-    assert cov.space == "latent" and cov.provenance == "population"
+    assert cov.space == "latent" and cov.n is None
     np.testing.assert_array_equal(cov.S, cov.S.T)
 
 
@@ -141,7 +141,7 @@ def test_supcon_dm1_exact_means_eigenstructure():
     # rows are exactly the population class means +-[1, 2p-1] at p = 0.9
     rows = np.array([[1.0, 0.8], [-1.0, -0.8]])
     data = _dataset_from_rows(rows, rows, [1, -1])
-    cov = supcon_class_mean_cov(data, "dm1")
+    cov = supcon_class_mean_cov(data)
     evals = np.linalg.eigvalsh(cov.S)
     assert evals[-1] == pytest.approx(3.28, abs=1e-12)  # 2((2p-1)^2 + 1)
     assert abs(evals[0]) < 1e-10                        # rank one by construction
@@ -152,7 +152,7 @@ def test_supcon_dm2_exhaustive_eigenvalues():
     batch = enumerate_latents_dm2(params, "train")
     cfg = ModalityConfig(make_dictionary(4, 4))
     data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), RNG.child(7))
-    cov = supcon_class_mean_cov(data, "dm2")
+    cov = supcon_class_mean_cov(data)
     evals = np.sort(np.linalg.eigvalsh(cov.S))[::-1]
     np.testing.assert_allclose(evals[:2], 4.0 / 3.0, atol=1e-12)  # 2(1+a^2)/(2m-1)
     np.testing.assert_allclose(evals[2:], 0.0, atol=1e-12)
@@ -163,7 +163,7 @@ def test_supcon_missing_class_error():
     rows = np.array([[1.0, 0.8], [0.9, 0.7]])
     data = _dataset_from_rows(rows, rows, [1, 1])
     with pytest.raises(ArgumentError, match="-1"):
-        supcon_class_mean_cov(data, "dm1")
+        supcon_class_mean_cov(data)
 
 
 def test_empirical_requires_two_rows():

@@ -106,6 +106,12 @@ def test_mask_full_collapse_to_group_means():
     np.testing.assert_array_equal(out, [[1.0, -1.0]])
 
 
+def test_latent_batch_rejects_an_unknown_model():
+    # consumers such as supcon_class_mean_cov take their rule from batch.model
+    with pytest.raises(ArgumentError, match="dm3"):
+        LatentBatch("dm3", "train", np.zeros((2, 2)), [1, -1])
+
+
 def test_mask_model2_keeps_only_class_coordinate():
     batch = sample_latents_dm2(DataModel2Params(2, 1.0, 0.5), 10, "true", RNG.child(13))
     out = _mask_batch(batch, CaptionMask.model2(0.0), RNG.child(14))

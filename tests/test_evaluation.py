@@ -10,7 +10,7 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     probe_fit, sample_latents_dm1, supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
 from mmclab.evaluation import _wilson_radius, evaluate_probe
-from mmclab.training import MMCLModel, ProbeModel, SLModel, SupConEncoder
+from mmclab.training import MMCLModel, SLModel, SupConEncoder
 from zero_shot_rule import zero_shot_predict
 
 RNG = RngStream(31, 0)
@@ -103,7 +103,7 @@ def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():
 def test_crosscov_scale_field_never_changes_predictions():
     params = DataModel1Params(1.0, 0.1, 0.9)
     base = population_cross_cov_dm1(params)
-    rescaled = CrossCov(S=7.3 * base.S, provenance="population", space="latent")
+    rescaled = CrossCov(S=7.3 * base.S, space="latent")
     prompts = build_prompts(params, make_dictionary(2, 2))
     m1 = mmcl_fit_closed_form(base, 2, 1.0)
     m2 = mmcl_fit_closed_form(rescaled, 2, 1.0)
@@ -162,7 +162,7 @@ def test_evaluate_zero_shot_dm1_matches_theory_bound():
 def test_evaluate_sl_known_weights_match_gaussian_oracle():
     # sign(z_core) classifier: accuracy = Phi(1 / sigma_core) on every group
     params = DataModel1Params(0.8, 0.3, 0.9)
-    model = SLModel(W=np.array([[1.0], [0.0]]), q=1, classes=(-1, 1))
+    model = SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1))
     rep = evaluate_sl(model, EvalSampler(params, "true", _identity_cfg(2, 2)),
                       200_000, RNG.child(8))
     assert rep.overall_accuracy == pytest.approx(phi_cdf(1 / 0.8), abs=0.005)
@@ -171,7 +171,7 @@ def test_evaluate_sl_known_weights_match_gaussian_oracle():
 def test_evaluate_sl_spurious_only_weights():
     # sign(z_spu) classifier: majority groups perfect-ish, minority near zero
     params = DataModel1Params(1.0, 0.1, 0.9)
-    model = SLModel(W=np.array([[0.0], [1.0]]), q=1, classes=(-1, 1))
+    model = SLModel(W=np.array([[0.0], [1.0]]), classes=(-1, 1))
     rep = evaluate_sl(model, EvalSampler(params, "train", _identity_cfg(2, 2)),
                       100_000, RNG.child(9))
     assert rep.overall_accuracy == pytest.approx(0.9, abs=0.01)
@@ -194,10 +194,10 @@ def _dm1_rule(params):
             MMCLModel(G=np.eye(2), p_dim=2, rho=1.0),
             build_prompts(params, make_dictionary(2, 2)), sampler, *args),
         "sl": lambda sampler, *args: evaluate_sl(
-            SLModel(W=np.array([[1.0], [0.0]]), q=1, classes=(-1, 1)), sampler, *args),
+            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), sampler, *args),
         "probe": lambda sampler, *args: evaluate_probe(
             SupConEncoder(W=np.eye(2), eigenvalues=np.ones(2), p_dim=2, rho=1.0),
-            ProbeModel(B=np.array([[1.0, 0.0]]), classes=(-1, 1)), sampler, *args),
+            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), sampler, *args),
     }
 
 
@@ -211,9 +211,19 @@ def test_sampled_evaluation_without_rng_is_argument_error(method):
     assert evaluate(sampler, 100, RNG.child(40)).n_eval == 100
 
 
+def test_noisy_exhaustive_evaluation_without_rng_is_argument_error():
+    # exhaustive model-2 rows need no stream, but their projection noise does
+    params = DataModel2Params(2, 1.5, 1 / 3)
+    sampler = EvalSampler(params, "true", _identity_cfg(4, 4, noise=0.1), exhaustive=True)
+    model = SLModel(W=np.eye(4), classes=(1, 2, 3, 4))
+    with pytest.raises(ArgumentError, match="RngStream"):
+        evaluate_sl(model, sampler)
+    assert evaluate_sl(model, sampler, rng=RNG.child(41)).mode == "exhaustive"
+
+
 def test_eval_report_group_flags():
     params = DataModel1Params(1.0, 0.1, 0.999)
-    model = SLModel(W=np.array([[1.0], [0.0]]), q=1, classes=(-1, 1))
+    model = SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1))
     rep = evaluate_sl(model, EvalSampler(params, "train", _identity_cfg(2, 2)),
                       5_000, RNG.child(10))
     minority_counts = [g.count for g in rep.groups.values() if g.minority]
@@ -262,7 +272,7 @@ def test_evaluate_probe_dm2_and_geometry():
     cfg = _identity_cfg(4, 4)
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(13))
-    enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     probe = probe_fit(enc.transform(train.x_image), train.latents.y,
                       epochs=5000, rng=RNG.child(14))
     rep_train = evaluate_probe(enc, probe, EvalSampler(params, "train", cfg, True))
@@ -281,7 +291,7 @@ def test_geometry_ordering_swaps_below_unit_alpha():
     cfg = _identity_cfg(4, 4)
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(16))
-    enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     true_data = make_paired_dataset(enumerate_latents_dm2(params, "true"), cfg, cfg,
                                     CaptionMask.none(), RNG.child(17))
     geometry = supcon_group_geometry(enc, true_data)
@@ -293,6 +303,6 @@ def test_geometry_requires_both_spurious_signs():
     cfg = _identity_cfg(4, 4)
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(18))
-    enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     with pytest.raises(ArgumentError):
         supcon_group_geometry(enc, train)  # training split has one sign per class

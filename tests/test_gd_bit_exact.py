@@ -194,8 +194,8 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
     products round differently from the raw-input loop."""
     x, labels = _problem(7, n, d, q)
     kwargs = dict(lr=0.5, epochs=300, rng=RNG.child(n))
-    got = sl_fit_gd(x, labels, kind, **kwargs)
-    want = _fit_with_reference_loops(x, labels, kind, **kwargs)
+    got = sl_fit_gd(x, labels, **kwargs)
+    want = _fit_with_reference_loops(x, labels, **kwargs)
     same = np.array_equal if n >= d else _close
     assert got.classes == want.classes
     assert same(got.W, want.W)
@@ -205,6 +205,7 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
             np.testing.assert_allclose(meta.pop(key), meta_ref.pop(key), rtol=1e-12)
     assert meta == meta_ref
     assert meta["gd_dim"] == min(n, d)
+    assert meta["loss_kind"] == kind
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -452,6 +452,21 @@ def test_failed_cell_records_error_and_suite_continues():
     assert summary["errors"] and not summary["all_passed"]
 
 
+def test_mmcl_gd_runs_from_a_config_and_records_a_diverging_lr():
+    doc = _tiny_dm1_config(trials=1, methods=["mmcl-closed", "mmcl-gd"],
+                           train={"n_train": 5000, "p_dim": 2, "rho": 1.0},
+                           eval={"n_eval": 5000, "splits": ["true"]})
+    records = run_experiment(config_from_dict(doc))
+    assert not any(r.error for r in records)
+    checks = {(r.method, r.group): r.passed for r in records if r.passed is not None}
+    assert checks == {(method, group): True for method in ("mmcl-closed", "mmcl-gd")
+                      for group in ("overall", "minority")}
+    doc["train"]["lr"] = 1e6
+    errors = [r for r in run_experiment(config_from_dict(doc)) if r.error]
+    assert [r.method for r in errors] == ["mmcl-gd"]
+    assert errors[0].error.startswith("TrainingError") and "lr=1000000.0" in errors[0].error
+
+
 def test_json_summary_aggregates_and_verdict(tmp_path):
     records = run_experiment(config_from_dict(_tiny_dm1_config()))
     summary = emit_json_summary(records, tmp_path / "summary.json")

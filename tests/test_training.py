@@ -24,8 +24,7 @@ def _model1_dataset(seed, n=200, d=32, noise=0.1, p_spu=0.9):
 
 
 def _population_cov(matrix):
-    return CrossCov(S=np.asarray(matrix, dtype=float), provenance="population",
-                    space="latent")
+    return CrossCov(S=np.asarray(matrix, dtype=float), space="latent")
 
 
 def test_closed_form_rank1_truncation_and_rho_scaling():
@@ -153,14 +152,14 @@ def test_factor_rotation_leaves_g_and_loss():
 def test_sl_separable_toy_sign():
     x = np.array([[2.0], [-2.0]])
     y = np.array([1, -1])
-    model = sl_fit_gd(x, y, "logistic", epochs=500, rng=RNG.child(1))
+    model = sl_fit_gd(x, y, epochs=500, rng=RNG.child(1))
     assert model.W[0, 0] > 0
 
 
 def test_sl_dm2_exhaustive_reaches_full_train_accuracy():
     params = DataModel2Params(3, 10.0, 1 / 3)
     batch = enumerate_latents_dm2(params, "train")
-    model = sl_fit_gd(batch.z, batch.y, "cross-entropy", epochs=20000, rng=RNG.child(2))
+    model = sl_fit_gd(batch.z, batch.y, epochs=20000, rng=RNG.child(2))
     pred = np.asarray(model.classes)[(batch.z @ model.W).argmax(axis=1)]
     assert np.all(pred == batch.y)
 
@@ -198,7 +197,7 @@ def test_sl_fit_gd_heads_toward_margin_oracle_at_constant_steps():
     x, y, oracle = _separable_with_oracle()
     cosines = []
     for epochs in (100, 1000, 5000, 20_000):
-        w = sl_fit_gd(x, y, "logistic", epochs=epochs, rng=RNG.child(3)).W[:, 0]
+        w = sl_fit_gd(x, y, epochs=epochs, rng=RNG.child(3)).W[:, 0]
         cosines.append(w @ oracle / np.linalg.norm(w))
     assert all(b >= a for a, b in zip(cosines, cosines[1:]))
     assert cosines[-1] > cosines[0] + 0.005
@@ -207,12 +206,27 @@ def test_sl_fit_gd_heads_toward_margin_oracle_at_constant_steps():
 def test_sl_divergence_reports_lr():
     data = _model1_dataset(8)
     with pytest.raises(TrainingError, match="lr"):
-        sl_fit_gd(data.x_image, data.latents.y, "logistic", lr=1e6, rng=RNG.child(4))
+        sl_fit_gd(data.x_image, data.latents.y, lr=1e6, rng=RNG.child(4))
 
 
 def test_sl_needs_two_classes():
     with pytest.raises(ArgumentError):
-        sl_fit_gd(np.eye(3), [1, 1, 1], "cross-entropy", rng=RNG.child(5))
+        sl_fit_gd(np.eye(3), [1, 1, 1], rng=RNG.child(5))
+
+
+@pytest.mark.parametrize("labels,kind,classes", [
+    ([1, -1, 1, -1], "logistic", (-1, 1)),
+    ([1.0, -1.0, 1.0, -1.0], "logistic", (-1, 1)),
+    ([1, 0, 1, 0], "cross-entropy", (0, 1)),
+    ([3, 1, 2, 1], "cross-entropy", (1, 2, 3)),
+    ([0.5, 1.5, 0.5, 1.5], "cross-entropy", (0.5, 1.5)),
+])
+def test_sl_loss_follows_the_labels(labels, kind, classes):
+    x = np.array([[1.0, 0.5], [-1.0, 0.2], [0.8, -0.4], [-0.6, -0.9]])
+    model = sl_fit_gd(x, labels, epochs=5, rng=RNG.child(5))
+    assert model.training_meta["loss_kind"] == kind
+    assert model.classes == classes
+    assert model.q == model.W.shape[1] == (1 if kind == "logistic" else len(classes))
 
 
 @pytest.mark.parametrize("lr", [-1.0, 0.0, np.nan, np.inf])
@@ -271,9 +285,10 @@ def _assert_close(a, b):
 @pytest.mark.parametrize("duplicate", [False, True])
 def test_sl_row_space_gd_matches_raw_loop(kind, q, duplicate):
     x, labels = _wide_problem(21, q, duplicate)
-    model = sl_fit_gd(x, labels, kind, lr=0.5, epochs=400, rng=RNG.child(20))
+    model = sl_fit_gd(x, labels, lr=0.5, epochs=400, rng=RNG.child(20))
     w0, w, loss, grad_norm, epochs_run = _direct_fit(x, labels, kind, RNG.child(20), 0.5, 400)
     meta = model.training_meta
+    assert meta["loss_kind"] == kind
     _assert_close(model.W, w)
     np.testing.assert_allclose(meta["final_loss"], loss, rtol=1e-12)
     np.testing.assert_allclose(meta["final_grad_norm"], grad_norm, rtol=1e-12)
@@ -295,7 +310,7 @@ def test_sl_row_space_gd_divergence_reports_lr():
     x, labels = np.vstack([x, x]), np.concatenate([labels, -labels])
     assert x.shape[0] < x.shape[1]
     with pytest.raises(TrainingError, match="lr"):
-        sl_fit_gd(x, labels, "logistic", lr=1e6, rng=RNG.child(21))
+        sl_fit_gd(x, labels, lr=1e6, rng=RNG.child(21))
 
 
 @pytest.mark.parametrize("d", [3, 60])
@@ -310,7 +325,7 @@ def test_cross_entropy_divergence_reports_lr(d, lr):
     x, labels = np.vstack([x, x]), np.concatenate([labels, (labels + 1) % 4])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingError, match="lr"):
-            sl_fit_gd(x, labels, "cross-entropy", lr=lr, epochs=50, rng=RNG.child(24))
+            sl_fit_gd(x, labels, lr=lr, epochs=50, rng=RNG.child(24))
 
 
 @pytest.mark.parametrize("kind,q", [("logistic", 1), ("cross-entropy", 3)])
@@ -325,7 +340,7 @@ def test_sl_margin_space_gd_stops_on_gradient_tolerance_like_raw_loop(kind, q):
     labels = (np.concatenate([first, -first]) if q == 1 else
               np.concatenate([(first + shift) % q for shift in range(q)]))
     x = np.vstack([x] * max(q, 2))
-    model = sl_fit_gd(x, labels, kind, lr=0.5, epochs=20000, rng=RNG.child(25))
+    model = sl_fit_gd(x, labels, lr=0.5, epochs=20000, rng=RNG.child(25))
     _, w, loss, grad_norm, epochs_run = _direct_fit(x, labels, kind, RNG.child(25), 0.5, 20000)
     meta = model.training_meta
     assert 0 < epochs_run < 20000
@@ -352,7 +367,7 @@ def test_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
 def test_sl_meta_reports_epochs_run_and_gd_dim():
     x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     y = np.array([1, -1, -1, 1])
-    model = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=20000, rng=RNG.child(22))
+    model = sl_fit_gd(x, y, lr=0.5, epochs=20000, rng=RNG.child(22))
     meta = model.training_meta
     assert meta["gd_dim"] == 1
     assert meta["epochs"] == 20000
@@ -360,11 +375,11 @@ def test_sl_meta_reports_epochs_run_and_gd_dim():
     assert meta["final_grad_norm"] < GRAD_TOL
     # epochs_run counts weight updates: that many reach the returned weights
     steps = meta["epochs_run"]
-    budget = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=steps, rng=RNG.child(22))
-    fewer = sl_fit_gd(x, y, "logistic", lr=0.5, epochs=steps - 1, rng=RNG.child(22))
+    budget = sl_fit_gd(x, y, lr=0.5, epochs=steps, rng=RNG.child(22))
+    fewer = sl_fit_gd(x, y, lr=0.5, epochs=steps - 1, rng=RNG.child(22))
     np.testing.assert_array_equal(budget.W, model.W)
     assert not np.array_equal(fewer.W, model.W)
-    exhausted = sl_fit_gd(x[:2], [1, -1], "logistic", epochs=50,
+    exhausted = sl_fit_gd(x[:2], [1, -1], epochs=50,
                           rng=RNG.child(23)).training_meta
     assert exhausted["epochs_run"] == 50
 
@@ -435,7 +450,7 @@ def _dm1_exact_mean_cov(p_spu=0.9):
     q = 2 * p_spu - 1
     rows = np.array([[1.0, q], [-1.0, -q]])
     batch = LatentBatch("dm1", "train", rows, np.array([1, -1]), a=np.array([1, -1]))
-    return supcon_class_mean_cov(PairedDataset(rows, rows, batch), "dm1")
+    return supcon_class_mean_cov(PairedDataset(rows, rows, batch))
 
 
 def test_supcon_dm1_rank_one_representation():
@@ -463,7 +478,7 @@ def test_supcon_dm2_group_means_follow_coefficient_formula():
     cfg = ModalityConfig(make_dictionary(4, 4))
     enc = supcon_fit_closed_form(supcon_class_mean_cov(
         make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
-                            CaptionMask.none(), RNG.child(7)), "dm2"), 4, 1.0)
+                            CaptionMask.none(), RNG.child(7))), 4, 1.0)
     reps = enc.transform(batch.z)
     spu_sign = np.sign(batch.z[np.arange(len(batch)), batch.k - 1 + m]).astype(int)
     for k in (1, 2):
@@ -485,7 +500,7 @@ def test_supcon_dm2_group_means_follow_coefficient_formula():
 def test_probe_learns_signs_on_one_dimensional_reps():
     reps = np.array([[1.0], [1.2], [-0.9], [-1.1]])
     probe = probe_fit(reps, [1, 1, -1, -1], epochs=2000, rng=RNG.child(8))
-    assert probe.B[0, 0] > 0
+    assert probe.W[0, 0] > 0
 
 
 def test_probe_dm2_train_and_true_accuracy():
@@ -493,13 +508,13 @@ def test_probe_dm2_train_and_true_accuracy():
     cfg = ModalityConfig(make_dictionary(4, 4))
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(9))
-    enc = supcon_fit_closed_form(supcon_class_mean_cov(train, "dm2"), 4, 1.0)
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     probe = probe_fit(enc.transform(train.x_image), train.latents.y,
                       epochs=5000, rng=RNG.child(10))
     true_batch = enumerate_latents_dm2(params, "true")
     reps_true = enc.transform(true_batch.z)
     pred_train = np.asarray(probe.classes)[
-        (enc.transform(train.x_image) @ probe.B.T).argmax(axis=1)]
-    pred_true = np.asarray(probe.classes)[(reps_true @ probe.B.T).argmax(axis=1)]
+        (enc.transform(train.x_image) @ probe.W).argmax(axis=1)]
+    pred_true = np.asarray(probe.classes)[(reps_true @ probe.W).argmax(axis=1)]
     assert np.all(pred_train == train.latents.y)
     assert np.mean(pred_true == true_batch.y) == 0.5
