@@ -22,7 +22,7 @@ print("== condition beta^2 m > alpha^2 (1+beta)/(1-beta) - 1 + beta^2 ==")
 for m, alpha, beta in [(3, 0.7, 1 / 3), (3, 2.0, 1 / 3), (8, 2.0, 0.0), (30, 1.1, 1 / 3)]:
     params = DataModel2Params(m, alpha, beta)
     cfg = ModalityConfig(make_dictionary(params.l, params.l))
-    holds = perfect_zero_shot_condition_dm2(m, alpha, beta).values["condition"]
+    holds = perfect_zero_shot_condition_dm2(m, alpha, beta)
     model = mmcl_fit_closed_form(population_cross_cov_dm2(params), params.l, 1.0,
                                  cfg.dictionary, cfg.dictionary)
     prompts = build_prompts(params, cfg.dictionary)

@@ -44,7 +44,7 @@ m, alpha, beta = 30, 1.1, 1 / 3
 params2 = DataModel2Params(m, alpha, beta)
 cfg2 = ModalityConfig(make_dictionary(params2.l, params2.l))
 prompts2 = build_prompts(params2, cfg2.dictionary)
-pi_tilde = caption_masking_threshold_dm2(m, alpha, beta).values["pi_threshold"]
+pi_tilde = caption_masking_threshold_dm2(m, alpha, beta)
 
 print(f"\n== model 2: accuracy vs pi (threshold {pi_tilde:.4f}) ==")
 for pi in (0.1, 0.3, 0.42, 0.46, 0.6, 0.9):

@@ -21,13 +21,12 @@ class CrossCov:
     """A d_I x d_T cross-covariance.
 
     ``space`` records whether the matrix lives in ambient input coordinates
-    ("ambient", the empirical case, estimated from ``n`` pairs) or latent
-    coordinates ("latent", the population case with ``n`` None, lifted through
-    dictionaries at fit time).
+    ("ambient", the empirical case, estimated from ``data.n`` pairs) or latent
+    coordinates ("latent", the population case, lifted through dictionaries at
+    fit time).
     """
 
     S: np.ndarray
-    n: int | None = None
     space: str = "ambient"
 
     def __post_init__(self):
@@ -46,7 +45,7 @@ def empirical_cross_cov(data: PairedDataset) -> CrossCov:
     paired = data.x_image.T @ data.x_text
     sums = np.outer(data.x_image.sum(axis=0), data.x_text.sum(axis=0))
     s = paired / (n - 1) - sums / (n * (n - 1))
-    return CrossCov(S=s, n=n, space="ambient")
+    return CrossCov(S=s, space="ambient")
 
 
 def population_cross_cov_dm1(params: DataModel1Params,
@@ -101,8 +100,6 @@ class ClassMeanCov:
     """Class-mean second-moment matrix driving the supervised-contrastive fit."""
 
     S: np.ndarray                 # d_I x d_I, symmetric PSD
-    class_means: dict             # label -> mean image input
-    model: str                    # "dm1" | "dm2"
 
     def __post_init__(self):
         object.__setattr__(self, "S", _readonly(self.S))
@@ -130,4 +127,4 @@ def supcon_class_mean_cov(data: PairedDataset) -> ClassMeanCov:
                    - sum(np.outer(means[y], means[-y]) for y in classes))
     else:
         s = sum(np.outer(mu, mu) for mu in means.values()) / (len(classes) - 1)
-    return ClassMeanCov(S=s, class_means=means, model=model)
+    return ClassMeanCov(S=s)

@@ -17,20 +17,15 @@ from .errors import ArgumentError, ConfigurationError, DimensionError, NumericEr
 from .numerics import Dictionary, RngStream, _readonly
 from .training import MMCLModel, SLModel, SupConEncoder
 
-SMALL_GROUP_COUNT = 50
-
-
 @dataclass(frozen=True)
 class PromptSet:
     """One text prompt per class: p_y = D_T zbar_y, with zbar_y the latent
     class mean under the true distribution."""
 
     classes: tuple               # ascending; argmax ties resolve to the first
-    latent_means: np.ndarray     # n_classes x l
     prompts: np.ndarray          # n_classes x d_T
 
     def __post_init__(self):
-        object.__setattr__(self, "latent_means", _readonly(self.latent_means))
         object.__setattr__(self, "prompts", _readonly(self.prompts))
 
 
@@ -54,8 +49,7 @@ def build_prompts(params, text_dictionary: Dictionary) -> PromptSet:
             means[y - 1, k - 1] = c
     else:
         raise ArgumentError(f"unsupported params type {type(params).__name__}")
-    return PromptSet(classes=classes, latent_means=means,
-                     prompts=means @ text_dictionary.matrix.T)
+    return PromptSet(classes=classes, prompts=means @ text_dictionary.matrix.T)
 
 
 @dataclass(frozen=True)
@@ -91,7 +85,6 @@ class GroupStat:
     count: int
     mc_radius: float
     minority: bool
-    small_sample: bool
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,7 @@ class EvalReport:
 
     Group keys: model 1 uses (y, a) pairs; model 2 uses the class label plus
     whether the spurious coordinate agreed with it. ``mc_radius`` is the 95%
-    Wilson score half-width (Wilson 1927), positive even at accuracy 0 or 1;
-    groups with fewer than 50 samples are flagged ``small_sample``.
+    Wilson score half-width (Wilson 1927), positive even at accuracy 0 or 1.
     """
 
     overall_accuracy: float
@@ -109,7 +101,6 @@ class EvalReport:
     n_eval: int
     mc_radius: float
     split: str
-    mode: str = "sampled"
 
     def minority_accuracy(self) -> float:
         """Count-weighted accuracy over groups where the spurious cue fails."""
@@ -124,7 +115,7 @@ def _wilson_radius(acc: float, n: int, z: float = 1.96) -> float:
     return z / (1.0 + z * z / n) * np.sqrt(acc * (1.0 - acc) / n + z * z / (4.0 * n * n))
 
 
-def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> EvalReport:
+def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
     n = len(batch)
     # one group index per row, and (name, minority) per index: model 1 by
     # (y, a), model 2 by class and whether the spurious coordinate agrees with it
@@ -144,11 +135,10 @@ def _report(correct: np.ndarray, batch: LatentBatch, split: str, mode: str) -> E
         if cnt == 0:
             continue
         acc = hit / cnt
-        groups[name] = GroupStat(acc, cnt, _wilson_radius(acc, cnt), minority=minority,
-                                 small_sample=cnt < SMALL_GROUP_COUNT)
+        groups[name] = GroupStat(acc, cnt, _wilson_radius(acc, cnt), minority=minority)
     overall = float(correct.mean())
     return EvalReport(overall_accuracy=overall, groups=groups, n_eval=n,
-                      mc_radius=_wilson_radius(overall, n), split=split, mode=mode)
+                      mc_radius=_wilson_radius(overall, n), split=split)
 
 
 def _predict(factors: tuple, classes: tuple, x: np.ndarray) -> np.ndarray:
@@ -177,8 +167,7 @@ def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
     noise_rng = None if rng is None else rng.child(12)
     x = project_latents(batch.z, sampler.image_cfg, noise_rng)
     pred = _predict(factors, classes, x)
-    mode = "exhaustive" if sampler.exhaustive else "sampled"
-    return _report(pred == batch.y, batch, sampler.split, mode)
+    return _report(pred == batch.y, batch, sampler.split)
 
 
 def evaluate_zero_shot(model: MMCLModel, prompts: PromptSet, sampler: EvalSampler,

@@ -291,15 +291,9 @@ class RunRecord:
 
 
 def check_passes(value: float, prediction: float, comparator: str, slack: float) -> bool:
-    if comparator == "lower-bound":
-        return value >= prediction - slack
-    if comparator == "upper-bound":
-        return value <= prediction + slack
-    if comparator == "equality-threshold":
-        return abs(value - prediction) <= slack
-    if comparator == "boolean-condition":
-        return bool(value) == bool(prediction)
-    raise ValidationError(f"unknown comparator {comparator!r}")
+    if comparator not in theory.COMPARATORS:
+        raise ValidationError(f"unknown comparator {comparator!r}")
+    return theory.COMPARATORS[comparator](value, prediction, slack)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +469,7 @@ def _dm1_robustness_checks(params, mask, data) -> dict:
 
 
 def _dm2_robustness_checks(params, mask, data) -> dict:
-    if theory.perfect_zero_shot_condition_dm2(params.m, params.alpha,
-                                              params.beta).values["condition"]:
+    if theory.perfect_zero_shot_condition_dm2(params.m, params.alpha, params.beta):
         checks = {("mmcl", split, "overall", "accuracy"): (1.0, "equality-threshold")
                   for split in ("true", "train")}
     else:
@@ -501,8 +494,7 @@ def _caption_dm1_checks(params, mask, data) -> dict:
 def _caption_dm2_checks(params, mask, data) -> dict:
     pi = mask.pi if mask.variant == "model2" else 1.0
     try:
-        pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha,
-                                                        params.beta).values["pi_threshold"]
+        pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha, params.beta)
     except DomainError:
         return {}
     key = ("mmcl", "true", "overall", "accuracy")
@@ -739,17 +731,17 @@ def _dm1_suite(root_seed: int) -> list[ExperimentConfig]:
     })
     sl = config_from_dict({
         "experiment": "dm1-robustness", "name": "dm1-sl", "root_seed": root_seed,
-        "trials": 10, "min_pass_fraction": 0.9,
+        "trials": 10,
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.99},
         "modality": {"d_I": 2000, "noise_sigma_I": 0.1},
         "methods": ["sl"],
-        # the spurious-dominated direction is already locked in well before the
-        # 20000-epoch default; 5000 keeps the 10-trial suite fast
+        # the verdict is locked in well before the 20000-epoch default, though the
+        # direction is not: at 5000 epochs the fit's cosine to the hard-margin
+        # limit is only about 0.05. 5000 keeps the 10-trial suite fast
         "train": {"n_train": 500, "epochs": 5000},
         "eval": {"n_eval": 10000, "splits": ["true"]},
-        # desk-scale relaxations: overall < 0.70 and minority < 0.40
-        "slacks": {"sl:true:overall:accuracy": 0.70 - 2.0 / 3.0,
-                   "sl:true:minority:accuracy": 0.40 - 1.0 / 3.0},
+        "slacks": {"sl:true:overall:accuracy": 0.0,
+                   "sl:true:minority:accuracy": 0.0},
     })
     return [mmcl, sl]
 

@@ -11,7 +11,7 @@ import ctypes
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,7 +88,6 @@ class Dictionary:
     """Orthonormal-column projection from latent space into a modality's input space."""
 
     matrix: np.ndarray  # shape (d, l), d >= l
-    kind: str
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -119,14 +118,14 @@ def make_dictionary(d: int, l: int, kind: str = "identity-embed",
     if d < l or l < 1:
         raise DimensionError(f"need d >= l >= 1, got d={d}, l={l}")
     if kind == "identity-embed":
-        return Dictionary(np.eye(d, l), kind)
+        return Dictionary(np.eye(d, l))
     if kind == "random-orthonormal":
         if rng is None:
             raise DomainError("random-orthonormal dictionary requires an RngStream")
         g = rng.generator()
         q, r = np.linalg.qr(g.standard_normal((d, l)))
         q = q * np.sign(np.where(np.diag(r) == 0, 1.0, np.diag(r)))
-        return Dictionary(q, kind)
+        return Dictionary(q)
     raise DomainError(f"unknown dictionary kind {kind!r}; expected one of {DICTIONARY_KINDS}")
 
 
@@ -134,15 +133,14 @@ def make_dictionary(d: int, l: int, kind: str = "identity-embed",
 class SvdTop:
     """Top-p singular triplets of a matrix, values descending.
 
-    ``rank`` counts the retained values above ``cutoff``; values below it are
-    numerically zero and flagged by ``rank < p``.
+    ``rank`` counts the retained values above ``RANK_CUTOFF_RATIO * values[0]``;
+    values below that are numerically zero and flagged by ``rank < p``.
     """
 
     values: np.ndarray   # (p,)
     left: np.ndarray     # (d_rows, p)
     right: np.ndarray    # (d_cols, p)
-    cutoff: float
-    rank: int = field(default=0)
+    rank: int
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.values) @ self.right.T
@@ -159,7 +157,7 @@ def svd_top(matrix: np.ndarray, p: int) -> SvdTop:
     cutoff = RANK_CUTOFF_RATIO * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s[:p] > cutoff))
     return SvdTop(values=_readonly(s[:p]), left=_readonly(u[:, :p]),
-                  right=_readonly(vt[:p].T), cutoff=float(cutoff), rank=rank)
+                  right=_readonly(vt[:p].T), rank=rank)
 
 
 # (prefix, suffix) of the thread-count calls that OpenBLAS builds export, e.g.

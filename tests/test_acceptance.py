@@ -182,7 +182,7 @@ def test_criterion_07_caption_threshold_dm2(captions_records):
     by_pi = {rec.params["pi"]: rec.value
              for rec in _pick(captions_records, method="mmcl-analytic", split="true",
                               group="overall")}
-    pi_tilde = caption_masking_threshold_dm2(30, 1.1, 1 / 3).values["pi_threshold"]
+    pi_tilde = caption_masking_threshold_dm2(30, 1.1, 1 / 3)
     ok = abs(by_pi[0.6] - 1.0) <= 0.005 and by_pi[0.3] <= 0.51
     _criterion("07", ok, f"threshold {pi_tilde:.4f}; acc(pi=0.6) = {by_pi[0.6]:.4f} "
                          f"(1.0 +- 0.005), acc(pi=0.3) = {by_pi[0.3]:.4f} (<= 0.51)")
@@ -286,8 +286,8 @@ def test_criterion_10_threshold_equivalence():
         m = int(g.integers(2, 80))
         alpha = float(g.uniform(0.05, 3.0))
         beta = float(g.uniform(0.01, 0.99))
-        condition = perfect_zero_shot_condition_dm2(m, alpha, beta).values["condition"]
-        threshold = caption_masking_threshold_dm2(m, alpha, beta).values["pi_threshold"]
+        condition = perfect_zero_shot_condition_dm2(m, alpha, beta)
+        threshold = caption_masking_threshold_dm2(m, alpha, beta)
         ok = ok and (condition == (threshold < 1))
     _criterion("10c", ok, "full-caption robustness condition matches "
                           "(threshold < 1) on 1000 random parameter draws")

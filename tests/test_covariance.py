@@ -57,7 +57,7 @@ def test_empirical_monte_carlo_converges_to_population_dm1():
 def test_population_dm1_literal():
     cov = population_cross_cov_dm1(DataModel1Params(1.0, 0.1, 0.9))
     np.testing.assert_allclose(cov.S, [[2.0, 0.8], [0.8, 1.01]], atol=1e-15)
-    assert cov.space == "latent" and cov.n is None
+    assert cov.space == "latent"
     np.testing.assert_array_equal(cov.S, cov.S.T)
 
 

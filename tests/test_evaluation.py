@@ -120,7 +120,7 @@ def test_evaluate_zero_shot_dm2_perfect_accuracy_both_paths():
     analytic = mmcl_fit_closed_form(population_cross_cov_dm2(params), 6, 1.0,
                                     make_dictionary(6, 6), make_dictionary(6, 6))
     rep = evaluate_zero_shot(analytic, prompts, sampler)
-    assert rep.overall_accuracy == 1.0 and rep.mode == "exhaustive"
+    assert rep.overall_accuracy == 1.0
     # at accuracy 1 the Wilson radius is z^2 / (2 (n + z^2)) overall and per
     # group, where a normal-approximation radius is 0
     for n, radius in [(rep.n_eval, rep.mc_radius),
@@ -218,17 +218,8 @@ def test_noisy_exhaustive_evaluation_without_rng_is_argument_error():
     model = SLModel(W=np.eye(4), classes=(1, 2, 3, 4))
     with pytest.raises(ArgumentError, match="RngStream"):
         evaluate_sl(model, sampler)
-    assert evaluate_sl(model, sampler, rng=RNG.child(41)).mode == "exhaustive"
-
-
-def test_eval_report_group_flags():
-    params = DataModel1Params(1.0, 0.1, 0.999)
-    model = SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1))
-    rep = evaluate_sl(model, EvalSampler(params, "train", _identity_cfg(2, 2)),
-                      5_000, RNG.child(10))
-    minority_counts = [g.count for g in rep.groups.values() if g.minority]
-    assert minority_counts and all(g.small_sample for g in rep.groups.values()
-                                   if g.count < 50)
+    # with a stream it evaluates every true-split row: 2m classes x 4^(m-1) x 2
+    assert evaluate_sl(model, sampler, rng=RNG.child(41)).n_eval == 32
 
 
 def test_dm1_label_flip_symmetry():

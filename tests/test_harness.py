@@ -342,7 +342,8 @@ def test_check_passes_directions():
     assert check_passes(0.56, 0.55, "upper-bound", 0.02)
     assert check_passes(0.515, 0.5, "equality-threshold", 0.02)
     assert not check_passes(0.53, 0.5, "equality-threshold", 0.02)
-    assert check_passes(1.0, True, "boolean-condition", 0.0)
+    with pytest.raises(ValidationError, match="boolean-condition"):
+        check_passes(1.0, True, "boolean-condition", 0.0)
 
 
 def test_emit_csv_header_only_for_empty_records(tmp_path):
@@ -528,6 +529,23 @@ def test_theory_checks_carry_the_declared_prediction_and_comparator(doc, declare
                                                         pred.comparators[name]), key
             seen.add(key)
     assert seen == set(declared)
+
+
+def test_every_preset_check_names_a_comparator_of_the_table():
+    # the harness's own constants (1.0, 0.5, 0.75, id_gap >= 0) meet no other
+    # comparator check before a record is compared
+    seen = set()
+    for cfg in harness.suite_configs("all", 0):
+        build = harness._KINDS[cfg.experiment][1]
+        for cell in harness._sweep_cells(cfg):
+            data = harness._cell_data(cfg, cell)
+            checks = build(harness._make_params(data), harness._make_mask(data), data)
+            assert checks, (cfg.name, cell)
+            for key, (prediction, comparator) in checks.items():
+                assert comparator in theory.COMPARATORS, (cfg.name, cell, key)
+                assert np.isfinite(prediction), (cfg.name, cell, key)
+                seen.add(comparator)
+    assert seen == set(theory.COMPARATORS)
 
 
 def test_suite_presets_are_valid_configs():

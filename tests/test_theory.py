@@ -76,9 +76,9 @@ def test_sl_shift_ceiling_vacuous_regime():
 
 
 def test_perfect_condition_reference_points():
-    assert perfect_zero_shot_condition_dm2(3, 0.7, 1 / 3).values["condition"] is True
+    assert perfect_zero_shot_condition_dm2(3, 0.7, 1 / 3) is True
     for m in (2, 5, 50):
-        assert perfect_zero_shot_condition_dm2(m, 2.0, 0.0).values["condition"] is False
+        assert perfect_zero_shot_condition_dm2(m, 2.0, 0.0) is False
 
 
 def test_perfect_condition_equivalent_to_threshold_below_one():
@@ -87,8 +87,8 @@ def test_perfect_condition_equivalent_to_threshold_below_one():
         m = int(g.integers(2, 60))
         alpha = float(g.uniform(0.05, 2.5))
         beta = float(g.uniform(0.01, 0.99))
-        condition = perfect_zero_shot_condition_dm2(m, alpha, beta).values["condition"]
-        threshold = caption_masking_threshold_dm2(m, alpha, beta).values["pi_threshold"]
+        condition = perfect_zero_shot_condition_dm2(m, alpha, beta)
+        threshold = caption_masking_threshold_dm2(m, alpha, beta)
         assert condition == (threshold < 1)
 
 
@@ -121,21 +121,19 @@ def test_masked_minority_monotone_in_pi_core():
 
 
 def test_masking_threshold_reference_point():
-    pred = caption_masking_threshold_dm2(30, 1.1, 1 / 3)
+    pi_tilde = caption_masking_threshold_dm2(30, 1.1, 1 / 3)
     # ((4/3) * 1.21 - 2/3) / ((2/3) * (1/9) * 29) = 25.56 / 58
-    assert pred.values["pi_threshold"] == pytest.approx(25.56 / 58, abs=1e-12)
-    assert pred.values["pi_threshold"] == pytest.approx(0.4407, abs=5e-5)
+    assert pi_tilde == pytest.approx(25.56 / 58, abs=1e-12)
+    assert pi_tilde == pytest.approx(0.4407, abs=5e-5)
 
 
 def test_masking_threshold_negative_means_always_robust():
-    pred = caption_masking_threshold_dm2(3, 0.7, 1 / 3)
-    assert pred.values["pi_threshold"] < 0
-    assert perfect_zero_shot_condition_dm2(3, 0.7, 1 / 3).values["condition"] is True
+    assert caption_masking_threshold_dm2(3, 0.7, 1 / 3) < 0
+    assert perfect_zero_shot_condition_dm2(3, 0.7, 1 / 3) is True
 
 
 def test_masking_threshold_decreasing_in_m():
-    values = [caption_masking_threshold_dm2(m, 1.1, 1 / 3).values["pi_threshold"]
-              for m in range(2, 40)]
+    values = [caption_masking_threshold_dm2(m, 1.1, 1 / 3) for m in range(2, 40)]
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
@@ -152,7 +150,6 @@ def test_in_distribution_reference_points():
     assert pred.values["mmcl_id"] == pytest.approx(phi_oracle((2 * 0.999 + 1) / 2), abs=1e-9)
     assert pred.values["mmcl_id"] == pytest.approx(0.9332, abs=1e-3)
     assert pred.values["sl_id"] > pred.values["mmcl_id"]
-    assert "typo" in pred.notes
 
 
 def test_zero_shot_robustness_dm1_relationships_on_grid():
