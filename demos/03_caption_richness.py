@@ -2,9 +2,8 @@
 """What caption detail buys: masking sweeps for both data models.
 
 Model 1: captions keep the core-feature variation with probability pi_core.
-Minority accuracy climbs with pi_core and ignores pi_spu; the sweep also shows
-which exponent variant of the masked prediction the measurements follow (the
-masked covariance is linear in pi, and so are the measurements).
+Minority accuracy climbs with pi_core and ignores pi_spu, and follows the
+masked prediction, which is linear in pi_core as the masked covariance is.
 
 Model 2: captions keep off-class features with probability pi. Robust
 classification switches on sharply at the closed-form threshold.
@@ -24,7 +23,7 @@ cfg = ModalityConfig(make_dictionary(2, 2))
 prompts = build_prompts(params, cfg.dictionary)
 
 print("== model 1: minority accuracy vs caption detail ==")
-print("pi_core  measured   linear-pred  squared-pred")
+print("pi_core  measured   predicted")
 for pi_core in (0.0, 0.25, 0.5, 0.75, 1.0):
     mask = CaptionMask.model1(pi_core=pi_core, pi_spu=0.0)
     latents = sample_latents_dm1(params, 50000, "train", rng.child(int(pi_core * 100)))
@@ -32,11 +31,10 @@ for pi_core in (0.0, 0.25, 0.5, 0.75, 1.0):
     model = mmcl_fit_closed_form(empirical_cross_cov(data), 2, 1.0)
     report = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
                                 50000, rng.child(int(pi_core * 100) + 2))
-    linear = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pi_core, "linear")
-    squared = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pi_core, "squared")
+    pred = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pi_core)
     print(f"  {pi_core:.2f}   {report.minority_accuracy():.4f}     "
-          f"{linear.values['minority']:.4f}       {squared.values['minority']:.4f}")
-print("(the measurements track the linear column; mentioning spurious detail "
+          f"{pred.values['minority']:.4f}")
+print("(the measurements track the prediction; mentioning spurious detail "
       "has no effect)")
 
 # ---- model 2: threshold behavior in pi

@@ -17,8 +17,7 @@ config = config_from_dict({
     "name": "demo-sweep",
     "root_seed": 123,
     "trials": 3,
-    "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999,
-             "exponent_variant": "linear"},
+    "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999},
     "modality": {"d_I": 2, "d_T": 2},
     "methods": ["mmcl-closed"],
     "train": {"n_train": 10000, "p_dim": 2, "rho": 1.0},

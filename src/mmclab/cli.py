@@ -76,7 +76,8 @@ def main(argv=None) -> int:
     try:
         _check_out_dir(Path(args.out))
         if args.command == "verify":
-            records, min_fraction = run_suite(args.suite, args.seed, args.threads)
+            records = run_suite(args.suite, args.seed, args.threads)
+            min_fraction = 1.0  # the presets check every trial
         else:
             config = config_from_file(args.config)
             if args.command == "sweep" and not config.sweep:

@@ -13,8 +13,6 @@ from .datagen import CaptionMask, DataModel1Params, DataModel2Params, PairedData
 from .errors import ArgumentError, ConfigurationError, DomainError
 from .numerics import _readonly
 
-EXPONENT_VARIANTS = ("linear", "squared")
-
 
 @dataclass(frozen=True)
 class CrossCov:
@@ -49,24 +47,19 @@ def empirical_cross_cov(data: PairedDataset) -> CrossCov:
 
 
 def population_cross_cov_dm1(params: DataModel1Params,
-                             mask: CaptionMask = CaptionMask.none(),
-                             exponent_variant: str = "linear") -> CrossCov:
+                             mask: CaptionMask = CaptionMask.none()) -> CrossCov:
     """Analytic 2x2 training cross-covariance for model 1, in latent space.
 
     Unmasked: [[1 + sc^2, 2p - 1], [2p - 1, 1 + ss^2]]. Masking scales the
-    diagonal variance terms by pi (the expectation of the Bernoulli keep
-    indicator; ``exponent_variant="squared"`` substitutes pi^2 for comparison
-    runs, see the caption-sweep verification).
+    diagonal variance terms by pi, the expectation of the Bernoulli keep
+    indicator.
     """
     if mask.variant not in ("none", "model1"):
         raise ConfigurationError(f"model-1 covariance cannot use a {mask.variant} mask")
-    if exponent_variant not in EXPONENT_VARIANTS:
-        raise DomainError(f"exponent_variant must be one of {EXPONENT_VARIANTS}")
     if mask.variant == "none":
         e_core = e_spu = 1.0
     else:
-        power = 1 if exponent_variant == "linear" else 2
-        e_core, e_spu = mask.pi_core ** power, mask.pi_spu ** power
+        e_core, e_spu = mask.pi_core, mask.pi_spu
     q = 2 * params.p_spu - 1
     s = np.array([[1 + e_core * params.sigma_core ** 2, q],
                   [q, 1 + e_spu * params.sigma_spu ** 2]])

@@ -102,11 +102,11 @@ def _require_a(kind: type, what: str):
     return check
 
 
-def _require_one_of(allowed: tuple):
+def _require_one_of(allowed: tuple, why: str = ""):
     def check(value, where: str):
         if value not in allowed:
             raise ValidationError(f"{where} must be one of {', '.join(allowed)}, "
-                                  f"got {value!r}")
+                                  f"got {value!r}{why}")
     return check
 
 
@@ -124,8 +124,9 @@ _TOP_FIELDS = {"name": _TEXT, "root_seed": _require_a(int, "an integer"),
 _FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys in (
     ("data", _TEXT, False, None, "model"),
     ("data", _NUMBER, True, "dm1", "sigma_core sigma_spu p_spu pi_core pi_spu"),
-    ("data", _require_one_of(covariance.EXPONENT_VARIANTS), False, "dm1",
-     "exponent_variant"),
+    # a no-op that older configs still set; no other value loads
+    ("data", _require_one_of(("linear",), ": the masked covariance is linear in pi_core"),
+     False, "dm1", "exponent_variant"),
     ("data", _TWO_OR_MORE, True, "dm2", "m"),
     ("data", _NUMBER, True, "dm2", "alpha beta pi"),
     ("modality", _COUNT, False, None, "d_I d_T"),
@@ -239,9 +240,7 @@ def _check_cells(config: ExperimentConfig):
     for cell in _sweep_cells(config):
         where = f" (sweep cell {cell})" if cell else ""
         try:
-            data = _cell_data(config, cell)
-            params = _make_params(data)
-            _KINDS[config.experiment][1](params, _make_mask(data), data)
+            params, _, _ = _build_cell(config, cell)
         except MmclabError as exc:
             raise ValidationError(f"{exc}{where}") from exc
         for method in config.methods:
@@ -308,11 +307,13 @@ def _sweep_cells(config: ExperimentConfig) -> list[dict]:
             for combo in itertools.product(*(config.sweep[k] for k in keys))]
 
 
-def _cell_data(config: ExperimentConfig, cell: dict) -> dict:
-    """The data section of one sweep cell; method overrides never touch it."""
+def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
+    """The data model, caption mask and checks of one sweep cell. They depend on
+    the cell's data section only, which method overrides never touch."""
     data = dict(config.data)
     data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
-    return data
+    params, mask = _make_params(data), _make_mask(data)
+    return params, mask, _KINDS[config.experiment][1](params, mask)
 
 
 def _method_sections(config: ExperimentConfig, method: str, cell: dict):
@@ -348,7 +349,7 @@ def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
     return [(split, group, metric, value) for group, metric, value in rows]
 
 
-def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, params,
+def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                 mask: CaptionMask, rng: RngStream) -> tuple[dict, list[tuple]]:
     """Fit one method in one (cell, trial). Returns the CSV parameters of its
     records and (split, group, metric, value) tuples."""
@@ -375,8 +376,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, data: dict, p
     if method.startswith("mmcl"):
         if method == "mmcl-analytic":
             if isinstance(params, DataModel1Params):
-                s = covariance.population_cross_cov_dm1(
-                    params, mask, data.get("exponent_variant", "linear"))
+                s = covariance.population_cross_cov_dm1(params, mask)
             else:
                 pi = mask.pi if mask.variant == "model2" else 1.0
                 s = covariance.population_cross_cov_dm2(params, pi)
@@ -460,7 +460,7 @@ def _declared(pred: theory.TheoremPrediction, key: str) -> tuple:
 # comparator here; every other check comes from theory unchanged.
 
 
-def _dm1_robustness_checks(params, mask, data) -> dict:
+def _dm1_robustness_checks(params, mask) -> dict:
     mmcl = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
     sl = theory.sl_failure_bounds_dm1()
     return {(family, "true", group, "accuracy"): _declared(pred, group)
@@ -468,7 +468,7 @@ def _dm1_robustness_checks(params, mask, data) -> dict:
             for group in ("overall", "minority")}
 
 
-def _dm2_robustness_checks(params, mask, data) -> dict:
+def _dm2_robustness_checks(params, mask) -> dict:
     if theory.perfect_zero_shot_condition_dm2(params.m, params.alpha, params.beta):
         checks = {("mmcl", split, "overall", "accuracy"): (1.0, "equality-threshold")
                   for split in ("true", "train")}
@@ -483,15 +483,14 @@ def _dm2_robustness_checks(params, mask, data) -> dict:
     return checks
 
 
-def _caption_dm1_checks(params, mask, data) -> dict:
+def _caption_dm1_checks(params, mask) -> dict:
     pred = theory.masked_minority_accuracy_dm1(
         params.sigma_core, params.sigma_spu, params.p_spu,
-        mask.pi_core if mask.variant == "model1" else 1.0,
-        data.get("exponent_variant", "linear"))
+        mask.pi_core if mask.variant == "model1" else 1.0)
     return {("mmcl", "true", "minority", "accuracy"): _declared(pred, "minority")}
 
 
-def _caption_dm2_checks(params, mask, data) -> dict:
+def _caption_dm2_checks(params, mask) -> dict:
     pi = mask.pi if mask.variant == "model2" else 1.0
     try:
         pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha, params.beta)
@@ -503,7 +502,7 @@ def _caption_dm2_checks(params, mask, data) -> dict:
     return {key: (0.5, "upper-bound")} if pi < pi_tilde else {}
 
 
-def _method_compare_checks(params, mask, data) -> dict:
+def _method_compare_checks(params, mask) -> dict:
     if isinstance(params, DataModel2Params):
         return {("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
                 ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
@@ -558,14 +557,11 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
     started = time.perf_counter()
     records = []
     measured = {}
-    # data model, mask and checks depend on the cell only, not on the method;
-    # config_from_dict built them for every cell, so they cannot fail here
-    data = _cell_data(config, cell)
-    params, mask = _make_params(data), _make_mask(data)
-    checks = _KINDS[config.experiment][1](params, mask, data)
+    # config_from_dict built every cell, so this cannot fail here
+    params, mask, checks = _build_cell(config, cell)
     for method in config.methods:
         try:
-            param_row, rows = _run_method(config, method, cell, data, params, mask,
+            param_row, rows = _run_method(config, method, cell, params, mask,
                                           rng.child(METHODS.index(method)))
         except MmclabError as error:
             records.append(RunRecord(
@@ -777,8 +773,7 @@ def _captions_suite(root_seed: int) -> list[ExperimentConfig]:
     dm1 = config_from_dict({
         "experiment": "caption-sweep-dm1", "name": "captions-dm1",
         "root_seed": root_seed, "tolerance": 0.02,
-        "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02,
-                 "p_spu": 0.999, "exponent_variant": "linear"},
+        "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999},
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["mmcl-closed"],
         "train": {"n_train": 50000, "p_dim": 2, "rho": 1.0},
@@ -867,11 +862,7 @@ def suite_configs(suite: str, root_seed: int = 0) -> list[ExperimentConfig]:
     return _SUITE_BUILDERS[suite](root_seed)
 
 
-def run_suite(suite: str, root_seed: int = 0, threads: int = 1):
-    """Run a preset suite; returns (records, min_pass_fraction)."""
-    records = []
-    min_fraction = 1.0
-    for cfg in suite_configs(suite, root_seed):
-        records.extend(run_experiment(cfg, threads))
-        min_fraction = min(min_fraction, cfg.min_pass_fraction)
-    return records, min_fraction
+def run_suite(suite: str, root_seed: int = 0, threads: int = 1) -> list[RunRecord]:
+    """Run a preset suite; every preset checks each trial (min_pass_fraction 1.0)."""
+    return [rec for cfg in suite_configs(suite, root_seed)
+            for rec in run_experiment(cfg, threads)]

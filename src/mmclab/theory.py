@@ -108,23 +108,16 @@ def perfect_zero_shot_condition_dm2(m: int, alpha: float, beta: float) -> bool:
 
 
 def masked_minority_accuracy_dm1(sigma_core: float, sigma_spu: float, p_spu: float,
-                            pi_core: float, exponent_variant: str = "linear") -> TheoremPrediction:
+                            pi_core: float) -> TheoremPrediction:
     """Minority zero-shot accuracy on model 1 under caption masking.
 
     1 - Phi((2p - 2 - e*sc^2) / sqrt((1 + e*sc^2)^2 sc^2 + (2p-1)^2 ss^2)) with
-    e = pi_core (linear variant, matching the masked covariance expectation) or
-    e = pi_core^2 (squared variant); the Monte Carlo sweep records which one
-    the measurements follow. Independent of pi_spu.
+    e = pi_core: the masked covariance expectation is linear in pi_core.
+    Independent of pi_spu.
     """
     if not 0 <= pi_core <= 1:
         raise DomainError(f"pi_core must lie in [0, 1], got {pi_core}")
-    if exponent_variant == "linear":
-        e = pi_core
-    elif exponent_variant == "squared":
-        e = pi_core ** 2
-    else:
-        raise DomainError(f"exponent_variant must be linear or squared, got {exponent_variant!r}")
-    k1, _ = _dm1_kappas(sigma_core, sigma_spu, p_spu, core_factor=e)
+    k1, _ = _dm1_kappas(sigma_core, sigma_spu, p_spu, core_factor=pi_core)
     return TheoremPrediction(
         values={"minority": 1.0 - phi_cdf(k1)},
         comparators={"minority": "equality-threshold"},

@@ -28,27 +28,27 @@ def _criterion(num: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="session")
 def dm1_records():
-    return run_suite("dm1", SEED, threads=2)[0]
+    return run_suite("dm1", SEED, threads=2)
 
 
 @pytest.fixture(scope="session")
 def dm2_records():
-    return run_suite("dm2", SEED, threads=2)[0]
+    return run_suite("dm2", SEED, threads=2)
 
 
 @pytest.fixture(scope="session")
 def captions_records():
-    return run_suite("captions", SEED, threads=2)[0]
+    return run_suite("captions", SEED, threads=2)
 
 
 @pytest.fixture(scope="session")
 def supcon_records():
-    return run_suite("supcon", SEED, threads=2)[0]
+    return run_suite("supcon", SEED, threads=2)
 
 
 @pytest.fixture(scope="session")
 def id_records():
-    return run_suite("id", SEED, threads=2)[0]
+    return run_suite("id", SEED, threads=2)
 
 
 def _pick(records, **filters):
@@ -128,10 +128,10 @@ def test_criterion_03_dm1_sl_failure(dm1_records):
         if rec.group in ("overall", "minority"):
             by_trial.setdefault(rec.run_id, {})[rec.group] = rec.value
     assert len(by_trial) == 10
-    hits = sum(vals["minority"] < 0.40 and vals["overall"] < 0.70
+    hits = sum(vals["minority"] <= 1 / 3 and vals["overall"] <= 2 / 3
                for vals in by_trial.values())
-    _criterion("03", hits >= 9,
-               f"{hits}/10 seeds with minority < 0.40 and overall < 0.70")
+    _criterion("03", hits == 10,
+               f"{hits}/10 trials with minority <= 1/3 and overall <= 2/3")
 
 
 # -- criteria 4 and 5: model-2 robustness and supervised bound -----------------
@@ -162,18 +162,14 @@ def test_criterion_06_caption_sweep_dm1(captions_records):
     monotone = all(cells[(0.0, ps)] <= cells[(0.5, ps)] + 1e-9
                    and cells[(0.5, ps)] <= cells[(1.0, ps)] + 1e-9
                    for ps in (0.0, 1.0))
-    winners = []
-    for variant in ("linear", "squared"):
-        preds = {pc: masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pc,
-                                             variant).values["minority"]
-                 for pc in (0.0, 0.5, 1.0)}
-        if all(abs(cells[(pc, ps)] - preds[pc]) <= 0.02
-               for pc in (0.0, 0.5, 1.0) for ps in (0.0, 1.0)):
-            winners.append(variant)
+    preds = {pc: masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pc).values["minority"]
+             for pc in (0.0, 0.5, 1.0)}
+    worst = max(abs(cells[(pc, ps)] - preds[pc])
+                for pc in (0.0, 0.5, 1.0) for ps in (0.0, 1.0))
     spu_shift = abs(cells[(1.0, 0.0)] - cells[(1.0, 1.0)])
-    ok = monotone and len(winners) >= 1 and spu_shift < 0.02
-    _criterion("06", ok, f"monotone={monotone}, matching exponent variant(s): "
-                         f"{winners or 'none'}, pi_spu shift {spu_shift:.4f} (< 0.02)")
+    ok = monotone and worst <= 0.02 and spu_shift < 0.02
+    _criterion("06", ok, f"monotone={monotone}, largest gap to the linear prediction "
+                         f"{worst:.4f} (<= 0.02), pi_spu shift {spu_shift:.4f} (< 0.02)")
 
 
 # -- criterion 7: caption richness threshold, model 2 ---------------------------

@@ -75,15 +75,18 @@ def test_population_dm1_identity_mask_is_unmasked():
 
 def test_population_dm1_masked_cross_validated_monte_carlo():
     # empirical covariance of a masked dataset decides the pi-exponent question:
-    # it must match the linear-variant matrix, not the squared one
+    # it matches the library's matrix, whose variance terms scale by pi, and not
+    # the pi^2 matrix built here (the reason the pi^2 form is not in the library)
     params = DataModel1Params(1.0, 0.1, 0.9)
     mask = CaptionMask.model1(0.5, 0.0)
     batch = sample_latents_dm1(params, 200_000, "train", RNG.child(4))
     cfg = ModalityConfig(make_dictionary(2, 2))
     data = make_paired_dataset(batch, cfg, cfg, mask, RNG.child(5))
     emp = empirical_cross_cov(data).S
-    linear = population_cross_cov_dm1(params, mask, "linear").S
-    squared = population_cross_cov_dm1(params, mask, "squared").S
+    linear = population_cross_cov_dm1(params, mask).S
+    q = 2 * params.p_spu - 1
+    squared = np.array([[1 + mask.pi_core ** 2 * params.sigma_core ** 2, q],
+                        [q, 1 + mask.pi_spu ** 2 * params.sigma_spu ** 2]])
     assert np.abs(emp - linear).max() < 0.02
     assert np.abs(emp - squared).max() > 0.2  # (1,1) entry differs by 0.25
 

@@ -134,7 +134,7 @@ def test_section_field_types_rejected(section, key, value):
     ({"data": {**_DM1, "sigma_core": 0}}, "sigma_core must be > 0"),
     ({"data": {**_DM1, "sigma_spu": -1}}, "sigma_spu must be >= 0"),
     ({"data": {**_DM1, "pi_core": 1.5}}, "pi_core must lie in"),
-    ({"data": {**_DM1, "exponent_variant": "cubic"}}, "data.exponent_variant"),
+    ({"data": {**_DM1, "exponent_variant": "squared"}}, "data.exponent_variant"),
     ({"sweep": {"sigma_spu": [0.05, -0.5]}}, "sweep cell {'sigma_spu': -0.5}"),
     ({"modality": {"d_I": 1, "d_T": 2}}, "modality.d_I is 1, below the latent dimension 2"),
     ({"modality": {"d_I": 2, "d_T": 1}}, "modality.d_T is 1"),
@@ -216,7 +216,9 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"data": {**_DM1, "sigma_core": 0}}, "sigma_core"),
     ({"data": {**_DM1, "sigma_spu": -1}}, "sigma_spu"),
     ({"data": {**_DM1, "pi_core": 1.5}}, "pi_core"),
-    ({"data": {**_DM1, "exponent_variant": "cubic"}}, "data.exponent_variant"),
+    ({"data": {**_DM1, "exponent_variant": "squared"}},
+     "data.exponent_variant must be one of linear, got 'squared': the masked covariance "
+     "is linear in pi_core"),
     ({"sweep": {"sigma_spu": [0.05, -0.5]}}, "sweep cell"),
     ({"modality": {"d_I": 2, "d_T": 2, "noise_sigma_I": -1}}, "modality.noise_sigma_I"),
     ({"modality": {"d_I": 2, "d_T": 2, "noise_sigma_T": -1}}, "modality.noise_sigma_T"),
@@ -295,6 +297,18 @@ def test_docs_example_covers_every_field():
     assert not missing
     listed = example.split("Sweepable:")[1].split(".")[0].replace("//", "")
     assert sorted(k.strip() for k in listed.split(",")) == sorted(_SWEEPS)
+
+
+def test_configuration_doc_names_every_schema_key():
+    # docs/configuration.md restates the schema; a key it does not name has drifted
+    import re
+    from pathlib import Path
+
+    doc = (Path(__file__).parent.parent / "docs" / "configuration.md").read_text()
+    missing = [f"{sec}.{key}" for sec, key in harness._FIELDS
+               if not re.search(rf"`({sec}\.)?{key}`", doc)]
+    missing += [key for key in harness._TOP_FIELDS if f"`{key}`" not in doc]
+    assert not missing
 
 
 def test_unknown_method_rejected():
@@ -536,10 +550,8 @@ def test_every_preset_check_names_a_comparator_of_the_table():
     # comparator check before a record is compared
     seen = set()
     for cfg in harness.suite_configs("all", 0):
-        build = harness._KINDS[cfg.experiment][1]
         for cell in harness._sweep_cells(cfg):
-            data = harness._cell_data(cfg, cell)
-            checks = build(harness._make_params(data), harness._make_mask(data), data)
+            checks = harness._build_cell(cfg, cell)[2]
             assert checks, (cfg.name, cell)
             for key, (prediction, comparator) in checks.items():
                 assert comparator in theory.COMPARATORS, (cfg.name, cell, key)
@@ -556,6 +568,7 @@ def test_suite_presets_are_valid_configs():
                      "captions-dm2", "supcon-dm1", "supcon-dm2", "id-control"]
     for cfg in suite_configs("all", root_seed=9):
         assert cfg.root_seed == 9
+        assert cfg.min_pass_fraction == 1.0  # verify summarizes at this default
     with pytest.raises(ValidationError):
         suite_configs("nope")
 

@@ -93,25 +93,23 @@ def test_perfect_condition_equivalent_to_threshold_below_one():
 
 
 def test_masked_minority_identity_masking_matches_unmasked():
-    for variant in ("linear", "squared"):
-        pred = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, 1.0, variant)
-        base = zero_shot_robustness_dm1(1.0, 0.02, 0.999)
-        assert pred.values["minority"] == pytest.approx(base.values["minority"], abs=1e-12)
+    pred = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, 1.0)
+    base = zero_shot_robustness_dm1(1.0, 0.02, 0.999)
+    assert pred.values["minority"] == pytest.approx(base.values["minority"], abs=1e-12)
 
 
 def test_masked_minority_labels_only_captions_are_chance_level():
-    for variant in ("linear", "squared"):
-        pred = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.0, variant)
-        assert pred.values["minority"] == pytest.approx(0.5, abs=1e-12)
+    pred = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.0)
+    assert pred.values["minority"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_masked_minority_variants_disagree_at_half():
-    linear = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.5, "linear").values["minority"]
-    squared = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.5, "squared").values["minority"]
+    # the prediction is linear in pi_core: e = 0.5 gives 0.6306, where an
+    # exponent of pi_core^2 (e = 0.25) would give 1 - Phi(-0.25 / 1.25) = 0.5793
+    linear = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.5).values["minority"]
     assert linear == pytest.approx(1 - phi_oracle(-0.5 / 1.5), abs=1e-9)   # 0.6306
-    assert squared == pytest.approx(1 - phi_oracle(-0.25 / 1.25), abs=1e-9)  # 0.5793
     assert linear == pytest.approx(0.6306, abs=5e-5)
-    assert squared == pytest.approx(0.5793, abs=5e-5)
+    assert abs(linear - (1 - phi_oracle(-0.25 / 1.25))) > 0.05
 
 
 def test_masked_minority_monotone_in_pi_core():
