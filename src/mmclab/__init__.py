@@ -18,7 +18,7 @@ from .errors import (ArgumentError, ConfigurationError, DimensionError, DomainEr
                      MmclabError, NumericError, SizeError, TrainingError,
                      ValidationError)
 from .evaluation import (EvalReport, EvalSampler, GroupGeometry, PromptSet,
-                         build_prompts, evaluate_probe, evaluate_sl,
+                         build_prompts, count_zero_shot, evaluate_probe, evaluate_sl,
                          evaluate_zero_shot, supcon_group_geometry)
 from .harness import (ExperimentConfig, RunRecord, config_from_dict, config_from_file,
                       emit_csv, emit_json_summary, run_experiment, run_suite,
@@ -27,7 +27,8 @@ from .numerics import (Dictionary, RngStream, SvdTop, make_dictionary, phi_cdf,
                        svd_top)
 from .theory import (TheoremPrediction, in_distribution_predictions_dm1, sl_failure_bounds_dm1,
                      zero_shot_robustness_dm1, sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
-                     masked_minority_accuracy_dm1, caption_masking_threshold_dm2)
+                     masked_minority_accuracy_dm1, caption_masking_threshold_dm2,
+                     zero_shot_accuracy_dm2)
 from .training import (MMCLModel, SLModel, SupConEncoder, mmcl_fit_closed_form,
                        mmcl_fit_gd, probe_fit, sl_fit_gd, supcon_fit_closed_form)
 

@@ -3,15 +3,18 @@ training (ID) and true (OOD) distributions.
 
 All three rules (x G P^T, x W, x W_enc^T W) score through one path, which
 multiplies the factors left to right in the old order; that is why the CSV bytes hold.
+A zero-shot rule with the model-2 pair structure on noiseless inputs can instead
+be counted exactly (:func:`count_zero_shot`), at any m.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .datagen import (DataModel1Params, DataModel2Params, LatentBatch,
-                      ModalityConfig, PairedDataset, enumerate_latents_dm2,
+                      ModalityConfig, PairedDataset, _check_split, enumerate_latents_dm2,
                       project_latents, sample_latents_dm1, sample_latents_dm2)
 from .errors import ArgumentError, ConfigurationError, DimensionError, NumericError
 from .numerics import Dictionary, RngStream, _readonly
@@ -157,12 +160,16 @@ def _predict(factors: tuple, classes: tuple, x: np.ndarray) -> np.ndarray:
     return np.asarray(classes)[picks]
 
 
+def _check_input_dim(sampler: EvalSampler, rule: np.ndarray):
+    if sampler.image_cfg.ambient_dim != rule.shape[0]:
+        raise ConfigurationError(f"image dim {sampler.image_cfg.ambient_dim} does not "
+                                 f"match the rule's input dim {rule.shape[0]}")
+
+
 def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
               n_eval: int | None, rng: RngStream | None) -> EvalReport:
     """Draw and project evaluation inputs, and report the accuracy of :func:`_predict`."""
-    if sampler.image_cfg.ambient_dim != factors[0].shape[0]:
-        raise ConfigurationError(f"image dim {sampler.image_cfg.ambient_dim} does not "
-                                 f"match the rule's input dim {factors[0].shape[0]}")
+    _check_input_dim(sampler, factors[0])
     batch = sampler.draw(n_eval, None if rng is None else rng.child(11))
     noise_rng = None if rng is None else rng.child(12)
     x = project_latents(batch.z, sampler.image_cfg, noise_rng)
@@ -175,6 +182,95 @@ def evaluate_zero_shot(model: MMCLModel, prompts: PromptSet, sampler: EvalSample
                        rng: RngStream | None = None) -> EvalReport:
     """Grouped zero-shot accuracy of a contrastive model on fresh inputs."""
     return _evaluate((model.G, prompts.prompts.T), prompts.classes, sampler, n_eval, rng)
+
+
+# largest deviation from the pair structure, relative to the largest latent score,
+# that count_zero_shot accepts; the analytic fits deviate by rounding only (~1e-16)
+_PAIR_RTOL = 1e-12
+
+
+def pair_rule_hits_dm2(u: float, v: float, params: DataModel2Params, split: str,
+                       tol: float = 0.0) -> dict:
+    """How many of each group's 4^(m-1) rows of a model-2 split the pair rule,
+    in which class (k, c) scores c (u z_k + v z_{k+m}), classifies correctly:
+    ``{(y, agrees): hits}``, with ``agrees`` whether the rows' spurious
+    coordinate agrees with their class.
+
+    Scores are compared as exact rationals of the float latent values that
+    :func:`enumerate_latents_dm2` builds. A row of class y = (k, c) scores
+    own = u + v alpha on its class where the spurious coordinate agrees and
+    u - v alpha where it flips. Its partner (k, -c) scores -own. Each other
+    pair k' scores +-w, where |w| is |beta u + v beta alpha| in two of the four
+    sign patterns of its coordinates and |beta u - v beta alpha| in the other
+    two. Argmax ties go to the lowest class, so pair k' loses to the row when
+    |w| < own, or when |w| == own and k' > k. The pairs vary independently, so
+    a group's hits are the product over the other pairs of 0, 2 or 4 patterns.
+
+    With ``tol`` > 0, any gap of at most ``tol`` between own and a rival score
+    raises ``ArgumentError``: a rule that is pair-structured only up to that
+    residual may rank such a near-tie either way.
+    """
+    _check_split(split)
+    u, v = Fraction(u), Fraction(v)
+    alpha, shared = Fraction(params.alpha), Fraction(params.beta * params.alpha)
+    rivals = (abs(Fraction(params.beta) * u + v * shared),
+              abs(Fraction(params.beta) * u - v * shared))
+    # agrees -> (own score, patterns a lower pair loses in, same for a higher pair)
+    cases = {}
+    for agrees in (True, False) if split == "true" else (True,):
+        own = u + v * alpha if agrees else u - v * alpha
+        if tol > 0 and any(abs(own - r) <= tol for r in (-own, *rivals, *(-r for r in rivals))):
+            raise ArgumentError(f"a rival score lies within {tol:.3g} of the own-class "
+                                "score, inside the rule's deviation from the pair "
+                                "structure; the count cannot rank it exactly")
+        cases[agrees] = (own, sum(2 for r in rivals if r < own),
+                         sum(2 for r in rivals if r <= own))
+    hits = {}
+    for y in range(1, 2 * params.m + 1):
+        k, c = params.alias(y)
+        for agrees, (own, lower, higher) in cases.items():
+            beats_partner = own > 0 or (own == 0 and c == 1)
+            hits[y, agrees] = beats_partner * lower ** (k - 1) * higher ** (params.m - k)
+    return hits
+
+
+def count_zero_shot(model: MMCLModel, prompts: PromptSet,
+                    sampler: EvalSampler) -> EvalReport:
+    """Exact grouped zero-shot accuracy on noiseless model-2 inputs, by counting.
+
+    The latent score matrix D_I^T G P^T must give class (k, c) the score
+    c (u z_k + v z_{k+m}) (an ``ArgumentError`` otherwise), as the analytic fit
+    does at p_dim = 2m; u and v are read off class 1. Each group's accuracy is
+    then counted by :func:`pair_rule_hits_dm2`, which refuses any near-tie
+    within the measured deviation from that structure. Counted values are exact,
+    so every radius is 0.
+    """
+    params = sampler.params
+    if not isinstance(params, DataModel2Params) or sampler.image_cfg.noise_sigma > 0:
+        raise ConfigurationError("counting needs noiseless model-2 evaluation inputs")
+    _check_input_dim(sampler, model.G)
+    scores = sampler.image_cfg.dictionary.matrix.T @ model.G @ prompts.prompts.T
+    m = params.m
+    u, v = float(scores[0, 0]), float(scores[m, 0])
+    pair = np.zeros_like(scores)
+    for y in prompts.classes:
+        k, c = params.alias(y)
+        pair[[k - 1, k - 1 + m], y - 1] = c * u, c * v
+    residual = float(np.abs(scores - pair).max())
+    if not residual <= _PAIR_RTOL * np.abs(scores).max():
+        raise ArgumentError(f"the zero-shot rule is not pair-structured: its latent "
+                            f"scores deviate by {residual:.3g} from c (u z_k + v z_k+m)")
+    # a latent row's l1 norm bounds how far the residual can move any of its scores
+    l1 = 1 + params.alpha + (m - 1) * (params.beta + params.beta * params.alpha)
+    hits = pair_rule_hits_dm2(u, v, params, sampler.split, tol=2 * residual * l1)
+    rows = 4 ** (m - 1)  # per group, as enumeration builds them
+    # int / int is correctly rounded, as enumeration's hit / cnt is
+    groups = {f"y={y},spu={'agree' if agrees else 'flip'}":
+              GroupStat(hit / rows, rows, 0.0, minority=not agrees)
+              for (y, agrees), hit in hits.items()}
+    n = rows * len(hits)
+    return EvalReport(overall_accuracy=sum(hits.values()) / n, groups=groups, n_eval=n,
+                      mc_radius=0.0, split=sampler.split)
 
 
 def evaluate_sl(model: SLModel, sampler: EvalSampler, n_eval: int | None = None,

@@ -235,8 +235,8 @@ def _check_cells(config: ExperimentConfig):
     method with its overrides merged, input dimensions of at least the latent
     dimension l, ``train.n_train`` unless the method trains on none
     (mmcl-analytic) or enumerates it, and ``eval.n_eval`` unless evaluation
-    enumerates. Bounds that depend on the method (``p_dim``) and enumeration
-    size caps stay with the run."""
+    enumerates or counts. Bounds that depend on the method (``p_dim``) and
+    enumeration size caps stay with the run."""
     for cell in _sweep_cells(config):
         where = f" (sweep cell {cell})" if cell else ""
         try:
@@ -249,7 +249,8 @@ def _check_cells(config: ExperimentConfig):
                     and "n_train" not in train):
                 raise ValidationError(f"train.n_train is required for sampled training "
                                       f"data (method {method})")
-            if not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec:
+            if (not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec
+                    and not _counted(method, params, modality, eval_sec)):
                 raise ValidationError(f"eval.n_eval is required for sampled evaluation "
                                       f"(method {method})")
             d_i = modality.get("d_I", params.l)
@@ -324,6 +325,15 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict):
     return modality, train, {**config.eval, **override.get("eval", {})}
 
 
+def _counted(method: str, params, modality: dict, eval_sec: dict) -> bool:
+    """Whether a method's evaluation is counted exactly instead of drawn: the
+    analytic fit on noiseless model-2 inputs, whose rule has the pair structure
+    that ``evaluation.count_zero_shot`` needs. ``eval.n_eval`` and
+    ``eval.exhaustive`` go unused there."""
+    noise = eval_sec.get("noise_sigma", modality.get("noise_sigma_I", 0.0))
+    return method == "mmcl-analytic" and isinstance(params, DataModel2Params) and noise == 0
+
+
 def _make_params(data: dict):
     if data["model"] == "dm1":
         return DataModel1Params(data.get("sigma_core", 1.0),
@@ -394,7 +404,11 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                     epochs=train.get("epochs", training.MMCL_GD_DEFAULTS["epochs"]),
                     rng=rng.child(22))
         prompts = evaluation.build_prompts(params, dict_text)
-        evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
+        if _counted(method, params, modality, eval_sec):
+            def evaluate(sampler, n_eval, rng):
+                return evaluation.count_zero_shot(model, prompts, sampler)
+        else:
+            evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
     elif method == "sl":
         images = datagen.project_latents(latents.z, image_cfg, rng.child(23))
         model = training.sl_fit_gd(
@@ -455,9 +469,9 @@ def _declared(pred: theory.TheoremPrediction, key: str) -> tuple:
 
 
 # Each builder maps (family, split, group, metric) -> (prediction, comparator)
-# for one cell. Constants that no theory function computes (accuracies of 1.0
-# and 0.5, the supervised-contrastive claims, id_gap >= 0) carry their
-# comparator here; every other check comes from theory unchanged.
+# for one cell. Constants that no theory function computes (perfect supervised
+# training accuracy on model 2, the supervised-contrastive claims, id_gap >= 0)
+# carry their comparator here; every other check comes from theory unchanged.
 
 
 def _dm1_robustness_checks(params, mask) -> dict:
@@ -468,12 +482,15 @@ def _dm1_robustness_checks(params, mask) -> dict:
             for group in ("overall", "minority")}
 
 
+def _mmcl_dm2_checks(params, mask) -> dict:
+    pred = theory.zero_shot_accuracy_dm2(params.m, params.alpha, params.beta,
+                                         mask.pi if mask.variant == "model2" else 1.0)
+    return {("mmcl", split, "overall", "accuracy"): _declared(pred, split)
+            for split in datagen.SPLITS}
+
+
 def _dm2_robustness_checks(params, mask) -> dict:
-    if theory.perfect_zero_shot_condition_dm2(params.m, params.alpha, params.beta):
-        checks = {("mmcl", split, "overall", "accuracy"): (1.0, "equality-threshold")
-                  for split in ("true", "train")}
-    else:
-        checks = {("mmcl", "true", "overall", "accuracy"): (0.5, "upper-bound")}
+    checks = _mmcl_dm2_checks(params, mask)
     checks[("sl", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
     try:
         sl = theory.sl_shift_ceiling_dm2(params.alpha, params.beta)
@@ -488,18 +505,6 @@ def _caption_dm1_checks(params, mask) -> dict:
         params.sigma_core, params.sigma_spu, params.p_spu,
         mask.pi_core if mask.variant == "model1" else 1.0)
     return {("mmcl", "true", "minority", "accuracy"): _declared(pred, "minority")}
-
-
-def _caption_dm2_checks(params, mask) -> dict:
-    pi = mask.pi if mask.variant == "model2" else 1.0
-    try:
-        pi_tilde = theory.caption_masking_threshold_dm2(params.m, params.alpha, params.beta)
-    except DomainError:
-        return {}
-    key = ("mmcl", "true", "overall", "accuracy")
-    if pi > pi_tilde:
-        return {key: (1.0, "equality-threshold")}
-    return {key: (0.5, "upper-bound")} if pi < pi_tilde else {}
 
 
 def _method_compare_checks(params, mask) -> dict:
@@ -521,7 +526,7 @@ def _method_compare_checks(params, mask) -> dict:
 _KINDS = {"dm1-robustness": (("dm1",), _dm1_robustness_checks),
           "dm2-robustness": (("dm2",), _dm2_robustness_checks),
           "caption-sweep-dm1": (("dm1",), _caption_dm1_checks),
-          "caption-sweep-dm2": (("dm2",), _caption_dm2_checks),
+          "caption-sweep-dm2": (("dm2",), _mmcl_dm2_checks),
           "method-compare": (("dm1", "dm2"), _method_compare_checks)}
 EXPERIMENT_KINDS = tuple(_KINDS)
 
@@ -787,9 +792,10 @@ def _captions_suite(root_seed: int) -> list[ExperimentConfig]:
         "modality": {"d_I": 60, "d_T": 60},
         "methods": ["mmcl-analytic"],
         "train": {"p_dim": 60, "rho": 1.0},
-        "eval": {"n_eval": 50000, "splits": ["true"]},
+        # counted exactly at m = 30, where enumeration would need m 4^m rows
+        "eval": {"splits": ["true"]},
         "sweep": {"pi": [0.3, 0.6]},
-        "slacks": {"mmcl:true:overall:accuracy": 0.01},
+        "slacks": {"mmcl:true:overall:accuracy": 0.0},
     })
     return [dm1, dm2]
 

@@ -1,19 +1,21 @@
 """Closed-form predictions for every robustness bound, threshold and condition,
 so measured accuracies can be compared against theory mechanically.
 
-Each prediction is stated as the paper states it. Where that statement holds
-only as m -> infinity (the model-2 "at most 50%" below the perfect-accuracy
-condition and the caption threshold), the docstring names the dropped term:
-at finite m the accuracy there can be 1/2 + 2^-m. The harness's 0.5 upper-bound
-checks on model 2 compare against the asymptotic value, so a slack of 0 fails
-them by that term, and the captions-dm2 preset's 0.01 slack covers it at m = 30.
+Each prediction is stated as the paper states it, except on model 2. There the
+paper's "at most 50%" below the perfect-accuracy condition and below the
+caption threshold holds only as m -> infinity: at finite m the accuracy there
+can be 1/2 + 2^-m. So the model-2 zero-shot checks compare against
+:func:`zero_shot_accuracy_dm2`, which counts the exact accuracy of the analytic
+fit, and do so at equality with no slack.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+from .datagen import SPLITS, DataModel2Params
 from .errors import DomainError
+from .evaluation import pair_rule_hits_dm2
 from .numerics import phi_cdf
 
 # comparator -> its pass rule (value, prediction, slack) -> bool; the one list
@@ -102,9 +104,42 @@ def perfect_zero_shot_condition_dm2(m: int, alpha: float, beta: float) -> bool:
 
     Where it fails, the paper states true-split accuracy of at most 50%. That
     holds only as m -> infinity: at finite m the accuracy there can be
-    1/2 + 2^-m (0.625 at m = 3, a = 1.1, b = 0.5).
+    1/2 + 2^-m (0.625 at m = 3, a = 1.1, b = 0.5); :func:`zero_shot_accuracy_dm2`
+    gives the exact value.
     """
     return bool(beta ** 2 * m > alpha ** 2 * (1 + beta) / (1 - beta) - 1 + beta ** 2)
+
+
+def zero_shot_accuracy_dm2(m: int, alpha: float, beta: float,
+                           pi: float = 1.0) -> TheoremPrediction:
+    """Exact zero-shot accuracy on model 2 of the analytic fit at p_dim = 2m,
+    on each split, with caption keep probability pi.
+
+    That fit scores class (k, c) as c (u z_k + v z_{k+m}), with
+    u = (1 + pi (m-1) b^2) / (m rho) and v = a / (m rho), the first column of
+    the masked population covariance over rho. The factor 1/rho changes no
+    argmax, so rho = 1 here. Counting (``evaluation.pair_rule_hits_dm2``)
+    gives train accuracy 1, and true-split accuracy
+      1            when u - v a > b (u + v a): the perfect-accuracy condition
+                   at pi = 1, and pi > pi_tilde otherwise;
+      1/2 + 2^-m   when 0 < u - v a < b (u + v a), since a row whose spurious
+                   coordinate flips then wins exactly where each of the other
+                   m - 1 pairs has two coordinates of opposite sign, with
+                   probability 2^(1-m);
+      1/2          when u - v a < 0.
+    The paper states at most 50% below the condition; that holds only as
+    m -> infinity.
+    """
+    if not 0 <= pi <= 1:
+        raise DomainError(f"pi must lie in [0, 1], got {pi}")
+    params = DataModel2Params(m, alpha, beta)
+    u, v = (1 + pi * (m - 1) * beta ** 2) / m, alpha / m
+    values = {}
+    for split in SPLITS:
+        hits = pair_rule_hits_dm2(u, v, params, split)
+        values[split] = sum(hits.values()) / (len(hits) * 4 ** (m - 1))
+    return TheoremPrediction(values=values,
+                             comparators={split: "equality-threshold" for split in SPLITS})
 
 
 def masked_minority_accuracy_dm1(sigma_core: float, sigma_spu: float, p_spu: float,
@@ -130,7 +165,8 @@ def caption_masking_threshold_dm2(m: int, alpha: float, beta: float) -> float:
 
     Accuracy is 100% for pi above it. Below it the paper states at most 50%,
     which holds only as m -> infinity: at finite m the accuracy there can be
-    1/2 + 2^-m (0.625 at m = 3, a = 1.1, b = 0.5, pi = 0.5). A non-positive
+    1/2 + 2^-m (0.625 at m = 3, a = 1.1, b = 0.5, pi = 0.5);
+    :func:`zero_shot_accuracy_dm2` gives the exact value. A non-positive
     threshold means every masking level is robust.
     """
     if m < 2:

@@ -179,9 +179,11 @@ def test_criterion_07_caption_threshold_dm2(captions_records):
              for rec in _pick(captions_records, method="mmcl-analytic", split="true",
                               group="overall")}
     pi_tilde = caption_masking_threshold_dm2(30, 1.1, 1 / 3)
-    ok = abs(by_pi[0.6] - 1.0) <= 0.005 and by_pi[0.3] <= 0.51
-    _criterion("07", ok, f"threshold {pi_tilde:.4f}; acc(pi=0.6) = {by_pi[0.6]:.4f} "
-                         f"(1.0 +- 0.005), acc(pi=0.3) = {by_pi[0.3]:.4f} (<= 0.51)")
+    # counted exactly: below pi_tilde a flipped row wins only where all 29 other
+    # pairs have coordinates of opposite sign
+    ok = by_pi[0.6] == 1.0 and by_pi[0.3] == 0.5 + 2.0 ** -30
+    _criterion("07", ok, f"threshold {pi_tilde:.4f}; acc(pi=0.6) = {by_pi[0.6]!r} "
+                         f"(exactly 1), acc(pi=0.3) = {by_pi[0.3]!r} (exactly 1/2 + 2^-30)")
 
 
 # -- criterion 8: supervised-contrastive failure modes --------------------------

@@ -3,8 +3,10 @@ import pytest
 
 from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     DataModel2Params, DimensionError, EvalSampler, ModalityConfig,
-                    NumericError, RngStream, build_prompts, empirical_cross_cov,
-                    enumerate_latents_dm2, evaluate_sl, evaluate_zero_shot,
+                    NumericError, RngStream, build_prompts, caption_masking_threshold_dm2,
+                    count_zero_shot, empirical_cross_cov, enumerate_latents_dm2,
+                    evaluate_sl, evaluate_zero_shot, harness, suite_configs,
+                    zero_shot_accuracy_dm2,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     phi_cdf, population_cross_cov_dm1, population_cross_cov_dm2,
                     probe_fit, sample_latents_dm1, supcon_class_mean_cov,
@@ -297,3 +299,132 @@ def test_geometry_requires_both_spurious_signs():
     enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     with pytest.raises(ArgumentError):
         supcon_group_geometry(enc, train)  # training split has one sign per class
+
+
+# -- exact zero-shot accuracy by counting ---------------------------------------
+
+def _analytic_fit(params, pi=1.0, d_i=None, d_t=None, p_dim=None):
+    image, text = make_dictionary(d_i or params.l, params.l), make_dictionary(d_t or params.l, params.l)
+    model = mmcl_fit_closed_form(population_cross_cov_dm2(params, pi), p_dim or params.l,
+                                 1.0, image, text)
+    return model, build_prompts(params, text), ModalityConfig(image)
+
+
+def _report_values(rep):
+    """Everything a report puts in the CSV, plus the group counts."""
+    groups = [(name, g.accuracy, g.count, g.minority) for name, g in rep.groups.items()]
+    minority = rep.minority_accuracy() if rep.split == "true" else None
+    return rep.overall_accuracy, minority, groups, rep.n_eval
+
+
+def _assert_counted_equals_enumerated(model, prompts, params, cfg):
+    for split in ("true", "train"):
+        counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))
+        enumerated = evaluate_zero_shot(model, prompts, EvalSampler(params, split, cfg, True))
+        assert _report_values(counted) == _report_values(enumerated)
+        assert counted.mc_radius == 0.0
+        assert all(g.mc_radius == 0.0 for g in counted.groups.values())
+
+
+def test_counting_equals_enumeration_on_both_sides_of_each_boundary():
+    # flipped rows score 1 above pi_tilde, 2^(1-m) between u = v alpha and it, and
+    # 0 below u = v alpha; alpha > 1 puts the lower boundary inside [0, 1], alpha < 1
+    # the upper one
+    for m in range(2, 6):
+        overall = set()
+        for alpha, beta in ((1.1, 0.5), (1.3, 0.7), (0.62, 0.5), (0.8, 0.3)):
+            params = DataModel2Params(m, alpha, beta)
+            lower = (alpha ** 2 - 1) / ((m - 1) * beta ** 2)
+            upper = caption_masking_threshold_dm2(m, alpha, beta)
+            pis = {0.0, 1.0} | {min(max(b + d, 0.0), 1.0) for b in (lower, upper)
+                                for d in (-0.05, 0.05) if 0 < b < 1}
+            for pi in sorted(pis):
+                model, prompts, cfg = _analytic_fit(params, pi)
+                _assert_counted_equals_enumerated(model, prompts, params, cfg)
+                overall.add(count_zero_shot(model, prompts,
+                                            EvalSampler(params, "true", cfg)).overall_accuracy)
+        assert overall == {1.0, 0.5 + 2.0 ** -m, 0.5}
+
+
+def test_counting_holds_on_every_preset_analytic_cell():
+    cells = 0
+    for config in suite_configs("all"):
+        if "mmcl-analytic" not in config.methods or config.data["model"] != "dm2":
+            continue
+        for cell in harness._sweep_cells(config):
+            params, mask, _ = harness._build_cell(config, cell)
+            modality, train, eval_sec = harness._method_sections(config, "mmcl-analytic", cell)
+            assert harness._counted("mmcl-analytic", params, modality, eval_sec)
+            pi = mask.pi if mask.variant == "model2" else 1.0
+            model, prompts, cfg = _analytic_fit(params, pi, modality.get("d_I"),
+                                                modality.get("d_T"), train.get("p_dim"))
+            exact = zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, pi).values
+            for split in eval_sec["splits"]:
+                counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))
+                assert counted.overall_accuracy == exact[split]
+            if params.m <= 5:
+                _assert_counted_equals_enumerated(model, prompts, params, cfg)
+            else:  # too many rows to enumerate: sampling must land within its radius
+                sampled = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
+                                             20000, RNG.child(50 + cells))
+                assert abs(sampled.overall_accuracy - exact["true"]) <= sampled.mc_radius
+            cells += 1
+    assert cells == 3  # dm2-mmcl, and captions-dm2 at pi = 0.3 and 0.6
+
+
+def _pair_rule(m, u, v):
+    """G of the pair rule under identity dictionaries: class (k, c) scores
+    c (u z_k + v z_{k+m})."""
+    g = np.zeros((2 * m, 2 * m))
+    for k in range(m):
+        g[k, k], g[k + m, k] = u, v
+    return MMCLModel(G=g, p_dim=2 * m, rho=1.0)
+
+
+def test_counting_breaks_exact_ties_as_argmax_does():
+    # u - v alpha = beta (u + v alpha) = 2 exactly: a flipped row of pair k ties
+    # pair k' < k, which wins the argmax, whenever that pair's coordinates agree
+    m, params = 3, DataModel2Params(3, 1.0, 0.5)
+    model, cfg = _pair_rule(m, 3.0, 1.0), _identity_cfg(6, 6)
+    prompts = build_prompts(params, make_dictionary(6, 6))
+    _assert_counted_equals_enumerated(model, prompts, params, cfg)
+    rep = count_zero_shot(model, prompts, EvalSampler(params, "true", cfg))
+    flips = [rep.groups[f"y={y},spu=flip"].accuracy for y in range(1, 7)]
+    assert flips == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
+    # u = v alpha and beta = 0: a flipped row scores 0, as do its partner (k, -c)
+    # and every other class, so class 1 takes every flipped row
+    params = DataModel2Params(3, 1.0, 0.0)
+    model, prompts = _pair_rule(m, 1.0, 1.0), build_prompts(params, make_dictionary(6, 6))
+    _assert_counted_equals_enumerated(model, prompts, params, cfg)
+    rep = count_zero_shot(model, prompts, EvalSampler(params, "true", cfg))
+    assert [rep.groups[f"y={y},spu=flip"].accuracy for y in range(1, 7)] == [1.0] + [0.0] * 5
+
+
+def test_counting_rejects_a_rule_without_pair_structure():
+    params = DataModel2Params(3, 1.0, 0.5)
+    prompts, cfg = build_prompts(params, make_dictionary(6, 6)), _identity_cfg(6, 6)
+
+    def perturbed(eps):  # class 1 also reads z_2
+        g = _pair_rule(3, 3.0, 1.0).G.copy()
+        g[1, 0] = eps
+        return MMCLModel(G=g, p_dim=6, rho=1.0)
+
+    with pytest.raises(ArgumentError, match="not pair-structured"):
+        count_zero_shot(perturbed(1e-6), prompts, EvalSampler(params, "true", cfg))
+    # inside the structure tolerance, the exact tie is no longer certain
+    with pytest.raises(ArgumentError, match="cannot rank"):
+        count_zero_shot(perturbed(1e-14), prompts, EvalSampler(params, "true", cfg))
+
+
+def test_counting_needs_noiseless_model_2_inputs():
+    from mmclab import ConfigurationError
+    params = DataModel2Params(3, 1.0, 0.5)
+    prompts = build_prompts(params, make_dictionary(6, 6))
+    with pytest.raises(ConfigurationError, match="noiseless model-2"):
+        count_zero_shot(_pair_rule(3, 3.0, 1.0), prompts,
+                        EvalSampler(params, "true", _identity_cfg(6, 6, noise=0.1)))
+    params1 = DataModel1Params(1.0, 0.1, 0.9)
+    model = mmcl_fit_closed_form(population_cross_cov_dm1(params1), 2, 1.0)
+    with pytest.raises(ConfigurationError, match="noiseless model-2"):
+        count_zero_shot(model, build_prompts(params1, make_dictionary(2, 2)),
+                        EvalSampler(params1, "true", _identity_cfg(2, 2)))

@@ -170,8 +170,11 @@ def _tiny_dm2_config(**extra):
     (_tiny_dm2_config(eval={"splits": ["true"]}), r"eval\.n_eval"),
     (_tiny_dm2_config(method_overrides={"mmcl-closed": {"eval": {"exhaustive": False}}}),
      r"eval\.n_eval"),
+    (_tiny_dm2_config(methods=["mmcl-analytic"], train={"p_dim": 6},
+                      eval={"splits": ["true"], "noise_sigma": 0.1}),
+     r"eval\.n_eval .*mmcl-analytic"),
 ], ids=["dm1-n_train", "dm1-n_eval", "dm1-sl-n_train", "dm2-n_train", "dm2-n_eval",
-        "dm2-override-n_eval"])
+        "dm2-override-n_eval", "dm2-noisy-analytic-n_eval"])
 def test_sampled_data_needs_its_size(doc, match):
     with pytest.raises(ValidationError, match=match):
         config_from_dict(doc)
@@ -183,7 +186,8 @@ def test_sampled_data_needs_its_size(doc, match):
                      method_overrides={"sl": {"train": {"n_train": 100}}}),
     _tiny_dm1_config(train={"p_dim": 2}, sweep={"n_train": [100, 200]}),
     _tiny_dm2_config(),
-], ids=["analytic", "override", "sweep", "dm2-exhaustive"])
+    _tiny_dm2_config(methods=["mmcl-analytic"], train={"p_dim": 6}, eval={"splits": ["true"]}),
+], ids=["analytic", "override", "sweep", "dm2-exhaustive", "dm2-counted"])
 def test_sample_sizes_are_found_where_they_apply(doc):
     config_from_dict(doc)
 
@@ -309,6 +313,30 @@ def test_configuration_doc_names_every_schema_key():
                if not re.search(rf"`({sec}\.)?{key}`", doc)]
     missing += [key for key in harness._TOP_FIELDS if f"`{key}`" not in doc]
     assert not missing
+
+
+def test_config_example_is_a_loadable_cut_of_the_documented_example():
+    # README runs docs/config_example.json, and docs/configuration.md says every
+    # key it sets has the value that the annotated example gives it
+    import re
+    from pathlib import Path
+
+    docs = Path(__file__).parent.parent / "docs"
+    text = (docs / "configuration.md").read_text()
+    block = text.split("```jsonc\n", 1)[1].split("\n```", 1)[0]
+    annotated = json.loads(re.sub(r"//.*", "", block))
+    config_from_dict(annotated)
+    config_from_file(docs / "config_example.json")
+
+    def assert_cut(part, whole, where):
+        for key, value in part.items():
+            assert key in whole, f"{where}{key} is not in the annotated example"
+            if isinstance(value, dict):
+                assert_cut(value, whole[key], f"{where}{key}.")
+            else:
+                assert value == whole[key], f"{where}{key} differs"
+
+    assert_cut(json.loads((docs / "config_example.json").read_text()), annotated, "")
 
 
 def test_unknown_method_rejected():
@@ -454,17 +482,84 @@ def test_summary_records_blas_threads_per_worker():
 
 def test_failed_cell_records_error_and_suite_continues():
     # every value is in its domain, but only a run finds that exhaustive m = 10
-    # data exceeds ENUMERATION_CAP: the first cell records errors, the second runs
+    # data exceeds ENUMERATION_CAP: in the first cell the enumerating method
+    # records an error while the counted analytic fit runs, and the second cell runs
     doc = _tiny_dm2_config(trials=1, methods=["mmcl-closed", "mmcl-analytic"],
                            train={"exhaustive": True}, sweep={"m": [10, 2]})
     records = run_experiment(config_from_dict(doc))
     errors = [r for r in records if r.error]
     fine = [r for r in records if not r.error]
-    assert [r.method for r in errors] == ["mmcl-closed", "mmcl-analytic"] and fine
+    assert [r.method for r in errors] == ["mmcl-closed"]
+    assert {(r.method, r.run_id[-8:]) for r in fine} == {
+        ("mmcl-analytic", "c000-t00"), ("mmcl-closed", "c001-t00"),
+        ("mmcl-analytic", "c001-t00")}
     assert all(r.error.startswith("SizeError") and r.run_id.endswith("c000-t00")
                for r in errors)
     summary = summarize(records)
     assert summary["errors"] and not summary["all_passed"]
+
+
+def _exact_dm2_config(experiment, methods, **extra):
+    """m = 3, alpha = 1.1, beta = 0.5: the perfect-accuracy condition fails at
+    every pi, yet true-split accuracy is 1/2 + 2^-3 wherever u > v alpha."""
+    doc = {"experiment": experiment, "name": "exact", "root_seed": 5,
+           "data": {"model": "dm2", "m": 3, "alpha": 1.1, "beta": 0.5},
+           "methods": methods,
+           "train": {"exhaustive": True, "p_dim": 6},
+           "eval": {"exhaustive": True, "splits": ["true", "train"]},
+           "tolerance": 0.0}
+    doc.update(extra)
+    return config_from_dict(doc)
+
+
+def _overall(records):
+    return {(r.method, r.params.get("pi"), r.split): (r.value, r.prediction, r.passed)
+            for r in records if r.group == "overall"}
+
+
+def test_dm2_robustness_checks_the_exact_accuracy_at_slack_zero():
+    records = run_experiment(_exact_dm2_config("dm2-robustness",
+                                               ["mmcl-closed", "mmcl-analytic"]))
+    assert _overall(records) == {(method, None, split): (value, value, True)
+                                 for method in ("mmcl-closed", "mmcl-analytic")
+                                 for split, value in (("true", 0.625), ("train", 1.0))}
+
+
+def test_caption_sweep_dm2_checks_the_exact_accuracy_at_slack_zero():
+    config = _exact_dm2_config("caption-sweep-dm2", ["mmcl-analytic"],
+                               sweep={"pi": [0.3, 0.5]})
+    assert _overall(run_experiment(config)) == {
+        ("mmcl-analytic", pi, split): (value, value, True)
+        for pi, true in ((0.3, 0.5), (0.5, 0.625))
+        for split, value in (("true", true), ("train", 1.0))}
+
+
+def test_noisy_analytic_dm2_evaluation_still_samples(tmp_path):
+    # the bytes this config wrote before counting existed
+    doc = {"experiment": "dm2-robustness", "name": "noisy-analytic", "root_seed": 3,
+           "trials": 2, "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 1 / 3},
+           "modality": {"d_I": 8, "d_T": 8, "noise_sigma_I": 0.3},
+           "methods": ["mmcl-analytic"], "train": {"p_dim": 6},
+           "eval": {"n_eval": 2000, "splits": ["true", "train"]}}
+    emit_csv(run_experiment(config_from_dict(doc)), tmp_path / "results.csv")
+    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == (
+        "27802673080eab7a362472b25e24d308ec80e2bcfbe1527e0cd6beb33958723c")
+
+
+def test_counted_evaluation_accepts_and_ignores_n_eval_and_exhaustive(tmp_path):
+    # the frozen benchmark copy of captions-dm2 still sets n_eval and a slack
+    from pathlib import Path
+
+    path = Path(__file__).parent.parent / "perfbench" / "configs" / "captions-dm2.json"
+    doc = dict(json.loads(path.read_text()), trials=1)
+    digests = set()
+    for eval_sec in ({"n_eval": 50000}, {"n_eval": 1}, {"exhaustive": True}, {}):
+        doc["eval"] = {**eval_sec, "splits": ["true"]}
+        records = run_experiment(config_from_dict(doc))
+        assert all(r.passed is not False for r in records)
+        emit_csv(records, tmp_path / "results.csv")
+        digests.add(hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest())
+    assert len(digests) == 1
 
 
 def test_mmcl_gd_runs_from_a_config_and_records_a_diverging_lr():

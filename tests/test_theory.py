@@ -4,7 +4,7 @@ import pytest
 
 from mmclab import (DomainError, in_distribution_predictions_dm1, sl_failure_bounds_dm1, zero_shot_robustness_dm1,
                     sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2, masked_minority_accuracy_dm1,
-                    caption_masking_threshold_dm2)
+                    caption_masking_threshold_dm2, zero_shot_accuracy_dm2)
 from mmclab import DataModel1Params, RngStream, sample_latents_dm1
 from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY
 
@@ -90,6 +90,32 @@ def test_perfect_condition_equivalent_to_threshold_below_one():
         condition = perfect_zero_shot_condition_dm2(m, alpha, beta)
         threshold = caption_masking_threshold_dm2(m, alpha, beta)
         assert condition == (threshold < 1)
+
+
+def test_zero_shot_accuracy_dm2_is_one_or_half_plus_two_to_minus_m_or_half():
+    # the cells where the paper's "at most 50%" fails at slack 0
+    for m, alpha, beta, pi, true in ((3, 1.1, 0.5, 1.0, 0.625), (3, 1.1, 0.5, 0.5, 0.625),
+                                     (2, 1.05, 0.7, 1.0, 0.75), (2, 1.05, 0.7, 0.3, 0.75),
+                                     (5, 1.2, 0.5, 1.0, 0.53125), (3, 1.1, 0.5, 0.3, 0.5),
+                                     (30, 1.1, 1 / 3, 0.3, 0.5 + 2.0 ** -30),
+                                     (30, 1.1, 1 / 3, 0.6, 1.0), (3, 0.7, 1 / 3, 1.0, 1.0)):
+        pred = zero_shot_accuracy_dm2(m, alpha, beta, pi)
+        assert pred.values == {"train": 1.0, "true": true}
+        assert set(pred.comparators.values()) == {"equality-threshold"}
+    with pytest.raises(DomainError):
+        zero_shot_accuracy_dm2(3, 1.1, 0.5, 1.5)
+
+
+def test_zero_shot_accuracy_dm2_is_one_exactly_where_the_paper_says():
+    g = np.random.default_rng(18)
+    for _ in range(300):
+        m, alpha = int(g.integers(2, 40)), float(g.uniform(0.05, 3.0))
+        beta, pi = float(g.uniform(0.01, 0.99)), float(g.uniform(0.0, 1.0))
+        perfect = zero_shot_accuracy_dm2(m, alpha, beta).values["true"] == 1.0
+        assert perfect == perfect_zero_shot_condition_dm2(m, alpha, beta)
+        masked = zero_shot_accuracy_dm2(m, alpha, beta, pi).values["true"]
+        assert (masked == 1.0) == (pi > caption_masking_threshold_dm2(m, alpha, beta))
+        assert masked in (1.0, 0.5 + 2.0 ** -m, 0.5)
 
 
 def test_masked_minority_identity_masking_matches_unmasked():
