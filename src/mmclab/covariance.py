@@ -40,7 +40,7 @@ def empirical_cross_cov(data: PairedDataset) -> CrossCov:
     so the cost stays O(n * d_I * d_T).
     """
     n = data.n
-    paired = data.x_image.T @ data.x_text
+    paired = np.dot(data.x_image.T, data.x_text)
     sums = np.outer(data.x_image.sum(axis=0), data.x_text.sum(axis=0))
     s = paired / (n - 1) - sums / (n * (n - 1))
     return CrossCov(S=s, space="ambient")

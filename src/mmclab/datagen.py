@@ -322,14 +322,14 @@ def project_latents(z: np.ndarray, cfg: ModalityConfig,
         raise DimensionError(
             f"latent dim {z.shape[-1]} does not match dictionary latent dim {cfg.latent_dim}")
     if not cfg.noise_sigma > 0:
-        return z @ cfg.dictionary.matrix.T
+        return np.dot(z, cfg.dictionary.matrix.T)
     if rng is None:
         raise ArgumentError("noisy projection requires an RngStream")
     # built in place to avoid two full-size temporaries; addition commutes
     # exactly, so the values equal D z + s * noise bit for bit
     x = rng.generator().standard_normal(z.shape[:-1] + (cfg.ambient_dim,))
     x *= cfg.noise_sigma / np.sqrt(cfg.ambient_dim)
-    x += z @ cfg.dictionary.matrix.T
+    x += np.dot(z, cfg.dictionary.matrix.T)
     return x
 
 

@@ -1,8 +1,8 @@
 """Zero-shot prompts, classification rules, and grouped accuracy reports on the
 training (ID) and true (OOD) distributions.
 
-All three rules (x G P^T, x W, x W_enc^T W) score through one path, which
-multiplies the factors left to right in the old order; that is why the CSV bytes hold.
+All three rules (x G P^T, x W, x W_enc^T W) score through one path, which multiplies
+the factors left to right with ``np.dot``, in the old order; that is why the CSV bytes hold.
 A zero-shot rule with the model-2 pair structure on noiseless inputs can instead
 be counted exactly (:func:`count_zero_shot`), at any m.
 """
@@ -52,7 +52,7 @@ def build_prompts(params, text_dictionary: Dictionary) -> PromptSet:
             means[y - 1, k - 1] = c
     else:
         raise ArgumentError(f"unsupported params type {type(params).__name__}")
-    return PromptSet(classes=classes, prompts=means @ text_dictionary.matrix.T)
+    return PromptSet(classes=classes, prompts=np.dot(means, text_dictionary.matrix.T))
 
 
 @dataclass(frozen=True)
@@ -145,15 +145,15 @@ def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
 
 
 def _predict(factors: tuple, classes: tuple, x: np.ndarray) -> np.ndarray:
-    """Labels of x @ factors[0] @ ... @ factors[-1], multiplied left to right: the sign
+    """Labels of x factors[0] ... factors[-1], multiplied left to right by np.dot: the sign
     rule when the last factor has one column (0 goes to classes[0]), else argmax."""
     *head, last = factors
     for factor in head:
-        x = x @ factor
+        x = np.dot(x, factor)
     if last.shape[1] == 1:
-        raw = np.sign(x @ last[:, 0])
+        raw = np.sign(np.dot(x, last[:, 0]))
         return np.where(raw == 0, classes[0], raw).astype(int)
-    scores = x @ last
+    scores = np.dot(x, last)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite classification scores")
     picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
@@ -249,7 +249,7 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
     if not isinstance(params, DataModel2Params) or sampler.image_cfg.noise_sigma > 0:
         raise ConfigurationError("counting needs noiseless model-2 evaluation inputs")
     _check_input_dim(sampler, model.G)
-    scores = sampler.image_cfg.dictionary.matrix.T @ model.G @ prompts.prompts.T
+    scores = np.dot(np.dot(sampler.image_cfg.dictionary.matrix.T, model.G), prompts.prompts.T)
     m = params.m
     u, v = float(scores[0, 0]), float(scores[m, 0])
     pair = np.zeros_like(scores)
@@ -326,7 +326,7 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
         center = pts.mean(axis=0)
         _, _, vt = np.linalg.svd(pts - center)
         direction = vt[0]
-        coords = (pts - center) @ direction
+        coords = np.dot(pts - center, direction)
         if coords[keys.index((1, 1))] < coords[keys.index((-1, -1))]:
             coords = -coords
         resid = np.linalg.norm((pts - center) - np.outer(coords, direction), axis=1)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -555,15 +556,14 @@ def _compare(config: ExperimentConfig, checks: dict, family, split, group, metri
 
 
 def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
-              cell_idx: int, trial: int) -> list[RunRecord]:
+              cell_idx: int, trial: int, build) -> list[RunRecord]:
     run_id = f"{config.name}-c{cell_idx:03d}-t{trial:02d}"
     seed = stream_id_for(cell_idx, trial)
     rng = RngStream(config.root_seed, seed)
     started = time.perf_counter()
     records = []
     measured = {}
-    # config_from_dict built every cell, so this cannot fail here
-    params, mask, checks = _build_cell(config, cell)
+    params, mask, checks = build(cell_idx)
     for method in config.methods:
         try:
             param_row, rows = _run_method(config, method, cell, params, mask,
@@ -601,17 +601,25 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
     order and each task owns an independent random stream). While more than
     one worker runs, BLAS threads are split across the workers in use."""
     cells = _sweep_cells(config)
+    built, lock = {}, threading.Lock()
+
+    def build(cell_idx):  # by the cell's first task, so a trace sees its theory calls in one
+        with lock:
+            if cell_idx not in built:
+                built[cell_idx] = _build_cell(config, cells[cell_idx])
+            return built[cell_idx]
+
     tasks = [(cell, cell_idx, trial)
              for cell_idx, cell in enumerate(cells)
              for trial in range(config.trials)]
     workers = min(threads, len(tasks))
     if workers <= 1:
-        chunks = [_run_task(config, None, *task) for task in tasks]
+        chunks = [_run_task(config, None, *task, build) for task in tasks]
     else:
         # the pool joins its workers before the BLAS thread count is restored
         with (blas_threads_per_worker(workers) as blas,
               ThreadPoolExecutor(max_workers=workers) as pool):
-            chunks = list(pool.map(lambda t: _run_task(config, blas, *t), tasks))
+            chunks = list(pool.map(lambda t: _run_task(config, blas, *t, build), tasks))
     return [rec for chunk in chunks for rec in chunk]
 
 
@@ -622,6 +630,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
 def _fmt(value) -> str:
     if value is None:
         return ""
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -630,10 +640,6 @@ def _fmt(value) -> str:
     if math.isnan(v):
         return "nan"
     return f"{v:.9g}"
-
-
-_CSV_TEXT_COLUMNS = ("run_id", "experiment", "method", "split", "group",
-                     "metric", "comparator")
 
 
 def emit_csv(records: list[RunRecord], path) -> None:
@@ -652,14 +658,7 @@ def emit_csv(records: list[RunRecord], path) -> None:
                    "prediction": rec.prediction, "comparator": rec.comparator,
                    "pass": rec.passed}
             row.update(rec.params)
-            cells = []
-            for col in CSV_COLUMNS:
-                value = row.get(col)
-                if col in _CSV_TEXT_COLUMNS:
-                    cells.append("" if value is None else str(value))
-                else:
-                    cells.append(_fmt(value))
-            writer.writerow(cells)
+            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
 
 
 def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:

@@ -93,7 +93,7 @@ class Dictionary:
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] < m.shape[1]:
             raise DimensionError(f"dictionary must be d x l with d >= l, got {m.shape}")
-        gram_err = np.abs(m.T @ m - np.eye(m.shape[1])).max()
+        gram_err = np.abs(np.dot(m.T, m) - np.eye(m.shape[1])).max()
         if gram_err >= 1e-10:
             raise DimensionError(f"dictionary columns not orthonormal (max error {gram_err:.2e})")
         object.__setattr__(self, "matrix", _readonly(m))
@@ -143,7 +143,7 @@ class SvdTop:
     rank: int
 
     def reconstruct(self) -> np.ndarray:
-        return (self.left * self.values) @ self.right.T
+        return np.dot(self.left * self.values, self.right.T)
 
 
 def svd_top(matrix: np.ndarray, p: int) -> SvdTop:

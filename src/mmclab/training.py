@@ -49,7 +49,7 @@ class MMCLModel:
         if self.W_I is not None:
             object.__setattr__(self, "W_I", _readonly(self.W_I))
             object.__setattr__(self, "W_T", _readonly(self.W_T))
-            gap = np.linalg.norm(self.W_I.T @ self.W_T - self.G)
+            gap = np.linalg.norm(np.dot(self.W_I.T, self.W_T) - self.G)
             scale = max(np.linalg.norm(self.G), 1e-30)
             if gap / scale >= 1e-8:
                 raise ArgumentError(
@@ -91,7 +91,7 @@ class SupConEncoder:
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
 
     def transform(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.W.T
+        return np.dot(np.asarray(x, dtype=float), self.W.T)
 
 
 # ---------------------------------------------------------------------------
@@ -106,7 +106,7 @@ def _lift(g_latent: np.ndarray, image_dictionary: Dictionary | None,
         raise ArgumentError("both dictionaries are needed to lift a latent covariance")
     if (image_dictionary.latent_dim, text_dictionary.latent_dim) != g_latent.shape:
         raise DimensionError("dictionary latent dims do not match the covariance shape")
-    return image_dictionary.matrix @ g_latent @ text_dictionary.matrix.T
+    return np.dot(np.dot(image_dictionary.matrix, g_latent), text_dictionary.matrix.T)
 
 
 def mmcl_fit_closed_form(S: CrossCov, p_dim: int, rho: float,
@@ -140,10 +140,10 @@ def _check_gd_budget(lr, epochs):
 
 
 def _mmcl_objective(w_i: np.ndarray, w_t: np.ndarray, s: np.ndarray, rho: float):
-    g = w_i.T @ w_t
+    g = np.dot(w_i.T, w_t)
     loss = -np.einsum("ij,ij->", g, s) + 0.5 * rho * np.einsum("ij,ij->", g, g)
-    grad_i = -w_t @ s.T + rho * w_t @ g.T
-    grad_t = -w_i @ s + rho * w_i @ g
+    grad_i = np.dot(-w_t, s.T) + np.dot(rho * w_t, g.T)
+    grad_t = np.dot(-w_i, s) + np.dot(rho * w_i, g)
     return loss, grad_i, grad_t
 
 
@@ -180,7 +180,7 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
         w_t = w_t - lr * grad_t
     meta = {"fit": "gd", "lr": lr, "epochs": epochs, "init_scale": init_scale,
             "final_loss": float(loss), "final_grad_norm": float(grad_norm)}
-    return MMCLModel(G=w_i.T @ w_t, p_dim=p_dim, rho=rho, W_I=w_i, W_T=w_t,
+    return MMCLModel(G=np.dot(w_i.T, w_t), p_dim=p_dim, rho=rho, W_I=w_i, W_T=w_t,
                      training_meta=meta)
 
 
@@ -207,14 +207,14 @@ class _Margins:
 
     def __init__(self, x, w0):
         n, d = x.shape
-        self.x, self.w0, self.gram = x, w0, x @ x.T
-        self.scores, self.coef = x @ w0, np.zeros((n,) + w0.shape[1:])
+        self.x, self.w0, self.gram = x, w0, np.dot(x, x.T)
+        self.scores, self.coef = np.dot(x, w0), np.zeros((n,) + w0.shape[1:])
         # rounding bound of <V, K V> per unit ||V||^2
         self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
 
     def grad_norm(self, v):
         """The norm if it clears ``GRAD_TOL`` by more than rounding, else None."""
-        self.kv = self.gram @ v
+        self.kv = np.dot(self.gram, v)
         quad = np.vdot(v, self.kv)
         if quad - self.slack * np.vdot(v, v) > (GRAD_TOL * len(v)) ** 2:
             return math.sqrt(quad) / len(v)
@@ -226,7 +226,7 @@ class _Margins:
         self.coef += step / len(v) * v
 
     def weights(self):
-        return self.w0 + self.x.T @ self.coef
+        return self.w0 + np.dot(self.x.T, self.coef)
 
 
 def _descend(x, target, q, lr, epochs, w0, kernel=None):
@@ -266,7 +266,7 @@ def _descend(x, target, q, lr, epochs, w0, kernel=None):
     epochs_run = epochs
     for epoch in range(epochs):
         if q == 1:
-            scores = np.matmul(x, w, out=margins) if kernel is None else kernel.scores
+            scores = np.dot(x, w, out=margins) if kernel is None else kernel.scores
             np.multiply(target, scores, out=margins)
             # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed
             # only to set the blowup level and when the bound does not clear
@@ -287,7 +287,7 @@ def _descend(x, target, q, lr, epochs, w0, kernel=None):
             np.maximum(e, margins <= 0.0, out=e)
             v = np.multiply(neg_y, np.divide(e, work, out=e), out=e)
         else:
-            scores = x @ w if kernel is None else kernel.scores
+            scores = np.dot(x, w) if kernel is None else kernel.scores
             # the row max reduces a transposed copy along its contiguous rows;
             # a max is exact in any order, so it matches ndarray.max to the bit
             np.copyto(scores_t, scores.T)
@@ -323,9 +323,9 @@ def _descend(x, target, q, lr, epochs, w0, kernel=None):
         # v is the residual of each row, so x^T v / n is the gradient
         grad_norm = None if kernel is None else kernel.grad_norm(v)
         if grad_norm is None:
-            grad = x.T @ v / n
+            grad = np.dot(x.T, v) / n
             flat = grad.ravel()
-            grad_norm = math.sqrt(flat @ flat)
+            grad_norm = math.sqrt(np.dot(flat, flat))
         if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break

@@ -472,6 +472,30 @@ def test_blas_threads_split_across_workers_and_restored(monkeypatch, threads, tr
         put(before)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_cell_is_built_once_per_run(monkeypatch, threads):
+    # the checks of a dm2 caption cell count an exact accuracy; a run builds each
+    # of its 2 cells once, not once per (cell, trial) task
+    calls = []
+    counted = theory.zero_shot_accuracy_dm2
+
+    def spy(*args):
+        calls.append(args)
+        return counted(*args)
+
+    monkeypatch.setattr(theory, "zero_shot_accuracy_dm2", spy)
+    config = config_from_dict({
+        "experiment": "caption-sweep-dm2", "name": "cap2", "trials": 8,
+        "data": {"model": "dm2", "m": 3, "alpha": 1.1, "beta": 1 / 3},
+        "modality": {"d_I": 6, "d_T": 6}, "methods": ["mmcl-analytic"],
+        "train": {"p_dim": 6}, "eval": {"splits": ["true"]}, "sweep": {"pi": [0.3, 0.6]}})
+    assert len(calls) == 2                      # at load
+    records = run_experiment(config, threads=threads)
+    assert len({rec.run_id for rec in records}) == 16
+    assert len(calls) == 4
+    assert sorted(set(calls)) == sorted(set(calls[:2]))
+
+
 def test_summary_records_blas_threads_per_worker():
     config = config_from_dict(_tiny_dm1_config(trials=2))
     assert summarize(run_experiment(config))["blas_threads_per_worker"] is None
