@@ -314,17 +314,26 @@ class PairedDataset:
         return self.x_text.shape[1]
 
 
-def project_latents(z: np.ndarray, cfg: ModalityConfig,
-                    rng: RngStream | None = None) -> np.ndarray:
-    """Project latent rows into a modality: x = D z + xi."""
+def project_latents(z: np.ndarray, cfg: ModalityConfig, rng: RngStream | None = None,
+                    rule: np.ndarray | None = None) -> np.ndarray:
+    """Project latent rows into a modality: x = D z + xi, xi ~ N(0, sigma^2/d I).
+
+    Given a d x q ``rule`` R, return the scores x R. With noise, x is never formed: if
+    R = Q T is the reduced QR, xi Q ~ N(0, sigma^2/d I) exactly, so z (D^T R) + xi Q T has
+    the law of z (D^T R) + (sigma/sqrt d) eps T, with eps n x min(d, q) standard normals."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != cfg.latent_dim:
         raise DimensionError(
             f"latent dim {z.shape[-1]} does not match dictionary latent dim {cfg.latent_dim}")
     if not cfg.noise_sigma > 0:
-        return np.dot(z, cfg.dictionary.matrix.T)
+        x = np.dot(z, cfg.dictionary.matrix.T)
+        return x if rule is None else np.dot(x, rule)
     if rng is None:
         raise ArgumentError("noisy projection requires an RngStream")
+    if rule is not None:
+        t = np.linalg.qr(rule, mode="r") * (cfg.noise_sigma / np.sqrt(cfg.ambient_dim))
+        eps = rng.generator().standard_normal(z.shape[:-1] + (t.shape[0],))
+        return np.dot(z, np.dot(cfg.dictionary.matrix.T, rule)) + np.dot(eps, t)
     # built in place to avoid two full-size temporaries; addition commutes
     # exactly, so the values equal D z + s * noise bit for bit
     x = rng.generator().standard_normal(z.shape[:-1] + (cfg.ambient_dim,))

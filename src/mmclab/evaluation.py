@@ -1,8 +1,9 @@
 """Zero-shot prompts, classification rules, and grouped accuracy reports on the
 training (ID) and true (OOD) distributions.
 
-All three rules (x G P^T, x W, x W_enc^T W) score through one path, which multiplies
-the factors left to right with ``np.dot``, in the old order; that is why the CSV bytes hold.
+All three rules (x G P^T, x W, x W_enc^T W) score through one path. Noiseless inputs
+are multiplied by the factors left to right with ``np.dot``, in the old order, which keeps
+the CSV bytes and exact argmax ties; noisy scores x R are drawn exactly in law in R's image.
 A zero-shot rule with the model-2 pair structure on noiseless inputs can instead
 be counted exactly (:func:`count_zero_shot`), at any m.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -144,16 +146,15 @@ def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
                       mc_radius=_wilson_radius(overall, n), split=split)
 
 
-def _predict(factors: tuple, classes: tuple, x: np.ndarray) -> np.ndarray:
-    """Labels of x factors[0] ... factors[-1], multiplied left to right by np.dot: the sign
-    rule when the last factor has one column (0 goes to classes[0]), else argmax."""
-    *head, last = factors
-    for factor in head:
-        x = np.dot(x, factor)
-    if last.shape[1] == 1:
-        raw = np.sign(np.dot(x, last[:, 0]))
+def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
+    """Labels of scores factors[0] ... factors[-1], multiplied left to right by np.dot
+    (the scores themselves for no factors): the sign rule when the product has one
+    column (0 goes to classes[0]), else argmax."""
+    for factor in factors:
+        scores = np.dot(scores, factor)
+    if scores.shape[1] == 1:
+        raw = np.sign(scores[:, 0])  # np.dot by a d x 1 factor is the gemv of its column
         return np.where(raw == 0, classes[0], raw).astype(int)
-    scores = np.dot(x, last)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite classification scores")
     picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
@@ -168,12 +169,14 @@ def _check_input_dim(sampler: EvalSampler, rule: np.ndarray):
 
 def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
               n_eval: int | None, rng: RngStream | None) -> EvalReport:
-    """Draw and project evaluation inputs, and report the accuracy of :func:`_predict`."""
+    """Report the accuracy of :func:`_predict` on fresh inputs. Noisy scores are drawn in
+    the image of the factors' product (:func:`project_latents`), noiseless ones chained."""
     _check_input_dim(sampler, factors[0])
     batch = sampler.draw(n_eval, None if rng is None else rng.child(11))
     noise_rng = None if rng is None else rng.child(12)
-    x = project_latents(batch.z, sampler.image_cfg, noise_rng)
-    pred = _predict(factors, classes, x)
+    rule = reduce(np.dot, factors) if sampler.image_cfg.noise_sigma > 0 else None
+    scores = project_latents(batch.z, sampler.image_cfg, noise_rng, rule)
+    pred = _predict(factors if rule is None else (), classes, scores)
     return _report(pred == batch.y, batch, sampler.split)
 
 

@@ -1,3 +1,5 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
                     zero_shot_accuracy_dm2,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     phi_cdf, population_cross_cov_dm1, population_cross_cov_dm2,
-                    probe_fit, sample_latents_dm1, supcon_class_mean_cov,
+                    probe_fit, project_latents, sample_latents_dm1, sl_fit_gd,
+                    supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
 from mmclab.evaluation import _wilson_radius, evaluate_probe
 from mmclab.training import MMCLModel, SLModel, SupConEncoder
@@ -187,6 +190,63 @@ def test_wilson_radius_matches_the_score_interval_roots():
     roots = np.roots([n + z * z, -(2 * n * acc + z * z), n * acc * acc])
     assert _wilson_radius(acc, n) == pytest.approx(abs(roots[0] - roots[1]) / 2, rel=1e-12)
     assert _wilson_radius(acc, n) < z * np.sqrt(acc * (1 - acc) / n)
+
+
+@pytest.mark.parametrize("shapes", [[(7, 1)], [(7, 3), (3, 4)], [(4, 3), (3, 6)]],
+                         ids=["q1", "two-factor", "two-factor-q-above-d"])
+def test_noisy_scores_are_drawn_exactly_in_the_rules_image(shapes):
+    # x R = z (D^T R) + xi R, drawn as z (D^T R) + (sigma/sqrt d) eps T with
+    # eps the n x min(d, q) normals of the stream and T^T T = R^T R
+    g = RNG.child(60).generator()
+    rule = reduce(np.dot, [g.standard_normal(s) for s in shapes])
+    d, q = rule.shape
+    cfg = ModalityConfig(make_dictionary(d, 2, "random-orthonormal", RNG.child(61)), 0.7)
+    z = g.standard_normal((50, 2))
+    scores = project_latents(z, cfg, RNG.child(62), rule)
+    mean = np.dot(np.dot(z, cfg.dictionary.matrix.T), rule)
+    eps = RNG.child(62).generator().standard_normal((50, min(d, q)))
+    t = np.linalg.lstsq(eps, scores - mean, rcond=None)[0] / (0.7 / np.sqrt(d))
+    np.testing.assert_allclose(np.dot(eps, t) * (0.7 / np.sqrt(d)), scores - mean,
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.dot(t.T, t), np.dot(rule.T, rule), rtol=1e-12, atol=1e-12)
+    noiseless = ModalityConfig(cfg.dictionary, 0.0)
+    np.testing.assert_array_equal(project_latents(z, noiseless, rule=rule), mean)
+
+
+def _dm1_sign_rule_accuracy(w, params, cfg, split, noise=True):
+    """Exact accuracy of sign(x w) on model-1 inputs x = D z + xi: group (y, a)
+    scores N(w^T mu, w^T Sigma w), mu = D [y, a], Sigma = D diag(sigma_c^2,
+    sigma_s^2) D^T + sigma^2/d I, so it is right with probability
+    Phi(y w^T mu / sqrt(w^T Sigma w)). ``noise=False`` drops the sigma^2/d term."""
+    dw = np.dot(cfg.dictionary.matrix.T, w)
+    var = ((params.sigma_core * dw[0]) ** 2 + (params.sigma_spu * dw[1]) ** 2
+           + noise * cfg.noise_sigma ** 2 / cfg.ambient_dim * np.dot(w, w))
+    agree = 0.5 if split == "true" else params.p_spu  # Pr(a = y)
+    return sum((agree if a == y else 1 - agree) / 2
+               * phi_cdf(y * (dw[0] * y + dw[1] * a) / np.sqrt(var))
+               for y in (-1, 1) for a in (-1, 1))
+
+
+def test_noisy_sl_accuracy_matches_the_model_1_closed_form():
+    # 3 Wilson radii are about 5.9 standard errors: under the right law, the
+    # chance that any of these 20 values falls outside is below 1e-7, while a
+    # noise term of the wrong size moves the train-split values by 10+ radii
+    params = DataModel1Params(1.0, 0.3, 0.9)
+    cfg = ModalityConfig(make_dictionary(50, 2), 5.0)
+    shifts = []
+    for seed in range(10):
+        rng = RngStream(seed)
+        latents = sample_latents_dm1(params, 100, "train", rng.child(20))
+        model = sl_fit_gd(project_latents(latents.z, cfg, rng.child(23)), latents.y,
+                          epochs=200, rng=rng.child(24))
+        for split in ("true", "train"):
+            rep = evaluate_sl(model, EvalSampler(params, split, cfg), 20_000, rng.child(40))
+            exact = _dm1_sign_rule_accuracy(model.W[:, 0], params, cfg, split)
+            assert abs(rep.overall_accuracy - exact) <= 3 * rep.mc_radius, (seed, split)
+            noiseless = _dm1_sign_rule_accuracy(model.W[:, 0], params, cfg, split, noise=False)
+            shifts.append(abs(noiseless - exact) / rep.mc_radius)
+    # the noise term matters here, so the check can see it drawn wrongly
+    assert np.median(shifts) > 3
 
 
 def _dm1_rule(params):

@@ -429,7 +429,13 @@ def test_csv_bytes_identical_across_reruns_and_threads(tmp_path):
      "modality": {"d_I": 200, "d_T": 200, "noise_sigma_I": 0.1, "noise_sigma_T": 0.1},
      "methods": ["mmcl-closed"], "train": {"n_train": 4000, "p_dim": 20},
      "eval": {"n_eval": 4000, "splits": ["true", "train"]}},
-], ids=["sl-d2000", "dm2-m10-sampled"])
+    # a noisy two-factor rule, W_enc^T W, drawn in its image
+    {"experiment": "method-compare", "name": "supcon-noisy", "root_seed": 4, "trials": 2,
+     "data": {"model": "dm2", "m": 3, "alpha": 1.5, "beta": 1 / 3},
+     "modality": {"d_I": 400, "noise_sigma_I": 0.3}, "methods": ["supcon"],
+     "train": {"n_train": 2000, "p_dim": 6, "probe_epochs": 300},
+     "eval": {"n_eval": 4000, "splits": ["true", "train"]}},
+], ids=["sl-d2000", "dm2-m10-sampled", "supcon-probe-noisy"])
 def test_csv_bytes_identical_at_sizes_where_blas_threads(tmp_path, doc):
     digests = []
     for threads in (1, 2):
@@ -559,7 +565,8 @@ def test_caption_sweep_dm2_checks_the_exact_accuracy_at_slack_zero():
 
 
 def test_noisy_analytic_dm2_evaluation_still_samples(tmp_path):
-    # the bytes this config wrote before counting existed
+    # noisy inputs are sampled, not counted: these are the sampled bytes, with the
+    # scores drawn in the rule's image
     doc = {"experiment": "dm2-robustness", "name": "noisy-analytic", "root_seed": 3,
            "trials": 2, "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 1 / 3},
            "modality": {"d_I": 8, "d_T": 8, "noise_sigma_I": 0.3},
@@ -567,7 +574,7 @@ def test_noisy_analytic_dm2_evaluation_still_samples(tmp_path):
            "eval": {"n_eval": 2000, "splits": ["true", "train"]}}
     emit_csv(run_experiment(config_from_dict(doc)), tmp_path / "results.csv")
     assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == (
-        "27802673080eab7a362472b25e24d308ec80e2bcfbe1527e0cd6beb33958723c")
+        "d34bdcb8de6557e1041b68817343879b3914a9f1a5e2fd0f860966c70447f33b")
 
 
 def test_counted_evaluation_accepts_and_ignores_n_eval_and_exhaustive(tmp_path):
