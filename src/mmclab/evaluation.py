@@ -149,14 +149,14 @@ def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
 def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
     """Labels of scores factors[0] ... factors[-1], multiplied left to right by np.dot
     (the scores themselves for no factors): the sign rule when the product has one
-    column (0 goes to classes[0]), else argmax."""
+    column (0 goes to classes[0]), else argmax. Non-finite scores raise."""
     for factor in factors:
         scores = np.dot(scores, factor)
+    if not np.all(np.isfinite(scores)):
+        raise NumericError("non-finite classification scores")
     if scores.shape[1] == 1:
         raw = np.sign(scores[:, 0])  # np.dot by a d x 1 factor is the gemv of its column
         return np.where(raw == 0, classes[0], raw).astype(int)
-    if not np.all(np.isfinite(scores)):
-        raise NumericError("non-finite classification scores")
     picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
     return np.asarray(classes)[picks]
 

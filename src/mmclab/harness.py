@@ -236,8 +236,8 @@ def _check_cells(config: ExperimentConfig):
     method with its overrides merged, input dimensions of at least the latent
     dimension l, ``train.n_train`` unless the method trains on none
     (mmcl-analytic) or enumerates it, and ``eval.n_eval`` unless evaluation
-    enumerates or counts. Bounds that depend on the method (``p_dim``) and
-    enumeration size caps stay with the run."""
+    enumerates or counts. Counted evaluation must be noiseless. Bounds that
+    depend on the method (``p_dim``) and enumeration size caps stay with the run."""
     for cell in _sweep_cells(config):
         where = f" (sweep cell {cell})" if cell else ""
         try:
@@ -251,9 +251,13 @@ def _check_cells(config: ExperimentConfig):
                 raise ValidationError(f"train.n_train is required for sampled training "
                                       f"data (method {method})")
             if (not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec
-                    and not _counted(method, params, modality, eval_sec)):
+                    and not _counted(method, params)):
                 raise ValidationError(f"eval.n_eval is required for sampled evaluation "
                                       f"(method {method})")
+            noise = eval_sec.get("noise_sigma", modality.get("noise_sigma_I", 0.0))
+            if _counted(method, params) and noise > 0:
+                raise ValidationError(f"{method} on dm2 is counted, so eval.noise_sigma (default "
+                                      f"modality.noise_sigma_I) must be 0, got {noise}{where}")
             d_i = modality.get("d_I", params.l)
             for key, dim in (("d_I", d_i), ("d_T", modality.get("d_T", d_i))):
                 if dim < params.l:
@@ -326,13 +330,18 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict):
     return modality, train, {**config.eval, **override.get("eval", {})}
 
 
-def _counted(method: str, params, modality: dict, eval_sec: dict) -> bool:
+def _counted(method: str, params) -> bool:
     """Whether a method's evaluation is counted exactly instead of drawn: the
-    analytic fit on noiseless model-2 inputs, whose rule has the pair structure
-    that ``evaluation.count_zero_shot`` needs. ``eval.n_eval`` and
-    ``eval.exhaustive`` go unused there."""
-    noise = eval_sec.get("noise_sigma", modality.get("noise_sigma_I", 0.0))
-    return method == "mmcl-analytic" and isinstance(params, DataModel2Params) and noise == 0
+    analytic fit on model 2, whose rule has the pair structure that
+    ``evaluation.count_zero_shot`` needs. ``_check_cells`` keeps its inputs
+    noiseless. ``eval.n_eval`` and ``eval.exhaustive`` go unused there."""
+    return method == "mmcl-analytic" and isinstance(params, DataModel2Params)
+
+
+def _gd_args(section: dict, prefix: str = "") -> dict:
+    """The step size and epoch budget a section sets, as ``prefix`` + lr and
+    ``prefix`` + epochs; the trainer's own defaults fill in the rest."""
+    return {arg: section[prefix + arg] for arg in ("lr", "epochs") if prefix + arg in section}
 
 
 def _make_params(data: dict):
@@ -399,57 +408,44 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                 s = covariance.empirical_cross_cov(dataset)
                 model = training.mmcl_fit_closed_form(s, p_dim, rho)
             else:
-                model = training.mmcl_fit_gd(
-                    dataset, p_dim, rho,
-                    lr=train.get("lr", training.MMCL_GD_DEFAULTS["lr"]),
-                    epochs=train.get("epochs", training.MMCL_GD_DEFAULTS["epochs"]),
-                    rng=rng.child(22))
+                model = training.mmcl_fit_gd(dataset, p_dim, rho, **_gd_args(train),
+                                             rng=rng.child(22))
         prompts = evaluation.build_prompts(params, dict_text)
-        if _counted(method, params, modality, eval_sec):
+        if _counted(method, params):
             def evaluate(sampler, n_eval, rng):
                 return evaluation.count_zero_shot(model, prompts, sampler)
         else:
             evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
     elif method == "sl":
         images = datagen.project_latents(latents.z, image_cfg, rng.child(23))
-        model = training.sl_fit_gd(
-            images, latents.y,
-            lr=train.get("lr", training.SL_GD_DEFAULTS["lr"]),
-            epochs=train.get("epochs", training.SL_GD_DEFAULTS["epochs"]),
-            rng=rng.child(24))
+        model = training.sl_fit_gd(images, latents.y, **_gd_args(train), rng=rng.child(24))
         evaluate = partial(evaluation.evaluate_sl, model)
     else:  # supcon
         dataset = datagen.make_paired_dataset(latents, image_cfg, image_cfg,
                                               CaptionMask.none(), rng.child(21))
         cov = covariance.supcon_class_mean_cov(dataset)
         encoder = training.supcon_fit_closed_form(cov, p_dim, rho)
-        probe = training.probe_fit(
-            encoder.transform(dataset.x_image), latents.y,
-            lr=train.get("probe_lr", training.SL_GD_DEFAULTS["lr"]),
-            epochs=train.get("probe_epochs", training.SL_GD_DEFAULTS["epochs"]),
-            rng=rng.child(25))
+        probe = training.probe_fit(encoder.transform(dataset.x_image), latents.y,
+                                   **_gd_args(train, "probe_"), rng=rng.child(25))
         evaluate = partial(evaluation.evaluate_probe, encoder, probe)
-        geometry, restarts = (eval_sec.get("supcon_geometry", False),
-                              eval_sec.get("supcon_restarts", 0))
-        if geometry or restarts:
-            true_latents = datagen.enumerate_latents_dm2(params, "true")
+        geometry, attack = (eval_sec.get("supcon_geometry", False),
+                            eval_sec.get("supcon_restarts", 0) > 0)
+        if geometry or attack:
+            true_data = datagen.make_paired_dataset(
+                datagen.enumerate_latents_dm2(params, "true"), eval_cfg, eval_cfg,
+                CaptionMask.none(), rng.child(26))
         if geometry:
-            true_data = datagen.make_paired_dataset(true_latents, eval_cfg, eval_cfg,
-                                                    CaptionMask.none(), rng.child(26))
             residual = evaluation.supcon_group_geometry(encoder, true_data).residual
             extra.append(("true", "geometry", "collinearity_residual", residual))
-        if restarts:
-            # strongest attack: probes retrained on true-split representations
-            true_images = datagen.project_latents(true_latents.z, eval_cfg, rng.child(27))
-            true_reps = encoder.transform(true_images)
-            epochs = eval_sec.get("adversarial_probe_epochs",
-                                  training.SL_GD_DEFAULTS["epochs"])
-            for i in range(restarts):
-                adv = training.probe_fit(true_reps, true_latents.y,
-                                         epochs=epochs, rng=rng.child(300 + i))
-                pred = evaluation._predict((adv.W,), adv.classes, true_reps)
-                acc = float(np.mean(pred == true_latents.y))
-                extra.append(("true", f"restart={i:02d}", "best_probe_accuracy", acc))
+        if attack:
+            # strongest attack: a probe retrained on true-split representations. Its loss
+            # is convex in the scores, so restarts from other small weights find the same rule
+            true_reps, true_y = encoder.transform(true_data.x_image), true_data.latents.y
+            adv = training.probe_fit(true_reps, true_y, rng=rng.child(300),
+                                     **_gd_args(eval_sec, "adversarial_probe_"))
+            pred = evaluation._predict((adv.W,), adv.classes, true_reps)
+            extra.append(("true", "adversarial", "best_probe_accuracy",
+                          float(np.mean(pred == true_y))))
 
     rows = []
     for i, split in enumerate(eval_sec.get("splits", ["true"])):
@@ -757,7 +753,6 @@ def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
         "slacks": {"mmcl:true:overall:accuracy": 0.0,
                    "mmcl:train:overall:accuracy": 0.0},
     })
-    sl_bound = theory.sl_shift_ceiling_dm2(10.0, 1.0 / 3.0).values["overall"]
     sl = config_from_dict({
         "experiment": "dm2-robustness", "name": "dm2-sl", "root_seed": root_seed,
         "data": {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1.0 / 3.0},
@@ -767,7 +762,7 @@ def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
         # and 5000 epochs write the CSV bytes of 40000 at seeds 0-9
         "train": {"exhaustive": True, "epochs": 5000},
         "eval": {"exhaustive": True, "splits": ["true", "train"]},
-        "slacks": {"sl:true:overall:accuracy": 0.60 - sl_bound,
+        "slacks": {"sl:true:overall:accuracy": 0.0,
                    "sl:train:overall:accuracy": 0.0},
     })
     return [mmcl, sl]

@@ -88,6 +88,15 @@ def test_zero_shot_rejects_nonfinite_scores():
         zero_shot_predict(model, np.array([1.0, 1.0]), prompts)
 
 
+def test_sign_rule_rejects_nonfinite_scores():
+    # one score column takes the sign rule, which must refuse nan as argmax does:
+    # inf - inf on rows whose two latents share a sign would get an arbitrary label
+    model = SLModel(W=np.array([[np.inf], [-np.inf]]), classes=(-1, 1))
+    sampler = EvalSampler(DataModel1Params(1.0, 0.1, 0.9), "true", _identity_cfg(2, 2))
+    with pytest.raises(NumericError):
+        evaluate_sl(model, sampler, 2000, RNG.child(63))
+
+
 def test_zero_shot_exact_tie_goes_to_lowest_class():
     model = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0)
     prompts = build_prompts(DataModel1Params(1.0, 0.1, 0.9), make_dictionary(2, 2))
@@ -414,7 +423,7 @@ def test_counting_holds_on_every_preset_analytic_cell():
         for cell in harness._sweep_cells(config):
             params, mask, _ = harness._build_cell(config, cell)
             modality, train, eval_sec = harness._method_sections(config, "mmcl-analytic", cell)
-            assert harness._counted("mmcl-analytic", params, modality, eval_sec)
+            assert harness._counted("mmcl-analytic", params)
             pi = mask.pi if mask.variant == "model2" else 1.0
             model, prompts, cfg = _analytic_fit(params, pi, modality.get("d_I"),
                                                 modality.get("d_T"), train.get("p_dim"))

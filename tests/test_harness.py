@@ -170,11 +170,8 @@ def _tiny_dm2_config(**extra):
     (_tiny_dm2_config(eval={"splits": ["true"]}), r"eval\.n_eval"),
     (_tiny_dm2_config(method_overrides={"mmcl-closed": {"eval": {"exhaustive": False}}}),
      r"eval\.n_eval"),
-    (_tiny_dm2_config(methods=["mmcl-analytic"], train={"p_dim": 6},
-                      eval={"splits": ["true"], "noise_sigma": 0.1}),
-     r"eval\.n_eval .*mmcl-analytic"),
 ], ids=["dm1-n_train", "dm1-n_eval", "dm1-sl-n_train", "dm2-n_train", "dm2-n_eval",
-        "dm2-override-n_eval", "dm2-noisy-analytic-n_eval"])
+        "dm2-override-n_eval"])
 def test_sampled_data_needs_its_size(doc, match):
     with pytest.raises(ValidationError, match=match):
         config_from_dict(doc)
@@ -564,17 +561,25 @@ def test_caption_sweep_dm2_checks_the_exact_accuracy_at_slack_zero():
         for split, value in (("true", true), ("train", 1.0))}
 
 
-def test_noisy_analytic_dm2_evaluation_still_samples(tmp_path):
-    # noisy inputs are sampled, not counted: these are the sampled bytes, with the
-    # scores drawn in the rule's image
+@pytest.mark.parametrize("modality,eval_sec,overrides", [
+    ({"noise_sigma_I": 0.3}, {"n_eval": 2000}, {}),
+    ({}, {"noise_sigma": 0.1}, {}),
+    ({}, {}, {"mmcl-analytic": {"eval": {"noise_sigma": 0.1, "exhaustive": True}}}),
+], ids=["image-noise", "eval-noise", "override-noise"])
+def test_noisy_analytic_dm2_evaluation_is_rejected(modality, eval_sec, overrides):
+    # counting assumes noiseless inputs, and so do the checks it is compared with
     doc = {"experiment": "dm2-robustness", "name": "noisy-analytic", "root_seed": 3,
-           "trials": 2, "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 1 / 3},
-           "modality": {"d_I": 8, "d_T": 8, "noise_sigma_I": 0.3},
+           "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 1 / 3},
+           "modality": {"d_I": 8, "d_T": 8, **modality},
            "methods": ["mmcl-analytic"], "train": {"p_dim": 6},
-           "eval": {"n_eval": 2000, "splits": ["true", "train"]}}
-    emit_csv(run_experiment(config_from_dict(doc)), tmp_path / "results.csv")
-    assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == (
-        "d34bdcb8de6557e1041b68817343879b3914a9f1a5e2fd0f860966c70447f33b")
+           "eval": {**eval_sec, "splits": ["true", "train"]}, "method_overrides": overrides}
+    with pytest.raises(ValidationError, match=r"mmcl-analytic on dm2 .*must be 0, got 0\.[13]"):
+        config_from_dict(doc)
+    # the image noise is free when evaluation overrides it to 0
+    doc["modality"]["noise_sigma_I"] = 0.3
+    doc["eval"]["noise_sigma"] = 0.0
+    doc["method_overrides"] = {}
+    config_from_dict(doc)
 
 
 def test_counted_evaluation_accepts_and_ignores_n_eval_and_exhaustive(tmp_path):
@@ -697,6 +702,31 @@ def test_suite_presets_are_valid_configs():
         assert cfg.min_pass_fraction == 1.0  # verify summarizes at this default
     with pytest.raises(ValidationError):
         suite_configs("nope")
+
+
+def test_supcon_attack_fits_one_probe_for_any_restart_count(monkeypatch):
+    # the adversarial probe's loss is convex in its scores, so restarts would all
+    # reach one rule: a positive count runs the attack once, beside the main probe
+    probe_fit, fits = harness.training.probe_fit, []
+
+    def counted_probe_fit(*args, **kwargs):
+        fits.append(kwargs.get("epochs"))
+        return probe_fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness.training, "probe_fit", counted_probe_fit)
+    doc = _tiny_dm2_config(experiment="method-compare", methods=["supcon"],
+                           train={"exhaustive": True, "p_dim": 6, "probe_epochs": 50},
+                           eval={"exhaustive": True, "splits": ["true"],
+                                 "supcon_restarts": 5, "adversarial_probe_epochs": 70})
+    records = run_experiment(config_from_dict(doc))
+    attacks = [r for r in records if r.metric == "best_probe_accuracy"]
+    assert [(r.split, r.group, r.comparator) for r in attacks] == [
+        ("true", "adversarial", "upper-bound")]
+    assert fits == [50, 70]
+    doc["eval"]["supcon_restarts"] = 0
+    fits.clear()
+    records = run_experiment(config_from_dict(doc))
+    assert fits == [50] and not any(r.metric == "best_probe_accuracy" for r in records)
 
 
 def test_supcon_dm1_probe_is_decided_by_its_first_step():

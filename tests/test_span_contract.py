@@ -34,8 +34,8 @@ Tracer = _load("tracer").Tracer
 
 
 def _shrunk(doc: dict) -> dict:
-    """One trial, at most 20 epochs of any fit, at most 200 evaluation rows,
-    and one adversarial restart."""
+    """One trial, at most 20 epochs of any fit (the adversarial probe's too) and
+    at most 200 evaluation rows."""
     doc = dict(doc, trials=1)
     train, eval_sec = dict(doc.get("train", {})), dict(doc.get("eval", {}))
     for key in ("epochs", "probe_epochs"):
