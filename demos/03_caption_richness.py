@@ -2,8 +2,9 @@
 """What caption detail buys: masking sweeps for both data models.
 
 Model 1: captions keep the core-feature variation with probability pi_core.
-Minority accuracy climbs with pi_core and ignores pi_spu, and follows the
-masked prediction, which is linear in pi_core as the masked covariance is.
+Overall and minority accuracy climb with pi_core and ignore pi_spu, and follow
+the robustness closed form with sigma_core^2 scaled by pi_core, as the masked
+covariance is.
 
 Model 2: captions keep off-class features with probability pi. Robust
 classification switches on sharply at the closed-form threshold.
@@ -12,7 +13,7 @@ from mmclab import (CaptionMask, DataModel1Params, DataModel2Params, EvalSampler
                     ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     population_cross_cov_dm2, sample_latents_dm1,
-                    masked_minority_accuracy_dm1, caption_masking_threshold_dm2)
+                    zero_shot_robustness_dm1, caption_masking_threshold_dm2)
 from mmclab.evaluation import evaluate_zero_shot
 
 rng = RngStream(root_seed=0)
@@ -22,8 +23,8 @@ params = DataModel1Params(sigma_core=1.0, sigma_spu=0.02, p_spu=0.999)
 cfg = ModalityConfig(make_dictionary(2, 2))
 prompts = build_prompts(params, cfg.dictionary)
 
-print("== model 1: minority accuracy vs caption detail ==")
-print("pi_core  measured   predicted")
+print("== model 1: accuracy vs caption detail ==")
+print("pi_core  overall: measured  predicted   minority: measured  predicted")
 for pi_core in (0.0, 0.25, 0.5, 0.75, 1.0):
     mask = CaptionMask.model1(pi_core=pi_core, pi_spu=0.0)
     latents = sample_latents_dm1(params, 50000, "train", rng.child(int(pi_core * 100)))
@@ -31,8 +32,9 @@ for pi_core in (0.0, 0.25, 0.5, 0.75, 1.0):
     model = mmcl_fit_closed_form(empirical_cross_cov(data), 2, 1.0)
     report = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
                                 50000, rng.child(int(pi_core * 100) + 2))
-    pred = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pi_core)
-    print(f"  {pi_core:.2f}   {report.minority_accuracy():.4f}     "
+    pred = zero_shot_robustness_dm1(1.0, 0.02, 0.999, pi_core)
+    print(f"  {pi_core:.2f}            {report.overall_accuracy:.4f}     "
+          f"{pred.values['overall']:.4f}              {report.minority_accuracy():.4f}     "
           f"{pred.values['minority']:.4f}")
 print("(the measurements track the prediction; mentioning spurious detail "
       "has no effect)")

@@ -27,8 +27,7 @@ from .numerics import (Dictionary, RngStream, SvdTop, make_dictionary, phi_cdf,
                        svd_top)
 from .theory import (TheoremPrediction, in_distribution_predictions_dm1, sl_failure_bounds_dm1,
                      zero_shot_robustness_dm1, sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
-                     masked_minority_accuracy_dm1, caption_masking_threshold_dm2,
-                     zero_shot_accuracy_dm2)
+                     caption_masking_threshold_dm2, zero_shot_accuracy_dm2)
 from .training import (MMCLModel, SLModel, SupConEncoder, mmcl_fit_closed_form,
                        mmcl_fit_gd, probe_fit, sl_fit_gd, supcon_fit_closed_form)
 

@@ -200,7 +200,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     _require_strings(methods, "methods", METHODS)
     if not methods:
         raise ValidationError("methods must be non-empty")
-    models = _KINDS[experiment][0]
+    models = _KINDS[experiment]
     model = sections["data"].get("model")
     if model not in models:
         raise ValidationError(f"data.model must be {' or '.join(models)} for "
@@ -319,7 +319,7 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
     data = dict(config.data)
     data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
     params, mask = _make_params(data), _make_mask(data)
-    return params, mask, _KINDS[config.experiment][1](params, mask)
+    return params, mask, _CHECKS[data["model"]](params, mask)
 
 
 def _method_sections(config: ExperimentConfig, method: str, cell: dict):
@@ -465,30 +465,39 @@ def _declared(pred: theory.TheoremPrediction, key: str) -> tuple:
     return pred.values[key], pred.comparators[key]
 
 
-# Each builder maps (family, split, group, metric) -> (prediction, comparator)
-# for one cell. Constants that no theory function computes (perfect supervised
-# training accuracy on model 2, the supervised-contrastive claims, id_gap >= 0)
-# carry their comparator here; every other check comes from theory unchanged.
+# Each table maps (family, split, group, metric) -> (prediction, comparator)
+# for one cell of its data model, whatever the experiment kind. Constants that
+# no theory function computes (perfect supervised training accuracy on model 2,
+# the supervised-contrastive claims, id_gap >= 0) carry their comparator here;
+# every other check comes from theory unchanged.
 
 
-def _dm1_robustness_checks(params, mask) -> dict:
-    mmcl = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
+def _dm1_checks(params, mask) -> dict:
+    mmcl = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu,
+                                           mask.pi_core if mask.variant == "model1" else 1.0)
     sl = theory.sl_failure_bounds_dm1()
-    return {(family, "true", group, "accuracy"): _declared(pred, group)
-            for family, pred in (("mmcl", mmcl), ("sl", sl))
-            for group in ("overall", "minority")}
+    checks = {(family, "true", group, "accuracy"): _declared(pred, group)
+              for family, pred in (("mmcl", mmcl), ("sl", sl))
+              for group in ("overall", "minority")}
+    idp = theory.in_distribution_predictions_dm1(params.sigma_core, params.sigma_spu)
+    checks.update({("mmcl", "train", "overall", "accuracy"): _declared(mmcl, "train"),
+                   ("sl", "train", "overall", "accuracy"): _declared(idp, "sl_id"),
+                   ("sl-vs-mmcl", "train", "overall", "id_gap"): (0.0, "lower-bound"),
+                   ("supcon", "true", "overall", "accuracy"): (0.5, "upper-bound"),
+                   ("supcon", "true", "minority", "accuracy"): (0.0, "upper-bound")})
+    return checks
 
 
-def _mmcl_dm2_checks(params, mask) -> dict:
+def _dm2_checks(params, mask) -> dict:
     pred = theory.zero_shot_accuracy_dm2(params.m, params.alpha, params.beta,
                                          mask.pi if mask.variant == "model2" else 1.0)
-    return {("mmcl", split, "overall", "accuracy"): _declared(pred, split)
-            for split in datagen.SPLITS}
-
-
-def _dm2_robustness_checks(params, mask) -> dict:
-    checks = _mmcl_dm2_checks(params, mask)
-    checks[("sl", "train", "overall", "accuracy")] = (1.0, "equality-threshold")
+    checks = {("mmcl", split, "overall", "accuracy"): _declared(pred, split)
+              for split in datagen.SPLITS}
+    checks.update({("sl", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
+                   ("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
+                   ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
+                   ("supcon", "true", "geometry", "collinearity_residual"): (0.0, "upper-bound"),
+                   ("supcon", "true", "*", "best_probe_accuracy"): (0.75, "upper-bound")})
     try:
         sl = theory.sl_shift_ceiling_dm2(params.alpha, params.beta)
     except DomainError:
@@ -497,34 +506,12 @@ def _dm2_robustness_checks(params, mask) -> dict:
     return checks
 
 
-def _caption_dm1_checks(params, mask) -> dict:
-    pred = theory.masked_minority_accuracy_dm1(
-        params.sigma_core, params.sigma_spu, params.p_spu,
-        mask.pi_core if mask.variant == "model1" else 1.0)
-    return {("mmcl", "true", "minority", "accuracy"): _declared(pred, "minority")}
-
-
-def _method_compare_checks(params, mask) -> dict:
-    if isinstance(params, DataModel2Params):
-        return {("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
-                ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
-                ("supcon", "true", "geometry", "collinearity_residual"): (0.0, "upper-bound"),
-                ("supcon", "true", "*", "best_probe_accuracy"): (0.75, "upper-bound")}
-    idp = theory.in_distribution_predictions_dm1(params.sigma_core, params.sigma_spu,
-                                                 params.p_spu)
-    return {("sl", "train", "overall", "accuracy"): _declared(idp, "sl_id"),
-            ("mmcl", "train", "overall", "accuracy"): _declared(idp, "mmcl_id"),
-            ("sl-vs-mmcl", "train", "overall", "id_gap"): (0.0, "lower-bound"),
-            ("supcon", "true", "overall", "accuracy"): (0.5, "upper-bound"),
-            ("supcon", "true", "minority", "accuracy"): (0.0, "upper-bound")}
-
-
-# experiment kind -> (data models it runs on, checks of one cell)
-_KINDS = {"dm1-robustness": (("dm1",), _dm1_robustness_checks),
-          "dm2-robustness": (("dm2",), _dm2_robustness_checks),
-          "caption-sweep-dm1": (("dm1",), _caption_dm1_checks),
-          "caption-sweep-dm2": (("dm2",), _mmcl_dm2_checks),
-          "method-compare": (("dm1", "dm2"), _method_compare_checks)}
+# data model -> the checks of one of its cells
+_CHECKS = {"dm1": _dm1_checks, "dm2": _dm2_checks}
+# experiment kind -> the data models it runs on; the kind is otherwise a CSV label
+_KINDS = {"dm1-robustness": ("dm1",), "dm2-robustness": ("dm2",),
+          "caption-sweep-dm1": ("dm1",), "caption-sweep-dm2": ("dm2",),
+          "method-compare": ("dm1", "dm2")}
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
@@ -578,10 +565,10 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
                 value=float(value),
                 **_compare(config, checks, family, split, group, metric, value)))
             measured[(family, split, group, metric)] = float(value)
-    # derived in-distribution comparison when both model families ran
+    # derived in-distribution comparison when both model families ran on train
     sl_id = measured.get(("sl", "train", "overall", "accuracy"))
     mmcl_id = measured.get(("mmcl", "train", "overall", "accuracy"))
-    if config.experiment == "method-compare" and sl_id is not None and mmcl_id is not None:
+    if sl_id is not None and mmcl_id is not None:
         gap = sl_id - mmcl_id
         records.append(RunRecord(
             run_id=run_id, experiment=config.experiment, seed=seed, method="sl-vs-mmcl",
@@ -828,10 +815,12 @@ def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
 
 
 def _id_suite(root_seed: int) -> list[ExperimentConfig]:
-    sl_id = theory.in_distribution_predictions_dm1(1.0, 0.01, 0.999).values["sl_id"]
+    data = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999}
+    sl_id = theory.in_distribution_predictions_dm1(data["sigma_core"],
+                                                   data["sigma_spu"]).values["sl_id"]
     cfg = config_from_dict({
         "experiment": "method-compare", "name": "id-control", "root_seed": root_seed,
-        "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999},
+        "data": data,
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["mmcl-closed", "sl"],
         "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0},

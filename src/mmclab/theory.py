@@ -58,32 +58,35 @@ def sl_failure_bounds_dm1() -> TheoremPrediction:
     )
 
 
-def _dm1_kappas(sigma_core: float, sigma_spu: float, p_spu: float,
-                core_factor: float = 1.0) -> tuple[float, float]:
-    denom = math.sqrt((1 + core_factor * sigma_core ** 2) ** 2 * sigma_core ** 2
-                      + (2 * p_spu - 1) ** 2 * sigma_spu ** 2)
-    if denom == 0:
-        raise DomainError("degenerate denominator: sigma_core and sigma_spu both zero")
-    k1 = (2 * p_spu - 2 - core_factor * sigma_core ** 2) / denom
-    k2 = (-2 * p_spu - core_factor * sigma_core ** 2) / denom
-    return k1, k2
+def zero_shot_robustness_dm1(sigma_core: float, sigma_spu: float, p_spu: float,
+                             pi_core: float = 1.0) -> TheoremPrediction:
+    """Zero-shot robustness of the contrastive model on model 1, with captions
+    that keep the core variation with probability pi_core.
 
-
-def zero_shot_robustness_dm1(sigma_core: float, sigma_spu: float, p_spu: float) -> TheoremPrediction:
-    """Zero-shot robustness of the contrastive model on model 1.
-
-    kappa_1 = (2p - 2 - sc^2) / sqrt((1 + sc^2)^2 sc^2 + (2p - 1)^2 ss^2),
-    kappa_2 = (-2p - sc^2) / (same denominator);
+    kappa_1 = (2p - 2 - e sc^2) / sqrt((1 + e sc^2)^2 sc^2 + (2p - 1)^2 ss^2),
+    kappa_2 = (-2p - e sc^2) / (same denominator), with e = pi_core: the masked
+    covariance expectation is linear in pi_core, and pi_spu drops out.
     overall >= 1 - Phi(kappa_1)/2 - Phi(kappa_2)/2, minority >= 1 - Phi(kappa_1).
     The linear closed form attains both bounds exactly (its minority accuracy
     reproduces 1 - Phi(kappa_1) to 1e-16), so they are compared as equalities.
+    ``train`` is the exact overall accuracy on the train split, where the
+    minority groups weigh 1 - p: p (1 - Phi(kappa_2)) + (1 - p)(1 - Phi(kappa_1)).
     """
-    k1, k2 = _dm1_kappas(sigma_core, sigma_spu, p_spu)
+    if not 0 <= pi_core <= 1:
+        raise DomainError(f"pi_core must lie in [0, 1], got {pi_core}")
+    core = pi_core * sigma_core ** 2
+    denom = math.sqrt((1 + core) ** 2 * sigma_core ** 2
+                      + (2 * p_spu - 1) ** 2 * sigma_spu ** 2)
+    if denom == 0:
+        raise DomainError("degenerate denominator: sigma_core and sigma_spu both zero")
+    k1 = (2 * p_spu - 2 - core) / denom
+    k2 = (-2 * p_spu - core) / denom
     return TheoremPrediction(
         values={"kappa1": k1, "kappa2": k2,
                 "overall": 1.0 - 0.5 * phi_cdf(k1) - 0.5 * phi_cdf(k2),
-                "minority": 1.0 - phi_cdf(k1)},
-        comparators={"overall": "equality-threshold", "minority": "equality-threshold"},
+                "minority": 1.0 - phi_cdf(k1),
+                "train": p_spu * (1.0 - phi_cdf(k2)) + (1.0 - p_spu) * (1.0 - phi_cdf(k1))},
+        comparators={group: "equality-threshold" for group in ("overall", "minority", "train")},
     )
 
 
@@ -142,23 +145,6 @@ def zero_shot_accuracy_dm2(m: int, alpha: float, beta: float,
                              comparators={split: "equality-threshold" for split in SPLITS})
 
 
-def masked_minority_accuracy_dm1(sigma_core: float, sigma_spu: float, p_spu: float,
-                            pi_core: float) -> TheoremPrediction:
-    """Minority zero-shot accuracy on model 1 under caption masking.
-
-    1 - Phi((2p - 2 - e*sc^2) / sqrt((1 + e*sc^2)^2 sc^2 + (2p-1)^2 ss^2)) with
-    e = pi_core: the masked covariance expectation is linear in pi_core.
-    Independent of pi_spu.
-    """
-    if not 0 <= pi_core <= 1:
-        raise DomainError(f"pi_core must lie in [0, 1], got {pi_core}")
-    k1, _ = _dm1_kappas(sigma_core, sigma_spu, p_spu, core_factor=pi_core)
-    return TheoremPrediction(
-        values={"minority": 1.0 - phi_cdf(k1)},
-        comparators={"minority": "equality-threshold"},
-    )
-
-
 def caption_masking_threshold_dm2(m: int, alpha: float, beta: float) -> float:
     """Caption-richness threshold pi_tilde for model 2:
     ((1+b) a^2 - 1 + b) / ((1-b) b^2 (m-1)).
@@ -176,25 +162,17 @@ def caption_masking_threshold_dm2(m: int, alpha: float, beta: float) -> float:
     return ((1 + beta) * alpha ** 2 - 1 + beta) / ((1 - beta) * beta ** 2 * (m - 1))
 
 
-def in_distribution_predictions_dm1(sigma_core: float, sigma_spu: float,
-                             p_spu: float) -> TheoremPrediction:
-    """In-distribution control predictions for model 1.
-
-    Supervised: ID accuracy at least Phi((1 + R)/sqrt(sc^2 + R^2 ss^2)) with the
-    spurious-to-core weight ratio R > 1.51 in the overparameterized regime.
-    Contrastive: ID accuracy 1 - Phi(kappa_2). At sc=1, ss=0 these are
-    Phi(2.51) = 99.4% and Phi(1.5) = 93.3%; the supervised model is slightly
-    ahead in distribution (its robustness gap is not an ID artifact). A
-    commonly quoted 93.93% for the contrastive figure does not match Phi(1.5)
-    and is treated as a typo.
+def in_distribution_predictions_dm1(sigma_core: float, sigma_spu: float) -> TheoremPrediction:
+    """In-distribution control prediction for supervised learning on model 1:
+    ID accuracy at least Phi((1 + R)/sqrt(sc^2 + R^2 ss^2)) with the
+    spurious-to-core weight ratio R > 1.51 in the overparameterized regime. At
+    sc=1, ss=0 that is Phi(2.51) = 99.4%, slightly ahead of the contrastive
+    model's exact train-split accuracy (``zero_shot_robustness_dm1``'s
+    ``train``, 93.3% there), so its robustness gap is not an ID artifact.
     """
     r = 1.51
     sl_denom = math.sqrt(sigma_core ** 2 + r ** 2 * sigma_spu ** 2)
     if sl_denom == 0:
         raise DomainError("degenerate denominator: sigma_core and sigma_spu both zero")
-    _, k2 = _dm1_kappas(sigma_core, sigma_spu, p_spu)
-    return TheoremPrediction(
-        values={"sl_id": phi_cdf((1 + r) / sl_denom),
-                "mmcl_id": 1.0 - phi_cdf(k2)},
-        comparators={"sl_id": "lower-bound", "mmcl_id": "equality-threshold"},
-    )
+    return TheoremPrediction(values={"sl_id": phi_cdf((1 + r) / sl_denom)},
+                             comparators={"sl_id": "lower-bound"})

@@ -11,7 +11,7 @@ import pytest
 from mmclab import (CaptionMask, CrossCov, DataModel1Params, ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     mmcl_fit_gd, population_cross_cov_dm1,
-                    sample_latents_dm1, perfect_zero_shot_condition_dm2, masked_minority_accuracy_dm1,
+                    sample_latents_dm1, perfect_zero_shot_condition_dm2, zero_shot_robustness_dm1,
                     caption_masking_threshold_dm2)
 from mmclab.harness import config_from_dict, emit_csv, run_experiment, run_suite
 from mmclab.training import MMCLModel
@@ -162,7 +162,7 @@ def test_criterion_06_caption_sweep_dm1(captions_records):
     monotone = all(cells[(0.0, ps)] <= cells[(0.5, ps)] + 1e-9
                    and cells[(0.5, ps)] <= cells[(1.0, ps)] + 1e-9
                    for ps in (0.0, 1.0))
-    preds = {pc: masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pc).values["minority"]
+    preds = {pc: zero_shot_robustness_dm1(1.0, 0.02, 0.999, pc).values["minority"]
              for pc in (0.0, 0.5, 1.0)}
     worst = max(abs(cells[(pc, ps)] - preds[pc])
                 for pc in (0.0, 0.5, 1.0) for ps in (0.0, 1.0))

@@ -226,11 +226,12 @@ def _dm1_sign_rule_accuracy(w, params, cfg, split, noise=True):
     """Exact accuracy of sign(x w) on model-1 inputs x = D z + xi: group (y, a)
     scores N(w^T mu, w^T Sigma w), mu = D [y, a], Sigma = D diag(sigma_c^2,
     sigma_s^2) D^T + sigma^2/d I, so it is right with probability
-    Phi(y w^T mu / sqrt(w^T Sigma w)). ``noise=False`` drops the sigma^2/d term."""
+    Phi(y w^T mu / sqrt(w^T Sigma w)). ``noise=False`` drops the sigma^2/d term.
+    ``split="minority"`` weighs the two minority groups (a != y) alone."""
     dw = np.dot(cfg.dictionary.matrix.T, w)
     var = ((params.sigma_core * dw[0]) ** 2 + (params.sigma_spu * dw[1]) ** 2
            + noise * cfg.noise_sigma ** 2 / cfg.ambient_dim * np.dot(w, w))
-    agree = 0.5 if split == "true" else params.p_spu  # Pr(a = y)
+    agree = {"true": 0.5, "train": params.p_spu, "minority": 0.0}[split]  # Pr(a = y)
     return sum((agree if a == y else 1 - agree) / 2
                * phi_cdf(y * (dw[0] * y + dw[1] * a) / np.sqrt(var))
                for y in (-1, 1) for a in (-1, 1))
@@ -256,6 +257,24 @@ def test_noisy_sl_accuracy_matches_the_model_1_closed_form():
             shifts.append(abs(noiseless - exact) / rep.mc_radius)
     # the noise term matters here, so the check can see it drawn wrongly
     assert np.median(shifts) > 3
+
+
+@pytest.mark.parametrize("sc,ss,p,pi_core,pi_spu", [
+    (1.0, 0.02, 0.999, 1.0, 1.0), (1.0, 0.02, 0.999, 0.5, 0.0),
+    (1.0, 0.1, 0.9, 0.0, 1.0), (1.7, 0.3, 0.75, 0.3, 0.6)])
+def test_masked_analytic_zero_shot_rule_attains_the_model_1_closed_form(sc, ss, p,
+                                                                        pi_core, pi_spu):
+    # on model 1 the zero-shot argmax is the sign rule x G p_{+1}; with the masked
+    # population covariance its exact accuracy is the closed form on the true
+    # split, on its minority groups and on the train split, whatever pi_spu is
+    params, cfg = DataModel1Params(sc, ss, p), _identity_cfg(2, 2)
+    cov = population_cross_cov_dm1(params, CaptionMask.model1(pi_core, pi_spu))
+    model = mmcl_fit_closed_form(cov, 2, 1.0, cfg.dictionary, cfg.dictionary)
+    w = np.dot(model.G, build_prompts(params, cfg.dictionary).prompts[1])
+    pred = zero_shot_robustness_dm1(sc, ss, p, pi_core).values
+    for split, key in (("true", "overall"), ("minority", "minority"), ("train", "train")):
+        exact = _dm1_sign_rule_accuracy(w, params, cfg, split, noise=False)
+        assert exact == pytest.approx(pred[key], abs=1e-12), split
 
 
 def _dm1_rule(params):

@@ -636,44 +636,134 @@ def test_verify_theorems_kind_rejected(tmp_path):
 
 
 _DM1_SMALL = {"modality": {"d_I": 2, "d_T": 2},
-              "train": {"n_train": 400, "p_dim": 2, "rho": 1.0, "epochs": 200},
+              "train": {"n_train": 400, "p_dim": 2, "rho": 1.0, "epochs": 200,
+                        "probe_epochs": 200},
               "eval": {"n_eval": 400, "splits": ["true", "train"]}}
-_ZERO_SHOT = theory.zero_shot_robustness_dm1(1.0, 0.05, 0.95)
-_ID = theory.in_distribution_predictions_dm1(1.0, 0.05, 0.95)
+_DM2 = {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1 / 3}
 
 
-@pytest.mark.parametrize("doc,declared", [
-    ({"experiment": "dm1-robustness", "data": _DM1, "methods": ["mmcl-closed", "sl"],
-      **_DM1_SMALL},
-     {("mmcl-closed", "true", "overall"): (_ZERO_SHOT, "overall"),
-      ("mmcl-closed", "true", "minority"): (_ZERO_SHOT, "minority"),
-      ("sl", "true", "overall"): (theory.sl_failure_bounds_dm1(), "overall"),
-      ("sl", "true", "minority"): (theory.sl_failure_bounds_dm1(), "minority")}),
-    ({"experiment": "dm2-robustness", "methods": ["sl"],
-      "data": {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1 / 3},
-      "modality": {"d_I": 6}, "train": {"exhaustive": True, "epochs": 200},
-      "eval": {"exhaustive": True, "splits": ["true"]}},
-     {("sl", "true", "overall"): (theory.sl_shift_ceiling_dm2(10.0, 1 / 3), "overall")}),
-    ({"experiment": "caption-sweep-dm1", "data": {**_DM1, "pi_core": 0.5, "pi_spu": 1.0},
-      "methods": ["mmcl-closed"], **_DM1_SMALL},
-     {("mmcl-closed", "true", "minority"):
-      (theory.masked_minority_accuracy_dm1(1.0, 0.05, 0.95, 0.5), "minority")}),
-    ({"experiment": "method-compare", "data": _DM1, "methods": ["mmcl-closed", "sl"],
-      **_DM1_SMALL},
-     {("sl", "train", "overall"): (_ID, "sl_id"),
-      ("mmcl-closed", "train", "overall"): (_ID, "mmcl_id")}),
-], ids=["dm1-robustness", "dm2-robustness", "caption-sweep-dm1", "method-compare"])
-def test_theory_checks_carry_the_declared_prediction_and_comparator(doc, declared):
-    records = run_experiment(config_from_dict({"name": "decl", "root_seed": 2, **doc}))
-    seen = set()
-    for rec in records:
-        key = (rec.method, rec.split, rec.group)
-        if key in declared:
-            pred, name = declared[key]
-            assert (rec.prediction, rec.comparator) == (pred.values[name],
-                                                        pred.comparators[name]), key
+def _declared_table(model):
+    """The checks a cell of ``_table_doc(model)`` must carry, stated from theory
+    directly: (method, split, group, metric) -> (prediction, comparator)."""
+    def declared(pred, name):
+        return pred.values[name], pred.comparators[name]
+
+    if model == "dm1":
+        zero_shot = theory.zero_shot_robustness_dm1(1.0, 0.05, 0.95, 0.5)
+        sl = theory.sl_failure_bounds_dm1()
+        table = {(method, "true", group, "accuracy"): declared(pred, group)
+                 for method, pred in (("mmcl-closed", zero_shot), ("sl", sl))
+                 for group in ("overall", "minority")}
+        table.update({
+            ("mmcl-closed", "train", "overall", "accuracy"): declared(zero_shot, "train"),
+            ("sl", "train", "overall", "accuracy"):
+            declared(theory.in_distribution_predictions_dm1(1.0, 0.05), "sl_id"),
+            ("sl-vs-mmcl", "train", "overall", "id_gap"): (0.0, "lower-bound"),
+            ("supcon", "true", "overall", "accuracy"): (0.5, "upper-bound"),
+            ("supcon", "true", "minority", "accuracy"): (0.0, "upper-bound")})
+        return table
+    counted = theory.zero_shot_accuracy_dm2(3, 10.0, 1 / 3)
+    table = {("mmcl-analytic", split, "overall", "accuracy"): declared(counted, split)
+             for split in ("true", "train")}
+    table.update({
+        ("sl", "true", "overall", "accuracy"):
+        declared(theory.sl_shift_ceiling_dm2(10.0, 1 / 3), "overall"),
+        ("sl", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
+        ("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
+        ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
+        ("supcon", "true", "geometry", "collinearity_residual"): (0.0, "upper-bound"),
+        ("supcon", "true", "adversarial", "best_probe_accuracy"): (0.75, "upper-bound")})
+    return table
+
+
+def _table_doc(model, experiment):
+    """A small config of one data model that emits every key of its table."""
+    if model == "dm1":
+        return {"experiment": experiment, "name": "decl", "root_seed": 2,
+                "data": {**_DM1, "pi_core": 0.5, "pi_spu": 1.0},
+                "methods": ["mmcl-closed", "sl", "supcon"], **_DM1_SMALL}
+    return {"experiment": experiment, "name": "decl", "root_seed": 2, "data": _DM2,
+            "modality": {"d_I": 6, "d_T": 6}, "methods": ["mmcl-analytic", "sl", "supcon"],
+            "train": {"exhaustive": True, "p_dim": 6, "epochs": 200, "probe_epochs": 200},
+            "eval": {"exhaustive": True, "splits": ["true", "train"], "supcon_geometry": True,
+                     "supcon_restarts": 1, "adversarial_probe_epochs": 200}}
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENT_KINDS)
+def test_theory_checks_carry_the_declared_prediction_and_comparator(experiment):
+    # on every data model it allows, an experiment kind checks its records against
+    # that model's one table, and checks nothing else
+    for model in harness._KINDS[experiment]:
+        declared = _declared_table(model)
+        seen = set()
+        for rec in run_experiment(config_from_dict(_table_doc(model, experiment))):
+            key = (rec.method, rec.split, rec.group, rec.metric)
+            assert rec.experiment == experiment
+            assert (rec.prediction, rec.comparator) == declared.get(key, (None, None)), key
             seen.add(key)
-    assert seen == set(declared)
+        assert set(declared) <= seen, (model, set(declared) - seen)
+
+
+@pytest.mark.parametrize("experiment", harness.EXPERIMENT_KINDS)
+def test_every_kind_builds_its_data_models_table(experiment):
+    # the kind only limits the data model; the table and its keys come from the model
+    for model in harness._KINDS[experiment]:
+        config = config_from_dict(_table_doc(model, experiment))
+        params, mask, checks = harness._build_cell(config, {})
+        assert checks == harness._CHECKS[model](params, mask)
+
+
+def test_check_tables_use_only_the_slack_key_vocabulary():
+    # every family, split and metric a table checks can be named by a slacks key
+    for model, data in (("dm1", {**_DM1, "pi_core": 0.0}), ("dm1", _DM1), ("dm2", _DM2),
+                        ("dm2", {**_DM2, "alpha": 0.7, "pi": 0.5})):
+        checks = harness._CHECKS[model](harness._make_params(data), harness._make_mask(data))
+        for key in checks:
+            harness._check_slack_key(":".join(key))
+
+
+def _masked_dm1_config(experiment, pi_core, splits):
+    """captions-dm1 at one masking level, checked at the default 0.02 tolerance."""
+    return config_from_dict({
+        "experiment": experiment, "name": "masked", "root_seed": 3, "trials": 2,
+        "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999,
+                 "pi_core": pi_core},
+        "modality": {"d_I": 2, "d_T": 2}, "methods": ["mmcl-closed"],
+        "train": {"n_train": 50000, "p_dim": 2, "rho": 1.0},
+        "eval": {"n_eval": 50000, "splits": splits}})
+
+
+@pytest.mark.parametrize("pi_core", [0.5, 0.0])
+def test_masked_dm1_robustness_is_checked_against_the_masked_closed_form(pi_core):
+    # the unmasked closed form (minority 0.6918) would fail these cells, which
+    # measure about 0.632 at pi_core = 0.5
+    pred = theory.zero_shot_robustness_dm1(1.0, 0.02, 0.999, pi_core)
+    records = run_experiment(_masked_dm1_config("dm1-robustness", pi_core, ["true"]))
+    checked = {(r.run_id, r.group): (r.prediction, r.passed) for r in records
+               if r.passed is not None}
+    assert checked == {(f"masked-c000-t{trial:02d}", group): (pred.values[group], True)
+                       for trial in range(2) for group in ("overall", "minority")}
+
+
+def test_masked_method_compare_checks_the_masked_train_accuracy():
+    pred = theory.zero_shot_robustness_dm1(1.0, 0.02, 0.999, 0.5).values["train"]
+    records = run_experiment(_masked_dm1_config("method-compare", 0.5, ["train"]))
+    checked = [(r.prediction, r.passed) for r in records if r.passed is not None]
+    assert checked == [(pred, True)] * 2
+
+
+def test_id_control_at_p_09_passes_at_its_slack():
+    # the majority-only value 0.9191 missed these fits (about 0.900) by 0.019
+    config = config_from_dict({
+        "experiment": "method-compare", "name": "id-09", "root_seed": 0, "trials": 3,
+        "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.1, "p_spu": 0.9},
+        "modality": {"d_I": 2, "d_T": 2}, "methods": ["mmcl-closed"],
+        "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0},
+        "eval": {"n_eval": 20000, "splits": ["train"]},
+        "slacks": {"mmcl:train:overall:accuracy": 0.01}})
+    checked = [r for r in run_experiment(config) if r.passed is not None]
+    assert len(checked) == 3 and all(r.passed for r in checked)
+    assert checked[0].prediction == pytest.approx(0.8997, abs=5e-5)
 
 
 def test_every_preset_check_names_a_comparator_of_the_table():

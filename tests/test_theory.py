@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from mmclab import (DomainError, in_distribution_predictions_dm1, sl_failure_bounds_dm1, zero_shot_robustness_dm1,
-                    sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2, masked_minority_accuracy_dm1,
+                    sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
                     caption_masking_threshold_dm2, zero_shot_accuracy_dm2)
 from mmclab import DataModel1Params, RngStream, sample_latents_dm1
 from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY
@@ -119,27 +119,26 @@ def test_zero_shot_accuracy_dm2_is_one_exactly_where_the_paper_says():
 
 
 def test_masked_minority_identity_masking_matches_unmasked():
-    pred = masked_minority_accuracy_dm1(1.0, 0.02, 0.999, 1.0)
-    base = zero_shot_robustness_dm1(1.0, 0.02, 0.999)
-    assert pred.values["minority"] == pytest.approx(base.values["minority"], abs=1e-12)
+    pred = zero_shot_robustness_dm1(1.0, 0.02, 0.999, 1.0)
+    assert pred == zero_shot_robustness_dm1(1.0, 0.02, 0.999)
 
 
 def test_masked_minority_labels_only_captions_are_chance_level():
-    pred = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.0)
+    pred = zero_shot_robustness_dm1(1.0, 0.0, 1.0, 0.0)
     assert pred.values["minority"] == pytest.approx(0.5, abs=1e-12)
 
 
 def test_masked_minority_variants_disagree_at_half():
     # the prediction is linear in pi_core: e = 0.5 gives 0.6306, where an
     # exponent of pi_core^2 (e = 0.25) would give 1 - Phi(-0.25 / 1.25) = 0.5793
-    linear = masked_minority_accuracy_dm1(1.0, 0.0, 1.0, 0.5).values["minority"]
+    linear = zero_shot_robustness_dm1(1.0, 0.0, 1.0, 0.5).values["minority"]
     assert linear == pytest.approx(1 - phi_oracle(-0.5 / 1.5), abs=1e-9)   # 0.6306
     assert linear == pytest.approx(0.6306, abs=5e-5)
     assert abs(linear - (1 - phi_oracle(-0.25 / 1.25))) > 0.05
 
 
 def test_masked_minority_monotone_in_pi_core():
-    values = [masked_minority_accuracy_dm1(1.0, 0.02, 0.999, pi).values["minority"]
+    values = [zero_shot_robustness_dm1(1.0, 0.02, 0.999, pi).values["minority"]
               for pi in np.linspace(0, 1, 11)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
@@ -167,13 +166,35 @@ def test_masking_threshold_undefined_at_zero_beta():
 
 
 def test_in_distribution_reference_points():
-    pred = in_distribution_predictions_dm1(1.0, 0.0, 0.999)
+    pred = in_distribution_predictions_dm1(1.0, 0.0)
     assert pred.values["sl_id"] == pytest.approx(phi_oracle(2.51), abs=1e-9)
     assert pred.values["sl_id"] == pytest.approx(0.9940, abs=5e-5)
-    # the CDF evaluation, not the sometimes-quoted 93.93%
-    assert pred.values["mmcl_id"] == pytest.approx(phi_oracle((2 * 0.999 + 1) / 2), abs=1e-9)
-    assert pred.values["mmcl_id"] == pytest.approx(0.9332, abs=1e-3)
-    assert pred.values["sl_id"] > pred.values["mmcl_id"]
+    # the contrastive train-split accuracy weighs the majority groups'
+    # 1 - Phi(kappa_2) = Phi((2p + 1)/2) by p and the minority groups'
+    # 1 - Phi(kappa_1) = Phi((3 - 2p)/2) by 1 - p; not the sometimes-quoted 93.93%
+    p = 0.999
+    train = zero_shot_robustness_dm1(1.0, 0.0, p).values["train"]
+    assert train == pytest.approx(p * phi_oracle((2 * p + 1) / 2)
+                                  + (1 - p) * phi_oracle((3 - 2 * p) / 2), abs=1e-9)
+    assert train == pytest.approx(0.9328, abs=5e-5)
+    assert pred.values["sl_id"] > train
+
+
+def test_train_accuracy_is_not_the_majority_accuracy_away_from_p_one():
+    # at p = 0.9 the minority groups weigh 0.1: the majority-only value 0.9191
+    # overstates the train-split accuracy 0.8997 by about twice the 0.01 slack
+    # that id-control checks at
+    pred = zero_shot_robustness_dm1(1.0, 0.1, 0.9).values
+    majority = 1 - phi_oracle(pred["kappa2"])
+    assert majority == pytest.approx(0.9191, abs=5e-5)
+    assert pred["train"] == pytest.approx(0.8997, abs=5e-5)
+    assert pred["train"] == pytest.approx(0.9 * majority + 0.1 * pred["minority"], abs=1e-12)
+
+
+@pytest.mark.parametrize("pi_core", [-0.1, 1.5, float("nan")])
+def test_zero_shot_robustness_dm1_rejects_pi_core_outside_the_unit_interval(pi_core):
+    with pytest.raises(DomainError, match="pi_core"):
+        zero_shot_robustness_dm1(1.0, 0.02, 0.999, pi_core)
 
 
 def test_zero_shot_robustness_dm1_relationships_on_grid():
