@@ -150,8 +150,9 @@ def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
     """Labels of scores factors[0] ... factors[-1], multiplied left to right by np.dot
     (the scores themselves for no factors): the sign rule when the product has one
     column (0 goes to classes[0]), else argmax. Non-finite scores raise."""
-    for factor in factors:
-        scores = np.dot(scores, factor)
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite scores raise below
+        for factor in factors:
+            scores = np.dot(scores, factor)
     if not np.all(np.isfinite(scores)):
         raise NumericError("non-finite classification scores")
     if scores.shape[1] == 1:

@@ -231,38 +231,18 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def _check_cells(config: ExperimentConfig):
-    """Build the data model, caption mask and checks of every sweep cell, so that
-    a value out of its domain fails before anything runs. Then require, for each
-    method with its overrides merged, input dimensions of at least the latent
-    dimension l, ``train.n_train`` unless the method trains on none
-    (mmcl-analytic) or enumerates it, and ``eval.n_eval`` unless evaluation
-    enumerates or counts. Counted evaluation must be noiseless. Bounds that
-    depend on the method (``p_dim``) and enumeration size caps stay with the run."""
+    """Build the data model, caption mask and checks of every sweep cell, and
+    resolve each method on it (``_method_sections``), so that a value out of its
+    domain or a setting the run cannot honour fails before anything runs, naming
+    its sweep cell. Bounds that depend on the method (``p_dim``) and enumeration
+    size caps stay with the run."""
     for cell in _sweep_cells(config):
-        where = f" (sweep cell {cell})" if cell else ""
         try:
-            params, _, _ = _build_cell(config, cell)
+            params, mask, _ = _build_cell(config, cell)
+            for method in config.methods:
+                _method_sections(config, method, cell, params, mask)
         except MmclabError as exc:
-            raise ValidationError(f"{exc}{where}") from exc
-        for method in config.methods:
-            modality, train, eval_sec = _method_sections(config, method, cell)
-            if (method != "mmcl-analytic" and not train.get("exhaustive", False)
-                    and "n_train" not in train):
-                raise ValidationError(f"train.n_train is required for sampled training "
-                                      f"data (method {method})")
-            if (not eval_sec.get("exhaustive", False) and "n_eval" not in eval_sec
-                    and not _counted(method, params)):
-                raise ValidationError(f"eval.n_eval is required for sampled evaluation "
-                                      f"(method {method})")
-            noise = eval_sec.get("noise_sigma", modality.get("noise_sigma_I", 0.0))
-            if _counted(method, params) and noise > 0:
-                raise ValidationError(f"{method} on dm2 is counted, so eval.noise_sigma (default "
-                                      f"modality.noise_sigma_I) must be 0, got {noise}{where}")
-            d_i = modality.get("d_I", params.l)
-            for key, dim in (("d_I", d_i), ("d_T", modality.get("d_T", d_i))):
-                if dim < params.l:
-                    raise ValidationError(f"modality.{key} is {dim}, below the latent "
-                                          f"dimension {params.l} (method {method}){where}")
+            raise ValidationError(f"{exc} (sweep cell {cell})" if cell else str(exc)) from exc
 
 
 def config_from_file(path) -> ExperimentConfig:
@@ -322,20 +302,46 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
     return params, mask, _CHECKS[data["model"]](params, mask)
 
 
-def _method_sections(config: ExperimentConfig, method: str, cell: dict):
+def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
+                     mask: CaptionMask) -> tuple[dict, dict, dict, dict]:
+    """The one resolver of a (cell, method), read by ``_check_cells`` and the run:
+    the config's sections merged with the method's overrides and the cell's sweep
+    values, every default filled in, and two derived switches, ``train["draws"]``
+    (false for mmcl-analytic, which fits the population covariance) and
+    ``eval["counted"]`` (the analytic fit on model 2, whose pair-structured rule
+    ``evaluation.count_zero_shot`` scores; n_eval and exhaustive go unused there).
+    Raises ``ValidationError`` for a missing sample size, a noisy counted evaluation
+    or an input dimension below l. Returns (modality, train, eval, CSV parameter
+    row); the row leaves n_train and p_dim empty where the config does."""
     override = config.method_overrides.get(method, {})
-    modality = {**config.modality, **override.get("modality", {})}
+    modality = {"dictionary": "identity-embed", "noise_sigma_I": 0.0, "noise_sigma_T": 0.0,
+                "d_I": params.l, **config.modality, **override.get("modality", {})}
+    modality.setdefault("d_T", modality["d_I"])
     train = {**config.train, **override.get("train", {})}
     train.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "train")
-    return modality, train, {**config.eval, **override.get("eval", {})}
-
-
-def _counted(method: str, params) -> bool:
-    """Whether a method's evaluation is counted exactly instead of drawn: the
-    analytic fit on model 2, whose rule has the pair structure that
-    ``evaluation.count_zero_shot`` needs. ``_check_cells`` keeps its inputs
-    noiseless. ``eval.n_eval`` and ``eval.exhaustive`` go unused there."""
-    return method == "mmcl-analytic" and isinstance(params, DataModel2Params)
+    row = {"n_train": train.get("n_train"), "p_dim": train.get("p_dim")}
+    train = {"n_train": None, "p_dim": params.l, "rho": 1.0, "exhaustive": False, **train,
+             "draws": method != "mmcl-analytic"}
+    eval_sec = {"n_eval": None, "splits": ["true"], "exhaustive": False,
+                "noise_sigma": modality["noise_sigma_I"], "supcon_geometry": False,
+                "supcon_restarts": 0, **config.eval, **override.get("eval", {}),
+                "counted": method == "mmcl-analytic" and isinstance(params, DataModel2Params)}
+    if train["draws"] and not train["exhaustive"] and train["n_train"] is None:
+        raise ValidationError(f"train.n_train is required for sampled training data "
+                              f"(method {method})")
+    if not (eval_sec["exhaustive"] or eval_sec["counted"]) and eval_sec["n_eval"] is None:
+        raise ValidationError(f"eval.n_eval is required for sampled evaluation "
+                              f"(method {method})")
+    if eval_sec["counted"] and eval_sec["noise_sigma"] > 0:
+        raise ValidationError(f"{method} on dm2 is counted, so eval.noise_sigma (default "
+                              f"modality.noise_sigma_I) must be 0, got {eval_sec['noise_sigma']}")
+    for key in ("d_I", "d_T"):
+        if modality[key] < params.l:
+            raise ValidationError(f"modality.{key} is {modality[key]}, below the latent "
+                                  f"dimension {params.l} (method {method})")
+    row.update(rho=train["rho"], d_I=modality["d_I"], d_T=modality["d_T"], **asdict(params),
+               **{k: v for k, v in asdict(mask).items() if k != "variant" and v is not None})
+    return modality, train, eval_sec, row
 
 
 def _gd_args(section: dict, prefix: str = "") -> dict:
@@ -373,24 +379,17 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                 mask: CaptionMask, rng: RngStream) -> tuple[dict, list[tuple]]:
     """Fit one method in one (cell, trial). Returns the CSV parameters of its
     records and (split, group, metric, value) tuples."""
-    modality, train, eval_sec = _method_sections(config, method, cell)
-    d_i = modality.get("d_I", params.l)
-    d_t = modality.get("d_T", d_i)
-    kind = modality.get("dictionary", "identity-embed")
-    dict_image = make_dictionary(d_i, params.l, kind, rng.child(1))
-    dict_text = make_dictionary(d_t, params.l, kind, rng.child(2))
-    image_cfg = datagen.ModalityConfig(dict_image, modality.get("noise_sigma_I", 0.0))
-    text_cfg = datagen.ModalityConfig(dict_text, modality.get("noise_sigma_T", 0.0))
-    eval_cfg = datagen.ModalityConfig(dict_image,
-                                      eval_sec.get("noise_sigma", image_cfg.noise_sigma))
-    p_dim, rho = train.get("p_dim", params.l), train.get("rho", 1.0)
-    param_row = {"n_train": train.get("n_train"), "p_dim": train.get("p_dim"), "rho": rho,
-                 "d_I": d_i, "d_T": d_t, **asdict(params),
-                 **{k: v for k, v in asdict(mask).items() if k != "variant" and v is not None}}
-    if method != "mmcl-analytic":  # the analytic fit trains on no samples
-        sampler = evaluation.EvalSampler(params, "train", image_cfg,
-                                         exhaustive=train.get("exhaustive", False))
-        latents = sampler.draw(train.get("n_train"), rng.child(20))
+    modality, train, eval_sec, param_row = _method_sections(config, method, cell, params, mask)
+    kind = modality["dictionary"]
+    dict_image = make_dictionary(modality["d_I"], params.l, kind, rng.child(1))
+    dict_text = make_dictionary(modality["d_T"], params.l, kind, rng.child(2))
+    image_cfg = datagen.ModalityConfig(dict_image, modality["noise_sigma_I"])
+    text_cfg = datagen.ModalityConfig(dict_text, modality["noise_sigma_T"])
+    eval_cfg = datagen.ModalityConfig(dict_image, eval_sec["noise_sigma"])
+    p_dim, rho = train["p_dim"], train["rho"]
+    if train["draws"]:
+        sampler = evaluation.EvalSampler(params, "train", image_cfg, train["exhaustive"])
+        latents = sampler.draw(train["n_train"], rng.child(20))
     extra = []  # supcon's rows beyond the split reports
 
     if method.startswith("mmcl"):
@@ -411,7 +410,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                 model = training.mmcl_fit_gd(dataset, p_dim, rho, **_gd_args(train),
                                              rng=rng.child(22))
         prompts = evaluation.build_prompts(params, dict_text)
-        if _counted(method, params):
+        if eval_sec["counted"]:
             def evaluate(sampler, n_eval, rng):
                 return evaluation.count_zero_shot(model, prompts, sampler)
         else:
@@ -428,8 +427,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
         probe = training.probe_fit(encoder.transform(dataset.x_image), latents.y,
                                    **_gd_args(train, "probe_"), rng=rng.child(25))
         evaluate = partial(evaluation.evaluate_probe, encoder, probe)
-        geometry, attack = (eval_sec.get("supcon_geometry", False),
-                            eval_sec.get("supcon_restarts", 0) > 0)
+        geometry, attack = eval_sec["supcon_geometry"], eval_sec["supcon_restarts"] > 0
         if geometry or attack:
             true_data = datagen.make_paired_dataset(
                 datagen.enumerate_latents_dm2(params, "true"), eval_cfg, eval_cfg,
@@ -448,10 +446,9 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
                           float(np.mean(pred == true_y))))
 
     rows = []
-    for i, split in enumerate(eval_sec.get("splits", ["true"])):
-        sampler = evaluation.EvalSampler(params, split, eval_cfg,
-                                         exhaustive=eval_sec.get("exhaustive", False))
-        report = evaluate(sampler, eval_sec.get("n_eval"), rng.child(40 + i))
+    for i, split in enumerate(eval_sec["splits"]):
+        sampler = evaluation.EvalSampler(params, split, eval_cfg, eval_sec["exhaustive"])
+        report = evaluate(sampler, eval_sec["n_eval"], rng.child(40 + i))
         rows.extend(_report_rows(report, split))
     return param_row, rows + extra
 

@@ -222,9 +222,10 @@ def test_criterion_08_supcon_dm2(supcon_records):
 def test_criterion_09_in_distribution_control(id_records):
     sl_id = _one(id_records, method="sl", split="train", group="overall").value
     mmcl_id = _one(id_records, method="mmcl-closed", split="train", group="overall").value
-    ok = sl_id >= 0.985 and abs(mmcl_id - 0.933) <= 0.01 and sl_id > mmcl_id
+    predicted = zero_shot_robustness_dm1(1.0, 0.01, 0.999).values["train"]  # 0.932820
+    ok = sl_id >= 0.985 and abs(mmcl_id - predicted) <= 0.01 and sl_id > mmcl_id
     _criterion("09", ok, f"SL ID {sl_id:.4f} (>= 0.985), MMCL ID {mmcl_id:.4f} "
-                         f"(0.933 +- 0.01), SL > MMCL: {sl_id > mmcl_id}")
+                         f"({predicted:.4f} +- 0.01), SL > MMCL: {sl_id > mmcl_id}")
 
 
 # -- criterion 10: property suites ----------------------------------------------

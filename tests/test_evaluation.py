@@ -1,3 +1,4 @@
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -93,8 +94,10 @@ def test_sign_rule_rejects_nonfinite_scores():
     # inf - inf on rows whose two latents share a sign would get an arbitrary label
     model = SLModel(W=np.array([[np.inf], [-np.inf]]), classes=(-1, 1))
     sampler = EvalSampler(DataModel1Params(1.0, 0.1, 0.9), "true", _identity_cfg(2, 2))
-    with pytest.raises(NumericError):
-        evaluate_sl(model, sampler, 2000, RNG.child(63))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error is the report; numpy must not warn first
+        with pytest.raises(NumericError):
+            evaluate_sl(model, sampler, 2000, RNG.child(63))
 
 
 def test_zero_shot_exact_tie_goes_to_lowest_class():
@@ -441,11 +444,14 @@ def test_counting_holds_on_every_preset_analytic_cell():
             continue
         for cell in harness._sweep_cells(config):
             params, mask, _ = harness._build_cell(config, cell)
-            modality, train, eval_sec = harness._method_sections(config, "mmcl-analytic", cell)
-            assert harness._counted("mmcl-analytic", params)
+            modality, train, eval_sec, _ = harness._method_sections(config, "mmcl-analytic",
+                                                                    cell, params, mask)
+            # _analytic_fit builds noiseless identity-embed inputs, as the run does here
+            assert eval_sec["counted"] and eval_sec["noise_sigma"] == 0
+            assert modality["dictionary"] == "identity-embed"
             pi = mask.pi if mask.variant == "model2" else 1.0
-            model, prompts, cfg = _analytic_fit(params, pi, modality.get("d_I"),
-                                                modality.get("d_T"), train.get("p_dim"))
+            model, prompts, cfg = _analytic_fit(params, pi, modality["d_I"], modality["d_T"],
+                                                train["p_dim"])
             exact = zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, pi).values
             for split in eval_sec["splits"]:
                 counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))

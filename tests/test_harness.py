@@ -170,11 +170,38 @@ def _tiny_dm2_config(**extra):
     (_tiny_dm2_config(eval={"splits": ["true"]}), r"eval\.n_eval"),
     (_tiny_dm2_config(method_overrides={"mmcl-closed": {"eval": {"exhaustive": False}}}),
      r"eval\.n_eval"),
+    (_tiny_dm1_config(train={"p_dim": 2}, sweep={"sigma_spu": [0.05, 0.1]}),
+     r"train\.n_train .*mmcl-closed\) \(sweep cell \{'sigma_spu': 0\.05\}\)"),
 ], ids=["dm1-n_train", "dm1-n_eval", "dm1-sl-n_train", "dm2-n_train", "dm2-n_eval",
-        "dm2-override-n_eval"])
+        "dm2-override-n_eval", "swept-n_train"])
 def test_sampled_data_needs_its_size(doc, match):
     with pytest.raises(ValidationError, match=match):
         config_from_dict(doc)
+
+
+def test_resolver_fills_defaults_from_the_merged_sections():
+    # an override's image noise is its evaluation noise, and d_T follows its d_I
+    doc = _tiny_dm1_config(methods=["mmcl-closed", "mmcl-analytic", "sl"], modality={},
+                           train={"n_train": 2000},
+                           method_overrides={"sl": {"modality": {"d_I": 40,
+                                                                 "noise_sigma_I": 0.3}}})
+    config = config_from_dict(doc)
+    params, mask, _ = harness._build_cell(config, {})
+
+    def resolve(method):
+        return harness._method_sections(config, method, {}, params, mask)
+
+    modality, train, eval_sec, row = resolve("mmcl-closed")
+    assert (modality["d_I"], modality["d_T"], eval_sec["noise_sigma"]) == (2, 2, 0.0)
+    # the CSV row leaves an unset p_dim empty
+    assert (train["p_dim"], row["p_dim"], train["draws"], eval_sec["counted"]) == (
+        2, None, True, False)
+    assert not resolve("mmcl-analytic")[1]["draws"]
+    modality, _, eval_sec, _ = resolve("sl")
+    assert (modality["d_I"], modality["d_T"], eval_sec["noise_sigma"]) == (40, 40, 0.3)
+    doc["eval"]["noise_sigma"] = 0.0  # a stated evaluation noise wins
+    config = config_from_dict(doc)
+    assert resolve("sl")[2]["noise_sigma"] == 0.0
 
 
 @pytest.mark.parametrize("doc", [
