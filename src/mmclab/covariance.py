@@ -56,13 +56,9 @@ def population_cross_cov_dm1(params: DataModel1Params,
     """
     if mask.variant not in ("none", "model1"):
         raise ConfigurationError(f"model-1 covariance cannot use a {mask.variant} mask")
-    if mask.variant == "none":
-        e_core = e_spu = 1.0
-    else:
-        e_core, e_spu = mask.pi_core, mask.pi_spu
     q = 2 * params.p_spu - 1
-    s = np.array([[1 + e_core * params.sigma_core ** 2, q],
-                  [q, 1 + e_spu * params.sigma_spu ** 2]])
+    s = np.array([[1 + mask.pi_core * params.sigma_core ** 2, q],
+                  [q, 1 + mask.pi_spu * params.sigma_spu ** 2]])
     return CrossCov(S=s, space="latent")
 
 

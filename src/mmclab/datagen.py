@@ -27,9 +27,9 @@ class DataModel1Params:
     z_spu ~ N(a, sigma_spu^2), with Pr(a = y) = p_spu on the training split and
     a independent of y on the true split."""
 
-    sigma_core: float
-    sigma_spu: float
-    p_spu: float
+    sigma_core: float = 1.0
+    sigma_spu: float = 0.0
+    p_spu: float = 0.999
 
     def __post_init__(self):
         if not self.sigma_core > 0:
@@ -49,9 +49,9 @@ class DataModel2Params:
     """2m-class model with shared weak features (scale beta) and a strong
     spurious coordinate (scale alpha) at k+m."""
 
-    m: int
-    alpha: float
-    beta: float
+    m: int = 2
+    alpha: float = 1.0
+    beta: float = 0.0
 
     def __post_init__(self):
         if self.m < 2:
@@ -198,6 +198,10 @@ def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
     return LatentBatch("dm2", split, z, y, k=k, c=c)
 
 
+# mask variant -> the caption levels it draws; every other level stays at 1
+MASK_LEVELS = {"none": (), "model1": ("pi_core", "pi_spu"), "model2": ("pi",)}
+
+
 @dataclass(frozen=True)
 class CaptionMask:
     """Stochastic omission of latent detail from the text modality.
@@ -205,26 +209,29 @@ class CaptionMask:
     ``model1`` keeps the Gaussian variation of each coordinate with probability
     pi_core / pi_spu (otherwise the caption collapses to the group mean);
     ``model2`` keeps off-class coordinates with probability pi and always keeps
-    the class coordinate. ``none`` is the identity.
+    the class coordinate. ``none`` is the identity. A level the variant does not
+    draw is 1, so every caller reads each level directly.
     """
 
-    variant: str  # "none" | "model1" | "model2"
-    pi_core: float | None = None
-    pi_spu: float | None = None
-    pi: float | None = None
+    variant: str  # a key of MASK_LEVELS
+    pi_core: float = 1.0
+    pi_spu: float = 1.0
+    pi: float = 1.0
 
     def __post_init__(self):
-        if self.variant == "none":
-            return
-        if self.variant == "model1":
-            for name, v in (("pi_core", self.pi_core), ("pi_spu", self.pi_spu)):
-                if v is None or not 0 <= v <= 1:
-                    raise DomainError(f"{name} must lie in [0, 1], got {v}")
-        elif self.variant == "model2":
-            if self.pi is None or not 0 <= self.pi <= 1:
-                raise DomainError(f"pi must lie in [0, 1], got {self.pi}")
-        else:
+        if self.variant not in MASK_LEVELS:
             raise DomainError(f"unknown mask variant {self.variant!r}")
+        for name in ("pi_core", "pi_spu", "pi"):
+            v = getattr(self, name)
+            if name not in MASK_LEVELS[self.variant] and v != 1:
+                raise DomainError(f"a {self.variant} mask keeps {name} at 1, got {v}")
+            if not 0 <= v <= 1:
+                raise DomainError(f"{name} must lie in [0, 1], got {v}")
+
+    @property
+    def levels(self) -> dict:
+        """The levels this variant draws, by name."""
+        return {name: getattr(self, name) for name in MASK_LEVELS[self.variant]}
 
     @classmethod
     def none(cls) -> "CaptionMask":

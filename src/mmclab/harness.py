@@ -8,6 +8,7 @@ thread count.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
@@ -179,8 +180,9 @@ def _check_slack_key(key: str):
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    """Build and validate a config from a parsed JSON document."""
-    doc = _require_object(doc, "config document")
+    """Build and validate a config from a parsed JSON document. The config owns a
+    deep copy, so it shares no list or object with ``doc``."""
+    doc = _require_object(copy.deepcopy(doc), "config document")
     _check_keys(doc, _TOP_KEYS, "config")
     experiment = doc.get("experiment")
     if experiment not in EXPERIMENT_KINDS:
@@ -340,7 +342,7 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
             raise ValidationError(f"modality.{key} is {modality[key]}, below the latent "
                                   f"dimension {params.l} (method {method})")
     row.update(rho=train["rho"], d_I=modality["d_I"], d_T=modality["d_T"], **asdict(params),
-               **{k: v for k, v in asdict(mask).items() if k != "variant" and v is not None})
+               **mask.levels)
     return modality, train, eval_sec, row
 
 
@@ -351,20 +353,18 @@ def _gd_args(section: dict, prefix: str = "") -> dict:
 
 
 def _make_params(data: dict):
-    if data["model"] == "dm1":
-        return DataModel1Params(data.get("sigma_core", 1.0),
-                                data.get("sigma_spu", 0.0),
-                                data.get("p_spu", 0.999))
-    return DataModel2Params(data.get("m", 2), data.get("alpha", 1.0),
-                            data.get("beta", 0.0))
+    """The data model's parameters: the values ``data`` sets, the dataclass's defaults
+    for the rest."""
+    cls = DataModel1Params if data["model"] == "dm1" else DataModel2Params
+    return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 def _make_mask(data: dict) -> CaptionMask:
-    if "pi_core" in data or "pi_spu" in data:  # _FIELDS keeps each on its own model
-        return CaptionMask.model1(data.get("pi_core", 1.0), data.get("pi_spu", 1.0))
-    if "pi" in data:
-        return CaptionMask.model2(data["pi"])
-    return CaptionMask.none()
+    """The variant whose levels ``data`` sets (``_FIELDS`` keeps each level on its
+    own model), or none; an unset level keeps its default of 1."""
+    variant = next((v for v, levels in datagen.MASK_LEVELS.items()
+                    if set(levels) & set(data)), "none")
+    return CaptionMask(variant, **{k: data[k] for k in datagen.MASK_LEVELS[variant] if k in data})
 
 
 def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
@@ -375,11 +375,10 @@ def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
     return [(split, group, metric, value) for group, metric, value in rows]
 
 
-def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
-                mask: CaptionMask, rng: RngStream) -> tuple[dict, list[tuple]]:
-    """Fit one method in one (cell, trial). Returns the CSV parameters of its
-    records and (split, group, metric, value) tuples."""
-    modality, train, eval_sec, param_row = _method_sections(config, method, cell, params, mask)
+def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: dict,
+                eval_sec: dict, rng: RngStream) -> list[tuple]:
+    """Fit one method in one (cell, trial) on its resolved sections
+    (``_method_sections``). Returns (split, group, metric, value) tuples."""
     kind = modality["dictionary"]
     dict_image = make_dictionary(modality["d_I"], params.l, kind, rng.child(1))
     dict_text = make_dictionary(modality["d_T"], params.l, kind, rng.child(2))
@@ -397,8 +396,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
             if isinstance(params, DataModel1Params):
                 s = covariance.population_cross_cov_dm1(params, mask)
             else:
-                pi = mask.pi if mask.variant == "model2" else 1.0
-                s = covariance.population_cross_cov_dm2(params, pi)
+                s = covariance.population_cross_cov_dm2(params, mask.pi)
             model = training.mmcl_fit_closed_form(s, p_dim, rho, dict_image, dict_text)
         else:
             dataset = datagen.make_paired_dataset(latents, image_cfg, text_cfg, mask,
@@ -450,7 +448,7 @@ def _run_method(config: ExperimentConfig, method: str, cell: dict, params,
         sampler = evaluation.EvalSampler(params, split, eval_cfg, eval_sec["exhaustive"])
         report = evaluate(sampler, eval_sec["n_eval"], rng.child(40 + i))
         rows.extend(_report_rows(report, split))
-    return param_row, rows + extra
+    return rows + extra
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +469,7 @@ def _declared(pred: theory.TheoremPrediction, key: str) -> tuple:
 
 def _dm1_checks(params, mask) -> dict:
     mmcl = theory.zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu,
-                                           mask.pi_core if mask.variant == "model1" else 1.0)
+                                           mask.pi_core)
     sl = theory.sl_failure_bounds_dm1()
     checks = {(family, "true", group, "accuracy"): _declared(pred, group)
               for family, pred in (("mmcl", mmcl), ("sl", sl))
@@ -486,8 +484,7 @@ def _dm1_checks(params, mask) -> dict:
 
 
 def _dm2_checks(params, mask) -> dict:
-    pred = theory.zero_shot_accuracy_dm2(params.m, params.alpha, params.beta,
-                                         mask.pi if mask.variant == "model2" else 1.0)
+    pred = theory.zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, mask.pi)
     checks = {("mmcl", split, "overall", "accuracy"): _declared(pred, split)
               for split in datagen.SPLITS}
     checks.update({("sl", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
@@ -545,13 +542,14 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
     measured = {}
     params, mask, checks = build(cell_idx)
     for method in config.methods:
+        modality, train, eval_sec, param_row = _method_sections(config, method, cell, params, mask)
         try:
-            param_row, rows = _run_method(config, method, cell, params, mask,
-                                          rng.child(METHODS.index(method)))
+            rows = _run_method(method, params, mask, modality, train, eval_sec,
+                               rng.child(METHODS.index(method)))
         except MmclabError as error:
             records.append(RunRecord(
                 run_id=run_id, experiment=config.experiment, seed=seed, method=method,
-                params=dict(cell), split="", group="error", metric="error",
+                params=param_row, split="", group="error", metric="error",
                 value=float("nan"), passed=False, error=f"{type(error).__name__}: {error}"))
             continue
         family = "mmcl" if method.startswith("mmcl") else method
@@ -699,19 +697,22 @@ def emit_json_summary(records: list[RunRecord], path,
 # preset verification suites
 
 
-def _dm1_suite(root_seed: int) -> list[ExperimentConfig]:
-    mmcl = config_from_dict({
-        "experiment": "dm1-robustness", "name": "dm1-mmcl", "root_seed": root_seed,
-        "trials": 1, "tolerance": 0.02,
+_ID_DATA = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999}
+_SL_ID = theory.in_distribution_predictions_dm1(_ID_DATA["sigma_core"],
+                                                _ID_DATA["sigma_spu"]).values["sl_id"]
+
+# suite name -> its config documents, each a plain JSON document that
+# ``suite_configs`` loads with the root seed added; "all" runs every suite in this order
+PRESETS = {
+    "dm1": ({
+        "experiment": "dm1-robustness", "name": "dm1-mmcl", "trials": 1, "tolerance": 0.02,
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999},
         "modality": {"d_I": 2, "d_T": 2, "noise_sigma_I": 0.0, "noise_sigma_T": 0.0},
         "methods": ["mmcl-closed"],
         "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0},
         "eval": {"n_eval": 20000, "splits": ["true"]},
-    })
-    sl = config_from_dict({
-        "experiment": "dm1-robustness", "name": "dm1-sl", "root_seed": root_seed,
-        "trials": 10,
+    }, {
+        "experiment": "dm1-robustness", "name": "dm1-sl", "trials": 10,
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.99},
         "modality": {"d_I": 2000, "noise_sigma_I": 0.1},
         "methods": ["sl"],
@@ -722,13 +723,9 @@ def _dm1_suite(root_seed: int) -> list[ExperimentConfig]:
         "eval": {"n_eval": 10000, "splits": ["true"]},
         "slacks": {"sl:true:overall:accuracy": 0.0,
                    "sl:true:minority:accuracy": 0.0},
-    })
-    return [mmcl, sl]
-
-
-def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
-    mmcl = config_from_dict({
-        "experiment": "dm2-robustness", "name": "dm2-mmcl", "root_seed": root_seed,
+    }),
+    "dm2": ({
+        "experiment": "dm2-robustness", "name": "dm2-mmcl",
         "data": {"model": "dm2", "m": 3, "alpha": 0.7, "beta": 1.0 / 3.0},
         "modality": {"d_I": 6, "d_T": 6},
         "methods": ["mmcl-closed", "mmcl-analytic"],
@@ -736,9 +733,8 @@ def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
         "eval": {"exhaustive": True, "splits": ["true", "train"]},
         "slacks": {"mmcl:true:overall:accuracy": 0.0,
                    "mmcl:train:overall:accuracy": 0.0},
-    })
-    sl = config_from_dict({
-        "experiment": "dm2-robustness", "name": "dm2-sl", "root_seed": root_seed,
+    }, {
+        "experiment": "dm2-robustness", "name": "dm2-sl",
         "data": {"model": "dm2", "m": 3, "alpha": 10.0, "beta": 1.0 / 3.0},
         "modality": {"d_I": 6},
         "methods": ["sl"],
@@ -748,24 +744,17 @@ def _dm2_suite(root_seed: int) -> list[ExperimentConfig]:
         "eval": {"exhaustive": True, "splits": ["true", "train"]},
         "slacks": {"sl:true:overall:accuracy": 0.0,
                    "sl:train:overall:accuracy": 0.0},
-    })
-    return [mmcl, sl]
-
-
-def _captions_suite(root_seed: int) -> list[ExperimentConfig]:
-    dm1 = config_from_dict({
-        "experiment": "caption-sweep-dm1", "name": "captions-dm1",
-        "root_seed": root_seed, "tolerance": 0.02,
+    }),
+    "captions": ({
+        "experiment": "caption-sweep-dm1", "name": "captions-dm1", "tolerance": 0.02,
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999},
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["mmcl-closed"],
         "train": {"n_train": 50000, "p_dim": 2, "rho": 1.0},
         "eval": {"n_eval": 50000, "splits": ["true"]},
         "sweep": {"pi_core": [0.0, 0.5, 1.0], "pi_spu": [0.0, 1.0]},
-    })
-    dm2 = config_from_dict({
+    }, {
         "experiment": "caption-sweep-dm2", "name": "captions-dm2",
-        "root_seed": root_seed,
         "data": {"model": "dm2", "m": 30, "alpha": 1.1, "beta": 1.0 / 3.0},
         "modality": {"d_I": 60, "d_T": 60},
         "methods": ["mmcl-analytic"],
@@ -774,13 +763,9 @@ def _captions_suite(root_seed: int) -> list[ExperimentConfig]:
         "eval": {"splits": ["true"]},
         "sweep": {"pi": [0.3, 0.6]},
         "slacks": {"mmcl:true:overall:accuracy": 0.0},
-    })
-    return [dm1, dm2]
-
-
-def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
-    dm1 = config_from_dict({
-        "experiment": "method-compare", "name": "supcon-dm1", "root_seed": root_seed,
+    }),
+    "supcon": ({
+        "experiment": "method-compare", "name": "supcon-dm1",
         "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999},
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["supcon"],
@@ -792,9 +777,8 @@ def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
         # claimed bounds 0.50 / 0.00; measurements land near 0.74 / 0.50, see notes
         "slacks": {"supcon:true:overall:accuracy": 0.05,
                    "supcon:true:minority:accuracy": 0.10},
-    })
-    dm2 = config_from_dict({
-        "experiment": "method-compare", "name": "supcon-dm2", "root_seed": root_seed,
+    }, {
+        "experiment": "method-compare", "name": "supcon-dm2",
         "data": {"model": "dm2", "m": 2, "alpha": 1.5, "beta": 1.0 / 3.0},
         "modality": {"d_I": 4, "d_T": 4},
         "methods": ["supcon"],
@@ -807,17 +791,10 @@ def _supcon_suite(root_seed: int) -> list[ExperimentConfig]:
                    "supcon:train:overall:accuracy": 0.0,
                    "supcon:true:geometry:collinearity_residual": 1e-8,
                    "supcon:true:*:best_probe_accuracy": 1e-9},
-    })
-    return [dm1, dm2]
-
-
-def _id_suite(root_seed: int) -> list[ExperimentConfig]:
-    data = {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.01, "p_spu": 0.999}
-    sl_id = theory.in_distribution_predictions_dm1(data["sigma_core"],
-                                                   data["sigma_spu"]).values["sl_id"]
-    cfg = config_from_dict({
-        "experiment": "method-compare", "name": "id-control", "root_seed": root_seed,
-        "data": data,
+    }),
+    "id": ({
+        "experiment": "method-compare", "name": "id-control",
+        "data": _ID_DATA,
         "modality": {"d_I": 2, "d_T": 2},
         "methods": ["mmcl-closed", "sl"],
         "train": {"n_train": 20000, "p_dim": 2, "rho": 1.0},
@@ -826,26 +803,21 @@ def _id_suite(root_seed: int) -> list[ExperimentConfig]:
             "sl": {"modality": {"d_I": 2000, "noise_sigma_I": 0.1},
                    "train": {"n_train": 500, "epochs": 5000}},
         },
-        "slacks": {"sl:train:overall:accuracy": sl_id - 0.985,
+        "slacks": {"sl:train:overall:accuracy": _SL_ID - 0.985,
                    "mmcl:train:overall:accuracy": 0.01,
                    "sl-vs-mmcl:train:overall:id_gap": 0.0},
-    })
-    return [cfg]
-
-
-# suite name -> its configs; "all" runs every suite in this order
-_SUITE_BUILDERS = {"dm1": _dm1_suite, "dm2": _dm2_suite, "captions": _captions_suite,
-                   "supcon": _supcon_suite, "id": _id_suite}
-SUITES = ("all", *_SUITE_BUILDERS)
+    },),
+}
+SUITES = ("all", *PRESETS)
 
 
 def suite_configs(suite: str, root_seed: int = 0) -> list[ExperimentConfig]:
     """Preset configs implementing the verification suites."""
-    if suite == "all":
-        return [cfg for build in _SUITE_BUILDERS.values() for cfg in build(root_seed)]
-    if suite not in _SUITE_BUILDERS:
+    if suite not in SUITES:
         raise ValidationError(f"unknown suite {suite!r}; expected one of {SUITES}")
-    return _SUITE_BUILDERS[suite](root_seed)
+    names = PRESETS if suite == "all" else (suite,)
+    return [config_from_dict({**doc, "root_seed": root_seed})
+            for name in names for doc in PRESETS[name]]
 
 
 def run_suite(suite: str, root_seed: int = 0, threads: int = 1) -> list[RunRecord]:

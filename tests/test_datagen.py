@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmclab import (ArgumentError, CaptionMask, ConfigurationError, DataModel1Params,
-                    DataModel2Params, DimensionError, LatentBatch, ModalityConfig,
+                    DataModel2Params, DimensionError, DomainError, LatentBatch, ModalityConfig,
                     RngStream, SizeError, enumerate_latents_dm2, make_dictionary,
                     make_paired_dataset, sample_latents_dm1, sample_latents_dm2)
 from mmclab.datagen import _mask_batch
@@ -132,6 +132,24 @@ def test_mask_variant_mismatch():
 def test_mask_probability_range_checked():
     with pytest.raises(Exception):
         CaptionMask.model1(1.5, 0.0)
+
+
+def test_mask_levels_default_to_one_and_only_the_drawn_ones_are_listed():
+    # callers read every level directly, so an undrawn level must read as unmasked
+    none = CaptionMask.none()
+    assert (none.pi_core, none.pi_spu, none.pi, none.levels) == (1, 1, 1, {})
+    half = CaptionMask("model1", pi_core=0.5)
+    assert (half.pi_spu, half.pi, half.levels) == (1, 1, {"pi_core": 0.5, "pi_spu": 1})
+    assert CaptionMask.model2(0.3).levels == {"pi": 0.3}
+
+
+@pytest.mark.parametrize("kwargs", [{"variant": "none", "pi_core": 0.5},
+                                    {"variant": "model2", "pi": 0.5, "pi_core": 0.5},
+                                    {"variant": "model1", "pi": float("nan")}],
+                         ids=["none-pi_core", "model2-pi_core", "model1-pi-nan"])
+def test_mask_rejects_a_level_its_variant_does_not_draw(kwargs):
+    with pytest.raises(DomainError, match="keeps pi"):
+        CaptionMask(**kwargs)
 
 
 def _identity_cfg(d, l, noise=0.0):

@@ -449,10 +449,9 @@ def test_counting_holds_on_every_preset_analytic_cell():
             # _analytic_fit builds noiseless identity-embed inputs, as the run does here
             assert eval_sec["counted"] and eval_sec["noise_sigma"] == 0
             assert modality["dictionary"] == "identity-embed"
-            pi = mask.pi if mask.variant == "model2" else 1.0
-            model, prompts, cfg = _analytic_fit(params, pi, modality["d_I"], modality["d_T"],
-                                                train["p_dim"])
-            exact = zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, pi).values
+            model, prompts, cfg = _analytic_fit(params, mask.pi, modality["d_I"],
+                                                modality["d_T"], train["p_dim"])
+            exact = zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, mask.pi).values
             for split in eval_sec["splits"]:
                 counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))
                 assert counted.overall_accuracy == exact[split]

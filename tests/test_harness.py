@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 from dataclasses import replace
@@ -5,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmclab import ValidationError, harness, numerics, theory
+from mmclab import ValidationError, datagen, harness, numerics, theory
 from mmclab.cli import main as cli_main
 from mmclab.harness import (CSV_COLUMNS, check_passes, config_from_dict,
                             config_from_file, emit_csv, emit_json_summary,
@@ -553,6 +554,18 @@ def test_failed_cell_records_error_and_suite_continues():
     assert summary["errors"] and not summary["all_passed"]
 
 
+def test_error_records_carry_the_methods_parameter_row():
+    # exhaustive m = 10 data exceeds ENUMERATION_CAP, so that cell records an error;
+    # its row is the successful m = 2 cell's row but for m
+    doc = _tiny_dm2_config(trials=1, modality={"d_I": 20, "d_T": 20},
+                           train={"exhaustive": True, "p_dim": 4}, sweep={"m": [10, 2]})
+    records = run_experiment(config_from_dict(doc))
+    (error,) = [r for r in records if r.error]
+    rows = {json.dumps(r.params, sort_keys=True) for r in records if not r.error}
+    assert len(rows) == 1 and error.params == dict(json.loads(rows.pop()), m=10)
+    assert {"d_I", "d_T", "p_dim", "alpha", "beta"} <= set(error.params)
+
+
 def _exact_dm2_config(experiment, methods, **extra):
     """m = 3, alpha = 1.1, beta = 0.5: the perfect-accuracy condition fails at
     every pi, yet true-split accuracy is 1/2 + 2^-3 wherever u > v alpha."""
@@ -808,6 +821,36 @@ def test_every_preset_check_names_a_comparator_of_the_table():
     assert seen == set(theory.COMPARATORS)
 
 
+def test_make_params_reads_the_dataclass_defaults():
+    assert harness._make_params({"model": "dm1"}) == datagen.DataModel1Params()
+    assert harness._make_params({"model": "dm2"}) == datagen.DataModel2Params()
+
+
+def test_an_unmasked_cell_leaves_its_caption_columns_empty(tmp_path):
+    records = run_experiment(config_from_dict(_tiny_dm1_config(trials=1)))
+    assert not {"pi_core", "pi_spu", "pi"} & {k for r in records for k in r.params}
+    emit_csv(records, tmp_path / "results.csv")
+    with open(tmp_path / "results.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(row[k] == "" for row in rows for k in ("pi_core", "pi_spu", "pi"))
+
+
+def test_a_built_preset_shares_no_mutable_object_with_the_table():
+    before = json.dumps(harness.PRESETS, sort_keys=True)
+    for cfg in harness.suite_configs("all"):
+        cfg.eval["splits"].append("train")
+        cfg.data["model"] = None
+        for values in cfg.sweep.values():
+            values.append(values[0])
+        for override in cfg.method_overrides.values():
+            override["train"]["extra"] = 1
+    assert json.dumps(harness.PRESETS, sort_keys=True) == before
+    docs = [doc for docs in harness.PRESETS.values() for doc in docs]
+    for cfg, doc in zip(harness.suite_configs("all"), docs, strict=True):
+        assert (cfg.data, cfg.eval, cfg.sweep, cfg.method_overrides) == (
+            doc["data"], doc["eval"], doc.get("sweep", {}), doc.get("method_overrides", {}))
+
+
 def test_suite_presets_are_valid_configs():
     from mmclab.harness import suite_configs
 
@@ -817,6 +860,10 @@ def test_suite_presets_are_valid_configs():
     for cfg in suite_configs("all", root_seed=9):
         assert cfg.root_seed == 9
         assert cfg.min_pass_fraction == 1.0  # verify summarizes at this default
+    # the table holds plain JSON documents, as a benchmark config file does
+    docs = [doc for docs in harness.PRESETS.values() for doc in docs]
+    assert [doc["name"] for doc in docs] == names
+    assert all(json.loads(json.dumps(doc)) == doc for doc in docs)
     with pytest.raises(ValidationError):
         suite_configs("nope")
 
