@@ -95,23 +95,22 @@ class ClassMeanCov:
 
 
 def supcon_class_mean_cov(data: PairedDataset) -> ClassMeanCov:
-    """Class-mean covariance of the image modality under ``data.latents.model``.
+    """Class-mean covariance of the image modality over the classes of
+    ``data.latents.params``.
 
     Model 1 (binary +-1 labels):
         S = 1/2 (sum_y xbar_y xbar_y^T - sum_y xbar_y xbar_{-y}^T)
     Model 2 (labels 1..2m):
         S = 1/(2m - 1) sum_y xbar_y xbar_y^T
     """
-    model = data.latents.model
-    labels = data.latents.y
-    classes = (-1, 1) if model == "dm1" else tuple(range(1, 2 * (data.latents.l // 2) + 1))
+    labels, classes = data.latents.y, data.latents.params.classes
     means = {}
     for y in classes:
         rows = data.x_image[labels == y]
         if rows.shape[0] == 0:
             raise ArgumentError(f"class {y} has no examples")
         means[y] = rows.mean(axis=0)
-    if model == "dm1":
+    if data.latents.model == "dm1":
         s = 0.5 * (sum(np.outer(means[y], means[y]) for y in classes)
                    - sum(np.outer(means[y], means[-y]) for y in classes))
     else:

@@ -8,6 +8,7 @@ label. Latents travel as numpy-backed batches so large draws stay vectorized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +31,8 @@ class DataModel1Params:
     sigma_core: float = 1.0
     sigma_spu: float = 0.0
     p_spu: float = 0.999
+    model: ClassVar[str] = "dm1"
+    classes: ClassVar[tuple] = (-1, 1)
 
     def __post_init__(self):
         if not self.sigma_core > 0:
@@ -43,6 +46,10 @@ class DataModel1Params:
     def l(self) -> int:
         return 2
 
+    def class_means(self) -> np.ndarray:
+        """True-split latent mean of each class, one row per class: [y, 0]."""
+        return np.array([[y, 0.0] for y in self.classes])
+
 
 @dataclass(frozen=True)
 class DataModel2Params:
@@ -52,6 +59,7 @@ class DataModel2Params:
     m: int = 2
     alpha: float = 1.0
     beta: float = 0.0
+    model: ClassVar[str] = "dm2"
 
     def __post_init__(self):
         if self.m < 2:
@@ -65,30 +73,43 @@ class DataModel2Params:
     def l(self) -> int:
         return 2 * self.m
 
-    def alias(self, y: int) -> tuple[int, int]:
-        """Label alias (k, c): k = floor((y+1)/2), c = +1 for odd y."""
-        return (y + 1) // 2, 1 if y % 2 == 1 else -1
+    @property
+    def classes(self) -> tuple:
+        return tuple(range(1, 2 * self.m + 1))
+
+    @property
+    def rows_per_group(self) -> int:
+        """Rows of each (class, spurious value) block of an enumerated split."""
+        return 4 ** (self.m - 1)
+
+    def alias(self, y):
+        """Label alias (k, c) of a label or an array: k = floor((y+1)/2), c = +1 for odd y."""
+        return (y + 1) // 2, 2 * (y % 2) - 1
+
+    def class_means(self) -> np.ndarray:
+        """True-split latent mean of each class, one row per class: c e_k."""
+        k, c = self.alias(np.array(self.classes))
+        means = np.zeros((len(self.classes), self.l))
+        means[np.arange(len(self.classes)), k - 1] = c
+        return means
 
 
 class LatentBatch:
-    """A batch of latent samples sharing one data model.
+    """A batch of latent samples of one data model, whose ``params`` it carries.
 
     Arrays: ``z`` is (n, l); ``y`` is (n,) labels; ``a`` (model 1) holds the
-    spurious attribute; ``k``/``c`` (model 2) hold label aliases.
+    spurious attribute; ``k``/``c`` (model 2) are the label aliases of ``y``.
     """
 
-    def __init__(self, model: str, split: str, z: np.ndarray, y: np.ndarray,
-                 a: np.ndarray | None = None, k: np.ndarray | None = None,
-                 c: np.ndarray | None = None):
-        if model not in ("dm1", "dm2"):
-            raise ArgumentError(f"model must be dm1 or dm2, got {model!r}")
-        self.model = model
-        self.split = split
+    def __init__(self, params, z: np.ndarray, y: np.ndarray, a: np.ndarray | None = None):
+        if not isinstance(params, (DataModel1Params, DataModel2Params)):
+            raise ArgumentError(f"unknown data model params {params!r}")
+        self.params = params
+        self.model = params.model
         self.z = _readonly(z)
         self.y = np.asarray(y, dtype=int)
         self.a = None if a is None else np.asarray(a, dtype=int)
-        self.k = None if k is None else np.asarray(k, dtype=int)
-        self.c = None if c is None else np.asarray(c, dtype=int)
+        self.k, self.c = params.alias(self.y) if self.model == "dm2" else (None, None)
 
     @property
     def l(self) -> int:
@@ -102,8 +123,7 @@ class LatentBatch:
         (a == y for model 1, sign(z_{k+m}) == c for model 2)."""
         if self.model == "dm1":
             return self.a == self.y
-        m = self.l // 2
-        spu = self.z[np.arange(len(self)), self.k - 1 + m]
+        spu = self.z[np.arange(len(self)), self.k - 1 + self.params.m]
         return np.sign(spu).astype(int) == self.c
 
 
@@ -127,12 +147,7 @@ def sample_latents_dm1(params: DataModel1Params, n: int, split: str,
     z = np.empty((n, 2))
     z[:, 0] = y + params.sigma_core * g.standard_normal(n)
     z[:, 1] = a + params.sigma_spu * g.standard_normal(n)
-    return LatentBatch("dm1", split, z, y, a=a)
-
-
-def _dm2_counts(params: DataModel2Params, split: str) -> int:
-    per_class = 4 ** (params.m - 1) * (1 if split == "train" else 2)
-    return 2 * params.m * per_class
+    return LatentBatch(params, z, y, a=a)
 
 
 def enumerate_latents_dm2(params: DataModel2Params, split: str) -> LatentBatch:
@@ -142,21 +157,21 @@ def enumerate_latents_dm2(params: DataModel2Params, split: str) -> LatentBatch:
     count by letting z_{k+m} range over {-alpha, +alpha}.
     """
     _check_split(split)
-    total = _dm2_counts(params, split)
+    m, alpha, beta = params.m, params.alpha, params.beta
+    spu_values = (None,) if split == "train" else (-alpha, alpha)
+    n_pat = params.rows_per_group
+    total = len(params.classes) * len(spu_values) * n_pat
     if total > ENUMERATION_CAP:
         raise SizeError(
             f"exhaustive dm2 enumeration would produce {total} rows "
             f"(cap {ENUMERATION_CAP}); use the sampled or analytic path")
-    m, alpha, beta = params.m, params.alpha, params.beta
-    n_pat = 4 ** (m - 1)
     # sign patterns for the m-1 free low and m-1 free high coordinates
     idx = np.arange(n_pat)
     bits = ((idx[:, None] >> np.arange(2 * (m - 1))) & 1) * 2 - 1
     low_signs, high_signs = bits[:, :m - 1], bits[:, m - 1:]
 
-    blocks, ys, ks, cs = [], [], [], []
-    spu_values = (None,) if split == "train" else (-alpha, alpha)
-    for y in range(1, 2 * m + 1):
+    blocks, ys = [], []
+    for y in params.classes:
         k, c = params.alias(y)
         low_cols = [j for j in range(m) if j != k - 1]
         high_cols = [j for j in range(m, 2 * m) if j != k - 1 + m]
@@ -168,11 +183,7 @@ def enumerate_latents_dm2(params: DataModel2Params, split: str) -> LatentBatch:
             z[:, high_cols] = beta * alpha * high_signs
             blocks.append(z)
             ys.append(np.full(n_pat, y))
-            ks.append(np.full(n_pat, k))
-            cs.append(np.full(n_pat, c))
-    return LatentBatch("dm2", split, np.concatenate(blocks),
-                       np.concatenate(ys), k=np.concatenate(ks),
-                       c=np.concatenate(cs))
+    return LatentBatch(params, np.concatenate(blocks), np.concatenate(ys))
 
 
 def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
@@ -184,8 +195,7 @@ def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
     m, alpha, beta = params.m, params.alpha, params.beta
     g = rng.generator()
     y = g.integers(1, 2 * m + 1, n)
-    k = (y + 1) // 2
-    c = np.where(y % 2 == 1, 1, -1)
+    k, c = params.alias(y)
     z = np.empty((n, 2 * m))
     z[:, :m] = beta * (g.integers(0, 2, (n, m)) * 2 - 1)
     z[:, m:] = beta * alpha * (g.integers(0, 2, (n, m)) * 2 - 1)
@@ -195,7 +205,7 @@ def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
         z[rows, k - 1 + m] = c * alpha
     else:
         z[rows, k - 1 + m] = alpha * (g.integers(0, 2, n) * 2 - 1)
-    return LatentBatch("dm2", split, z, y, k=k, c=c)
+    return LatentBatch(params, z, y)
 
 
 # mask variant -> the caption levels it draws; every other level stays at 1
@@ -251,22 +261,17 @@ def _mask_batch(batch: LatentBatch, mask: CaptionMask,
     """Apply fresh per-sample, per-coordinate mask draws to a whole batch."""
     if mask.variant == "none":
         return batch.z.copy()
+    if mask.variant != ("model1" if batch.model == "dm1" else "model2"):
+        raise ConfigurationError(f"{mask.variant} mask cannot be applied to {batch.model} samples")
     n, l = batch.z.shape
+    g = rng.generator()
     if mask.variant == "model1":
-        if batch.model != "dm1":
-            raise ConfigurationError(
-                f"model1 mask cannot be applied to {batch.model} samples")
-        g = rng.generator()
         psi_core = g.random(n) < mask.pi_core
         psi_spu = g.random(n) < mask.pi_spu
         out = np.empty((n, 2))
         out[:, 0] = batch.y + psi_core * (batch.z[:, 0] - batch.y)
         out[:, 1] = batch.a + psi_spu * (batch.z[:, 1] - batch.a)
         return out
-    if batch.model != "dm2":
-        raise ConfigurationError(
-            f"model2 mask cannot be applied to {batch.model} samples")
-    g = rng.generator()
     psi = (g.random((n, l)) < mask.pi).astype(float)
     psi[np.arange(n), batch.k - 1] = 1.0  # class coordinate always survives
     return psi * batch.z

@@ -1,9 +1,10 @@
 """Zero-shot prompts, classification rules, and grouped accuracy reports on the
 training (ID) and true (OOD) distributions.
 
-All three rules (x G P^T, x W, x W_enc^T W) score through one path. Noiseless inputs
-are multiplied by the factors left to right with ``np.dot``, in the old order, which keeps
-the CSV bytes and exact argmax ties; noisy scores x R are drawn exactly in law in R's image.
+All three rules (x G P^T, x W, x W_enc^T W) score through one path. Noiseless inputs are
+multiplied by the factors left to right with ``np.dot``: enumerated inputs tie exactly under
+argmax, and a product of the factors taken first rounds differently and can split such a tie.
+Noisy scores x R are drawn exactly in law in R's image.
 A zero-shot rule with the model-2 pair structure on noiseless inputs can instead
 be counted exactly (:func:`count_zero_shot`), at any m.
 """
@@ -35,26 +36,13 @@ class PromptSet:
 
 
 def build_prompts(params, text_dictionary: Dictionary) -> PromptSet:
-    """Prompts for every class of a data model.
-
-    Model 1: zbar_{+-1} = [+-1, 0]. Model 2: zbar for class (k, c) = c e_k
-    (the spurious coordinate has mean zero under the true distribution).
-    """
+    """Prompts for every class of a data model, from its true-split class means
+    (``params.class_means()``)."""
     if text_dictionary.latent_dim != params.l:
         raise DimensionError(
             f"dictionary latent dim {text_dictionary.latent_dim} != model dim {params.l}")
-    if isinstance(params, DataModel1Params):
-        classes = (-1, 1)
-        means = np.array([[-1.0, 0.0], [1.0, 0.0]])
-    elif isinstance(params, DataModel2Params):
-        classes = tuple(range(1, 2 * params.m + 1))
-        means = np.zeros((2 * params.m, params.l))
-        for y in classes:
-            k, c = params.alias(y)
-            means[y - 1, k - 1] = c
-    else:
-        raise ArgumentError(f"unsupported params type {type(params).__name__}")
-    return PromptSet(classes=classes, prompts=np.dot(means, text_dictionary.matrix.T))
+    return PromptSet(classes=params.classes,
+                     prompts=np.dot(params.class_means(), text_dictionary.matrix.T))
 
 
 @dataclass(frozen=True)
@@ -120,18 +108,23 @@ def _wilson_radius(acc: float, n: int, z: float = 1.96) -> float:
     return z / (1.0 + z * z / n) * np.sqrt(acc * (1.0 - acc) / n + z * z / (4.0 * n * n))
 
 
+def _groups(params) -> dict:
+    """Each report group's key -> (name, minority), in report order: model 1 by
+    (y, a), model 2 by (class, whether the spurious coordinate agrees with it)."""
+    if params.model == "dm1":
+        return {(y, a): (f"y={y:+d},a={a:+d}", a != y) for y in params.classes for a in (-1, 1)}
+    return {(y, agrees): (f"y={y},spu={'agree' if agrees else 'flip'}", not agrees)
+            for y in params.classes for agrees in (True, False)}
+
+
 def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
     n = len(batch)
-    # one group index per row, and (name, minority) per index: model 1 by
-    # (y, a), model 2 by class and whether the spurious coordinate agrees with it
+    # one group index per row, in the order of _groups
+    cells = list(_groups(batch.params).values())
     if batch.model == "dm1":
         gid = 2 * (batch.y > 0) + (batch.a > 0)
-        cells = [(f"y={y:+d},a={a:+d}", a != y) for y in (-1, 1) for a in (-1, 1)]
     else:
-        classes, inverse = np.unique(batch.y, return_inverse=True)
-        gid = 2 * inverse + ~batch.spurious_agrees()
-        cells = [(f"y={int(y)},spu={tag}", minority) for y in classes
-                 for tag, minority in (("agree", False), ("flip", True))]
+        gid = 2 * (batch.y - 1) + ~batch.spurious_agrees()
     # hit counts are exact integers in float64, so hit / cnt is the group mean
     counts = np.bincount(gid, minlength=len(cells)).tolist()
     hits = np.bincount(gid, weights=correct, minlength=len(cells)).tolist()
@@ -230,7 +223,7 @@ def pair_rule_hits_dm2(u: float, v: float, params: DataModel2Params, split: str,
         cases[agrees] = (own, sum(2 for r in rivals if r < own),
                          sum(2 for r in rivals if r <= own))
     hits = {}
-    for y in range(1, 2 * params.m + 1):
+    for y in params.classes:
         k, c = params.alias(y)
         for agrees, (own, lower, higher) in cases.items():
             beats_partner = own > 0 or (own == 0 and c == 1)
@@ -256,10 +249,8 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
     scores = np.dot(np.dot(sampler.image_cfg.dictionary.matrix.T, model.G), prompts.prompts.T)
     m = params.m
     u, v = float(scores[0, 0]), float(scores[m, 0])
-    pair = np.zeros_like(scores)
-    for y in prompts.classes:
-        k, c = params.alias(y)
-        pair[[k - 1, k - 1 + m], y - 1] = c * u, c * v
+    means = params.class_means().T  # column y - 1 is c e_k; rolled down m rows, c e_k+m
+    pair = u * means + v * np.roll(means, m, axis=0)
     residual = float(np.abs(scores - pair).max())
     if not residual <= _PAIR_RTOL * np.abs(scores).max():
         raise ArgumentError(f"the zero-shot rule is not pair-structured: its latent "
@@ -267,11 +258,10 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
     # a latent row's l1 norm bounds how far the residual can move any of its scores
     l1 = 1 + params.alpha + (m - 1) * (params.beta + params.beta * params.alpha)
     hits = pair_rule_hits_dm2(u, v, params, sampler.split, tol=2 * residual * l1)
-    rows = 4 ** (m - 1)  # per group, as enumeration builds them
+    rows, names = params.rows_per_group, _groups(params)
     # int / int is correctly rounded, as enumeration's hit / cnt is
-    groups = {f"y={y},spu={'agree' if agrees else 'flip'}":
-              GroupStat(hit / rows, rows, 0.0, minority=not agrees)
-              for (y, agrees), hit in hits.items()}
+    groups = {names[key][0]: GroupStat(hit / rows, rows, 0.0, minority=names[key][1])
+              for key, hit in hits.items()}
     n = rows * len(hits)
     return EvalReport(overall_accuracy=sum(hits.values()) / n, groups=groups, n_eval=n,
                       mc_radius=0.0, split=sampler.split)
@@ -311,7 +301,7 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
     batch = data.latents
     if batch.model != "dm2":
         raise ArgumentError("group geometry requires model-2 data")
-    m = batch.l // 2
+    m = batch.params.m
     spu_sign = np.sign(batch.z[np.arange(len(batch)), batch.k - 1 + m]).astype(int)
     reps = encoder.transform(data.x_image)
     keys = [(-1, -1), (1, -1), (-1, 1), (1, 1)]

@@ -15,7 +15,7 @@ import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 
 import numpy as np
@@ -86,10 +86,10 @@ def _require_object(value, where: str) -> dict:
 
 
 def _require_strings(value, where: str, allowed: tuple):
-    """A list of distinct strings, each one of ``allowed``."""
-    if (not isinstance(value, list) or not all(isinstance(v, str) for v in value)
+    """A non-empty list of distinct strings, each one of ``allowed``."""
+    if (not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value)
             or len(set(value)) < len(value)):
-        raise ValidationError(f"{where} must be a list of distinct strings, got {value!r}")
+        raise ValidationError(f"{where} must be a non-empty list of unique strings, got {value!r}")
     bad = [v for v in value if v not in allowed]
     if bad:
         raise ValidationError(f"unknown {where}: {', '.join(bad)} "
@@ -200,8 +200,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     sweep = sections.pop("sweep")
     methods = doc.get("methods", [])
     _require_strings(methods, "methods", METHODS)
-    if not methods:
-        raise ValidationError("methods must be non-empty")
     models = _KINDS[experiment]
     model = sections["data"].get("model")
     if model not in models:
@@ -312,18 +310,22 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
     (false for mmcl-analytic, which fits the population covariance) and
     ``eval["counted"]`` (the analytic fit on model 2, whose pair-structured rule
     ``evaluation.count_zero_shot`` scores; n_eval and exhaustive go unused there).
-    Raises ``ValidationError`` for a missing sample size, a noisy counted evaluation
-    or an input dimension below l. Returns (modality, train, eval, CSV parameter
-    row); the row leaves n_train and p_dim empty where the config does."""
+    Raises ``ValidationError`` for a missing sample size, an n_train beside
+    train.exhaustive, a noisy counted evaluation or an input dimension below l.
+    Returns (modality, train, eval, CSV parameter row); the row leaves p_dim empty
+    where the config does, and n_train where it does or the fit draws no rows."""
     override = config.method_overrides.get(method, {})
     modality = {"dictionary": "identity-embed", "noise_sigma_I": 0.0, "noise_sigma_T": 0.0,
                 "d_I": params.l, **config.modality, **override.get("modality", {})}
     modality.setdefault("d_T", modality["d_I"])
     train = {**config.train, **override.get("train", {})}
     train.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "train")
-    row = {"n_train": train.get("n_train"), "p_dim": train.get("p_dim")}
+    row = {"p_dim": train.get("p_dim")}
     train = {"n_train": None, "p_dim": params.l, "rho": 1.0, "exhaustive": False, **train,
              "draws": method != "mmcl-analytic"}
+    if train["exhaustive"] and train["n_train"] is not None:
+        raise ValidationError(f"train.n_train is {train['n_train']}, but train.exhaustive "
+                              f"trains on every enumerated row (method {method})")
     eval_sec = {"n_eval": None, "splits": ["true"], "exhaustive": False,
                 "noise_sigma": modality["noise_sigma_I"], "supcon_geometry": False,
                 "supcon_restarts": 0, **config.eval, **override.get("eval", {}),
@@ -341,8 +343,8 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
         if modality[key] < params.l:
             raise ValidationError(f"modality.{key} is {modality[key]}, below the latent "
                                   f"dimension {params.l} (method {method})")
-    row.update(rho=train["rho"], d_I=modality["d_I"], d_T=modality["d_T"], **asdict(params),
-               **mask.levels)
+    row.update(n_train=train["n_train"] if train["draws"] else None, rho=train["rho"],
+               d_I=modality["d_I"], d_T=modality["d_T"], **asdict(params), **mask.levels)
     return modality, train, eval_sec, row
 
 
@@ -538,39 +540,37 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
     seed = stream_id_for(cell_idx, trial)
     rng = RngStream(config.root_seed, seed)
     started = time.perf_counter()
-    records = []
+    rows = []  # the RunRecord fields that vary within the task
     measured = {}
     params, mask, checks = build(cell_idx)
     for method in config.methods:
         modality, train, eval_sec, param_row = _method_sections(config, method, cell, params, mask)
         try:
-            rows = _run_method(method, params, mask, modality, train, eval_sec,
-                               rng.child(METHODS.index(method)))
+            values = _run_method(method, params, mask, modality, train, eval_sec,
+                                 rng.child(METHODS.index(method)))
         except MmclabError as error:
-            records.append(RunRecord(
-                run_id=run_id, experiment=config.experiment, seed=seed, method=method,
-                params=param_row, split="", group="error", metric="error",
-                value=float("nan"), passed=False, error=f"{type(error).__name__}: {error}"))
+            rows.append(dict(method=method, params=param_row, split="", group="error",
+                             metric="error", value=float("nan"), passed=False,
+                             error=f"{type(error).__name__}: {error}"))
             continue
         family = "mmcl" if method.startswith("mmcl") else method
-        for split, group, metric, value in rows:
-            records.append(RunRecord(
-                run_id=run_id, experiment=config.experiment, seed=seed, method=method,
-                params=param_row, split=split, group=group, metric=metric,
-                value=float(value),
-                **_compare(config, checks, family, split, group, metric, value)))
+        for split, group, metric, value in values:
+            rows.append(dict(method=method, params=param_row, split=split, group=group,
+                             metric=metric, value=float(value),
+                             **_compare(config, checks, family, split, group, metric, value)))
             measured[(family, split, group, metric)] = float(value)
     # derived in-distribution comparison when both model families ran on train
     sl_id = measured.get(("sl", "train", "overall", "accuracy"))
     mmcl_id = measured.get(("mmcl", "train", "overall", "accuracy"))
     if sl_id is not None and mmcl_id is not None:
         gap = sl_id - mmcl_id
-        records.append(RunRecord(
-            run_id=run_id, experiment=config.experiment, seed=seed, method="sl-vs-mmcl",
-            params={}, split="train", group="overall", metric="id_gap", value=gap,
-            **_compare(config, checks, "sl-vs-mmcl", "train", "overall", "id_gap", gap)))
+        rows.append(dict(method="sl-vs-mmcl", params={}, split="train", group="overall",
+                         metric="id_gap", value=gap,
+                         **_compare(config, checks, "sl-vs-mmcl", "train", "overall",
+                                    "id_gap", gap)))
     elapsed = time.perf_counter() - started
-    return [replace(rec, wall_time=elapsed, blas_threads=blas_threads) for rec in records]
+    return [RunRecord(run_id=run_id, experiment=config.experiment, seed=seed,
+                      wall_time=elapsed, blas_threads=blas_threads, **row) for row in rows]
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord]:

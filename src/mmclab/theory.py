@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .covariance import population_cross_cov_dm2
 from .datagen import SPLITS, DataModel2Params
 from .errors import DomainError
 from .evaluation import pair_rule_hits_dm2
@@ -119,9 +120,10 @@ def zero_shot_accuracy_dm2(m: int, alpha: float, beta: float,
     on each split, with caption keep probability pi.
 
     That fit scores class (k, c) as c (u z_k + v z_{k+m}), with
-    u = (1 + pi (m-1) b^2) / (m rho) and v = a / (m rho), the first column of
-    the masked population covariance over rho. The factor 1/rho changes no
-    argmax, so rho = 1 here. Counting (``evaluation.pair_rule_hits_dm2``)
+    u = (1 + pi (m-1) b^2) / (m rho) and v = a / (m rho), the entries S[0, 0]
+    and S[m, 0] of the masked population covariance
+    (``covariance.population_cross_cov_dm2``) over rho. The factor 1/rho changes
+    no argmax, so rho = 1 here. Counting (``evaluation.pair_rule_hits_dm2``)
     gives train accuracy 1, and true-split accuracy
       1            when u - v a > b (u + v a): the perfect-accuracy condition
                    at pi = 1, and pi > pi_tilde otherwise;
@@ -133,14 +135,13 @@ def zero_shot_accuracy_dm2(m: int, alpha: float, beta: float,
     The paper states at most 50% below the condition; that holds only as
     m -> infinity.
     """
-    if not 0 <= pi <= 1:
-        raise DomainError(f"pi must lie in [0, 1], got {pi}")
     params = DataModel2Params(m, alpha, beta)
-    u, v = (1 + pi * (m - 1) * beta ** 2) / m, alpha / m
+    s = population_cross_cov_dm2(params, pi).S
+    u, v = float(s[0, 0]), float(s[m, 0])
     values = {}
     for split in SPLITS:
         hits = pair_rule_hits_dm2(u, v, params, split)
-        values[split] = sum(hits.values()) / (len(hits) * 4 ** (m - 1))
+        values[split] = sum(hits.values()) / (len(hits) * params.rows_per_group)
     return TheoremPrediction(values=values,
                              comparators={split: "equality-threshold" for split in SPLITS})
 

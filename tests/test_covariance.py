@@ -12,7 +12,7 @@ RNG = RngStream(7, 100)
 
 
 def _dataset_from_rows(rows_i, rows_t, y):
-    batch = LatentBatch("dm1", "train", np.asarray(rows_i, dtype=float),
+    batch = LatentBatch(DataModel1Params(), np.asarray(rows_i, dtype=float),
                         np.asarray(y), a=np.asarray(y))
     return PairedDataset(np.asarray(rows_i, dtype=float),
                          np.asarray(rows_t, dtype=float), batch)
@@ -130,9 +130,7 @@ def test_population_dm2_masked_cross_validated_monte_carlo():
     pi = 0.5
     base = enumerate_latents_dm2(params, "train")
     reps = 200_000 // len(base)
-    tiled = LatentBatch("dm2", "train", np.tile(base.z, (reps, 1)),
-                        np.tile(base.y, reps), k=np.tile(base.k, reps),
-                        c=np.tile(base.c, reps))
+    tiled = LatentBatch(params, np.tile(base.z, (reps, 1)), np.tile(base.y, reps))
     cfg = ModalityConfig(make_dictionary(4, 4))
     data = make_paired_dataset(tiled, cfg, cfg, CaptionMask.model2(pi), RNG.child(6))
     emp = empirical_cross_cov(data).S

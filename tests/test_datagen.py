@@ -64,6 +64,44 @@ def test_dm2_enumeration_counts(split, expected):
     _check_dm2_constraints(batch, params, split)
 
 
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_enumeration_matches_the_class_means_and_group_sizes_of_the_params(m):
+    # dyadic alpha and beta keep every sum of latent values exact
+    params = DataModel2Params(m, 1.5, 0.25)
+    for split, spu_values in (("true", (-1.5, 1.5)), ("train", (None,))):
+        batch = enumerate_latents_dm2(params, split)
+        spu = batch.z[np.arange(len(batch)), batch.k - 1 + m]
+        for y, mean in zip(params.classes, params.class_means()):
+            rows = batch.y == y
+            if split == "true":
+                np.testing.assert_array_equal(batch.z[rows].mean(axis=0), mean)
+            for value in spu_values:
+                block = rows if value is None else rows & (spu == value)
+                assert block.sum() == params.rows_per_group
+
+
+def test_sampled_dm1_class_means_match_the_params():
+    params = DataModel1Params(1.0, 0.5, 0.9)
+    batch = sample_latents_dm1(params, 100_000, "true", RNG.child(25))
+    # per coordinate variance on the true split: sigma_core^2, and 1 + sigma_spu^2 (a = +-1)
+    sd = np.array([params.sigma_core, np.sqrt(1 + params.sigma_spu ** 2)])
+    for y, mean in zip(params.classes, params.class_means()):
+        rows = batch.z[batch.y == y]
+        # 4 standard errors: each coordinate misses with probability about 6e-5
+        assert np.all(np.abs(rows.mean(axis=0) - mean) <= 4 * sd / np.sqrt(len(rows)))
+
+
+@pytest.mark.parametrize("split", ["train", "true"])
+def test_sampled_dm2_aliases_are_those_of_the_labels(split):
+    params = DataModel2Params(3, 1.5, 0.5)
+    batch = sample_latents_dm2(params, 1000, split, RNG.child(26))
+    k, c = params.alias(batch.y)
+    np.testing.assert_array_equal(batch.k, k)
+    np.testing.assert_array_equal(batch.c, c)
+    assert [params.alias(int(y)) for y in batch.y[:12]] == list(zip(k[:12], c[:12]))
+    np.testing.assert_array_equal(batch.z[np.arange(len(batch)), batch.k - 1], batch.c)
+
+
 def test_dm2_enumeration_cap():
     with pytest.raises(SizeError, match="100663296"):
         enumerate_latents_dm2(DataModel2Params(12, 1.0, 0.5), "train")
@@ -101,15 +139,15 @@ def test_mask_identity_when_probabilities_one():
 
 
 def test_mask_full_collapse_to_group_means():
-    batch = LatentBatch("dm1", "train", np.array([[1.37, -0.42]]), [1], a=[-1])
+    batch = LatentBatch(DataModel1Params(), np.array([[1.37, -0.42]]), [1], a=[-1])
     out = _mask_batch(batch, CaptionMask.model1(0.0, 0.0), RNG.child(12))
     np.testing.assert_array_equal(out, [[1.0, -1.0]])
 
 
 def test_latent_batch_rejects_an_unknown_model():
-    # consumers such as supcon_class_mean_cov take their rule from batch.model
+    # consumers such as supcon_class_mean_cov take their rule from batch.params
     with pytest.raises(ArgumentError, match="dm3"):
-        LatentBatch("dm3", "train", np.zeros((2, 2)), [1, -1])
+        LatentBatch("dm3", np.zeros((2, 2)), [1, -1])
 
 
 def test_mask_model2_keeps_only_class_coordinate():

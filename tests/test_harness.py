@@ -217,6 +217,32 @@ def test_sample_sizes_are_found_where_they_apply(doc):
     config_from_dict(doc)
 
 
+@pytest.mark.parametrize("doc,match", [
+    (_tiny_dm2_config(train={"exhaustive": True, "p_dim": 6, "n_train": 7}),
+     r"train\.n_train is 7, but train\.exhaustive .*\(method mmcl-closed\)$"),
+    (_tiny_dm2_config(method_overrides={"mmcl-closed": {"train": {"n_train": 7}}}),
+     r"train\.n_train is 7, .*\(method mmcl-closed\)$"),
+    (_tiny_dm2_config(sweep={"n_train": [7, 8]}),
+     r"train\.n_train is 7, .*\(method mmcl-closed\) \(sweep cell \{'n_train': 7\}\)"),
+], ids=["train", "override", "sweep"])
+def test_exhaustive_training_rejects_an_n_train(doc, match):
+    # the fit trains on every enumerated row, so a stated n_train would be a false CSV column
+    with pytest.raises(ValidationError, match=match):
+        config_from_dict(doc)
+
+
+def test_a_population_fit_leaves_n_train_empty(tmp_path):
+    doc = _tiny_dm1_config(trials=1, methods=["mmcl-closed", "mmcl-analytic"])
+    records = run_experiment(config_from_dict(doc))
+    assert {(r.method, r.params["n_train"]) for r in records} == {
+        ("mmcl-closed", 2000), ("mmcl-analytic", None)}
+    emit_csv(records, tmp_path / "results.csv")
+    with open(tmp_path / "results.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {(row["method"], row["n_train"]) for row in rows} == {
+        ("mmcl-closed", "2000"), ("mmcl-analytic", "")}
+
+
 def test_dm2_switches_off_are_accepted_on_dm1():
     doc = _tiny_dm1_config(experiment="method-compare")
     doc["train"]["exhaustive"] = False
@@ -234,6 +260,10 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"eval": {"n_eval": 100, "splits": ["true", "ood"]}}, "eval.splits: ood"),
     ({"method_overrides": {"mmcl-closed": {"eval": {"splits": ["ood"]}}}},
      "method_overrides.mmcl-closed.eval.splits: ood"),
+    ({"eval": {"n_eval": 100, "splits": []}}, "eval.splits must be a non-empty list"),
+    ({"method_overrides": {"mmcl-closed": {"eval": {"splits": []}}}},
+     "method_overrides.mmcl-closed.eval.splits must be a non-empty list"),
+    ({"methods": []}, "methods must be a non-empty list"),
     ({"name": 5}, "name"),
     ({"name": ["a", "b"]}, "name"),
     ({"slacks": {"nonsense": 0.1}}, "'nonsense'"),
@@ -259,6 +289,7 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"modality": {"d_I": 1}}, "modality.d_I"),
 ], ids=["data.sigma_core", "train.p_dim", "dm1-supcon_geometry", "train.n_train-missing",
         "eval.n_eval-missing", "eval.splits-unknown", "override-eval.splits-unknown",
+        "eval.splits-empty", "override-eval.splits-empty", "methods-empty",
         "name-number", "name-list", "slack-one-part", "slack-three-parts",
         "slack-family", "slack-split", "slack-metric", "p_spu-domain", "sigma_core-zero",
         "sigma_spu-negative", "pi_core-domain", "exponent_variant-unknown",

@@ -5,7 +5,8 @@ import pytest
 from mmclab import (DomainError, in_distribution_predictions_dm1, sl_failure_bounds_dm1, zero_shot_robustness_dm1,
                     sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
                     caption_masking_threshold_dm2, zero_shot_accuracy_dm2)
-from mmclab import DataModel1Params, RngStream, sample_latents_dm1
+from mmclab import (DataModel1Params, DataModel2Params, RngStream, population_cross_cov_dm2,
+                    sample_latents_dm1, theory)
 from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY
 
 
@@ -104,6 +105,25 @@ def test_zero_shot_accuracy_dm2_is_one_or_half_plus_two_to_minus_m_or_half():
         assert set(pred.comparators.values()) == {"equality-threshold"}
     with pytest.raises(DomainError):
         zero_shot_accuracy_dm2(3, 1.1, 0.5, 1.5)
+
+
+@pytest.mark.parametrize("m,alpha,beta,pi", [(2, 1.05, 0.7, 0.3), (3, 1.1, 0.5, 1.0),
+                                            (30, 1.1, 1 / 3, 0.6)])
+def test_zero_shot_accuracy_dm2_reads_u_and_v_off_the_covariance(monkeypatch, m, alpha, beta,
+                                                                 pi):
+    # the analytic rule's (u, v) is the first column of the masked population covariance
+    seen = []
+    counted = theory.pair_rule_hits_dm2
+
+    def spy(u, v, params, split, tol=0.0):
+        seen.append((u, v))
+        return counted(u, v, params, split, tol)
+
+    monkeypatch.setattr(theory, "pair_rule_hits_dm2", spy)
+    zero_shot_accuracy_dm2(m, alpha, beta, pi)
+    s = population_cross_cov_dm2(DataModel2Params(m, alpha, beta), pi).S
+    assert seen == [(s[0, 0], s[m, 0])] * 2
+    assert (s[0, 0], s[m, 0]) == ((1 + pi * (m - 1) * beta ** 2) / m, alpha / m)
 
 
 def test_zero_shot_accuracy_dm2_is_one_exactly_where_the_paper_says():

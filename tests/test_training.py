@@ -446,10 +446,10 @@ def test_oracle_size_cap():
 
 
 def _dm1_exact_mean_cov(p_spu=0.9):
-    from mmclab import LatentBatch, PairedDataset
+    from mmclab import DataModel1Params, LatentBatch, PairedDataset
     q = 2 * p_spu - 1
     rows = np.array([[1.0, q], [-1.0, -q]])
-    batch = LatentBatch("dm1", "train", rows, np.array([1, -1]), a=np.array([1, -1]))
+    batch = LatentBatch(DataModel1Params(), rows, np.array([1, -1]), a=np.array([1, -1]))
     return supcon_class_mean_cov(PairedDataset(rows, rows, batch))
 
 
