@@ -7,9 +7,8 @@ robustness predictions, and a deterministic experiment harness that checks
 measurements against the predictions.
 """
 
-from .covariance import (ClassMeanCov, CrossCov, empirical_cross_cov,
-                         population_cross_cov_dm1, population_cross_cov_dm2,
-                         supcon_class_mean_cov)
+from .covariance import (empirical_cross_cov, population_cross_cov_dm1,
+                         population_cross_cov_dm2, supcon_class_mean_cov)
 from .datagen import (CaptionMask, DataModel1Params, DataModel2Params, LatentBatch,
                       ModalityConfig, PairedDataset, enumerate_latents_dm2,
                       make_paired_dataset, project_latents, sample_latents_dm1,

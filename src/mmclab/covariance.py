@@ -1,11 +1,9 @@
 """Cross-covariance statistics: the empirical paired-minus-unpaired estimator
 that the contrastive minimizer factorizes, its analytic population forms for
 both data models (masked and unmasked), and the class-mean covariance used by
-the supervised-contrastive closed form.
+the supervised-contrastive closed form. Each is returned as a read-only array.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,25 +12,8 @@ from .errors import ArgumentError, ConfigurationError, DomainError
 from .numerics import _readonly
 
 
-@dataclass(frozen=True)
-class CrossCov:
-    """A d_I x d_T cross-covariance.
-
-    ``space`` records whether the matrix lives in ambient input coordinates
-    ("ambient", the empirical case, estimated from ``data.n`` pairs) or latent
-    coordinates ("latent", the population case, lifted through dictionaries at
-    fit time).
-    """
-
-    S: np.ndarray
-    space: str = "ambient"
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", _readonly(self.S))
-
-
-def empirical_cross_cov(data: PairedDataset) -> CrossCov:
-    """Paired-minus-unpaired outer-product statistic of a dataset.
+def empirical_cross_cov(data: PairedDataset) -> np.ndarray:
+    """Paired-minus-unpaired d_I x d_T outer-product statistic of a dataset.
 
     S = (1/n) sum_i x_I,i x_T,i^T - (1/(n(n-1))) sum_{i != j} x_I,i x_T,j^T,
     computed through the algebraic identity
@@ -43,11 +24,11 @@ def empirical_cross_cov(data: PairedDataset) -> CrossCov:
     paired = np.dot(data.x_image.T, data.x_text)
     sums = np.outer(data.x_image.sum(axis=0), data.x_text.sum(axis=0))
     s = paired / (n - 1) - sums / (n * (n - 1))
-    return CrossCov(S=s, space="ambient")
+    return _readonly(s)
 
 
 def population_cross_cov_dm1(params: DataModel1Params,
-                             mask: CaptionMask = CaptionMask.none()) -> CrossCov:
+                             mask: CaptionMask = CaptionMask.none()) -> np.ndarray:
     """Analytic 2x2 training cross-covariance for model 1, in latent space.
 
     Unmasked: [[1 + sc^2, 2p - 1], [2p - 1, 1 + ss^2]]. Masking scales the
@@ -59,10 +40,10 @@ def population_cross_cov_dm1(params: DataModel1Params,
     q = 2 * params.p_spu - 1
     s = np.array([[1 + mask.pi_core * params.sigma_core ** 2, q],
                   [q, 1 + mask.pi_spu * params.sigma_spu ** 2]])
-    return CrossCov(S=s, space="latent")
+    return _readonly(s)
 
 
-def population_cross_cov_dm2(params: DataModel2Params, pi: float = 1.0) -> CrossCov:
+def population_cross_cov_dm2(params: DataModel2Params, pi: float = 1.0) -> np.ndarray:
     """Analytic 2m x 2m masked training cross-covariance for model 2.
 
     Block form (each block a multiple of I_m):
@@ -81,22 +62,12 @@ def population_cross_cov_dm2(params: DataModel2Params, pi: float = 1.0) -> Cross
     s[:m, m:] = pi * a / m * eye
     s[m:, :m] = a / m * eye
     s[m:, m:] = pi * a ** 2 * shared / m * eye
-    return CrossCov(S=s, space="latent")
+    return _readonly(s)
 
 
-@dataclass(frozen=True)
-class ClassMeanCov:
-    """Class-mean second-moment matrix driving the supervised-contrastive fit."""
-
-    S: np.ndarray                 # d_I x d_I, symmetric PSD
-
-    def __post_init__(self):
-        object.__setattr__(self, "S", _readonly(self.S))
-
-
-def supcon_class_mean_cov(data: PairedDataset) -> ClassMeanCov:
+def supcon_class_mean_cov(data: PairedDataset) -> np.ndarray:
     """Class-mean covariance of the image modality over the classes of
-    ``data.latents.params``.
+    ``data.latents.params``: d_I x d_I, symmetric PSD.
 
     Model 1 (binary +-1 labels):
         S = 1/2 (sum_y xbar_y xbar_y^T - sum_y xbar_y xbar_{-y}^T)
@@ -115,4 +86,4 @@ def supcon_class_mean_cov(data: PairedDataset) -> ClassMeanCov:
                    - sum(np.outer(means[y], means[-y]) for y in classes))
     else:
         s = sum(np.outer(mu, mu) for mu in means.values()) / (len(classes) - 1)
-    return ClassMeanCov(S=s)
+    return _readonly(s)

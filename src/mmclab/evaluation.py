@@ -117,26 +117,18 @@ def _groups(params) -> dict:
             for y in params.classes for agrees in (True, False)}
 
 
-def _report(correct: np.ndarray, batch: LatentBatch, split: str) -> EvalReport:
-    n = len(batch)
-    # one group index per row, in the order of _groups
-    cells = list(_groups(batch.params).values())
-    if batch.model == "dm1":
-        gid = 2 * (batch.y > 0) + (batch.a > 0)
-    else:
-        gid = 2 * (batch.y - 1) + ~batch.spurious_agrees()
-    # hit counts are exact integers in float64, so hit / cnt is the group mean
-    counts = np.bincount(gid, minlength=len(cells)).tolist()
-    hits = np.bincount(gid, weights=correct, minlength=len(cells)).tolist()
+def _report(params, split: str, counts, hits, exact: bool = False) -> EvalReport:
+    """A report from each group's row and hit counts, in the order of :func:`_groups`.
+    Empty groups are left out; an ``exact`` report has every radius 0."""
+    radius = (lambda acc, n: 0.0) if exact else _wilson_radius
     groups = {}
-    for (name, minority), cnt, hit in zip(cells, counts, hits):
-        if cnt == 0:
-            continue
-        acc = hit / cnt
-        groups[name] = GroupStat(acc, cnt, _wilson_radius(acc, cnt), minority=minority)
-    overall = float(correct.mean())
+    for (name, minority), cnt, hit in zip(_groups(params).values(), counts, hits):
+        if cnt:
+            groups[name] = GroupStat(hit / cnt, cnt, radius(hit / cnt, cnt), minority)
+    n = sum(counts)
+    overall = sum(hits) / n
     return EvalReport(overall_accuracy=overall, groups=groups, n_eval=n,
-                      mc_radius=_wilson_radius(overall, n), split=split)
+                      mc_radius=radius(overall, n), split=split)
 
 
 def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
@@ -171,7 +163,15 @@ def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
     rule = reduce(np.dot, factors) if sampler.image_cfg.noise_sigma > 0 else None
     scores = project_latents(batch.z, sampler.image_cfg, noise_rng, rule)
     pred = _predict(factors if rule is None else (), classes, scores)
-    return _report(pred == batch.y, batch, sampler.split)
+    # one group index per row, in the order of _groups: two groups per class
+    if batch.model == "dm1":
+        gid = 2 * (batch.y > 0) + (batch.a > 0)
+    else:
+        gid = 2 * (batch.y - 1) + ~batch.spurious_agrees()
+    size = 2 * len(batch.params.classes)
+    # hit counts are exact integers in float64, so hit / cnt is the group mean
+    return _report(batch.params, sampler.split, np.bincount(gid, minlength=size).tolist(),
+                   np.bincount(gid, weights=pred == batch.y, minlength=size).tolist())
 
 
 def evaluate_zero_shot(model: MMCLModel, prompts: PromptSet, sampler: EvalSampler,
@@ -258,13 +258,10 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
     # a latent row's l1 norm bounds how far the residual can move any of its scores
     l1 = 1 + params.alpha + (m - 1) * (params.beta + params.beta * params.alpha)
     hits = pair_rule_hits_dm2(u, v, params, sampler.split, tol=2 * residual * l1)
-    rows, names = params.rows_per_group, _groups(params)
     # int / int is correctly rounded, as enumeration's hit / cnt is
-    groups = {names[key][0]: GroupStat(hit / rows, rows, 0.0, minority=names[key][1])
-              for key, hit in hits.items()}
-    n = rows * len(hits)
-    return EvalReport(overall_accuracy=sum(hits.values()) / n, groups=groups, n_eval=n,
-                      mc_radius=0.0, split=sampler.split)
+    keys = _groups(params)
+    return _report(params, sampler.split, [params.rows_per_group * (key in hits) for key in keys],
+                   [hits.get(key, 0) for key in keys], exact=True)
 
 
 def evaluate_sl(model: SLModel, sampler: EvalSampler, n_eval: int | None = None,

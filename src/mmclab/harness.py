@@ -275,12 +275,6 @@ class RunRecord:
     blas_threads: int | None = None  # BLAS threads per pool worker; None when serial
 
 
-def check_passes(value: float, prediction: float, comparator: str, slack: float) -> bool:
-    if comparator not in theory.COMPARATORS:
-        raise ValidationError(f"unknown comparator {comparator!r}")
-    return theory.COMPARATORS[comparator](value, prediction, slack)
-
-
 # ---------------------------------------------------------------------------
 # cell execution
 
@@ -493,7 +487,7 @@ def _dm2_checks(params, mask) -> dict:
                    ("supcon", "true", "overall", "accuracy"): (0.5, "equality-threshold"),
                    ("supcon", "train", "overall", "accuracy"): (1.0, "equality-threshold"),
                    ("supcon", "true", "geometry", "collinearity_residual"): (0.0, "upper-bound"),
-                   ("supcon", "true", "*", "best_probe_accuracy"): (0.75, "upper-bound")})
+                   ("supcon", "true", "adversarial", "best_probe_accuracy"): (0.75, "upper-bound")})
     try:
         sl = theory.sl_shift_ceiling_dm2(params.alpha, params.beta)
     except DomainError:
@@ -521,13 +515,13 @@ def _slack_for(config: ExperimentConfig, family, split, group, metric) -> float:
 def _compare(config: ExperimentConfig, checks: dict, family, split, group, metric,
              value) -> dict:
     """The prediction, comparator and verdict of one value; empty if unchecked."""
-    check = checks.get((family, split, group, metric)) or checks.get((family, split, "*", metric))
+    check = checks.get((family, split, group, metric))
     if check is None:
         return {}
     prediction, comparator = check
     slack = _slack_for(config, family, split, group, metric)
     return {"prediction": prediction, "comparator": comparator,
-            "passed": check_passes(value, prediction, comparator, slack)}
+            "passed": theory.COMPARATORS[comparator](value, prediction, slack)}
 
 
 # ---------------------------------------------------------------------------

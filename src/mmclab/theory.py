@@ -136,7 +136,7 @@ def zero_shot_accuracy_dm2(m: int, alpha: float, beta: float,
     m -> infinity.
     """
     params = DataModel2Params(m, alpha, beta)
-    s = population_cross_cov_dm2(params, pi).S
+    s = population_cross_cov_dm2(params, pi)
     u, v = float(s[0, 0]), float(s[m, 0])
     values = {}
     for split in SPLITS:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import ClassMeanCov, CrossCov, empirical_cross_cov
+from .covariance import empirical_cross_cov
 from .datagen import PairedDataset
 from .errors import ArgumentError, DimensionError, DomainError, TrainingError
 from .numerics import Dictionary, RngStream, _readonly, svd_top
@@ -109,25 +109,21 @@ def _lift(g_latent: np.ndarray, image_dictionary: Dictionary | None,
     return np.dot(np.dot(image_dictionary.matrix, g_latent), text_dictionary.matrix.T)
 
 
-def mmcl_fit_closed_form(S: CrossCov, p_dim: int, rho: float,
+def mmcl_fit_closed_form(S: np.ndarray, p_dim: int, rho: float,
                          image_dictionary: Dictionary | None = None,
                          text_dictionary: Dictionary | None = None) -> MMCLModel:
     """Closed-form minimizer: G = (1/rho) * best rank-p approximation of S.
 
-    A latent-space population covariance is factorized in latent coordinates
-    and lifted through the dictionaries afterwards (the lift preserves singular
-    structure because dictionary columns are orthonormal).
+    Given dictionaries, S is a latent covariance: it is factorized in latent
+    coordinates and G is lifted through them afterwards (the lift preserves
+    singular structure because dictionary columns are orthonormal).
     """
     if rho <= 0:
         raise DomainError(f"rho must be positive, got {rho}")
-    if not 1 <= p_dim <= min(S.S.shape):
-        raise DimensionError(f"p_dim={p_dim} out of range for covariance shape {S.S.shape}")
-    top = svd_top(S.S, p_dim)
-    g = top.reconstruct() / rho
-    if S.space == "latent":
-        g = _lift(g, image_dictionary, text_dictionary)
-    elif image_dictionary is not None or text_dictionary is not None:
-        raise ArgumentError("dictionaries only apply to latent-space covariances")
+    if not 1 <= p_dim <= min(S.shape):
+        raise DimensionError(f"p_dim={p_dim} out of range for covariance shape {S.shape}")
+    top = svd_top(S, p_dim)
+    g = _lift(top.reconstruct() / rho, image_dictionary, text_dictionary)
     return MMCLModel(G=g, p_dim=p_dim, rho=rho,
                      training_meta={"fit": "closed-form", "rank": top.rank})
 
@@ -160,7 +156,7 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
     _check_gd_budget(lr, epochs)
     if rng is None:
         raise ArgumentError("mmcl_fit_gd requires an RngStream for initialization")
-    s = empirical_cross_cov(data).S
+    s = empirical_cross_cov(data)
     g = rng.generator()
     init_scale = MMCL_GD_DEFAULTS["init_scale"]
     w_i = init_scale * g.standard_normal((p_dim, data.d_image))
@@ -381,7 +377,7 @@ def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
 # supervised-contrastive closed form and linear probes
 
 
-def supcon_fit_closed_form(cov: ClassMeanCov, p_dim: int, rho: float) -> SupConEncoder:
+def supcon_fit_closed_form(cov: np.ndarray, p_dim: int, rho: float) -> SupConEncoder:
     """Encoder rows sqrt(lambda_i / rho) u_i^T from the top class-mean eigenpairs.
 
     The eigenbasis is canonicalized (descending eigenvalues, each vector's
@@ -389,10 +385,10 @@ def supcon_fit_closed_form(cov: ClassMeanCov, p_dim: int, rho: float) -> SupConE
     """
     if rho <= 0:
         raise DomainError(f"rho must be positive, got {rho}")
-    d = cov.S.shape[0]
+    d = cov.shape[0]
     if not 1 <= p_dim <= d:
         raise DimensionError(f"p_dim={p_dim} out of range for covariance dim {d}")
-    evals, evecs = np.linalg.eigh(cov.S)
+    evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:p_dim]
     evals = np.clip(evals[order], 0.0, None)
     evecs = evecs[:, order]

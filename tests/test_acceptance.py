@@ -8,7 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from mmclab import (CaptionMask, CrossCov, DataModel1Params, ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
+from mmclab import (CaptionMask, DataModel1Params, ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     mmcl_fit_gd, population_cross_cov_dm1,
                     sample_latents_dm1, perfect_zero_shot_condition_dm2, zero_shot_robustness_dm1,
@@ -96,7 +96,7 @@ def test_criterion_01_gd_matches_closed_form_and_loss_identity():
     literal = sum((sim[i, j] - sim[i, i]) + (sim[j, i] - sim[i, i])
                   for i in range(n) for j in range(n) if i != j) / (2 * n * (n - 1))
     literal += 0.5 * np.sum((w_i.T @ w_t) ** 2)
-    trace_form = (-np.sum(model.G * empirical_cross_cov(data).S)
+    trace_form = (-np.sum(model.G * empirical_cross_cov(data))
                   + 0.5 * np.sum(model.G ** 2))
     value = mmcl_loss(model, data)
     identity_err = max(abs(value - literal), abs(value - trace_form)) / abs(literal)
@@ -239,9 +239,7 @@ def test_criterion_10_argmax_invariances():
         base_cov = population_cross_cov_dm1(params)
         base = mmcl_fit_closed_form(base_cov, 2, 1.0)
         half_rho = mmcl_fit_closed_form(base_cov, 2, 2.0)
-        rescaled = mmcl_fit_closed_form(
-            CrossCov(S=11.0 * base_cov.S, space="latent"),
-            2, 1.0)
+        rescaled = mmcl_fit_closed_form(11.0 * base_cov, 2, 1.0)
         batch = sample_latents_dm1(params, 30, "train", rng.child(1))
         cfg = ModalityConfig(make_dictionary(2, 2))
         data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), rng.child(2))
@@ -263,14 +261,14 @@ def test_criterion_10_argmax_invariances():
 
 def test_criterion_10_covariance_concentration():
     params = DataModel1Params(1.0, 0.1, 0.9)
-    pop = population_cross_cov_dm1(params).S
+    pop = population_cross_cov_dm1(params)
     cfg = ModalityConfig(make_dictionary(2, 2))
 
     def err(n, seed):
         rng = RngStream(seed, 3000)
         batch = sample_latents_dm1(params, n, "train", rng.child(n))
         data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), rng.child(n + 1))
-        return np.abs(empirical_cross_cov(data).S - pop).max()
+        return np.abs(empirical_cross_cov(data) - pop).max()
 
     base = np.mean([err(2000, s) for s in range(20)])
     quadrupled = np.mean([err(8000, s) for s in range(20)])

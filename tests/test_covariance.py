@@ -21,14 +21,14 @@ def _dataset_from_rows(rows_i, rows_t, y):
 def test_empirical_two_point_literal():
     # direct evaluation of the paired-minus-unpaired formula at n=2
     data = _dataset_from_rows([[1, 0], [0, 1]], [[1, 0], [0, 1]], [1, -1])
-    np.testing.assert_allclose(empirical_cross_cov(data).S,
+    np.testing.assert_allclose(empirical_cross_cov(data),
                                [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
 
 
 def test_empirical_identical_pairs_vanish():
     x = np.tile([[0.3, -1.2]], (6, 1))
     data = _dataset_from_rows(x, x, [1, -1, 1, -1, 1, -1])
-    np.testing.assert_allclose(empirical_cross_cov(data).S, 0.0, atol=1e-14)
+    np.testing.assert_allclose(empirical_cross_cov(data), 0.0, atol=1e-14)
 
 
 def test_empirical_matches_literal_double_sum():
@@ -42,7 +42,7 @@ def test_empirical_matches_literal_double_sum():
         for j in range(n):
             if i != j:
                 literal -= np.outer(xi[i], xt[j]) / (n * (n - 1))
-    np.testing.assert_allclose(empirical_cross_cov(data).S, literal, atol=1e-12)
+    np.testing.assert_allclose(empirical_cross_cov(data), literal, atol=1e-12)
 
 
 def test_empirical_monte_carlo_converges_to_population_dm1():
@@ -50,27 +50,26 @@ def test_empirical_monte_carlo_converges_to_population_dm1():
     batch = sample_latents_dm1(params, 50_000, "train", RNG.child(2))
     cfg = ModalityConfig(make_dictionary(2, 2))
     data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), RNG.child(3))
-    s = empirical_cross_cov(data).S
+    s = empirical_cross_cov(data)
     np.testing.assert_allclose(s, [[2.0, 0.8], [0.8, 1.01]], atol=0.05)
 
 
 def test_population_dm1_literal():
     cov = population_cross_cov_dm1(DataModel1Params(1.0, 0.1, 0.9))
-    np.testing.assert_allclose(cov.S, [[2.0, 0.8], [0.8, 1.01]], atol=1e-15)
-    assert cov.space == "latent"
-    np.testing.assert_array_equal(cov.S, cov.S.T)
+    np.testing.assert_allclose(cov, [[2.0, 0.8], [0.8, 1.01]], atol=1e-15)
+    np.testing.assert_array_equal(cov, cov.T)
 
 
 def test_population_dm1_masked_linear_literal():
     cov = population_cross_cov_dm1(DataModel1Params(1.0, 0.1, 0.9),
                                    CaptionMask.model1(0.5, 0.0))
-    np.testing.assert_allclose(cov.S, [[1.5, 0.8], [0.8, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(cov, [[1.5, 0.8], [0.8, 1.0]], atol=1e-15)
 
 
 def test_population_dm1_identity_mask_is_unmasked():
     params = DataModel1Params(1.3, 0.2, 0.8)
     masked = population_cross_cov_dm1(params, CaptionMask.model1(1.0, 1.0))
-    np.testing.assert_array_equal(masked.S, population_cross_cov_dm1(params).S)
+    np.testing.assert_array_equal(masked, population_cross_cov_dm1(params))
 
 
 def test_population_dm1_masked_cross_validated_monte_carlo():
@@ -82,8 +81,8 @@ def test_population_dm1_masked_cross_validated_monte_carlo():
     batch = sample_latents_dm1(params, 200_000, "train", RNG.child(4))
     cfg = ModalityConfig(make_dictionary(2, 2))
     data = make_paired_dataset(batch, cfg, cfg, mask, RNG.child(5))
-    emp = empirical_cross_cov(data).S
-    linear = population_cross_cov_dm1(params, mask).S
+    emp = empirical_cross_cov(data)
+    linear = population_cross_cov_dm1(params, mask)
     q = 2 * params.p_spu - 1
     squared = np.array([[1 + mask.pi_core ** 2 * params.sigma_core ** 2, q],
                         [q, 1 + mask.pi_spu ** 2 * params.sigma_spu ** 2]])
@@ -99,29 +98,29 @@ def test_population_dm1_mask_variant_mismatch():
 def test_population_dm2_unmasked_literal():
     cov = population_cross_cov_dm2(DataModel2Params(2, 1.0, 0.5), pi=1.0)
     eye = np.eye(2)
-    np.testing.assert_allclose(cov.S[:2, :2], 0.625 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[:2, 2:], 0.5 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[2:, :2], 0.5 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[2:, 2:], 0.625 * eye, atol=1e-15)
-    np.testing.assert_array_equal(cov.S, cov.S.T)
+    np.testing.assert_allclose(cov[:2, :2], 0.625 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[:2, 2:], 0.5 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[2:, :2], 0.5 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[2:, 2:], 0.625 * eye, atol=1e-15)
+    np.testing.assert_array_equal(cov, cov.T)
 
 
 def test_population_dm2_masked_literal_and_asymmetry():
     params = DataModel2Params(2, 1.0, 0.5)
     cov = population_cross_cov_dm2(params, pi=0.5)
     eye = np.eye(2)
-    np.testing.assert_allclose(cov.S[:2, :2], 0.5625 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[:2, 2:], 0.25 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[2:, :2], 0.5 * eye, atol=1e-15)
-    np.testing.assert_allclose(cov.S[2:, 2:], 0.3125 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[:2, :2], 0.5625 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[:2, 2:], 0.25 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[2:, :2], 0.5 * eye, atol=1e-15)
+    np.testing.assert_allclose(cov[2:, 2:], 0.3125 * eye, atol=1e-15)
     # transpose asymmetry is exactly the (1 - pi) * alpha / m off-block gap
-    asym = cov.S - cov.S.T
+    asym = cov - cov.T
     np.testing.assert_allclose(asym[2:, :2], (1 - 0.5) * 1.0 / 2 * eye, atol=1e-15)
 
 
 def test_population_dm2_no_shared_features():
     cov = population_cross_cov_dm2(DataModel2Params(2, 1.0, 0.0), pi=1.0)
-    np.testing.assert_allclose(cov.S, 0.5 * np.block(
+    np.testing.assert_allclose(cov, 0.5 * np.block(
         [[np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)]]), atol=1e-15)
 
 
@@ -133,8 +132,8 @@ def test_population_dm2_masked_cross_validated_monte_carlo():
     tiled = LatentBatch(params, np.tile(base.z, (reps, 1)), np.tile(base.y, reps))
     cfg = ModalityConfig(make_dictionary(4, 4))
     data = make_paired_dataset(tiled, cfg, cfg, CaptionMask.model2(pi), RNG.child(6))
-    emp = empirical_cross_cov(data).S
-    pop = population_cross_cov_dm2(params, pi).S
+    emp = empirical_cross_cov(data)
+    pop = population_cross_cov_dm2(params, pi)
     assert np.abs(emp - pop).max() < 0.01
 
 
@@ -143,7 +142,7 @@ def test_supcon_dm1_exact_means_eigenstructure():
     rows = np.array([[1.0, 0.8], [-1.0, -0.8]])
     data = _dataset_from_rows(rows, rows, [1, -1])
     cov = supcon_class_mean_cov(data)
-    evals = np.linalg.eigvalsh(cov.S)
+    evals = np.linalg.eigvalsh(cov)
     assert evals[-1] == pytest.approx(3.28, abs=1e-12)  # 2((2p-1)^2 + 1)
     assert abs(evals[0]) < 1e-10                        # rank one by construction
 
@@ -154,10 +153,10 @@ def test_supcon_dm2_exhaustive_eigenvalues():
     cfg = ModalityConfig(make_dictionary(4, 4))
     data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), RNG.child(7))
     cov = supcon_class_mean_cov(data)
-    evals = np.sort(np.linalg.eigvalsh(cov.S))[::-1]
+    evals = np.sort(np.linalg.eigvalsh(cov))[::-1]
     np.testing.assert_allclose(evals[:2], 4.0 / 3.0, atol=1e-12)  # 2(1+a^2)/(2m-1)
     np.testing.assert_allclose(evals[2:], 0.0, atol=1e-12)
-    assert np.min(np.linalg.eigvalsh(cov.S)) > -1e-12  # PSD
+    assert np.min(np.linalg.eigvalsh(cov)) > -1e-12  # PSD
 
 
 def test_supcon_missing_class_error():

@@ -4,9 +4,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
-                    DataModel2Params, DimensionError, EvalSampler, ModalityConfig,
-                    NumericError, RngStream, build_prompts, caption_masking_threshold_dm2,
+from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
+                    DataModel2Params, DimensionError, EvalSampler, LatentBatch,
+                    ModalityConfig, NumericError, PairedDataset, RngStream,
+                    build_prompts, caption_masking_threshold_dm2,
                     count_zero_shot, empirical_cross_cov, enumerate_latents_dm2,
                     evaluate_sl, evaluate_zero_shot, harness, suite_configs,
                     zero_shot_accuracy_dm2,
@@ -117,10 +118,10 @@ def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():
                            10, RNG.child(30))
 
 
-def test_crosscov_scale_field_never_changes_predictions():
+def test_scaling_the_covariance_never_changes_predictions():
     params = DataModel1Params(1.0, 0.1, 0.9)
     base = population_cross_cov_dm1(params)
-    rescaled = CrossCov(S=7.3 * base.S, space="latent")
+    rescaled = 7.3 * base
     prompts = build_prompts(params, make_dictionary(2, 2))
     m1 = mmcl_fit_closed_form(base, 2, 1.0)
     m2 = mmcl_fit_closed_form(rescaled, 2, 1.0)
@@ -278,6 +279,28 @@ def test_masked_analytic_zero_shot_rule_attains_the_model_1_closed_form(sc, ss, 
     for split, key in (("true", "overall"), ("minority", "minority"), ("train", "train")):
         exact = _dm1_sign_rule_accuracy(w, params, cfg, split, noise=False)
         assert exact == pytest.approx(pred[key], abs=1e-12), split
+
+
+@pytest.mark.parametrize("sc,ss,p", [
+    (1.0, 0.01, 0.999), (1.0, 0.1, 0.9), (1.7, 0.3, 0.75), (0.5, 0.2, 0.6)])
+def test_supcon_rule_on_exact_class_means_is_the_closed_form_at_pi_core_0(sc, ss, p):
+    # the class-mean covariance of the exact means +-[1, 2p-1] has rank one along
+    # them, so the encoder scores sign(z_core + (2p-1) z_spu): the zero-shot rule
+    # [1 + pi_core sc^2, 2p-1] with its intra-class term gone. Its exact accuracy
+    # is the closed form at pi_core = 0 on every split; at the supcon-dm1 suite's
+    # parameters that is the known red check's 0.7390 overall, 0.5008 minority
+    params, cfg = DataModel1Params(sc, ss, p), _identity_cfg(2, 2)
+    rows = np.array([[1.0, 2 * p - 1], [-1.0, 1 - 2 * p]])
+    batch = LatentBatch(params, rows, np.array([1, -1]), a=np.array([1, -1]))
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(PairedDataset(rows, rows, batch)),
+                                 1, 1.0)
+    pred = zero_shot_robustness_dm1(sc, ss, p, pi_core=0).values
+    for split, key in (("true", "overall"), ("minority", "minority"), ("train", "train")):
+        exact = _dm1_sign_rule_accuracy(enc.W[0], params, cfg, split, noise=False)
+        assert exact == pytest.approx(pred[key], abs=1e-12), split
+    if (sc, ss, p) == (1.0, 0.01, 0.999):
+        assert pred["overall"] == pytest.approx(0.7389670602188183, abs=1e-15)
+        assert pred["minority"] == pytest.approx(0.5007978442971168, abs=1e-15)
 
 
 def _dm1_rule(params):

@@ -6,9 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmclab import ValidationError, datagen, harness, numerics, theory
+from mmclab import DomainError, ValidationError, datagen, harness, numerics, theory
 from mmclab.cli import main as cli_main
-from mmclab.harness import (CSV_COLUMNS, check_passes, config_from_dict,
+from mmclab.harness import (CSV_COLUMNS, config_from_dict,
                             config_from_file, emit_csv, emit_json_summary,
                             run_experiment, summarize)
 
@@ -433,15 +433,16 @@ def test_records_carry_prediction_and_value_together():
         assert np.isfinite(rec.value)
 
 
-def test_check_passes_directions():
-    assert check_passes(0.9, 0.85, "lower-bound", 0.0)
-    assert not check_passes(0.8, 0.85, "lower-bound", 0.01)
-    assert check_passes(0.5, 0.55, "upper-bound", 0.0)
-    assert check_passes(0.56, 0.55, "upper-bound", 0.02)
-    assert check_passes(0.515, 0.5, "equality-threshold", 0.02)
-    assert not check_passes(0.53, 0.5, "equality-threshold", 0.02)
-    with pytest.raises(ValidationError, match="boolean-condition"):
-        check_passes(1.0, True, "boolean-condition", 0.0)
+def test_comparator_directions():
+    passes = theory.COMPARATORS
+    assert passes["lower-bound"](0.9, 0.85, 0.0)
+    assert not passes["lower-bound"](0.8, 0.85, 0.01)
+    assert passes["upper-bound"](0.5, 0.55, 0.0)
+    assert passes["upper-bound"](0.56, 0.55, 0.02)
+    assert passes["equality-threshold"](0.515, 0.5, 0.02)
+    assert not passes["equality-threshold"](0.53, 0.5, 0.02)
+    with pytest.raises(DomainError, match="boolean-condition"):
+        theory.TheoremPrediction(values={"x": 1.0}, comparators={"x": "boolean-condition"})
 
 
 def test_emit_csv_header_only_for_empty_records(tmp_path):

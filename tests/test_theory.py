@@ -121,7 +121,7 @@ def test_zero_shot_accuracy_dm2_reads_u_and_v_off_the_covariance(monkeypatch, m,
 
     monkeypatch.setattr(theory, "pair_rule_hits_dm2", spy)
     zero_shot_accuracy_dm2(m, alpha, beta, pi)
-    s = population_cross_cov_dm2(DataModel2Params(m, alpha, beta), pi).S
+    s = population_cross_cov_dm2(DataModel2Params(m, alpha, beta), pi)
     assert seen == [(s[0, 0], s[m, 0])] * 2
     assert (s[0, 0], s[m, 0]) == ((1 + pi * (m - 1) * beta ** 2) / m, alpha / m)
 

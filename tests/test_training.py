@@ -4,7 +4,7 @@ import pytest
 import gd_reference
 from contrastive_loss import mmcl_loss
 from margin_oracle import InfeasibleError, hard_margin_oracle
-from mmclab import (ArgumentError, CaptionMask, CrossCov, DataModel1Params,
+from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
                     DataModel2Params, DimensionError, DomainError, ModalityConfig,
                     RngStream, TrainingError, empirical_cross_cov, enumerate_latents_dm2,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
@@ -23,17 +23,13 @@ def _model1_dataset(seed, n=200, d=32, noise=0.1, p_spu=0.9):
     return make_paired_dataset(batch, di, dt, CaptionMask.none(), rng.child(4))
 
 
-def _population_cov(matrix):
-    return CrossCov(S=np.asarray(matrix, dtype=float), space="latent")
-
-
 def test_closed_form_rank1_truncation_and_rho_scaling():
-    model = mmcl_fit_closed_form(_population_cov(np.diag([2.0, 1.0])), 1, 0.5)
+    model = mmcl_fit_closed_form(np.diag([2.0, 1.0]), 1, 0.5)
     np.testing.assert_allclose(model.G, [[4, 0], [0, 0]], atol=1e-12)
 
 
 def test_closed_form_full_rank():
-    model = mmcl_fit_closed_form(_population_cov(np.diag([2.0, 1.0])), 2, 1.0)
+    model = mmcl_fit_closed_form(np.diag([2.0, 1.0]), 2, 1.0)
     np.testing.assert_allclose(model.G, np.diag([2.0, 1.0]), atol=1e-12)
 
 
@@ -45,7 +41,7 @@ def test_closed_form_dm1_population_literal():
 
 
 def test_closed_form_rho_halves_g():
-    s = _population_cov([[1.2, 0.3], [0.3, 0.9]])
+    s = np.array([[1.2, 0.3], [0.3, 0.9]])
     g1 = mmcl_fit_closed_form(s, 2, 1.0).G
     g2 = mmcl_fit_closed_form(s, 2, 2.0).G
     np.testing.assert_allclose(g1, 2.0 * g2, atol=1e-14)
@@ -53,17 +49,29 @@ def test_closed_form_rho_halves_g():
 
 def test_closed_form_p_dim_out_of_range():
     with pytest.raises(DimensionError):
-        mmcl_fit_closed_form(_population_cov(np.eye(2)), 3, 1.0)
+        mmcl_fit_closed_form(np.eye(2), 3, 1.0)
 
 
 def test_closed_form_lifts_latent_covariance():
     rng = RngStream(5, 5)
     di = make_dictionary(6, 2, "random-orthonormal", rng.child(1))
     dt = make_dictionary(5, 2, "random-orthonormal", rng.child(2))
-    s = _population_cov([[2.0, 0.8], [0.8, 1.0]])
+    s = np.array([[2.0, 0.8], [0.8, 1.0]])
     model = mmcl_fit_closed_form(s, 2, 1.0, di, dt)
     assert model.G.shape == (6, 5)
-    np.testing.assert_allclose(model.G, di.matrix @ s.S @ dt.matrix.T, atol=1e-12)
+    np.testing.assert_allclose(model.G, di.matrix @ s @ dt.matrix.T, atol=1e-12)
+
+
+def test_closed_form_lifts_only_through_both_latent_dictionaries():
+    rng = RngStream(5, 5)
+    di = make_dictionary(6, 2, "random-orthonormal", rng.child(1))
+    dt = make_dictionary(5, 2, "random-orthonormal", rng.child(2))
+    with pytest.raises(ArgumentError, match="both dictionaries"):
+        mmcl_fit_closed_form(np.eye(2), 2, 1.0, di)
+    # an ambient covariance is not a latent one: its shape fails the lift
+    ambient = np.dot(np.dot(di.matrix, np.diag([2.0, 1.0])), dt.matrix.T)
+    with pytest.raises(DimensionError, match="latent dims"):
+        mmcl_fit_closed_form(ambient, 2, 1.0, di, dt)
 
 
 def test_gd_matches_closed_form():
@@ -114,7 +122,7 @@ def test_loss_identity_pairwise_vs_trace_form():
         model = MMCLModel(G=w_i.T @ w_t, p_dim=3, rho=0.7, W_I=w_i, W_T=w_t)
         efficient = mmcl_loss(model, data)
         literal = _literal_pairwise_loss(model, data)
-        s = empirical_cross_cov(data).S
+        s = empirical_cross_cov(data)
         trace_form = (-np.sum((w_i.T @ w_t) * s)
                       + 0.5 * 0.7 * np.sum((w_i.T @ w_t) ** 2))
         scale = max(abs(literal), 1.0)
@@ -126,7 +134,7 @@ def test_loss_minimum_against_random_perturbations():
     data = _model1_dataset(6, n=60, d=8)
     s = empirical_cross_cov(data)
     from mmclab import svd_top
-    top = svd_top(s.S, 2)
+    top = svd_top(s, 2)
     w_i = (np.sqrt(top.values)[:, None] * top.left.T)
     w_t = (np.sqrt(top.values)[:, None] * top.right.T)
     best = MMCLModel(G=w_i.T @ w_t, p_dim=2, rho=1.0, W_I=w_i, W_T=w_t)
