@@ -21,8 +21,11 @@ MMCL_GD_DEFAULTS = dict(lr=0.1, epochs=2000, init_scale=1e-3)
 SL_GD_DEFAULTS = dict(lr=0.05, epochs=20000, init_scale=1e-3)
 GRAD_TOL = 1e-8
 _LOG2 = math.log(2.0)
-# The logistic loss bound must undercut blowup by this factor before the exact
-# loss is skipped; the slack dwarfs the rounding of either mean.
+# The divergence ceiling must undercut blowup by this factor before the loss
+# bound and the exact loss are skipped. The slack (at least 1e-3, since
+# blowup >= 1e3) dwarfs the rounding that the ceiling's rise ignores: about
+# (d + steps since the bound was formed) * eps * max_i ||x_i|| ||W||, under
+# 1e-3 while that product of norms and counts stays under about 4e12.
 _BOUND_CLEARANCE = 1.0 - 1e-6
 _EPS = np.finfo(float).eps
 
@@ -151,7 +154,9 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
 
     The pairwise loss equals -<G, S> + (rho/2)||G||_F^2 exactly (S the
     empirical cross-covariance), so gradients are computed in that form; the
-    tests check the identity against the pairwise loss.
+    tests check the identity against the pairwise loss. ``training_meta``
+    records the epoch budget (``epochs``) and the steps taken (``epochs_run``,
+    fewer when the gradient norm falls under ``GRAD_TOL``).
     """
     _check_gd_budget(lr, epochs)
     if rng is None:
@@ -165,17 +170,20 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
     blowup = 1e3 * (abs(loss0) + 1.0)
     loss = loss0
     grad_norm = np.inf
+    epochs_run = epochs
     for epoch in range(epochs):
         loss, grad_i, grad_t = _mmcl_objective(w_i, w_t, s, rho)
         if not np.isfinite(loss) or loss > blowup:
             raise TrainingError(f"contrastive GD diverged at epoch {epoch} (lr={lr})")
         grad_norm = np.sqrt(np.sum(grad_i ** 2) + np.sum(grad_t ** 2))
         if grad_norm < GRAD_TOL:
+            epochs_run = epoch
             break
         w_i = w_i - lr * grad_i
         w_t = w_t - lr * grad_t
-    meta = {"fit": "gd", "lr": lr, "epochs": epochs, "init_scale": init_scale,
-            "final_loss": float(loss), "final_grad_norm": float(grad_norm)}
+    meta = {"fit": "gd", "lr": lr, "epochs": epochs, "epochs_run": epochs_run,
+            "init_scale": init_scale, "final_loss": float(loss),
+            "final_grad_norm": float(grad_norm)}
     return MMCLModel(G=np.dot(w_i.T, w_t), p_dim=p_dim, rho=rho, W_I=w_i, W_T=w_t,
                      training_meta=meta)
 
@@ -184,8 +192,8 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
 # supervised fits (logistic / cross-entropy gradient descent)
 
 
-def _logistic_loss(margins: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, -margins)))
+def _logistic_loss(neg_margins: np.ndarray) -> float:
+    return float(np.mean(np.logaddexp(0.0, neg_margins)))
 
 
 def _cross_entropy_loss(own_probs: np.ndarray) -> float:
@@ -198,113 +206,141 @@ class _Margins:
 
     GD never leaves w0 + rowspan(x), so W = w0 + x^T A. With K = x x^T, a step
     of A by s/n * V moves the scores x W by s/n * K V, and the gradient norm
-    ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n product per epoch.
+    ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n product per epoch, which the
+    caller forms and passes to :meth:`grad_norm` and :meth:`step`.
     """
 
     def __init__(self, x, w0):
         n, d = x.shape
         self.x, self.w0, self.gram = x, w0, np.dot(x, x.T)
         self.scores, self.coef = np.dot(x, w0), np.zeros((n,) + w0.shape[1:])
+        self.work = np.empty_like(self.coef)
         # rounding bound of <V, K V> per unit ||V||^2
         self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
 
-    def grad_norm(self, v):
-        """The norm if it clears ``GRAD_TOL`` by more than rounding, else None."""
-        self.kv = np.dot(self.gram, v)
-        quad = np.vdot(v, self.kv)
-        if quad - self.slack * np.vdot(v, v) > (GRAD_TOL * len(v)) ** 2:
-            return math.sqrt(quad) / len(v)
-        return None
+    def grad_norm(self, v, kv):
+        """The norm from ``kv`` = K v, and an upper bound on it that covers the
+        rounding of <v, K v>; both None unless the norm clears ``GRAD_TOL`` by
+        more than that rounding."""
+        quad, rounding = np.vdot(v, kv), self.slack * np.vdot(v, v)
+        if quad - rounding > (GRAD_TOL * len(v)) ** 2:
+            return math.sqrt(quad) / len(v), math.sqrt(quad + rounding) / len(v)
+        return None, None
 
-    def step(self, step, v):
-        """Step A by step/n * v, with the K v of the last grad_norm call."""
-        self.scores += step / len(v) * self.kv
-        self.coef += step / len(v) * v
+    def step(self, step, v, kv):
+        """Step A by step/n * v, and the scores by step/n * ``kv``."""
+        self.scores += np.multiply(kv, step / len(v), out=self.work)
+        self.coef += np.multiply(v, step / len(v), out=self.work)
 
     def weights(self):
         return self.w0 + np.dot(self.x.T, self.coef)
 
 
-def _descend(x, target, q, lr, epochs, w0, kernel=None):
+def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     """Full-batch GD from w0 on the logistic loss (q = 1, ``target`` the +-1
     labels) or on cross-entropy (``target`` the class indices). It steps the
-    weights, or the margins when ``kernel`` is a :class:`_Margins` state; the
-    two differ only in how scores, the gradient norm and the step are formed.
+    weights, or with ``margin_space`` the margins (:class:`_Margins`); the two
+    differ only in how scores, the gradient norm and the step are formed.
     Returns the weights, final loss and gradient norm, and steps taken.
     The final loss is the exact (logistic) or floored (cross-entropy) loss of
-    the last epoch's scores, taken after the loop since epochs whose loss
-    bound clears the blowup level skip it.
+    the last epoch's scores, taken after the loop since most epochs skip it.
+
+    Divergence gate: the loss is at most a bound B, log 2 + mean(max(-m, 0))
+    over the margins m (logistic) or log q - mean(own shifted score) over the
+    scores minus their row max (cross-entropy). A step moves W by lr ||g||, so
+    it moves a margin by at most ||x_i|| lr ||g|| and an own shifted score by
+    at most twice that: B rises by at most c lr ||g||, with c the mean row norm
+    (logistic) or twice it. A running ceiling adds that rise to the last B
+    formed. B is formed again only when the ceiling no longer clears the
+    blowup level, and the exact loss only when B does not clear it either;
+    NaN and inf never clear. So every divergence decision is the exact loss's.
     """
     n = x.shape[0]
-    w = w0.copy()
     if q == 1:
-        neg_y = -target                    # sign flips are exact: same steps, same bytes
-        # per-epoch work arrays, reused so that no n-sized temporary is allocated
-        margins = np.empty(n)
-        e = np.empty(n)
-        work = np.empty(n)
+        # rows times -y: x w is then -m and x^T sigmoid(-m) / n the gradient.
+        # Sign flips are exact, so every product and sum keeps its bytes
+        x = x * -target[:, None]
+    kernel = _Margins(x, w0) if margin_space else None
+    w, x_t = w0.copy(), x.T
+    # per-epoch work arrays, reused so that an epoch allocates no array
+    grad, step = np.empty_like(w0), np.empty_like(w0)
+    flat = grad.reshape(-1)
+    if margin_space:
+        kv = np.empty_like(kernel.coef)
+    if q == 1:
+        neg_margins, e, work, sign = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
     else:
         onehot = np.zeros((n, q))
         onehot[np.arange(n), target] = 1.0
-        own = np.arange(n) * q + target    # flat index of each row's own class
+        own = target * n + np.arange(n)    # flat index of each row's own class, class-major
         log_q = math.log(q)
-        # per-epoch work arrays; the residual has its own, so that the last
-        # epoch's probabilities survive the loop for the final loss
-        probs = np.empty((n, q))
-        resid = np.empty((n, q))
-        scores_t = np.empty((q, n))
-        row_max = np.empty(n)
-        row_sum = np.empty(n)
-        max_col, sum_col = row_max[:, None], row_sum[:, None]
+        # the softmax runs class-major, on q rows of n contiguous entries;
+        # the residual has its own n x q array, so that the last epoch's
+        # probabilities survive the loop for the final loss
+        probs_t, resid, xw = np.empty((q, n)), np.empty((n, q)), np.empty((n, q))
+        scores_t, probs = (kernel.scores if margin_space else xw).T, probs_t.T
+        row_max, row_sum = np.empty(n), np.empty(n)
+    # the rise of B per unit of ||g||; in margin space the squared row norms
+    # are the diagonal of K
+    squares = np.diagonal(kernel.gram) if margin_space else np.einsum("ij,ij->i", x, x)
+    drift = (1.0 if q == 1 else 2.0) * lr * float(np.mean(np.sqrt(squares)))
     loss = np.inf
     grad_norm = np.inf
     blowup = None
+    ceiling, limit = math.nan, -math.inf   # nothing clears until epoch 0 sets blowup
     epochs_run = epochs
+    # An epoch is about a dozen numpy calls on small arrays, a microsecond
+    # each. Local names and positional outputs spare their lookups and
+    # keyword parsing, about a tenth of an epoch at the probe shapes
+    dot, exp, divide, subtract, multiply = np.dot, np.exp, np.divide, np.subtract, np.multiply
+    reduce_max, reduce_sum, sqrt = np.maximum.reduce, np.add.reduce, math.sqrt
     for epoch in range(epochs):
+        check = False
         if q == 1:
-            scores = np.dot(x, w, out=margins) if kernel is None else kernel.scores
-            np.multiply(target, scores, out=margins)
-            # log(1 + e^-m) <= max(-m, 0) + log 2, so the exact loss is needed
-            # only to set the blowup level and when the bound does not clear
-            # blowup by more than rounding (NaN or inf margins never do); each
-            # divergence decision is the exact loss's
-            if (blowup is None
-                    or not _LOG2 - np.add.reduce(np.minimum(margins, 0.0, out=work)) / n
-                    < _BOUND_CLEARANCE * blowup):
-                loss = _logistic_loss(margins)
+            if margin_space:                   # a copy, as the step moves the scores
+                np.copyto(neg_margins, kernel.scores)
+            else:
+                dot(x, w, neg_margins)
+            if not ceiling < limit:            # re-anchor on B
+                ceiling = _LOG2 + float(reduce_sum(np.maximum(neg_margins, 0.0, out=work))) / n
+                check = not ceiling < limit
+            if check:
+                loss = _logistic_loss(neg_margins)
                 if blowup is None:
                     blowup = 1e3 * (loss + 1.0)
+                    limit = _BOUND_CLEARANCE * blowup
                 if not math.isfinite(loss) or loss > blowup:
                     raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
             # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
-            # e/(1+e); max(e, m <= 0) picks the numerator since e <= 1
-            np.exp(np.negative(np.abs(margins, out=e), out=e), out=e)
-            np.add(e, 1.0, out=work)
-            np.maximum(e, margins <= 0.0, out=e)
-            v = np.multiply(neg_y, np.divide(e, work, out=e), out=e)
+            # e/(1+e); max(e, sign(-m)) picks the numerator, as e <= 1 and
+            # e = 1 at m = 0
+            exp(np.negative(np.abs(neg_margins, e), e), e)
+            np.add(e, 1.0, work)
+            np.maximum(e, np.sign(neg_margins, sign), out=e)
+            v = divide(e, work, e)
         else:
-            scores = np.dot(x, w) if kernel is None else kernel.scores
-            # the row max reduces a transposed copy along its contiguous rows;
-            # a max is exact in any order, so it matches ndarray.max to the bit
-            np.copyto(scores_t, scores.T)
-            np.maximum.reduce(scores_t, axis=0, out=row_max)
-            shifted = np.subtract(scores, max_col, out=probs)
-            own_shifted = shifted.take(own)
-            # shifted scores are <= 0 with a 0 in every row, so a row's exact
-            # loss log(sum_j e^s_j) - s_own is at most log q - s_own, and the
-            # mean of that is >= the exact loss >= the floored loss
-            bound = log_q - float(own_shifted.sum()) / n
-            # softmax in place; the row sums stay on the n x q layout, where
-            # numpy folds a row left below 8 entries and pairwise from 8 just
-            # as ndarray.sum does, so every probability is unchanged
-            np.exp(shifted, out=probs)
-            np.add.reduce(probs, axis=1, out=row_sum)
-            np.divide(probs, sum_col, out=probs)
-            # as in the logistic branch, the floored loss is needed only to set
-            # the blowup level and when the bound does not clear blowup by more
-            # than rounding (NaN or inf scores never do)
-            if blowup is None or not bound < _BOUND_CLEARANCE * blowup:
-                own_probs = probs.take(own)
+            if not margin_space:
+                dot(x, w, xw)
+            # a max is exact in any order, so the row max matches ndarray.max
+            np.copyto(probs_t, scores_t)
+            reduce_max(probs_t, axis=0, out=row_max)
+            subtract(probs_t, row_max, probs_t)
+            if not ceiling < limit:            # re-anchor on B
+                own_shifted = probs_t.take(own)
+                ceiling = log_q - float(reduce_sum(own_shifted)) / n
+                check = not ceiling < limit
+            exp(probs_t, probs_t)
+            # ndarray.sum folds a row of the n x q layout left below 8 entries,
+            # which a class-major reduce matches, and pairwise from 8, which
+            # only that layout gives
+            if q < 8:
+                reduce_sum(probs_t, axis=0, out=row_sum)
+            else:
+                np.copyto(resid, probs)
+                reduce_sum(resid, axis=1, out=row_sum)
+            divide(probs_t, row_sum, probs_t)
+            if check:
+                own_probs = probs_t.take(own)
                 loss = decisive = _cross_entropy_loss(own_probs)
                 # the 1e-300 floor caps a row's loss near 690.8, under any blowup
                 # level; a row below it adds over 690 to the sum, so the exact
@@ -313,25 +349,29 @@ def _descend(x, target, q, lr, epochs, w0, kernel=None):
                     decisive = float(np.mean(np.log(row_sum) - own_shifted))
                 if blowup is None:
                     blowup = 1e3 * (decisive + 1.0)
+                    limit = _BOUND_CLEARANCE * blowup
                 if not math.isfinite(decisive) or decisive > blowup:
                     raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-            v = np.subtract(probs, onehot, out=resid)
+            # the residual goes to np.dot in the n x q layout: a class-major
+            # one takes another BLAS path, whose sums differ at d = 1
+            v = subtract(probs, onehot, resid)
         # v is the residual of each row, so x^T v / n is the gradient
-        grad_norm = None if kernel is None else kernel.grad_norm(v)
-        if grad_norm is None:
-            grad = np.dot(x.T, v) / n
-            flat = grad.ravel()
-            grad_norm = math.sqrt(np.dot(flat, flat))
+        if margin_space:
+            grad_norm, norm_bound = kernel.grad_norm(v, dot(kernel.gram, v, kv))
+        if not margin_space or grad_norm is None:
+            divide(dot(x_t, v, grad), n, grad)
+            grad_norm = norm_bound = sqrt(dot(flat, flat))
         if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break
-        if kernel is None:
-            w -= lr * grad
+        if margin_space:
+            kernel.step(-lr, v, kv)
         else:
-            kernel.step(-lr, v)
+            subtract(w, multiply(grad, lr, step), w)
+        ceiling += drift * norm_bound
     if epochs:                                 # the loss of the last epoch's scores
-        loss = _logistic_loss(margins) if q == 1 else _cross_entropy_loss(probs.take(own))
-    return w if kernel is None else kernel.weights(), loss, grad_norm, epochs_run
+        loss = _logistic_loss(neg_margins) if q == 1 else _cross_entropy_loss(probs_t.take(own))
+    return kernel.weights() if margin_space else w, loss, grad_norm, epochs_run
 
 
 def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
@@ -366,7 +406,7 @@ def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
         classes = tuple(distinct.tolist())
     w0 = SL_GD_DEFAULTS["init_scale"] * g.standard_normal(d if q == 1 else (d, q))
     w, loss, grad_norm, epochs_run = _descend(
-        x, target, q, lr, epochs, w0, kernel=_Margins(x, w0) if n < d else None)
+        x, target, q, lr, epochs, w0, margin_space=n < d)
     meta = {"loss_kind": loss_kind, "lr": lr, "epochs": epochs,
             "epochs_run": epochs_run, "gd_dim": min(n, d), "final_loss": loss,
             "final_grad_norm": grad_norm}

@@ -38,10 +38,10 @@ def _problem(seed, n, d, q):
     return x, labels
 
 
-def _reference_descend(x, target, q, lr, epochs, w0, kernel=None):
+def _reference_descend(x, target, q, lr, epochs, w0, margin_space=False):
     """The reference loops at constant steps, behind ``_descend``'s signature and
-    return value. ``kernel`` is ignored, so an n < d fit runs the loop on the raw
-    inputs."""
+    return value. ``margin_space`` is ignored, so an n < d fit runs the loop on
+    the raw inputs."""
     if q == 1:
         result = gd_reference.logistic_gd(x, target, lr, epochs, w0)
     else:
@@ -49,13 +49,13 @@ def _reference_descend(x, target, q, lr, epochs, w0, kernel=None):
     return result[:4]                          # without the (empty) snapshots
 
 
-def _both(x, labels, q, lr, epochs, w0):
+def _both(x, labels, q, lr, epochs, w0, margin_space=False):
     """Run the fused loop and the reference; each gives a result or its error."""
     target = labels.astype(float) if q == 1 else labels
     outcomes = []
     for run in (_descend, _reference_descend):
         try:
-            outcomes.append(run(x, target, q, lr, epochs, w0))
+            outcomes.append(run(x, target, q, lr, epochs, w0, margin_space=margin_space))
         except TrainingError as err:
             outcomes.append(err)
     return outcomes
@@ -79,6 +79,10 @@ def _init(seed, d, q):
     (96, 6, 6, 0.05, 2000),       # cross-entropy at the dm2-sl shape
     (40, 3, 8, 0.05, 1000),       # q = 8: the first width numpy sums pairwise
     (300, 5, 11, 0.05, 500),      # q >= 9: numpy's pairwise row sums
+    (60, 3, 9, 0.05, 500),        # q = 9: one block of 8, then one entry
+    (64, 4, 16, 0.05, 300),       # q = 16: two blocks of 8
+    (150, 3, 130, 0.05, 60),      # q = 130: a row passes the 128-entry pairwise block
+    (40, 1, 4, 0.05, 1000),       # d = 1: x^T v takes a gemv, whose sums follow v's layout
 ])
 def test_loops_match_reference(n, d, q, lr, epochs):
     x, labels = _problem(n + q, n, d, q)
@@ -176,6 +180,32 @@ def test_exact_loss_decides_when_the_cross_entropy_bound_does_not_clear_blowup()
     _assert_same_outcome(got, want)
 
 
+@pytest.mark.parametrize("margin_space", [False, True])
+@pytest.mark.parametrize("q,lr,p0,epoch", [(1, 6e5, 2138.25, 203), (2, 3e5, 2017.0, 192)])
+def test_divergence_after_a_long_quiet_stretch_stops_at_the_reference_epoch(
+        q, lr, p0, epoch, margin_space):
+    # Rows times their labels (for q = 2, the scores of class 1 minus those of
+    # class 0, stepped at twice lr): j = (-1e-4, 0) is barely misclassified
+    # and moves p down by about 10 an epoch. That lowers l = (1, -3)'s margin
+    # p - 3 z by 10 an epoch and leaves k = (0, 30)'s margin 30 z at 30. For
+    # about 200 epochs every loss stays near its start while the divergence
+    # ceiling rises by 110 to 160 an epoch, so it hands over to the exact
+    # bound every 8 to 12 epochs. Once l's margin nears 8 its own pull turns on,
+    # and one step along l sends k, which l nearly opposes, far below zero:
+    # the bound rises past the blowup level by more than half of the ceiling's
+    # rise, so a ceiling that undercounts the rise misses that epoch. Two zero
+    # columns put n < d, for the margin path
+    x = np.hstack([[[1e-4, 0.0], [1.0, -3.0], [0.0, 30.0]], np.zeros((3, 2 * margin_space))])
+    w0 = np.zeros(x.shape[1] if q == 1 else (x.shape[1], 2))
+    if q == 1:
+        labels, w0[:2] = np.array([-1, 1, 1]), (p0, 1.0)
+    else:
+        labels, w0[:2, 1] = np.array([0, 1, 1]), (p0, 1.0)
+    got, want = _both(x, labels, q, lr, 400, w0, margin_space=margin_space)
+    assert isinstance(want, TrainingError) and f"epoch {epoch} " in str(want)
+    _assert_same_outcome(got, want)
+
+
 def _fit_with_reference_loops(*args, **kwargs):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(training, "_descend", _reference_descend)
@@ -210,7 +240,7 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 8),
-       q=st.sampled_from([1, 2, 3, 5, 9, 12]), log_lr=st.floats(-3.0, 4.0),
+       q=st.sampled_from([1, 2, 3, 5, 8, 9, 12, 16]), log_lr=st.floats(-3.0, 4.0),
        epochs=st.integers(0, 80))
 def test_random_problems_match_reference(seed, n, d, q, log_lr, epochs):
     x, labels = _problem(seed, n, d, q)

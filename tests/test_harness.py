@@ -8,6 +8,7 @@ import pytest
 
 from mmclab import DomainError, ValidationError, datagen, harness, numerics, theory
 from mmclab.cli import main as cli_main
+from mmclab.training import GRAD_TOL
 from mmclab.harness import (CSV_COLUMNS, config_from_dict,
                             config_from_file, emit_csv, emit_json_summary,
                             run_experiment, summarize)
@@ -683,6 +684,57 @@ def test_mmcl_gd_runs_from_a_config_and_records_a_diverging_lr():
     errors = [r for r in run_experiment(config_from_dict(doc)) if r.error]
     assert [r.method for r in errors] == ["mmcl-gd"]
     assert errors[0].error.startswith("TrainingError") and "lr=1000000.0" in errors[0].error
+
+
+def _recorded_gd_fits(monkeypatch):
+    """Record the ``training_meta`` of every GD fit that later runs make: sl,
+    the SupCon probes (``probe_fit`` calls ``sl_fit_gd``) and mmcl-gd."""
+    metas = []
+    for name in ("sl_fit_gd", "mmcl_fit_gd"):
+        def recorded(*args, _fit=getattr(harness.training, name), **kwargs):
+            model = _fit(*args, **kwargs)
+            metas.append(model.training_meta)
+            return model
+        monkeypatch.setattr(harness.training, name, recorded)
+    return metas
+
+
+def _assert_epochs_reported(meta):
+    # a fit stops short of its budget exactly when its gradient norm fell under GRAD_TOL
+    assert 0 <= meta["epochs_run"] <= meta["epochs"]
+    assert (meta["epochs_run"] < meta["epochs"]) == (meta["final_grad_norm"] < GRAD_TOL)
+
+
+def test_every_gd_fit_reports_the_epochs_it_ran(monkeypatch):
+    metas = _recorded_gd_fits(monkeypatch)
+    configs = [replace(cfg, trials=1) for cfg in harness.suite_configs("all", 7)]
+    configs.append(config_from_dict(_tiny_dm1_config(trials=1, methods=["mmcl-gd"])))
+    fitted = {}
+    for cfg in configs:
+        metas.clear()
+        run_experiment(cfg)
+        fitted[cfg.name] = list(metas)
+    assert {name for name, fits in fitted.items() if fits} == {
+        "dm1-sl", "dm2-sl", "supcon-dm1", "supcon-dm2", "id-control", "tiny"}
+    assert [meta["fit"] for meta in fitted["tiny"]] == ["gd"]
+    for meta in (meta for fits in fitted.values() for meta in fits):
+        _assert_epochs_reported(meta)
+
+
+def test_probe_narrow_fits_that_never_converge_report_their_whole_budget(monkeypatch):
+    # the benchmark's frozen budgets: the supcon-dm1 probe (2000 epochs),
+    # dm2-sl (40000) and the supcon-dm2 probe (60000) all end far above
+    # GRAD_TOL; only the supcon-dm2 attack probe converges early
+    from pathlib import Path
+
+    metas = _recorded_gd_fits(monkeypatch)
+    for name in ("supcon-dm1", "dm2-sl", "supcon-dm2"):
+        run_experiment(config_from_file(
+            Path(__file__).parent.parent / "perfbench" / "configs" / f"{name}.json"))
+    assert [(meta["epochs"], meta["epochs_run"] == meta["epochs"]) for meta in metas] == [
+        (2000, True), (40000, True), (60000, True), (20000, False)]
+    for meta in metas:
+        _assert_epochs_reported(meta)
 
 
 def test_json_summary_aggregates_and_verdict(tmp_path):

@@ -368,7 +368,8 @@ def test_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
     v = np.array([1.0, -1.0])
     direct = np.linalg.norm(x.T @ v) / 2
     assert direct < GRAD_TOL
-    norm = _Margins(x, np.zeros(5)).grad_norm(v)
+    kernel = _Margins(x, np.zeros(5))
+    norm, _ = kernel.grad_norm(v, np.dot(kernel.gram, v))
     assert norm is None or norm < GRAD_TOL
 
 
