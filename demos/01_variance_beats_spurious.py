@@ -7,7 +7,7 @@ zero-shot classifier keeps weighting the core feature by its variance and stays
 well above chance everywhere. Measurements are printed next to the closed-form
 predictions.
 """
-from mmclab import (CaptionMask, DataModel1Params, EvalSampler, ModalityConfig,
+from mmclab import (CaptionMask, DataModel1Params, ModalityConfig,
                     RngStream, empirical_cross_cov, build_prompts, make_dictionary,
                     make_paired_dataset, mmcl_fit_closed_form, sample_latents_dm1,
                     sl_fit_gd, sl_failure_bounds_dm1, zero_shot_robustness_dm1)
@@ -24,8 +24,7 @@ train = make_paired_dataset(sample_latents_dm1(params, 20000, "train", rng.child
                             cfg2, cfg2, CaptionMask.none(), rng.child(2))
 mmcl = mmcl_fit_closed_form(empirical_cross_cov(train), p_dim=2, rho=1.0)
 prompts = build_prompts(params, cfg2.dictionary)
-report = evaluate_zero_shot(mmcl, prompts, EvalSampler(params, "true", cfg2),
-                            20000, rng.child(3))
+report = evaluate_zero_shot(mmcl, prompts, params, "true", cfg2, 20000, rng.child(3))
 
 bound = zero_shot_robustness_dm1(params.sigma_core, params.sigma_spu, params.p_spu)
 print("== contrastive zero-shot on the shifted (true) distribution ==")
@@ -42,7 +41,7 @@ cfg_wide = ModalityConfig(make_dictionary(2000, 2), noise_sigma=0.1)
 latents = sample_latents_dm1(sl_params, 500, "train", rng.child(4))
 images = project_latents(latents.z, cfg_wide, rng.child(5))
 sl = sl_fit_gd(images, latents.y, epochs=5000, rng=rng.child(6))
-sl_report = evaluate_sl(sl, EvalSampler(sl_params, "true", cfg_wide), 10000, rng.child(7))
+sl_report = evaluate_sl(sl, sl_params, "true", cfg_wide, 10000, rng.child(7))
 
 limits = sl_failure_bounds_dm1()
 print("\n== supervised learning in the overparameterized regime ==")

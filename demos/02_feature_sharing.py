@@ -8,7 +8,7 @@ the distribution shift perfectly once beta^2 m is large enough. The supervised
 max-margin solution has no access to that structure and collapses to roughly
 50% when the spurious scale alpha is large.
 """
-from mmclab import (CaptionMask, DataModel2Params, EvalSampler, ModalityConfig,
+from mmclab import (CaptionMask, DataModel2Params, ModalityConfig,
                     RngStream, empirical_cross_cov, build_prompts,
                     enumerate_latents_dm2, make_dictionary, make_paired_dataset,
                     mmcl_fit_closed_form, population_cross_cov_dm2, sl_fit_gd,
@@ -26,12 +26,9 @@ for m, alpha, beta in [(3, 0.7, 1 / 3), (3, 2.0, 1 / 3), (8, 2.0, 0.0), (30, 1.1
     model = mmcl_fit_closed_form(population_cross_cov_dm2(params), params.l, 1.0,
                                  cfg.dictionary, cfg.dictionary)
     prompts = build_prompts(params, cfg.dictionary)
-    if params.m <= 5:
-        report = evaluate_zero_shot(model, prompts,
-                                    EvalSampler(params, "true", cfg, exhaustive=True))
-    else:
-        report = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
-                                    50000, rng.child(m))
+    # small models are scored on every true-split row (n_eval None), large ones sampled
+    n_eval = None if params.m <= 5 else 50000
+    report = evaluate_zero_shot(model, prompts, params, "true", cfg, n_eval, rng.child(m))
     print(f"m={m:>2} alpha={alpha:<4} beta={beta:.3f}  condition={str(holds):<5} "
           f"zero-shot accuracy={report.overall_accuracy:.4f}")
 
@@ -40,8 +37,8 @@ params = DataModel2Params(3, 10.0, 1 / 3)
 cfg = ModalityConfig(make_dictionary(6, 6))
 train = enumerate_latents_dm2(params, "train")
 sl = sl_fit_gd(train.z, train.y, epochs=40000, rng=rng.child(99))
-id_report = evaluate_sl(sl, EvalSampler(params, "train", cfg, exhaustive=True))
-ood_report = evaluate_sl(sl, EvalSampler(params, "true", cfg, exhaustive=True))
+id_report = evaluate_sl(sl, params, "train", cfg)  # every row of each split
+ood_report = evaluate_sl(sl, params, "true", cfg)
 bound = sl_shift_ceiling_dm2(params.alpha, params.beta)
 print("\n== supervised learning, m=3, alpha=10, beta=1/3 (exhaustive train set) ==")
 print(f"train accuracy : {id_report.overall_accuracy:.4f}")
@@ -51,10 +48,9 @@ print(f"minority       : {ood_report.minority_accuracy():.4f}  "
       "(examples whose spurious coordinate flips)")
 
 # same data, contrastive path: empirical covariance of the exhaustive pairs
-data = make_paired_dataset(enumerate_latents_dm2(DataModel2Params(3, 0.7, 1 / 3), "train"),
-                           cfg, cfg, CaptionMask.none(), rng.child(100))
+params = DataModel2Params(3, 0.7, 1 / 3)
+data = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
+                           CaptionMask.none(), rng.child(100))
 mmcl = mmcl_fit_closed_form(empirical_cross_cov(data), 6, 1.0)
-prompts = build_prompts(DataModel2Params(3, 0.7, 1 / 3), cfg.dictionary)
-rep = evaluate_zero_shot(mmcl, prompts,
-                         EvalSampler(DataModel2Params(3, 0.7, 1 / 3), "true", cfg, True))
+rep = evaluate_zero_shot(mmcl, build_prompts(params, cfg.dictionary), params, "true", cfg)
 print(f"\nempirical-covariance path at (3, 0.7, 1/3): accuracy {rep.overall_accuracy}")

@@ -9,7 +9,7 @@ covariance is.
 Model 2: captions keep off-class features with probability pi. Robust
 classification switches on sharply at the closed-form threshold.
 """
-from mmclab import (CaptionMask, DataModel1Params, DataModel2Params, EvalSampler,
+from mmclab import (CaptionMask, DataModel1Params, DataModel2Params,
                     ModalityConfig, RngStream, empirical_cross_cov, build_prompts,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     population_cross_cov_dm2, sample_latents_dm1,
@@ -30,8 +30,8 @@ for pi_core in (0.0, 0.25, 0.5, 0.75, 1.0):
     latents = sample_latents_dm1(params, 50000, "train", rng.child(int(pi_core * 100)))
     data = make_paired_dataset(latents, cfg, cfg, mask, rng.child(int(pi_core * 100) + 1))
     model = mmcl_fit_closed_form(empirical_cross_cov(data), 2, 1.0)
-    report = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
-                                50000, rng.child(int(pi_core * 100) + 2))
+    report = evaluate_zero_shot(model, prompts, params, "true", cfg, 50000,
+                                rng.child(int(pi_core * 100) + 2))
     pred = zero_shot_robustness_dm1(1.0, 0.02, 0.999, pi_core)
     print(f"  {pi_core:.2f}            {report.overall_accuracy:.4f}     "
           f"{pred.values['overall']:.4f}              {report.minority_accuracy():.4f}     "
@@ -50,8 +50,8 @@ print(f"\n== model 2: accuracy vs pi (threshold {pi_tilde:.4f}) ==")
 for pi in (0.1, 0.3, 0.42, 0.46, 0.6, 0.9):
     cov = population_cross_cov_dm2(params2, pi=pi)
     model = mmcl_fit_closed_form(cov, params2.l, 1.0, cfg2.dictionary, cfg2.dictionary)
-    report = evaluate_zero_shot(model, prompts2, EvalSampler(params2, "true", cfg2),
-                                50000, rng.child(1000 + int(pi * 100)))
+    report = evaluate_zero_shot(model, prompts2, params2, "true", cfg2, 50000,
+                                rng.child(1000 + int(pi * 100)))
     side = "above" if pi > pi_tilde else "below"
     print(f"  pi={pi:.2f} ({side} threshold): accuracy {report.overall_accuracy:.4f}")
 print("(pi=0 would reduce captions to bare labels: no robustness gain at all)")

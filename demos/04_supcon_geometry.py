@@ -10,7 +10,7 @@ representations scores exactly 50%.
 """
 import numpy as np
 
-from mmclab import (CaptionMask, DataModel2Params, EvalSampler, ModalityConfig,
+from mmclab import (CaptionMask, DataModel2Params, ModalityConfig,
                     RngStream, enumerate_latents_dm2, make_dictionary,
                     make_paired_dataset, probe_fit, supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry)
@@ -28,8 +28,8 @@ print("encoder eigenvalues:", np.round(encoder.eigenvalues, 6),
 
 probe = probe_fit(encoder.transform(train.x_image), train.latents.y,
                   epochs=60000, rng=rng.child(2))
-id_rep = evaluate_probe(encoder, probe, EvalSampler(params, "train", cfg, True))
-ood_rep = evaluate_probe(encoder, probe, EvalSampler(params, "true", cfg, True))
+id_rep = evaluate_probe(encoder, probe, params, "train", cfg)  # every row of each split
+ood_rep = evaluate_probe(encoder, probe, params, "true", cfg)
 print(f"probe accuracy: train {id_rep.overall_accuracy}, "
       f"true {ood_rep.overall_accuracy} (exactly one half)")
 

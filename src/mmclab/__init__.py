@@ -16,14 +16,13 @@ from .datagen import (CaptionMask, DataModel1Params, DataModel2Params, LatentBat
 from .errors import (ArgumentError, ConfigurationError, DimensionError, DomainError,
                      MmclabError, NumericError, SizeError, TrainingError,
                      ValidationError)
-from .evaluation import (EvalReport, EvalSampler, GroupGeometry, PromptSet,
-                         build_prompts, count_zero_shot, evaluate_probe, evaluate_sl,
-                         evaluate_zero_shot, supcon_group_geometry)
+from .evaluation import (EvalReport, GroupGeometry, build_prompts, count_zero_shot,
+                         evaluate_probe, evaluate_sl, evaluate_zero_shot,
+                         supcon_group_geometry)
 from .harness import (ExperimentConfig, RunRecord, config_from_dict, config_from_file,
                       emit_csv, emit_json_summary, run_experiment, run_suite,
                       suite_configs, summarize)
-from .numerics import (Dictionary, RngStream, SvdTop, make_dictionary, phi_cdf,
-                       svd_top)
+from .numerics import Dictionary, RngStream, make_dictionary, phi_cdf, svd_top
 from .theory import (TheoremPrediction, in_distribution_predictions_dm1, sl_failure_bounds_dm1,
                      zero_shot_robustness_dm1, sl_shift_ceiling_dm2, perfect_zero_shot_condition_dm2,
                      caption_masking_threshold_dm2, zero_shot_accuracy_dm2)

@@ -50,6 +50,12 @@ class DataModel1Params:
         """True-split latent mean of each class, one row per class: [y, 0]."""
         return np.array([[y, 0.0] for y in self.classes])
 
+    def draw(self, split: str, n: int | None, rng: RngStream | None) -> "LatentBatch":
+        """n sampled latents of a split; n=None (enumeration) raises on model 1."""
+        if n is None:
+            raise ConfigurationError("model 1 has no exhaustive mode; it is only sampled")
+        return sample_latents_dm1(self, n, split, rng)
+
 
 @dataclass(frozen=True)
 class DataModel2Params:
@@ -93,6 +99,12 @@ class DataModel2Params:
         means[np.arange(len(self.classes)), k - 1] = c
         return means
 
+    def draw(self, split: str, n: int | None, rng: RngStream | None) -> "LatentBatch":
+        """n sampled latents of a split, or with n=None every row of it once."""
+        if n is None:
+            return enumerate_latents_dm2(self, split)
+        return sample_latents_dm2(self, n, split, rng)
+
 
 class LatentBatch:
     """A batch of latent samples of one data model, whose ``params`` it carries.
@@ -132,13 +144,20 @@ def _check_split(split: str):
         raise ArgumentError(f"split must be one of {SPLITS}, got {split!r}")
 
 
-def sample_latents_dm1(params: DataModel1Params, n: int, split: str,
-                       rng: RngStream) -> LatentBatch:
-    """Draw n model-1 latents from the training or true distribution."""
+def _checked_generator(n: int, split: str, rng: RngStream | None) -> np.random.Generator:
+    """The generator of a draw of n latents of a split, after checking the arguments."""
     _check_split(split)
     if n < 1:
         raise ArgumentError(f"n must be >= 1, got {n}")
-    g = rng.generator()
+    if rng is None:
+        raise ArgumentError("sampled latents require an RngStream")
+    return rng.generator()
+
+
+def sample_latents_dm1(params: DataModel1Params, n: int, split: str,
+                       rng: RngStream) -> LatentBatch:
+    """Draw n model-1 latents from the training or true distribution."""
+    g = _checked_generator(n, split, rng)
     y = g.integers(0, 2, n) * 2 - 1
     if split == "train":
         a = np.where(g.random(n) < params.p_spu, y, -y)
@@ -189,11 +208,8 @@ def enumerate_latents_dm2(params: DataModel2Params, split: str) -> LatentBatch:
 def sample_latents_dm2(params: DataModel2Params, n: int, split: str,
                        rng: RngStream) -> LatentBatch:
     """Draw n model-2 latents (uniform labels, uniform coordinate signs)."""
-    _check_split(split)
-    if n < 1:
-        raise ArgumentError(f"n must be >= 1, got {n}")
+    g = _checked_generator(n, split, rng)
     m, alpha, beta = params.m, params.alpha, params.beta
-    g = rng.generator()
     y = g.integers(1, 2 * m + 1, n)
     k, c = params.alias(y)
     z = np.empty((n, 2 * m))

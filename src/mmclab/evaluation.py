@@ -16,58 +16,18 @@ from functools import reduce
 
 import numpy as np
 
-from .datagen import (DataModel1Params, DataModel2Params, LatentBatch,
-                      ModalityConfig, PairedDataset, _check_split, enumerate_latents_dm2,
-                      project_latents, sample_latents_dm1, sample_latents_dm2)
+from .datagen import DataModel2Params, ModalityConfig, PairedDataset, _check_split, project_latents
 from .errors import ArgumentError, ConfigurationError, DimensionError, NumericError
 from .numerics import Dictionary, RngStream, _readonly
 from .training import MMCLModel, SLModel, SupConEncoder
 
-@dataclass(frozen=True)
-class PromptSet:
-    """One text prompt per class: p_y = D_T zbar_y, with zbar_y the latent
-    class mean under the true distribution."""
-
-    classes: tuple               # ascending; argmax ties resolve to the first
-    prompts: np.ndarray          # n_classes x d_T
-
-    def __post_init__(self):
-        object.__setattr__(self, "prompts", _readonly(self.prompts))
-
-
-def build_prompts(params, text_dictionary: Dictionary) -> PromptSet:
-    """Prompts for every class of a data model, from its true-split class means
-    (``params.class_means()``)."""
+def build_prompts(params, text_dictionary: Dictionary) -> np.ndarray:
+    """Read-only n_classes x d_T prompts in ``params.classes`` order: p_y = D_T zbar_y,
+    with zbar_y the class's true-split latent mean (``params.class_means()``)."""
     if text_dictionary.latent_dim != params.l:
         raise DimensionError(
             f"dictionary latent dim {text_dictionary.latent_dim} != model dim {params.l}")
-    return PromptSet(classes=params.classes,
-                     prompts=np.dot(params.class_means(), text_dictionary.matrix.T))
-
-
-@dataclass(frozen=True)
-class EvalSampler:
-    """Where evaluation inputs come from: data-model parameters, a split, and
-    the image-side projection config. ``exhaustive`` enumerates model 2 instead
-    of sampling."""
-
-    params: object
-    split: str
-    image_cfg: ModalityConfig
-    exhaustive: bool = False
-
-    def draw(self, n_eval: int | None, rng: RngStream | None) -> LatentBatch:
-        if self.exhaustive:
-            if isinstance(self.params, DataModel1Params):
-                raise ConfigurationError("model 1 has no exhaustive evaluation mode")
-            return enumerate_latents_dm2(self.params, self.split)
-        if n_eval is None or n_eval < 1:
-            raise ArgumentError("sampled evaluation needs n_eval >= 1")
-        if rng is None:
-            raise ArgumentError("sampled evaluation requires an RngStream")
-        sample = (sample_latents_dm1 if isinstance(self.params, DataModel1Params)
-                  else sample_latents_dm2)
-        return sample(self.params, n_eval, self.split, rng)
+    return _readonly(np.dot(params.class_means(), text_dictionary.matrix.T))
 
 
 @dataclass(frozen=True)
@@ -147,38 +107,49 @@ def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
     return np.asarray(classes)[picks]
 
 
-def _check_input_dim(sampler: EvalSampler, rule: np.ndarray):
-    if sampler.image_cfg.ambient_dim != rule.shape[0]:
-        raise ConfigurationError(f"image dim {sampler.image_cfg.ambient_dim} does not "
+def _check_input_dim(image_cfg: ModalityConfig, rule: np.ndarray):
+    if image_cfg.ambient_dim != rule.shape[0]:
+        raise ConfigurationError(f"image dim {image_cfg.ambient_dim} does not "
                                  f"match the rule's input dim {rule.shape[0]}")
 
 
-def _evaluate(factors: tuple, classes: tuple, sampler: EvalSampler,
+def _prompt_factor(prompts: np.ndarray, params) -> np.ndarray:
+    """The prompts as a rule's last factor, one column per class of ``params``. Any
+    other row count raises: its columns would score the wrong classes."""
+    if prompts.shape[0] != len(params.classes):
+        raise DimensionError(f"{prompts.shape[0]} prompts for the {len(params.classes)} "
+                             f"classes {params.classes}")
+    return prompts.T
+
+
+def _evaluate(factors: tuple, classes: tuple, params, split: str, image_cfg: ModalityConfig,
               n_eval: int | None, rng: RngStream | None) -> EvalReport:
-    """Report the accuracy of :func:`_predict` on fresh inputs. Noisy scores are drawn in
-    the image of the factors' product (:func:`project_latents`), noiseless ones chained."""
-    _check_input_dim(sampler, factors[0])
-    batch = sampler.draw(n_eval, None if rng is None else rng.child(11))
+    """Report the accuracy of :func:`_predict` on fresh inputs of a split: n_eval draws,
+    or with n_eval None every model-2 row once. Noisy scores are drawn in the image of
+    the factors' product (:func:`project_latents`), noiseless ones chained."""
+    _check_input_dim(image_cfg, factors[0])
+    batch = params.draw(split, n_eval, None if rng is None else rng.child(11))
     noise_rng = None if rng is None else rng.child(12)
-    rule = reduce(np.dot, factors) if sampler.image_cfg.noise_sigma > 0 else None
-    scores = project_latents(batch.z, sampler.image_cfg, noise_rng, rule)
+    rule = reduce(np.dot, factors) if image_cfg.noise_sigma > 0 else None
+    scores = project_latents(batch.z, image_cfg, noise_rng, rule)
     pred = _predict(factors if rule is None else (), classes, scores)
     # one group index per row, in the order of _groups: two groups per class
     if batch.model == "dm1":
         gid = 2 * (batch.y > 0) + (batch.a > 0)
     else:
         gid = 2 * (batch.y - 1) + ~batch.spurious_agrees()
-    size = 2 * len(batch.params.classes)
+    size = 2 * len(params.classes)
     # hit counts are exact integers in float64, so hit / cnt is the group mean
-    return _report(batch.params, sampler.split, np.bincount(gid, minlength=size).tolist(),
+    return _report(params, split, np.bincount(gid, minlength=size).tolist(),
                    np.bincount(gid, weights=pred == batch.y, minlength=size).tolist())
 
 
-def evaluate_zero_shot(model: MMCLModel, prompts: PromptSet, sampler: EvalSampler,
-                       n_eval: int | None = None,
+def evaluate_zero_shot(model: MMCLModel, prompts: np.ndarray, params, split: str,
+                       image_cfg: ModalityConfig, n_eval: int | None = None,
                        rng: RngStream | None = None) -> EvalReport:
     """Grouped zero-shot accuracy of a contrastive model on fresh inputs."""
-    return _evaluate((model.G, prompts.prompts.T), prompts.classes, sampler, n_eval, rng)
+    return _evaluate((model.G, _prompt_factor(prompts, params)), params.classes, params,
+                     split, image_cfg, n_eval, rng)
 
 
 # largest deviation from the pair structure, relative to the largest latent score,
@@ -231,8 +202,8 @@ def pair_rule_hits_dm2(u: float, v: float, params: DataModel2Params, split: str,
     return hits
 
 
-def count_zero_shot(model: MMCLModel, prompts: PromptSet,
-                    sampler: EvalSampler) -> EvalReport:
+def count_zero_shot(model: MMCLModel, prompts: np.ndarray, params, split: str,
+                    image_cfg: ModalityConfig) -> EvalReport:
     """Exact grouped zero-shot accuracy on noiseless model-2 inputs, by counting.
 
     The latent score matrix D_I^T G P^T must give class (k, c) the score
@@ -242,11 +213,11 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
     within the measured deviation from that structure. Counted values are exact,
     so every radius is 0.
     """
-    params = sampler.params
-    if not isinstance(params, DataModel2Params) or sampler.image_cfg.noise_sigma > 0:
+    if not isinstance(params, DataModel2Params) or image_cfg.noise_sigma > 0:
         raise ConfigurationError("counting needs noiseless model-2 evaluation inputs")
-    _check_input_dim(sampler, model.G)
-    scores = np.dot(np.dot(sampler.image_cfg.dictionary.matrix.T, model.G), prompts.prompts.T)
+    _check_input_dim(image_cfg, model.G)
+    scores = np.dot(np.dot(image_cfg.dictionary.matrix.T, model.G),
+                    _prompt_factor(prompts, params))
     m = params.m
     u, v = float(scores[0, 0]), float(scores[m, 0])
     means = params.class_means().T  # column y - 1 is c e_k; rolled down m rows, c e_k+m
@@ -257,24 +228,25 @@ def count_zero_shot(model: MMCLModel, prompts: PromptSet,
                             f"scores deviate by {residual:.3g} from c (u z_k + v z_k+m)")
     # a latent row's l1 norm bounds how far the residual can move any of its scores
     l1 = 1 + params.alpha + (m - 1) * (params.beta + params.beta * params.alpha)
-    hits = pair_rule_hits_dm2(u, v, params, sampler.split, tol=2 * residual * l1)
+    hits = pair_rule_hits_dm2(u, v, params, split, tol=2 * residual * l1)
     # int / int is correctly rounded, as enumeration's hit / cnt is
     keys = _groups(params)
-    return _report(params, sampler.split, [params.rows_per_group * (key in hits) for key in keys],
+    return _report(params, split, [params.rows_per_group * (key in hits) for key in keys],
                    [hits.get(key, 0) for key in keys], exact=True)
 
 
-def evaluate_sl(model: SLModel, sampler: EvalSampler, n_eval: int | None = None,
-                rng: RngStream | None = None) -> EvalReport:
+def evaluate_sl(model: SLModel, params, split: str, image_cfg: ModalityConfig,
+                n_eval: int | None = None, rng: RngStream | None = None) -> EvalReport:
     """Grouped accuracy of a supervised linear model (sign or argmax rule)."""
-    return _evaluate((model.W,), model.classes, sampler, n_eval, rng)
+    return _evaluate((model.W,), model.classes, params, split, image_cfg, n_eval, rng)
 
 
-def evaluate_probe(encoder: SupConEncoder, probe: SLModel, sampler: EvalSampler,
-                   n_eval: int | None = None,
+def evaluate_probe(encoder: SupConEncoder, probe: SLModel, params, split: str,
+                   image_cfg: ModalityConfig, n_eval: int | None = None,
                    rng: RngStream | None = None) -> EvalReport:
     """Grouped accuracy of a linear probe on frozen encoder representations."""
-    return _evaluate((encoder.W.T, probe.W), probe.classes, sampler, n_eval, rng)
+    return _evaluate((encoder.W.T, probe.W), probe.classes, params, split, image_cfg,
+                     n_eval, rng)
 
 
 @dataclass(frozen=True)

@@ -382,9 +382,8 @@ def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: d
     text_cfg = datagen.ModalityConfig(dict_text, modality["noise_sigma_T"])
     eval_cfg = datagen.ModalityConfig(dict_image, eval_sec["noise_sigma"])
     p_dim, rho = train["p_dim"], train["rho"]
-    if train["draws"]:
-        sampler = evaluation.EvalSampler(params, "train", image_cfg, train["exhaustive"])
-        latents = sampler.draw(train["n_train"], rng.child(20))
+    if train["draws"]:  # n_train is None exactly when train.exhaustive is set
+        latents = params.draw("train", train["n_train"], rng.child(20))
     extra = []  # supcon's rows beyond the split reports
 
     if method.startswith("mmcl"):
@@ -405,8 +404,8 @@ def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: d
                                              rng=rng.child(22))
         prompts = evaluation.build_prompts(params, dict_text)
         if eval_sec["counted"]:
-            def evaluate(sampler, n_eval, rng):
-                return evaluation.count_zero_shot(model, prompts, sampler)
+            def evaluate(params, split, image_cfg, n_eval, rng):
+                return evaluation.count_zero_shot(model, prompts, params, split, image_cfg)
         else:
             evaluate = partial(evaluation.evaluate_zero_shot, model, prompts)
     elif method == "sl":
@@ -440,9 +439,9 @@ def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: d
                           float(np.mean(pred == true_y))))
 
     rows = []
+    n_eval = None if eval_sec["exhaustive"] else eval_sec["n_eval"]
     for i, split in enumerate(eval_sec["splits"]):
-        sampler = evaluation.EvalSampler(params, split, eval_cfg, eval_sec["exhaustive"])
-        report = evaluate(sampler, eval_sec["n_eval"], rng.child(40 + i))
+        report = evaluate(params, split, eval_cfg, n_eval, rng.child(40 + i))
         rows.extend(_report_rows(report, split))
     return rows + extra
 

@@ -129,25 +129,9 @@ def make_dictionary(d: int, l: int, kind: str = "identity-embed",
     raise DomainError(f"unknown dictionary kind {kind!r}; expected one of {DICTIONARY_KINDS}")
 
 
-@dataclass(frozen=True)
-class SvdTop:
-    """Top-p singular triplets of a matrix, values descending.
-
-    ``rank`` counts the retained values above ``RANK_CUTOFF_RATIO * values[0]``;
-    values below that are numerically zero and flagged by ``rank < p``.
-    """
-
-    values: np.ndarray   # (p,)
-    left: np.ndarray     # (d_rows, p)
-    right: np.ndarray    # (d_cols, p)
-    rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        return np.dot(self.left * self.values, self.right.T)
-
-
-def svd_top(matrix: np.ndarray, p: int) -> SvdTop:
-    """Best rank-p factorization of ``matrix`` in Frobenius norm."""
+def svd_top(matrix: np.ndarray, p: int) -> tuple[np.ndarray, int]:
+    """Best rank-p approximation of ``matrix`` in Frobenius norm, and its rank: how many
+    of its p singular values exceed ``RANK_CUTOFF_RATIO`` times the largest."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got ndim={m.ndim}")
@@ -156,8 +140,8 @@ def svd_top(matrix: np.ndarray, p: int) -> SvdTop:
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     cutoff = RANK_CUTOFF_RATIO * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(s[:p] > cutoff))
-    return SvdTop(values=_readonly(s[:p]), left=_readonly(u[:, :p]),
-                  right=_readonly(vt[:p].T), rank=rank)
+    # BLAS rounds by layout; the fits' bytes are those of a column-major right factor
+    return np.dot(u[:, :p] * s[:p], np.asfortranarray(vt[:p])), rank
 
 
 # (prefix, suffix) of the thread-count calls that OpenBLAS builds export, e.g.

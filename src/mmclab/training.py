@@ -125,10 +125,10 @@ def mmcl_fit_closed_form(S: np.ndarray, p_dim: int, rho: float,
         raise DomainError(f"rho must be positive, got {rho}")
     if not 1 <= p_dim <= min(S.shape):
         raise DimensionError(f"p_dim={p_dim} out of range for covariance shape {S.shape}")
-    top = svd_top(S, p_dim)
-    g = _lift(top.reconstruct() / rho, image_dictionary, text_dictionary)
+    approx, rank = svd_top(S, p_dim)
+    g = _lift(approx / rho, image_dictionary, text_dictionary)
     return MMCLModel(G=g, p_dim=p_dim, rho=rho,
-                     training_meta={"fit": "closed-form", "rank": top.rank})
+                     training_meta={"fit": "closed-form", "rank": rank})
 
 
 def _check_gd_budget(lr, epochs):

@@ -249,11 +249,11 @@ def test_criterion_10_argmax_invariances():
                             W_I=q @ gd.W_I, W_T=q @ gd.W_T)
         xs = rng.child(5).generator().standard_normal((1000, 2))
         for x in xs:
-            reference = zero_shot_predict(base, x, prompts)
-            flips += reference != zero_shot_predict(half_rho, x, prompts)
-            flips += reference != zero_shot_predict(rescaled, x, prompts)
-            flips += (zero_shot_predict(gd, x, prompts)
-                      != zero_shot_predict(rotated, x, prompts))
+            reference = zero_shot_predict(base, x, prompts, params)
+            flips += reference != zero_shot_predict(half_rho, x, prompts, params)
+            flips += reference != zero_shot_predict(rescaled, x, prompts, params)
+            flips += (zero_shot_predict(gd, x, prompts, params)
+                      != zero_shot_predict(rotated, x, prompts, params))
     _criterion("10a", flips == 0,
                f"{flips} prediction flips under rho / scale / rotation changes "
                f"(1000 inputs x 5 seeds)")

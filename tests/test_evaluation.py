@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
-                    DataModel2Params, DimensionError, EvalSampler, LatentBatch,
+                    DataModel2Params, DimensionError, LatentBatch,
                     ModalityConfig, NumericError, PairedDataset, RngStream,
                     build_prompts, caption_masking_threshold_dm2,
                     count_zero_shot, empirical_cross_cov, enumerate_latents_dm2,
@@ -29,20 +29,19 @@ def _identity_cfg(d, l, noise=0.0):
 
 def test_prompts_dm1_literal():
     prompts = build_prompts(DataModel1Params(1.0, 0.1, 0.9), make_dictionary(2, 2))
-    assert prompts.classes == (-1, 1)
-    np.testing.assert_array_equal(prompts.prompts, [[-1, 0], [1, 0]])
+    np.testing.assert_array_equal(prompts, [[-1, 0], [1, 0]])  # rows in classes order
+    assert not prompts.flags.writeable
 
 
 def test_prompts_dm2_literal_and_negation_pairs():
     params = DataModel2Params(2, 1.0, 0.5)
     prompts = build_prompts(params, make_dictionary(6, 4))
-    assert prompts.classes == (1, 2, 3, 4)
+    assert prompts.shape == (len(params.classes), 6)
     expected = np.zeros(6)
     expected[1] = -1.0  # class (k=2, c=-1) -> -e_2 padded to d_T = 6
-    np.testing.assert_array_equal(prompts.prompts[3], expected)
+    np.testing.assert_array_equal(prompts[params.classes.index(4)], expected)
     for k in (1, 2):
-        np.testing.assert_array_equal(prompts.prompts[2 * k - 2],
-                                      -prompts.prompts[2 * k - 1])
+        np.testing.assert_array_equal(prompts[2 * k - 2], -prompts[2 * k - 1])
 
 
 def test_prompts_dimension_mismatch():
@@ -51,22 +50,22 @@ def test_prompts_dimension_mismatch():
 
 
 def test_zero_shot_predict_identity_g():
-    model = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0)
-    prompts = build_prompts(DataModel1Params(1.0, 0.1, 0.9), make_dictionary(2, 2))
-    assert zero_shot_predict(model, np.array([0.7, -1.0]), prompts) == 1
-    assert zero_shot_predict(model, np.array([-0.7, 1.0]), prompts) == -1
+    model, params = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0), DataModel1Params(1.0, 0.1, 0.9)
+    prompts = build_prompts(params, make_dictionary(2, 2))
+    assert zero_shot_predict(model, np.array([0.7, -1.0]), prompts, params) == 1
+    assert zero_shot_predict(model, np.array([-0.7, 1.0]), prompts, params) == -1
 
 
 def test_zero_shot_score_weights_follow_population_matrix():
     # score difference between the two prompts is 2 * ((1+sc^2) z_core + (2p-1) z_spu)
-    s = population_cross_cov_dm1(DataModel1Params(1.0, 0.0, 1.0))
-    model = mmcl_fit_closed_form(s, 2, 1.0)
-    prompts = build_prompts(DataModel1Params(1.0, 0.0, 1.0), make_dictionary(2, 2))
+    params = DataModel1Params(1.0, 0.0, 1.0)
+    model = mmcl_fit_closed_form(population_cross_cov_dm1(params), 2, 1.0)
+    prompts = build_prompts(params, make_dictionary(2, 2))
     g = RNG.child(1).generator()
     for _ in range(50):
         x = g.standard_normal(2)
-        scores = (x @ model.G) @ prompts.prompts.T
-        diff = scores[prompts.classes.index(1)] - scores[prompts.classes.index(-1)]
+        scores = (x @ model.G) @ prompts.T
+        diff = scores[params.classes.index(1)] - scores[params.classes.index(-1)]
         assert diff == pytest.approx(2 * (2 * x[0] + 1 * x[1]), rel=1e-12)
 
 
@@ -78,33 +77,34 @@ def test_zero_shot_scaling_invariance():
     prompts = build_prompts(params, make_dictionary(2, 2))
     g = RNG.child(2).generator()
     xs = g.standard_normal((1000, 2))
-    preds = [zero_shot_predict(model, x, prompts) for x in xs]
-    preds_scaled = [zero_shot_predict(scaled, x, prompts) for x in xs]
+    preds = [zero_shot_predict(model, x, prompts, params) for x in xs]
+    preds_scaled = [zero_shot_predict(scaled, x, prompts, params) for x in xs]
     assert preds == preds_scaled
 
 
 def test_zero_shot_rejects_nonfinite_scores():
     model = MMCLModel(G=np.array([[np.inf, 0.0], [0.0, 1.0]]), p_dim=2, rho=1.0)
-    prompts = build_prompts(DataModel1Params(1.0, 0.1, 0.9), make_dictionary(2, 2))
+    params = DataModel1Params(1.0, 0.1, 0.9)
+    prompts = build_prompts(params, make_dictionary(2, 2))
     with pytest.raises(NumericError):
-        zero_shot_predict(model, np.array([1.0, 1.0]), prompts)
+        zero_shot_predict(model, np.array([1.0, 1.0]), prompts, params)
 
 
 def test_sign_rule_rejects_nonfinite_scores():
     # one score column takes the sign rule, which must refuse nan as argmax does:
     # inf - inf on rows whose two latents share a sign would get an arbitrary label
     model = SLModel(W=np.array([[np.inf], [-np.inf]]), classes=(-1, 1))
-    sampler = EvalSampler(DataModel1Params(1.0, 0.1, 0.9), "true", _identity_cfg(2, 2))
+    params = DataModel1Params(1.0, 0.1, 0.9)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the error is the report; numpy must not warn first
         with pytest.raises(NumericError):
-            evaluate_sl(model, sampler, 2000, RNG.child(63))
+            evaluate_sl(model, params, "true", _identity_cfg(2, 2), 2000, RNG.child(63))
 
 
 def test_zero_shot_exact_tie_goes_to_lowest_class():
-    model = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0)
-    prompts = build_prompts(DataModel1Params(1.0, 0.1, 0.9), make_dictionary(2, 2))
-    assert zero_shot_predict(model, np.array([0.0, 3.0]), prompts) == -1
+    model, params = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0), DataModel1Params(1.0, 0.1, 0.9)
+    prompts = build_prompts(params, make_dictionary(2, 2))
+    assert zero_shot_predict(model, np.array([0.0, 3.0]), prompts, params) == -1
 
 
 def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():
@@ -113,9 +113,8 @@ def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():
     model = mmcl_fit_closed_form(population_cross_cov_dm1(params), 2, 1.0)
     prompts = build_prompts(params, make_dictionary(2, 2))
     with pytest.raises(ConfigurationError):
-        evaluate_zero_shot(model, prompts,
-                           EvalSampler(params, "true", _identity_cfg(5, 2)),
-                           10, RNG.child(30))
+        evaluate_zero_shot(model, prompts, params, "true", _identity_cfg(5, 2), 10,
+                           RNG.child(30))
 
 
 def test_scaling_the_covariance_never_changes_predictions():
@@ -127,17 +126,17 @@ def test_scaling_the_covariance_never_changes_predictions():
     m2 = mmcl_fit_closed_form(rescaled, 2, 1.0)
     g = RNG.child(3).generator()
     for x in g.standard_normal((200, 2)):
-        assert zero_shot_predict(m1, x, prompts) == zero_shot_predict(m2, x, prompts)
+        assert (zero_shot_predict(m1, x, prompts, params)
+                == zero_shot_predict(m2, x, prompts, params))
 
 
 def test_evaluate_zero_shot_dm2_perfect_accuracy_both_paths():
     params = DataModel2Params(3, 0.7, 1 / 3)
     cfg = _identity_cfg(6, 6)
-    sampler = EvalSampler(params, "true", cfg, exhaustive=True)
     prompts = build_prompts(params, make_dictionary(6, 6))
     analytic = mmcl_fit_closed_form(population_cross_cov_dm2(params), 6, 1.0,
                                     make_dictionary(6, 6), make_dictionary(6, 6))
-    rep = evaluate_zero_shot(analytic, prompts, sampler)
+    rep = evaluate_zero_shot(analytic, prompts, params, "true", cfg)
     assert rep.overall_accuracy == 1.0
     # at accuracy 1 the Wilson radius is z^2 / (2 (n + z^2)) overall and per
     # group, where a normal-approximation radius is 0
@@ -148,7 +147,7 @@ def test_evaluate_zero_shot_dm2_perfect_accuracy_both_paths():
     train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
                                 CaptionMask.none(), RNG.child(4))
     empirical = mmcl_fit_closed_form(empirical_cross_cov(train), 6, 1.0)
-    assert evaluate_zero_shot(empirical, prompts, sampler).overall_accuracy == 1.0
+    assert evaluate_zero_shot(empirical, prompts, params, "true", cfg).overall_accuracy == 1.0
 
 
 def test_evaluate_zero_shot_dm2_without_shared_features_fails():
@@ -157,7 +156,7 @@ def test_evaluate_zero_shot_dm2_without_shared_features_fails():
     model = mmcl_fit_closed_form(population_cross_cov_dm2(params), 4, 1.0,
                                  make_dictionary(4, 4), make_dictionary(4, 4))
     prompts = build_prompts(params, make_dictionary(4, 4))
-    rep = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg, True))
+    rep = evaluate_zero_shot(model, prompts, params, "true", cfg)
     assert rep.overall_accuracy <= 0.5
 
 
@@ -168,7 +167,7 @@ def test_evaluate_zero_shot_dm1_matches_theory_bound():
     data = make_paired_dataset(batch, cfg, cfg, CaptionMask.none(), RNG.child(6))
     model = mmcl_fit_closed_form(empirical_cross_cov(data), 2, 1.0)
     prompts = build_prompts(params, make_dictionary(2, 2))
-    rep = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
+    rep = evaluate_zero_shot(model, prompts, params, "true", cfg,
                              20000, RNG.child(7))
     bound = zero_shot_robustness_dm1(1.0, 0.02, 0.999)
     assert rep.overall_accuracy == pytest.approx(bound.values["overall"], abs=0.02)
@@ -181,7 +180,7 @@ def test_evaluate_sl_known_weights_match_gaussian_oracle():
     # sign(z_core) classifier: accuracy = Phi(1 / sigma_core) on every group
     params = DataModel1Params(0.8, 0.3, 0.9)
     model = SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1))
-    rep = evaluate_sl(model, EvalSampler(params, "true", _identity_cfg(2, 2)),
+    rep = evaluate_sl(model, params, "true", _identity_cfg(2, 2),
                       200_000, RNG.child(8))
     assert rep.overall_accuracy == pytest.approx(phi_cdf(1 / 0.8), abs=0.005)
 
@@ -190,7 +189,7 @@ def test_evaluate_sl_spurious_only_weights():
     # sign(z_spu) classifier: majority groups perfect-ish, minority near zero
     params = DataModel1Params(1.0, 0.1, 0.9)
     model = SLModel(W=np.array([[0.0], [1.0]]), classes=(-1, 1))
-    rep = evaluate_sl(model, EvalSampler(params, "train", _identity_cfg(2, 2)),
+    rep = evaluate_sl(model, params, "train", _identity_cfg(2, 2),
                       100_000, RNG.child(9))
     assert rep.overall_accuracy == pytest.approx(0.9, abs=0.01)
     assert rep.minority_accuracy() < 0.01
@@ -254,7 +253,7 @@ def test_noisy_sl_accuracy_matches_the_model_1_closed_form():
         model = sl_fit_gd(project_latents(latents.z, cfg, rng.child(23)), latents.y,
                           epochs=200, rng=rng.child(24))
         for split in ("true", "train"):
-            rep = evaluate_sl(model, EvalSampler(params, split, cfg), 20_000, rng.child(40))
+            rep = evaluate_sl(model, params, split, cfg, 20_000, rng.child(40))
             exact = _dm1_sign_rule_accuracy(model.W[:, 0], params, cfg, split)
             assert abs(rep.overall_accuracy - exact) <= 3 * rep.mc_radius, (seed, split)
             noiseless = _dm1_sign_rule_accuracy(model.W[:, 0], params, cfg, split, noise=False)
@@ -274,7 +273,7 @@ def test_masked_analytic_zero_shot_rule_attains_the_model_1_closed_form(sc, ss, 
     params, cfg = DataModel1Params(sc, ss, p), _identity_cfg(2, 2)
     cov = population_cross_cov_dm1(params, CaptionMask.model1(pi_core, pi_spu))
     model = mmcl_fit_closed_form(cov, 2, 1.0, cfg.dictionary, cfg.dictionary)
-    w = np.dot(model.G, build_prompts(params, cfg.dictionary).prompts[1])
+    w = np.dot(model.G, build_prompts(params, cfg.dictionary)[1])
     pred = zero_shot_robustness_dm1(sc, ss, p, pi_core).values
     for split, key in (("true", "overall"), ("minority", "minority"), ("train", "train")):
         exact = _dm1_sign_rule_accuracy(w, params, cfg, split, noise=False)
@@ -306,36 +305,53 @@ def test_supcon_rule_on_exact_class_means_is_the_closed_form_at_pi_core_0(sc, ss
 def _dm1_rule(params):
     """Each evaluator with a fixed rule that reads z_core, on 2-dim inputs."""
     return {
-        "zero-shot": lambda sampler, *args: evaluate_zero_shot(
+        "zero-shot": lambda *args, **kw: evaluate_zero_shot(
             MMCLModel(G=np.eye(2), p_dim=2, rho=1.0),
-            build_prompts(params, make_dictionary(2, 2)), sampler, *args),
-        "sl": lambda sampler, *args: evaluate_sl(
-            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), sampler, *args),
-        "probe": lambda sampler, *args: evaluate_probe(
+            build_prompts(params, make_dictionary(2, 2)), params, *args, **kw),
+        "sl": lambda *args, **kw: evaluate_sl(
+            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), params, *args, **kw),
+        "probe": lambda *args, **kw: evaluate_probe(
             SupConEncoder(W=np.eye(2), eigenvalues=np.ones(2), p_dim=2, rho=1.0),
-            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), sampler, *args),
+            SLModel(W=np.array([[1.0], [0.0]]), classes=(-1, 1)), params, *args, **kw),
     }
 
 
 @pytest.mark.parametrize("method", ["zero-shot", "sl", "probe"])
 def test_sampled_evaluation_without_rng_is_argument_error(method):
     params = DataModel1Params(1.0, 0.02, 0.999)
-    sampler = EvalSampler(params, "true", _identity_cfg(2, 2))
     evaluate = _dm1_rule(params)[method]
     with pytest.raises(ArgumentError, match="RngStream"):
-        evaluate(sampler, 100)
-    assert evaluate(sampler, 100, RNG.child(40)).n_eval == 100
+        evaluate("true", _identity_cfg(2, 2), 100)
+    assert evaluate("true", _identity_cfg(2, 2), 100, RNG.child(40)).n_eval == 100
+
+
+@pytest.mark.parametrize("method", ["zero-shot", "sl", "probe"])
+def test_model_1_evaluation_without_a_sample_size_is_configuration_error(method):
+    # n_eval None enumerates model 2; model 1 has no enumeration to fall back on
+    from mmclab import ConfigurationError
+    params = DataModel1Params(1.0, 0.02, 0.999)
+    with pytest.raises(ConfigurationError, match="model 1"):
+        _dm1_rule(params)[method]("true", _identity_cfg(2, 2), rng=RNG.child(40))
+
+
+def test_a_sampled_draw_needs_a_stream_on_either_model():
+    for params in (DataModel1Params(1.0, 0.02, 0.999), DataModel2Params(2, 1.5, 1 / 3)):
+        with pytest.raises(ArgumentError, match="RngStream"):
+            params.draw("train", 10, None)
+        assert len(params.draw("train", 10, RNG.child(42))) == 10
+    # enumeration draws nothing, so it needs no stream
+    assert len(DataModel2Params(2, 1.5, 1 / 3).draw("true", None, None)) == 32
 
 
 def test_noisy_exhaustive_evaluation_without_rng_is_argument_error():
     # exhaustive model-2 rows need no stream, but their projection noise does
     params = DataModel2Params(2, 1.5, 1 / 3)
-    sampler = EvalSampler(params, "true", _identity_cfg(4, 4, noise=0.1), exhaustive=True)
+    cfg = _identity_cfg(4, 4, noise=0.1)
     model = SLModel(W=np.eye(4), classes=(1, 2, 3, 4))
     with pytest.raises(ArgumentError, match="RngStream"):
-        evaluate_sl(model, sampler)
+        evaluate_sl(model, params, "true", cfg)
     # with a stream it evaluates every true-split row: 2m classes x 4^(m-1) x 2
-    assert evaluate_sl(model, sampler, rng=RNG.child(41)).n_eval == 32
+    assert evaluate_sl(model, params, "true", cfg, rng=RNG.child(41)).n_eval == 32
 
 
 def test_dm1_label_flip_symmetry():
@@ -343,12 +359,12 @@ def test_dm1_label_flip_symmetry():
     cfg = _identity_cfg(2, 2)
     model = mmcl_fit_closed_form(population_cross_cov_dm1(params), 2, 1.0)
     prompts = build_prompts(params, make_dictionary(2, 2))
-    rep = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
+    rep = evaluate_zero_shot(model, prompts, params, "true", cfg,
                              50_000, RNG.child(11))
     flipped = MMCLModel(G=model.G, p_dim=2, rho=1.0)  # G is (y,a)-symmetric already
     # negating (y, a, z) maps the distribution onto itself; accuracy must agree
     # within Monte Carlo noise across two independent draws
-    rep2 = evaluate_zero_shot(flipped, prompts, EvalSampler(params, "true", cfg),
+    rep2 = evaluate_zero_shot(flipped, prompts, params, "true", cfg,
                               50_000, RNG.child(12))
     assert abs(rep.overall_accuracy - rep2.overall_accuracy) < 2 * rep.mc_radius
 
@@ -366,7 +382,7 @@ def test_dictionary_consistency_across_seeds():
         model = mmcl_fit_closed_form(empirical_cross_cov(data), 2, 1.0)
         prompts = build_prompts(params, dt)
         rep = evaluate_zero_shot(model, prompts,
-                                 EvalSampler(params, "true", ModalityConfig(di)),
+                                 params, "true", ModalityConfig(di),
                                  20000, rng.child(5))
         accs.append((rep.overall_accuracy, rep.mc_radius))
     values = [a for a, _ in accs]
@@ -382,8 +398,8 @@ def test_evaluate_probe_dm2_and_geometry():
     enc = supcon_fit_closed_form(supcon_class_mean_cov(train), 4, 1.0)
     probe = probe_fit(enc.transform(train.x_image), train.latents.y,
                       epochs=5000, rng=RNG.child(14))
-    rep_train = evaluate_probe(enc, probe, EvalSampler(params, "train", cfg, True))
-    rep_true = evaluate_probe(enc, probe, EvalSampler(params, "true", cfg, True))
+    rep_train = evaluate_probe(enc, probe, params, "train", cfg)
+    rep_true = evaluate_probe(enc, probe, params, "true", cfg)
     assert rep_train.overall_accuracy == 1.0
     assert rep_true.overall_accuracy == 0.5
     true_data = make_paired_dataset(enumerate_latents_dm2(params, "true"), cfg, cfg,
@@ -433,8 +449,8 @@ def _report_values(rep):
 
 def _assert_counted_equals_enumerated(model, prompts, params, cfg):
     for split in ("true", "train"):
-        counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))
-        enumerated = evaluate_zero_shot(model, prompts, EvalSampler(params, split, cfg, True))
+        counted = count_zero_shot(model, prompts, params, split, cfg)
+        enumerated = evaluate_zero_shot(model, prompts, params, split, cfg)
         assert _report_values(counted) == _report_values(enumerated)
         assert counted.mc_radius == 0.0
         assert all(g.mc_radius == 0.0 for g in counted.groups.values())
@@ -456,7 +472,7 @@ def test_counting_equals_enumeration_on_both_sides_of_each_boundary():
                 model, prompts, cfg = _analytic_fit(params, pi)
                 _assert_counted_equals_enumerated(model, prompts, params, cfg)
                 overall.add(count_zero_shot(model, prompts,
-                                            EvalSampler(params, "true", cfg)).overall_accuracy)
+                                            params, "true", cfg).overall_accuracy)
         assert overall == {1.0, 0.5 + 2.0 ** -m, 0.5}
 
 
@@ -476,12 +492,12 @@ def test_counting_holds_on_every_preset_analytic_cell():
                                                 modality["d_T"], train["p_dim"])
             exact = zero_shot_accuracy_dm2(params.m, params.alpha, params.beta, mask.pi).values
             for split in eval_sec["splits"]:
-                counted = count_zero_shot(model, prompts, EvalSampler(params, split, cfg))
+                counted = count_zero_shot(model, prompts, params, split, cfg)
                 assert counted.overall_accuracy == exact[split]
             if params.m <= 5:
                 _assert_counted_equals_enumerated(model, prompts, params, cfg)
             else:  # too many rows to enumerate: sampling must land within its radius
-                sampled = evaluate_zero_shot(model, prompts, EvalSampler(params, "true", cfg),
+                sampled = evaluate_zero_shot(model, prompts, params, "true", cfg,
                                              20000, RNG.child(50 + cells))
                 assert abs(sampled.overall_accuracy - exact["true"]) <= sampled.mc_radius
             cells += 1
@@ -504,7 +520,7 @@ def test_counting_breaks_exact_ties_as_argmax_does():
     model, cfg = _pair_rule(m, 3.0, 1.0), _identity_cfg(6, 6)
     prompts = build_prompts(params, make_dictionary(6, 6))
     _assert_counted_equals_enumerated(model, prompts, params, cfg)
-    rep = count_zero_shot(model, prompts, EvalSampler(params, "true", cfg))
+    rep = count_zero_shot(model, prompts, params, "true", cfg)
     flips = [rep.groups[f"y={y},spu=flip"].accuracy for y in range(1, 7)]
     assert flips == [1.0, 1.0, 0.5, 0.5, 0.25, 0.25]
     # u = v alpha and beta = 0: a flipped row scores 0, as do its partner (k, -c)
@@ -512,8 +528,27 @@ def test_counting_breaks_exact_ties_as_argmax_does():
     params = DataModel2Params(3, 1.0, 0.0)
     model, prompts = _pair_rule(m, 1.0, 1.0), build_prompts(params, make_dictionary(6, 6))
     _assert_counted_equals_enumerated(model, prompts, params, cfg)
-    rep = count_zero_shot(model, prompts, EvalSampler(params, "true", cfg))
+    rep = count_zero_shot(model, prompts, params, "true", cfg)
     assert [rep.groups[f"y={y},spu=flip"].accuracy for y in range(1, 7)] == [1.0] + [0.0] * 5
+
+
+def test_prompts_for_another_class_count_are_dimension_error():
+    # prompt rows carry no labels: rows in another count than params.classes would
+    # score the wrong classes (too few) or label a row past the last class (too many)
+    params = DataModel2Params(3, 1.0, 0.5)
+    model, cfg = _pair_rule(3, 3.0, 1.0), _identity_cfg(6, 6)
+    prompts = build_prompts(params, make_dictionary(6, 6))
+    assert count_zero_shot(model, prompts, params, "true", cfg).n_eval == 192
+    for rows in (prompts[:4], np.vstack([prompts, prompts[:1]])):
+        with pytest.raises(DimensionError, match="prompts for the 6 classes"):
+            evaluate_zero_shot(model, rows, params, "true", cfg)
+        with pytest.raises(DimensionError, match="prompts for the 6 classes"):
+            count_zero_shot(model, rows, params, "true", cfg)
+    dm1 = DataModel1Params(1.0, 0.1, 0.9)  # two rows where model 2 at m = 2 has four
+    with pytest.raises(DimensionError, match="prompts for the 4 classes"):
+        evaluate_zero_shot(MMCLModel(G=np.eye(4), p_dim=4, rho=1.0),
+                           build_prompts(dm1, make_dictionary(4, 2)),
+                           DataModel2Params(2, 1.0, 0.5), "true", _identity_cfg(4, 4))
 
 
 def test_counting_rejects_a_rule_without_pair_structure():
@@ -526,10 +561,10 @@ def test_counting_rejects_a_rule_without_pair_structure():
         return MMCLModel(G=g, p_dim=6, rho=1.0)
 
     with pytest.raises(ArgumentError, match="not pair-structured"):
-        count_zero_shot(perturbed(1e-6), prompts, EvalSampler(params, "true", cfg))
+        count_zero_shot(perturbed(1e-6), prompts, params, "true", cfg)
     # inside the structure tolerance, the exact tie is no longer certain
     with pytest.raises(ArgumentError, match="cannot rank"):
-        count_zero_shot(perturbed(1e-14), prompts, EvalSampler(params, "true", cfg))
+        count_zero_shot(perturbed(1e-14), prompts, params, "true", cfg)
 
 
 def test_counting_needs_noiseless_model_2_inputs():
@@ -538,9 +573,9 @@ def test_counting_needs_noiseless_model_2_inputs():
     prompts = build_prompts(params, make_dictionary(6, 6))
     with pytest.raises(ConfigurationError, match="noiseless model-2"):
         count_zero_shot(_pair_rule(3, 3.0, 1.0), prompts,
-                        EvalSampler(params, "true", _identity_cfg(6, 6, noise=0.1)))
+                        params, "true", _identity_cfg(6, 6, noise=0.1))
     params1 = DataModel1Params(1.0, 0.1, 0.9)
     model = mmcl_fit_closed_form(population_cross_cov_dm1(params1), 2, 1.0)
     with pytest.raises(ConfigurationError, match="noiseless model-2"):
         count_zero_shot(model, build_prompts(params1, make_dictionary(2, 2)),
-                        EvalSampler(params1, "true", _identity_cfg(2, 2)))
+                        params1, "true", _identity_cfg(2, 2))

@@ -1,0 +1,152 @@
+"""The bytes of every preset config's run, pinned.
+
+Each config of ``suite_configs("all", 7)`` (the configs of ``mmclab verify
+--suite all --seed 7``) runs one trial in process. Its results.csv must hash to
+the value in ``CSV_PINS``, and the weights and ``training_meta`` of its GD fits
+(sl and the SupCon probes, in fit order) to the value in ``FIT_PINS``. The run
+holds BLAS at one thread: the wide fits' bytes move with the BLAS thread count,
+though the CSV bytes do not. A change
+that means to keep every byte is checked here, not by hand-run hashes. The CSV
+rounds to 9 significant digits and most of its values are hit counts, so a
+last-bit change in a fit seldom shows there; the fit digests show it.
+
+Float results may change in the last bit with the numpy version, the BLAS build
+and the kernels OpenBLAS picks for the CPU (its core name), so the pins hold
+only for the key they were taken under; elsewhere the test skips and names the
+part of the key that differs. Each core below was forced with
+``OPENBLAS_CORETYPE``: the CSV bytes were the same on all of them, the fit
+bytes were not.
+"""
+import ctypes
+import hashlib
+from contextlib import contextmanager
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from mmclab import emit_csv, harness, run_experiment, suite_configs
+from mmclab.numerics import _OPENBLAS_NAMES, _openblas_threads
+
+PIN_KEY = {"numpy": "2.4.6", "BLAS build": "scipy-openblas 0.3.31.188.0"}
+
+CSV_PINS = {
+    "dm1-mmcl": "3c7df7459ede8f1d8eac2f1e81caa3de288c9162eae69c5e1bc8f6427db65a12",
+    "dm1-sl": "129d52b4ce782caf86e030390da4b9c263dfd1011f13330a619945800ab3d05f",
+    "dm2-mmcl": "e9f83917a38e4799f24f09f00d53cd93aceaa89e386eb50a5fe265179bf71445",
+    "dm2-sl": "0fea25d627f095cd9382f8c398aa31614707b33427cd45eafc1817d4bf2c6074",
+    "captions-dm1": "2ea95897685aa1325babdd3578b0d1b06037efb0a20a5e2813cd0126fe420011",
+    "captions-dm2": "fdf8c349ca1f75aa22a7d292d87103891431aca6db8ce84122b6fbacd10952c7",
+    "supcon-dm1": "87dc57bdc9b532877b5a54b1ae07050114de9116e5bd9334f4bb585aab95d299",
+    "supcon-dm2": "302d0ce8c9915dd0dfa558aee37d732265b8021f324158ba8eb913f997fd56ac",
+    "id-control": "57795dd93edc8ae8a54634d137681ccf4f20bc9014211cbe7f46044239ea96d2",
+}
+
+FIT_PINS = {
+    "Haswell": {
+        "dm1-sl": "d9531cf237472228f52d0fc9f9a37c85c90624be36a4c5503e771eb654a7ef0b",
+        "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
+        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
+        "supcon-dm2": "fe912b8082ac9bbd40f9fc4252468af550ce1002b039a92b008a361885e434bb",
+        "id-control": "366fd879cf83a8f7d85e475489c2889f82eb33d8dc1c287f48e8e7f55ba6ffdd",
+    },
+    "Katmai": {
+        "dm1-sl": "6184c003c973e7ac6abaf3d69da9b27ab8196a34bd56457c762fa94b4f8bb029",
+        "dm2-sl": "400052f975d5fd203ccc84aec8294fd3697389e4fd0f784ab405d5ae0a48c89f",
+        "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
+        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "id-control": "3f51b071775035d2c46f3b671eead07616aba80e1097ab74bd0f3eb067475eb7",
+    },
+    "Nehalem": {
+        "dm1-sl": "9135a8b115e66371c978db8958fef1370ef50aaeaa7a56a5a77c1368de9f1873",
+        "dm2-sl": "8bc1ffd77e0b419f2f36906c2b790aa0d1ea394dd183fb79e1db11a961083123",
+        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
+        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "id-control": "e3b1049b391291baac0663e82565ddf147e9e5bd4d3796cdd761490d5a5cdc65",
+    },
+    "Sandybridge": {
+        "dm1-sl": "c06f55d3327f6e4bac5e6a80b2c62ef9b70d5efcd62fdefbb4d7d52b6527dfe5",
+        "dm2-sl": "e1c9caab2ef9f3975f61251a5590b2f2ac517ddef1569188943643378e27f961",
+        "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
+        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "id-control": "59e2b822e6aa7d131d01ac2bf6da4518dccec088819a03f42fb30cc98af88db2",
+    },
+    "SkylakeX": {
+        "dm1-sl": "7a66121691cef5ce2c5ed0ac4267cf4923bd618447bf32ca841cefddf5c0c1da",
+        "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
+        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
+        "supcon-dm2": "fe912b8082ac9bbd40f9fc4252468af550ce1002b039a92b008a361885e434bb",
+        "id-control": "f0c71fe498ed8f61f979e7ddb664839be6b298a50f1b0cd5de21f78ab61be95c",
+    },
+}
+
+
+def _blas_build() -> str:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _openblas_core() -> str | None:
+    """The core name of the kernels OpenBLAS chose for this CPU, or None when numpy
+    does not run on an OpenBLAS that reports one."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix, suffix in _OPENBLAS_NAMES:
+        get = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode()
+    return None
+
+
+def _pinned_core() -> str:
+    """The OpenBLAS core name, once the build matches the pins' key; skips otherwise."""
+    for part, value in (("numpy", np.__version__), ("BLAS build", _blas_build())):
+        if value != PIN_KEY[part]:
+            pytest.skip(f"the preset pins hold for {part} {PIN_KEY[part]!r}; "
+                        f"this run has {value!r}")
+    core = _openblas_core()
+    if core not in FIT_PINS:
+        pytest.skip(f"the preset pins hold for OpenBLAS core in {tuple(FIT_PINS)}; "
+                    f"this run has {core!r}")
+    return core
+
+
+@contextmanager
+def _one_blas_thread():
+    get, put = _openblas_threads()
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
+    core = _pinned_core()
+    fits = []
+
+    def recorded(*args, _fit=harness.training.sl_fit_gd, **kwargs):
+        model = _fit(*args, **kwargs)
+        fits.append(model)
+        return model
+
+    monkeypatch.setattr(harness.training, "sl_fit_gd", recorded)  # probe_fit calls it too
+    csv_hashes, fit_hashes = {}, {}
+    for config in suite_configs("all", 7):
+        fits.clear()
+        path = tmp_path / f"{config.name}.csv"
+        with _one_blas_thread():
+            emit_csv(run_experiment(replace(config, trials=1)), path)
+        csv_hashes[config.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        if fits:
+            digest = hashlib.sha256()
+            for model in fits:
+                digest.update(model.W.tobytes())
+                digest.update(repr(sorted(model.training_meta.items())).encode())
+            fit_hashes[config.name] = digest.hexdigest()
+    assert csv_hashes == CSV_PINS
+    assert fit_hashes == FIT_PINS[core]

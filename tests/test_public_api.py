@@ -5,9 +5,9 @@ import mmclab
 PUBLIC_API = [
     "ArgumentError", "CaptionMask", "ConfigurationError", "DataModel1Params",
     "DataModel2Params", "Dictionary", "DimensionError", "DomainError", "EvalReport",
-    "EvalSampler", "ExperimentConfig", "GroupGeometry", "LatentBatch", "MMCLModel",
-    "MmclabError", "ModalityConfig", "NumericError", "PairedDataset", "PromptSet",
-    "RngStream", "RunRecord", "SLModel", "SizeError", "SupConEncoder", "SvdTop",
+    "ExperimentConfig", "GroupGeometry", "LatentBatch", "MMCLModel",
+    "MmclabError", "ModalityConfig", "NumericError", "PairedDataset",
+    "RngStream", "RunRecord", "SLModel", "SizeError", "SupConEncoder",
     "TheoremPrediction", "TrainingError", "ValidationError", "build_prompts",
     "caption_masking_threshold_dm2", "config_from_dict", "config_from_file",
     "count_zero_shot", "covariance", "datagen", "emit_csv", "emit_json_summary",

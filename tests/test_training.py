@@ -133,10 +133,9 @@ def test_loss_identity_pairwise_vs_trace_form():
 def test_loss_minimum_against_random_perturbations():
     data = _model1_dataset(6, n=60, d=8)
     s = empirical_cross_cov(data)
-    from mmclab import svd_top
-    top = svd_top(s, 2)
-    w_i = (np.sqrt(top.values)[:, None] * top.left.T)
-    w_t = (np.sqrt(top.values)[:, None] * top.right.T)
+    u, values, vt = np.linalg.svd(s)
+    w_i = np.sqrt(values[:2])[:, None] * u[:, :2].T
+    w_t = np.sqrt(values[:2])[:, None] * vt[:2]
     best = MMCLModel(G=w_i.T @ w_t, p_dim=2, rho=1.0, W_I=w_i, W_T=w_t)
     base = mmcl_loss(best, data)
     g = RngStream(6, 42).generator()
