@@ -27,7 +27,14 @@ _LOG2 = math.log(2.0)
 # (d + steps since the bound was formed) * eps * max_i ||x_i|| ||W||, under
 # 1e-3 while that product of norms and counts stays under about 4e12.
 _BOUND_CLEARANCE = 1.0 - 1e-6
+# The convergence gate's bound shrinks by this extra share of itself each
+# epoch. While the norm stays above 2E (see _descend), that covers the
+# rounding of the steps and of the skip count, about
+# 3e-8 sqrt(n + d) (1 + max |score|) of the norm per epoch, while that
+# product of a size and a score stays under about 3e5
+_DECAY_ALLOWANCE = 1e-2
 _EPS = np.finfo(float).eps
+_SIGN_BIT = np.int64(-2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -205,16 +212,23 @@ class _Margins:
     """Supervised GD state in margin space, for n < d.
 
     GD never leaves w0 + rowspan(x), so W = w0 + x^T A. With K = x x^T, a step
-    of A by s/n * V moves the scores x W by s/n * K V, and the gradient norm
+    of A by h V moves the scores x W by h K V, and the gradient norm
     ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n product per epoch, which the
-    caller forms and passes to :meth:`grad_norm` and :meth:`step`.
+    caller forms into ``kv``. ``state`` holds the scores and A as its two rows
+    and ``kv`` holds K V and V, so a step is one multiply and one add. It
+    writes the spare buffer, so the scores it stepped from stay readable.
     """
 
     def __init__(self, x, w0):
         n, d = x.shape
         self.x, self.w0, self.gram = x, w0, np.dot(x, x.T)
-        self.scores, self.coef = np.dot(x, w0), np.zeros((n,) + w0.shape[1:])
-        self.work = np.empty_like(self.coef)
+        shape = (2, n) + w0.shape[1:]
+        self.state, self.spare = np.zeros(shape), np.empty(shape)
+        self.state[0] = np.dot(x, w0)
+        # each buffer's scores, and the same row as integers for bit operations
+        self.scores, self.spare_scores = [(a[0], a[0].view(np.int64))
+                                          for a in (self.state, self.spare)]
+        self.kv, self.work = np.empty(shape), np.empty(shape)
         # rounding bound of <V, K V> per unit ||V||^2
         self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
 
@@ -227,13 +241,14 @@ class _Margins:
             return math.sqrt(quad) / len(v), math.sqrt(quad + rounding) / len(v)
         return None, None
 
-    def step(self, step, v, kv):
-        """Step A by step/n * v, and the scores by step/n * ``kv``."""
-        self.scores += np.multiply(kv, step / len(v), out=self.work)
-        self.coef += np.multiply(v, step / len(v), out=self.work)
+    def step(self, h):
+        """Step A by h V and the scores by h K V, into the spare buffer."""
+        np.add(self.state, np.multiply(self.kv, h, self.work), self.spare)
+        self.state, self.spare = self.spare, self.state
+        self.scores, self.spare_scores = self.spare_scores, self.scores
 
     def weights(self):
-        return self.w0 + np.dot(self.x.T, self.coef)
+        return self.w0 + np.dot(self.x.T, self.state[1])
 
 
 def _descend(x, target, q, lr, epochs, w0, margin_space=False):
@@ -254,21 +269,37 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     formed. B is formed again only when the ceiling no longer clears the
     blowup level, and the exact loss only when B does not clear it either;
     NaN and inf never clear. So every divergence decision is the exact loss's.
+
+    Convergence gate: the loss's curvature in the scores is at most c = 1/4
+    (logistic) or 1/2 (cross-entropy), and trace(K) >= lambda_max(K) for
+    K = x x^T, so a step shrinks ||g|| by at most the factor 1 - r, with
+    r = c lr trace(K) / n. A formed norm G thus bounds the norm k epochs later
+    from below by G (1 - r - a)^k, a = ``_DECAY_ALLOWANCE``. The norm is formed
+    again only at the first epoch k with G (1 - r - a)^(k + 1) <= GRAD_TOL + 3E,
+    and at the last epoch; E = sqrt(eps (n + d) b trace(K) / n), with
+    ||v||^2 <= n b (b = 1 logistic, 2 cross-entropy), covers the rounding of a
+    formed norm and of the stop test. On the epochs between, ||g|| is at most
+    sqrt(trace(K) n b) / n, which the divergence ceiling adds instead. So every
+    stop, and the reported norm, is what forming the norm every epoch gives.
     """
-    n = x.shape[0]
+    n, d = x.shape
     if q == 1:
         # rows times -y: x w is then -m and x^T sigmoid(-m) / n the gradient.
         # Sign flips are exact, so every product and sum keeps its bytes
         x = x * -target[:, None]
-    kernel = _Margins(x, w0) if margin_space else None
     w, x_t = w0.copy(), x.T
     # per-epoch work arrays, reused so that an epoch allocates no array
     grad, step = np.empty_like(w0), np.empty_like(w0)
     flat = grad.reshape(-1)
+    xw = np.empty((n,) + w0.shape[1:])
     if margin_space:
-        kv = np.empty_like(kernel.coef)
+        kernel = _Margins(x, w0)
+        kv, out = kernel.kv                # v is formed in place, beside K v
+    else:
+        out = np.empty_like(xw)
     if q == 1:
-        neg_margins, e, work, sign = np.empty(n), np.empty(n), np.empty(n), np.empty(n)
+        work, sign = np.empty(n), np.empty(n)
+        xw_bits, out_bits = xw.view(np.int64), out.view(np.int64)
     else:
         onehot = np.zeros((n, q))
         onehot[np.arange(n), target] = 1.0
@@ -277,35 +308,45 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
         # the softmax runs class-major, on q rows of n contiguous entries;
         # the residual has its own n x q array, so that the last epoch's
         # probabilities survive the loop for the final loss
-        probs_t, resid, xw = np.empty((q, n)), np.empty((n, q)), np.empty((n, q))
-        scores_t, probs = (kernel.scores if margin_space else xw).T, probs_t.T
+        probs_t = np.empty((q, n))
+        probs = probs_t.T
         row_max, row_sum = np.empty(n), np.empty(n)
     # the rise of B per unit of ||g||; in margin space the squared row norms
     # are the diagonal of K
     squares = np.diagonal(kernel.gram) if margin_space else np.einsum("ij,ij->i", x, x)
     drift = (1.0 if q == 1 else 2.0) * lr * float(np.mean(np.sqrt(squares)))
+    # the convergence gate's terms (see above); it certifies no epoch when
+    # 1 - r - a <= 0
+    b, trace = (1.0 if q == 1 else 2.0), float(np.sum(squares))
+    decay = 1.0 - (0.25 if q == 1 else 0.5) * lr * trace / n - _DECAY_ALLOWANCE
+    floor = GRAD_TOL + 3.0 * math.sqrt(_EPS * (n + d) * b * trace / n)
+    gate = floor / decay ** 2 if decay > 0 else math.inf
+    rise_max = drift * math.sqrt(trace * n * b) / n
+    formed = 0                             # the next epoch that forms the norm
     loss = np.inf
     grad_norm = np.inf
     blowup = None
     ceiling, limit = math.nan, -math.inf   # nothing clears until epoch 0 sets blowup
     epochs_run = epochs
+    h = -lr / n
     # An epoch is about a dozen numpy calls on small arrays, a microsecond
     # each. Local names and positional outputs spare their lookups and
     # keyword parsing, about a tenth of an epoch at the probe shapes
     dot, exp, divide, subtract, multiply = np.dot, np.exp, np.divide, np.subtract, np.multiply
     reduce_max, reduce_sum, sqrt = np.maximum.reduce, np.add.reduce, math.sqrt
+    bitwise_or = np.bitwise_or
     for epoch in range(epochs):
         check = False
+        if margin_space:                   # the scores, read before the step moves them
+            xw, xw_bits = kernel.scores
+        else:
+            dot(x, w, xw)
         if q == 1:
-            if margin_space:                   # a copy, as the step moves the scores
-                np.copyto(neg_margins, kernel.scores)
-            else:
-                dot(x, w, neg_margins)
             if not ceiling < limit:            # re-anchor on B
-                ceiling = _LOG2 + float(reduce_sum(np.maximum(neg_margins, 0.0, out=work))) / n
+                ceiling = _LOG2 + float(reduce_sum(np.maximum(xw, 0.0, out=work))) / n
                 check = not ceiling < limit
             if check:
-                loss = _logistic_loss(neg_margins)
+                loss = _logistic_loss(xw)
                 if blowup is None:
                     blowup = 1e3 * (loss + 1.0)
                     limit = _BOUND_CLEARANCE * blowup
@@ -313,16 +354,16 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
                     raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
             # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
             # e/(1+e); max(e, sign(-m)) picks the numerator, as e <= 1 and
-            # e = 1 at m = 0
-            exp(np.negative(np.abs(neg_margins, e), e), e)
-            np.add(e, 1.0, work)
-            np.maximum(e, np.sign(neg_margins, sign), out=e)
-            v = divide(e, work, e)
+            # e = 1 at m = 0. -|m| is m with its sign bit set, which one
+            # integer OR forms (np.copysign is not vectorised, and slower)
+            bitwise_or(xw_bits, _SIGN_BIT, out_bits)
+            exp(out, out)
+            np.add(out, 1.0, work)
+            np.maximum(out, np.sign(xw, sign), out=out)
+            v = divide(out, work, out)
         else:
-            if not margin_space:
-                dot(x, w, xw)
             # a max is exact in any order, so the row max matches ndarray.max
-            np.copyto(probs_t, scores_t)
+            np.copyto(probs_t, xw.T)
             reduce_max(probs_t, axis=0, out=row_max)
             subtract(probs_t, row_max, probs_t)
             if not ceiling < limit:            # re-anchor on B
@@ -336,8 +377,8 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
             if q < 8:
                 reduce_sum(probs_t, axis=0, out=row_sum)
             else:
-                np.copyto(resid, probs)
-                reduce_sum(resid, axis=1, out=row_sum)
+                np.copyto(out, probs)
+                reduce_sum(out, axis=1, out=row_sum)
             divide(probs_t, row_sum, probs_t)
             if check:
                 own_probs = probs_t.take(own)
@@ -354,23 +395,34 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
                     raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
             # the residual goes to np.dot in the n x q layout: a class-major
             # one takes another BLAS path, whose sums differ at d = 1
-            v = subtract(probs, onehot, resid)
+            v = subtract(probs, onehot, out)
         # v is the residual of each row, so x^T v / n is the gradient
         if margin_space:
-            grad_norm, norm_bound = kernel.grad_norm(v, dot(kernel.gram, v, kv))
-        if not margin_space or grad_norm is None:
+            dot(kernel.gram, v, kv)
+        else:
             divide(dot(x_t, v, grad), n, grad)
-            grad_norm = norm_bound = sqrt(dot(flat, flat))
-        if grad_norm < GRAD_TOL:
-            epochs_run = epoch
-            break
+        if epoch < formed:                 # the norm clears GRAD_TOL (see above)
+            ceiling += rise_max
+        else:
+            if margin_space:
+                grad_norm, norm_bound = kernel.grad_norm(v, kv)
+                if grad_norm is None:
+                    divide(dot(x_t, v, grad), n, grad)
+            if not margin_space or grad_norm is None:
+                grad_norm = norm_bound = sqrt(dot(flat, flat))
+            if grad_norm < GRAD_TOL:
+                epochs_run = epoch
+                break
+            if grad_norm > gate:           # _DECAY_ALLOWANCE covers this count's rounding
+                formed = min(epoch + int(math.log(grad_norm / floor) / -math.log(decay)),
+                             epochs - 1)
+            ceiling += drift * norm_bound
         if margin_space:
-            kernel.step(-lr, v, kv)
+            kernel.step(h)
         else:
             subtract(w, multiply(grad, lr, step), w)
-        ceiling += drift * norm_bound
     if epochs:                                 # the loss of the last epoch's scores
-        loss = _logistic_loss(neg_margins) if q == 1 else _cross_entropy_loss(probs_t.take(own))
+        loss = _logistic_loss(xw) if q == 1 else _cross_entropy_loss(probs_t.take(own))
     return kernel.weights() if margin_space else w, loss, grad_norm, epochs_run
 
 

@@ -7,7 +7,12 @@ bit-identical weights, snapshots, losses, gradient norms and step counts.
 Do not optimise this file. The one change since: a cross-entropy divergence
 decision takes the exact loss when an own-class probability falls under the
 1e-300 floor, which otherwise hides any blow-up.
+
+``margin_gd`` is the margin-space loop (n < d) as the library ran it before
+its convergence gate: it forms the gradient norm every epoch.
 """
+import math
+
 import numpy as np
 
 from mmclab.errors import TrainingError
@@ -89,3 +94,55 @@ def cross_entropy_gd(x, labels_idx, q, lr, epochs, w0, snapshot_every=0,
         step = lr / max(loss, 1e-300) if loss_scaled else lr
         w = w - step * grad
     return w, loss, grad_norm, epochs_run, snapshots
+
+
+def margin_gd(x, target, q, lr, epochs, w0):
+    """GD on W = w0 + x^T A through the scores S = x W, for n < d: a step moves
+    A by -lr/n V and S by -lr/n K V, K = x x^T, with V the residual (sigmoid
+    of the negated margins, or P - Y). The logistic rows are multiplied by -y
+    first, so S is the negated margins. The norm is sqrt(<V, K V>)/n when that
+    clears GRAD_TOL by more than its rounding bound, else ||x^T V||/n."""
+    n, d = x.shape
+    if q == 1:
+        x = x * -target[:, None]
+    else:
+        onehot = np.zeros((n, q))
+        onehot[np.arange(n), target] = 1.0
+    gram = np.dot(x, x.T)
+    slack = np.finfo(float).eps * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
+    scores, coef = np.dot(x, w0), np.zeros((n,) + w0.shape[1:])
+    loss = np.inf
+    grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        if q == 1:
+            loss = decisive = float(np.mean(np.logaddexp(0.0, scores)))
+            v = _stable_sigmoid(scores)
+        else:
+            shifted = scores - scores.max(axis=1, keepdims=True)
+            expsc = np.exp(shifted)
+            probs = expsc / expsc.sum(axis=1, keepdims=True)
+            own = probs[np.arange(n), target]
+            loss = decisive = float(-np.mean(np.log(own + 1e-300)))
+            if own.min() < 1e-300:
+                decisive = float(np.mean(np.log(expsc.sum(axis=1))
+                                         - shifted[np.arange(n), target]))
+            v = probs - onehot
+        if blowup is None:
+            blowup = 1e3 * (decisive + 1.0)
+        if not np.isfinite(decisive) or decisive > blowup:
+            kind = "logistic" if q == 1 else "cross-entropy"
+            raise TrainingError(f"{kind} GD diverged at epoch {epoch} (lr={lr})")
+        kv = gram @ v
+        quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
+        if quad - rounding > (GRAD_TOL * n) ** 2:
+            grad_norm = math.sqrt(quad) / n
+        else:
+            grad_norm = float(np.linalg.norm(x.T @ v / n))
+        if grad_norm < GRAD_TOL:
+            epochs_run = epoch
+            break
+        scores = scores + kv * (-lr / n)
+        coef = coef + v * (-lr / n)
+    return w0 + x.T @ coef, loss, grad_norm, epochs_run

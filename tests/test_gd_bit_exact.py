@@ -1,7 +1,11 @@
 """The fused supervised GD loops return exactly what the straightforward loops
 in ``gd_reference`` return at constant steps: weights, final loss, final
-gradient norm, steps taken, and the epoch at which a divergent run stops."""
+gradient norm, steps taken, and the epoch at which a divergent run stops. The
+margin-space loop (n < d) is held to ``gd_reference.margin_gd``, which forms
+the gradient norm every epoch where the library's convergence gate skips it."""
 import math
+import types
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -49,16 +53,37 @@ def _reference_descend(x, target, q, lr, epochs, w0, margin_space=False):
     return result[:4]                          # without the (empty) snapshots
 
 
-def _both(x, labels, q, lr, epochs, w0, margin_space=False):
+def _margin_reference(x, target, q, lr, epochs, w0, margin_space=True):
+    return gd_reference.margin_gd(x, target, q, lr, epochs, w0)
+
+
+def _both(x, labels, q, lr, epochs, w0, margin_space=False, reference=_reference_descend):
     """Run the fused loop and the reference; each gives a result or its error."""
     target = labels.astype(float) if q == 1 else labels
     outcomes = []
-    for run in (_descend, _reference_descend):
+    for run in (_descend, reference):
         try:
             outcomes.append(run(x, target, q, lr, epochs, w0, margin_space=margin_space))
         except TrainingError as err:
             outcomes.append(err)
     return outcomes
+
+
+def _rate(x, q, lr):
+    """The convergence gate's r = c lr trace(x x^T) / n."""
+    return (0.25 if q == 1 else 0.5) * lr * np.sum(x * x) / len(x)
+
+
+@contextmanager
+def _counted_square_roots():
+    """Count the square roots ``_descend`` takes: each formed gradient norm
+    takes one or two, and the set-up two."""
+    calls = []
+    spy = types.SimpleNamespace(**{k: getattr(math, k) for k in dir(math) if not k.startswith("_")})
+    spy.sqrt = lambda value: calls.append(value) or math.sqrt(value)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "math", spy)
+        yield calls
 
 
 def _assert_same_outcome(got, want):
@@ -89,6 +114,54 @@ def test_loops_match_reference(n, d, q, lr, epochs):
     got, want = _both(x, labels, q, lr, epochs, _init(q, d, q))
     assert not isinstance(want, TrainingError)
     _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("n,d,q,lr,epochs,gated", [
+    (60, 200, 1, 0.005, 2000, True),    # logistic at r < 1: the gate skips most norms
+    (30, 80, 3, 0.01, 1000, True),      # cross-entropy at r < 1
+    (20, 50, 9, 0.02, 500, True),       # q = 9: the row sums copied back to n x q
+    (24, 40, 6, 0.5, 1000, False),      # r >= 1, as at dm2-sl: every norm is formed
+])
+def test_margin_loops_match_the_margin_reference(n, d, q, lr, epochs, gated):
+    x, labels = _problem(n + d, n, d, q)
+    assert (_rate(x, q, lr) < 1) == gated
+    with _counted_square_roots() as roots:
+        got, want = _both(x, labels, q, lr, epochs, _init(q, d, q), margin_space=True,
+                          reference=_margin_reference)
+    assert not isinstance(want, TrainingError) and want[3] == epochs
+    _assert_identical(got, want)
+    assert len(roots) < epochs / 2 if gated else len(roots) > epochs
+
+
+@pytest.mark.parametrize("margin_space", [False, True])
+@pytest.mark.parametrize("q,rows,lr", [(1, 1, 0.6), (1, 10, 0.5), (2, 1, 0.3), (3, 10, 0.3)])
+def test_converging_fits_skip_norms_and_stop_where_the_reference_stops(q, rows, lr, margin_space):
+    # rows repeated under every label: GD heads to equal scores within each
+    # row, and the norm falls geometrically to GRAD_TOL. With one distinct row
+    # K has rank one, and near equal scores the loss's curvature reaches its
+    # bound c, so the norm decays at nearly the worst-case factor 1 - r that
+    # the gate assumes, and any overstated bound skips the stopping epoch.
+    # Unit rows give r = c lr; zero columns put n < d
+    g = np.random.default_rng(rows + q)
+    base = g.standard_normal((rows, 3))
+    base /= np.linalg.norm(base, axis=1, keepdims=True)
+    labels = np.repeat(np.arange(max(q, 2)), rows)
+    if q == 1:
+        labels = 2 * labels - 1
+    x = np.tile(base, (max(q, 2), 1))
+    if margin_space:
+        x = np.hstack([x, np.zeros((len(x), len(x)))])
+    w0 = g.standard_normal(x.shape[1] if q == 1 else (x.shape[1], q))
+    assert _rate(x, q, lr) < 1
+    reference = _margin_reference if margin_space else _reference_descend
+    with _counted_square_roots() as roots:
+        got, want = _both(x, labels, q, lr, 20000, w0, margin_space=margin_space,
+                          reference=reference)
+    assert not isinstance(want, TrainingError) and 0 < want[3] < 20000
+    assert want[2] < training.GRAD_TOL
+    _assert_identical(got, want)
+    # a formed norm takes one or two roots, so some epochs formed none
+    assert len(roots) < want[3]
 
 
 def test_stop_on_gradient_tolerance_matches_reference():
@@ -245,4 +318,16 @@ def test_sl_fit_matches_reference_fit(kind, q, n, d):
 def test_random_problems_match_reference(seed, n, d, q, log_lr, epochs):
     x, labels = _problem(seed, n, d, q)
     got, want = _both(x, labels, q, 10.0 ** log_lr, epochs, _init(seed, d, q))
+    _assert_same_outcome(got, want)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), extra=st.integers(1, 30),
+       q=st.sampled_from([1, 2, 3, 5, 9]), log_lr=st.floats(-3.0, 4.0),
+       epochs=st.integers(0, 300))
+def test_random_margin_problems_match_the_margin_reference(seed, n, extra, q, log_lr, epochs):
+    x, labels = _problem(seed, n, n + extra, q)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _both(x, labels, q, 10.0 ** log_lr, epochs, _init(seed, n + extra, q),
+                          margin_space=True, reference=_margin_reference)
     _assert_same_outcome(got, want)
