@@ -32,9 +32,6 @@ CSV_COLUMNS = ("run_id", "experiment", "seed", "method", "n_train", "d_I", "d_T"
                "p_dim", "rho", "sigma_core", "sigma_spu", "p_spu", "m", "alpha",
                "beta", "pi_core", "pi_spu", "pi", "split", "group", "metric",
                "value", "prediction", "comparator", "pass")
-# the families, splits and metrics of the records a run emits, which slack keys name
-_FAMILIES = ("mmcl", "sl", "supcon", "sl-vs-mmcl")
-_METRICS = ("accuracy", "collinearity_residual", "best_probe_accuracy", "id_gap")
 
 
 @dataclass(frozen=True)
@@ -167,18 +164,6 @@ def _check_sections(sections: dict, model: str, prefix: str = ""):
             _check_field(name, key, value, model, f"{prefix}{name}.{key}")
 
 
-def _check_slack_key(key: str):
-    """A slack key is family:split:group:metric. The group stays free, since group
-    names depend on the data model; the other parts must name what a run emits."""
-    parts = key.split(":")
-    if (len(parts) != 4 or parts[0] not in _FAMILIES or parts[1] not in datagen.SPLITS
-            or parts[3] not in _METRICS):
-        raise ValidationError(
-            f"slacks key {key!r} must be family:split:group:metric, with family one of "
-            f"{', '.join(_FAMILIES)}, split one of {', '.join(datagen.SPLITS)} and "
-            f"metric one of {', '.join(_METRICS)}")
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
     """Build and validate a config from a parsed JSON document. The config owns a
     deep copy, so it shares no list or object with ``doc``."""
@@ -194,7 +179,6 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     slacks = _require_object(doc.get("slacks", {}), "slacks")
     for key, value in slacks.items():
         _NONNEG(value, f"slacks.{key}")
-        _check_slack_key(key)
     sections = {name: _require_object(doc.get(name, {}), name)
                 for name in ("data", "modality", "train", "eval", "sweep")}
     sweep = sections.pop("sweep")
@@ -214,12 +198,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
             _check_field(_SWEEPS[key], key, value, model, f"sweep.{key}")
     overrides = _require_object(doc.get("method_overrides", {}), "method_overrides")
     for mth, sec in overrides.items():
-        if mth not in METHODS:
-            raise ValidationError(f"method_overrides for unknown method {mth!r}")
         where = f"method_overrides.{mth}"
         _check_keys(_require_object(sec, where), {"modality", "train", "eval"}, where)
         _check_sections({name: _require_object(value, f"{where}.{name}")
                          for name, value in sec.items()}, model, where + ".")
+        if mth not in methods:
+            raise ValidationError(f"{where} names a method that methods does not list")
     config = ExperimentConfig(
         experiment=experiment, **scalars,
         data=sections["data"], modality=sections["modality"], methods=tuple(methods),
@@ -235,14 +219,20 @@ def _check_cells(config: ExperimentConfig):
     resolve each method on it (``_method_sections``), so that a value out of its
     domain or a setting the run cannot honour fails before anything runs, naming
     its sweep cell. Bounds that depend on the method (``p_dim``) and enumeration
-    size caps stay with the run."""
+    size caps stay with the run. Each ``slacks`` key must name some cell's check."""
+    slack_keys = set()
     for cell in _sweep_cells(config):
         try:
-            params, mask, _ = _build_cell(config, cell)
+            params, mask, checks = _build_cell(config, cell)
             for method in config.methods:
                 _method_sections(config, method, cell, params, mask)
         except MmclabError as exc:
             raise ValidationError(f"{exc} (sweep cell {cell})" if cell else str(exc)) from exc
+        slack_keys.update(f"{f}:{s}:{g}:{m}" for f, s, group, m in checks for g in (group, "*"))
+    unknown = sorted(set(config.slacks) - slack_keys)
+    if unknown:
+        raise ValidationError(f"slacks keys {', '.join(map(repr, unknown))} name no check of "
+                              f"this config; its slack keys are {', '.join(sorted(slack_keys))}")
 
 
 def config_from_file(path) -> ExperimentConfig:

@@ -20,6 +20,11 @@ def test_dm1_true_split_independence():
     assert abs(np.mean(batch.a == batch.y) - 0.5) < 0.01
 
 
+def test_dm1_spurious_agrees_where_the_attribute_is_the_label():
+    batch = LatentBatch(DataModel1Params(), np.zeros((4, 2)), [1, 1, -1, -1], a=[1, -1, -1, 1])
+    np.testing.assert_array_equal(batch.spurious_agrees(), [True, False, True, False])
+
+
 def test_dm1_core_variance_moment():
     batch = sample_latents_dm1(DataModel1Params(1.0, 0.1, 0.9), 100_000, "true", RNG.child(3))
     assert np.var(batch.z[:, 0] - batch.y) == pytest.approx(1.0, abs=0.02)

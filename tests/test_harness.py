@@ -145,6 +145,10 @@ def test_section_field_types_rejected(section, key, value):
      "modality.d_I is 4, below the latent dimension 6 .*sweep cell {'m': 3}"),
     ({"method_overrides": {"mmcl-closed": {"modality": {"d_T": 1}}}},
      r"modality.d_T is 1, .*mmcl-closed"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "alpha": 0}},
+     "alpha must be > 0, got 0"),
+    ({"experiment": "dm2-robustness", "data": {"model": "dm2", "beta": 1}},
+     r"beta must lie in \[0, 1\), got 1"),
 ])
 def test_top_level_numbers_rejected(extra, key):
     with pytest.raises(ValidationError, match=key):
@@ -272,6 +276,14 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"slacks": {"clip:true:overall:accuracy": 0.1}}, "'clip:true:overall:accuracy'"),
     ({"slacks": {"mmcl:ood:overall:accuracy": 0.1}}, "'mmcl:ood:overall:accuracy'"),
     ({"slacks": {"mmcl:true:overall:acc": 0.1}}, "'mmcl:true:overall:acc'"),
+    ({"slacks": {"mmcl:true:minortiy:accuracy": 0.0}}, "'mmcl:true:minortiy:accuracy'"),
+    ({"slacks": {"sl:true:overall:collinearity_residual": 0.0}},
+     "'sl:true:overall:collinearity_residual'"),
+    # the dm2 sl true-split ceiling is vacuous at alpha 0.7, so no cell checks it
+    ({**_tiny_dm2_config(slacks={"sl:true:overall:accuracy": 0.0}), "modality": {}},
+     "'sl:true:overall:accuracy'"),
+    ({"method_overrides": {"sl": {"train": {"n_train": 500}}}},
+     "method_overrides.sl names a method that methods does not list"),
     ({"data": {**_DM1, "p_spu": 0.3}}, "p_spu"),
     ({"data": {**_DM1, "sigma_core": 0}}, "sigma_core"),
     ({"data": {**_DM1, "sigma_spu": -1}}, "sigma_spu"),
@@ -292,7 +304,8 @@ def test_dm2_switches_off_are_accepted_on_dm1():
         "eval.n_eval-missing", "eval.splits-unknown", "override-eval.splits-unknown",
         "eval.splits-empty", "override-eval.splits-empty", "methods-empty",
         "name-number", "name-list", "slack-one-part", "slack-three-parts",
-        "slack-family", "slack-split", "slack-metric", "p_spu-domain", "sigma_core-zero",
+        "slack-family", "slack-split", "slack-metric", "slack-group", "slack-unchecked",
+        "slack-vacuous-ceiling", "override-unlisted-method", "p_spu-domain", "sigma_core-zero",
         "sigma_spu-negative", "pi_core-domain", "exponent_variant-unknown",
         "sweep-cell-domain", "noise_sigma_I-negative", "noise_sigma_T-negative",
         "eval.noise_sigma-negative", "rho-zero", "rho-negative", "dictionary-unknown",
@@ -568,6 +581,17 @@ def test_summary_records_blas_threads_per_worker():
     assert summarize(run_experiment(config, threads=2))["blas_threads_per_worker"] == expected
 
 
+def test_an_uncontrolled_blas_runs_pooled_at_the_serial_bytes(monkeypatch, tmp_path):
+    # README: a BLAS that cannot be controlled keeps its default, recorded as null
+    config = config_from_dict(_tiny_dm1_config(trials=2))
+    emit_csv(run_experiment(config), tmp_path / "serial.csv")
+    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    records = run_experiment(config, threads=2)
+    emit_csv(records, tmp_path / "pooled.csv")
+    assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+    assert summarize(records)["blas_threads_per_worker"] is None
+
+
 def test_failed_cell_records_error_and_suite_continues():
     # every value is in its domain, but only a run finds that exhaustive m = 10
     # data exceeds ENUMERATION_CAP: in the first cell the enumerating method
@@ -837,13 +861,23 @@ def test_every_kind_builds_its_data_models_table(experiment):
         assert checks == harness._CHECKS[model](params, mask)
 
 
-def test_check_tables_use_only_the_slack_key_vocabulary():
-    # every family, split and metric a table checks can be named by a slacks key
-    for model, data in (("dm1", {**_DM1, "pi_core": 0.0}), ("dm1", _DM1), ("dm2", _DM2),
-                        ("dm2", {**_DM2, "alpha": 0.7, "pi": 0.5})):
-        checks = harness._CHECKS[model](harness._make_params(data), harness._make_mask(data))
-        for key in checks:
-            harness._check_slack_key(":".join(key))
+def test_a_wildcard_slack_key_loads_only_where_a_check_exists():
+    # only the dm2 table checks best_probe_accuracy, whatever the methods
+    slacks = {"supcon:true:*:best_probe_accuracy": 1e-9}
+    assert config_from_dict(_tiny_dm2_config(slacks=slacks)).slacks == slacks
+    dm1 = _tiny_dm1_config(experiment="method-compare", methods=["supcon"], slacks=slacks)
+    with pytest.raises(ValidationError, match=r"'supcon:true:\*:best_probe_accuracy'"):
+        config_from_dict(dm1)
+
+
+def test_a_slack_key_loads_when_any_sweep_cell_checks_it():
+    # the sl true-split ceiling exists at alpha 10 and is vacuous at alpha 0.7 and 0.8
+    doc = _tiny_dm2_config(slacks={"sl:true:overall:accuracy": 0.0})
+    doc["sweep"] = {"alpha": [10.0, 0.7]}
+    assert config_from_dict(doc).slacks == {"sl:true:overall:accuracy": 0.0}
+    doc["sweep"] = {"alpha": [0.7, 0.8]}
+    with pytest.raises(ValidationError, match="'sl:true:overall:accuracy' name no check"):
+        config_from_dict(doc)
 
 
 def _masked_dm1_config(experiment, pi_core, splits):
@@ -1002,6 +1036,26 @@ def test_cli_run_and_exit_codes(tmp_path):
     invalid = _tiny_dm1_config(slacks={"mmcl:true:overall:accuracy": -1.0})
     config_path.write_text(json.dumps(invalid))
     assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+
+
+def test_cli_verify_writes_the_suite_csv(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli_main(["verify", "--suite", "dm2", "--out", str(out)]) == 0
+    emit_csv(harness.run_suite("dm2", 0), tmp_path / "expected.csv")
+    assert (out / "results.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert "all checks passed" in capsys.readouterr().out
+
+
+def test_cli_run_reports_a_fit_that_fails_at_run_time(tmp_path, capsys):
+    # p_dim is bounded by the fit's input dimensions, which only the run checks
+    config_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    config_path.write_text(json.dumps(_tiny_dm1_config(
+        trials=1, train={"n_train": 2000, "p_dim": 3, "rho": 1.0})))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    assert "[ERROR] tiny-c000-t00: DimensionError: p_dim=3" in capsys.readouterr().out
+    with open(out / "results.csv", encoding="utf-8") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["group"], row["value"], row["pass"]) == ("error", "nan", "false")
 
 
 def test_cli_sweep_requires_sweep_section(tmp_path):
