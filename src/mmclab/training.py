@@ -208,57 +208,24 @@ def _cross_entropy_loss(own_probs: np.ndarray) -> float:
     return -float(np.add.reduce(np.log(own_probs + 1e-300))) / len(own_probs)
 
 
-class _Margins:
-    """Supervised GD state in margin space, for n < d.
-
-    GD never leaves w0 + rowspan(x), so W = w0 + x^T A. With K = x x^T, a step
-    of A by h V moves the scores x W by h K V, and the gradient norm
-    ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n product per epoch, which the
-    caller forms into ``kv``. ``state`` holds the scores and A as its two rows
-    and ``kv`` holds K V and V, so a step is one multiply and one add. It
-    writes the spare buffer, so the scores it stepped from stay readable.
-    """
-
-    def __init__(self, x, w0):
-        n, d = x.shape
-        self.x, self.w0, self.gram = x, w0, np.dot(x, x.T)
-        shape = (2, n) + w0.shape[1:]
-        self.state, self.spare = np.zeros(shape), np.empty(shape)
-        self.state[0] = np.dot(x, w0)
-        # each buffer's scores, and the same row as integers for bit operations
-        self.scores, self.spare_scores = [(a[0], a[0].view(np.int64))
-                                          for a in (self.state, self.spare)]
-        self.kv, self.work = np.empty(shape), np.empty(shape)
-        # rounding bound of <V, K V> per unit ||V||^2
-        self.slack = _EPS * (n * np.linalg.norm(self.gram) + d * np.linalg.norm(x) ** 2)
-
-    def grad_norm(self, v, kv):
-        """The norm from ``kv`` = K v, and an upper bound on it that covers the
-        rounding of <v, K v>; both None unless the norm clears ``GRAD_TOL`` by
-        more than that rounding."""
-        quad, rounding = np.vdot(v, kv), self.slack * np.vdot(v, v)
-        if quad - rounding > (GRAD_TOL * len(v)) ** 2:
-            return math.sqrt(quad) / len(v), math.sqrt(quad + rounding) / len(v)
-        return None, None
-
-    def step(self, h):
-        """Step A by h V and the scores by h K V, into the spare buffer."""
-        np.add(self.state, np.multiply(self.kv, h, self.work), self.spare)
-        self.state, self.spare = self.spare, self.state
-        self.scores, self.spare_scores = self.spare_scores, self.scores
-
-    def weights(self):
-        return self.w0 + np.dot(self.x.T, self.state[1])
-
-
 def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     """Full-batch GD from w0 on the logistic loss (q = 1, ``target`` the +-1
     labels) or on cross-entropy (``target`` the class indices). It steps the
-    weights, or with ``margin_space`` the margins (:class:`_Margins`); the two
-    differ only in how scores, the gradient norm and the step are formed.
+    weights, or with ``margin_space`` the margins; the two differ only in how
+    scores, the gradient norm and the step are formed.
     Returns the weights, final loss and gradient norm, and steps taken.
     The final loss is the exact (logistic) or floored (cross-entropy) loss of
     the last epoch's scores, taken after the loop since most epochs skip it.
+
+    Margin space, for n < d: GD never leaves w0 + rowspan(x), so
+    W = w0 + x^T A. With K = x x^T, a step of A by h V moves the scores x W by
+    h K V, and the gradient norm ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n
+    product per epoch. ``state`` holds the scores and A as its two rows and
+    ``delta`` holds K V and V, so a step is one multiply and one add. A step
+    writes the spare buffer, so the scores it stepped from stay readable.
+    <V, K V> decides the norm only when, less its rounding bound
+    ``slack`` ||V||^2, it still puts the norm above GRAD_TOL; otherwise the
+    gradient is formed as x^T V / n and its norm taken directly.
 
     Divergence gate: the loss is at most a bound B, log 2 + mean(max(-m, 0))
     over the margins m (logistic) or log q - mean(own shifted score) over the
@@ -293,8 +260,17 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     flat = grad.reshape(-1)
     xw = np.empty((n,) + w0.shape[1:])
     if margin_space:
-        kernel = _Margins(x, w0)
-        kv, out = kernel.kv                # v is formed in place, beside K v
+        gram = np.dot(x, x.T)
+        shape = (2, n) + w0.shape[1:]
+        state, spare = np.zeros(shape), np.empty(shape)
+        state[0] = np.dot(x, w0)
+        # each buffer's scores, and the same row as integers for bit operations
+        scores, spare_scores = [(a[0], a[0].view(np.int64)) for a in (state, spare)]
+        delta, shift = np.empty(shape), np.empty(shape)
+        kv, out = delta                    # v is formed in place, beside K v
+        # rounding bound of <v, K v> per unit ||v||^2
+        slack = _EPS * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
+        quad_tol = (GRAD_TOL * n) ** 2     # GRAD_TOL on the scale of <v, K v>
     else:
         out = np.empty_like(xw)
     if q == 1:
@@ -313,7 +289,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
         row_max, row_sum = np.empty(n), np.empty(n)
     # the rise of B per unit of ||g||; in margin space the squared row norms
     # are the diagonal of K
-    squares = np.diagonal(kernel.gram) if margin_space else np.einsum("ij,ij->i", x, x)
+    squares = np.diagonal(gram) if margin_space else np.einsum("ij,ij->i", x, x)
     drift = (1.0 if q == 1 else 2.0) * lr * float(np.mean(np.sqrt(squares)))
     # the convergence gate's terms (see above); it certifies no epoch when
     # 1 - r - a <= 0
@@ -338,7 +314,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     for epoch in range(epochs):
         check = False
         if margin_space:                   # the scores, read before the step moves them
-            xw, xw_bits = kernel.scores
+            xw, xw_bits = scores
         else:
             dot(x, w, xw)
         if q == 1:
@@ -398,17 +374,20 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
             v = subtract(probs, onehot, out)
         # v is the residual of each row, so x^T v / n is the gradient
         if margin_space:
-            dot(kernel.gram, v, kv)
+            dot(gram, v, kv)
         else:
             divide(dot(x_t, v, grad), n, grad)
         if epoch < formed:                 # the norm clears GRAD_TOL (see above)
             ceiling += rise_max
         else:
-            if margin_space:
-                grad_norm, norm_bound = kernel.grad_norm(v, kv)
-                if grad_norm is None:
+            if margin_space:               # <v, K v>, if it clears its rounding (see above)
+                quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
+                trusted = quad - rounding > quad_tol
+                if trusted:
+                    grad_norm, norm_bound = sqrt(quad) / n, sqrt(quad + rounding) / n
+                else:
                     divide(dot(x_t, v, grad), n, grad)
-            if not margin_space or grad_norm is None:
+            if not margin_space or not trusted:
                 grad_norm = norm_bound = sqrt(dot(flat, flat))
             if grad_norm < GRAD_TOL:
                 epochs_run = epoch
@@ -417,13 +396,15 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
                 formed = min(epoch + int(math.log(grad_norm / floor) / -math.log(decay)),
                              epochs - 1)
             ceiling += drift * norm_bound
-        if margin_space:
-            kernel.step(h)
+        if margin_space:                   # A by h v and the scores by h K v, into spare
+            np.add(state, multiply(delta, h, shift), spare)
+            state, spare = spare, state
+            scores, spare_scores = spare_scores, scores
         else:
             subtract(w, multiply(grad, lr, step), w)
     if epochs:                                 # the loss of the last epoch's scores
         loss = _logistic_loss(xw) if q == 1 else _cross_entropy_loss(probs_t.take(own))
-    return kernel.weights() if margin_space else w, loss, grad_norm, epochs_run
+    return w0 + dot(x_t, state[1]) if margin_space else w, loss, grad_norm, epochs_run
 
 
 def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
@@ -435,7 +416,7 @@ def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
     labels take cross-entropy over the sorted distinct ones. At long horizons
     the normalized direction approaches the hard-margin separator,
     logarithmically slowly. When n < d, GD runs in margin space
-    (:class:`_Margins`). ``training_meta`` records the loss (``loss_kind``),
+    (see :func:`_descend`). ``training_meta`` records the loss (``loss_kind``),
     the epoch budget (``epochs``), the steps taken (``epochs_run``) and the
     dimension GD iterated in (``gd_dim``: n when n < d, else d).
     """

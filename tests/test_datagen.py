@@ -4,7 +4,8 @@ import pytest
 from mmclab import (ArgumentError, CaptionMask, ConfigurationError, DataModel1Params,
                     DataModel2Params, DimensionError, DomainError, LatentBatch, ModalityConfig,
                     RngStream, SizeError, enumerate_latents_dm2, make_dictionary,
-                    make_paired_dataset, sample_latents_dm1, sample_latents_dm2)
+                    PairedDataset, make_paired_dataset, project_latents, sample_latents_dm1,
+                    sample_latents_dm2)
 from mmclab.datagen import _mask_batch
 
 RNG = RngStream(2024, 0)
@@ -232,3 +233,20 @@ def test_paired_dataset_is_deterministic_per_stream():
                             mask, RNG.child(24))
     np.testing.assert_array_equal(a.x_image, b.x_image)
     np.testing.assert_array_equal(a.x_text, b.x_text)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: DataModel2Params(m=1), DomainError, "m must be >= 2"),
+    (lambda: sample_latents_dm1(DataModel1Params(), 4, "test", RNG.child(40)),
+     ArgumentError, "split must be one of"),
+    (lambda: CaptionMask("model3"), DomainError, "unknown mask variant"),
+    (lambda: ModalityConfig(make_dictionary(2, 2), -0.1), DomainError, "noise_sigma must be >= 0"),
+    (lambda: PairedDataset(np.zeros((2, 2)), np.zeros((3, 2)),
+                           LatentBatch(DataModel1Params(), np.zeros((2, 2)), [1, -1], a=[1, -1])),
+     DimensionError, "row counts"),
+    (lambda: project_latents(np.zeros((2, 3)), ModalityConfig(make_dictionary(4, 2))),
+     DimensionError, "latent dim 3 does not match"),
+], ids=["dm2-m", "split", "mask-variant", "noise-sigma", "row-counts", "latent-dim"])
+def test_datagen_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -16,7 +16,7 @@ from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
                     probe_fit, project_latents, sample_latents_dm1, sl_fit_gd,
                     supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
-from mmclab.evaluation import _wilson_radius, evaluate_probe
+from mmclab.evaluation import EvalReport, GroupStat, _wilson_radius, evaluate_probe
 from mmclab.training import MMCLModel, SLModel, SupConEncoder
 from zero_shot_rule import zero_shot_predict
 
@@ -579,3 +579,18 @@ def test_counting_needs_noiseless_model_2_inputs():
     with pytest.raises(ConfigurationError, match="noiseless model-2"):
         count_zero_shot(model, build_prompts(params1, make_dictionary(2, 2)),
                         params1, "true", _identity_cfg(2, 2))
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: EvalReport(1.0, {"y=+1,a=+1": GroupStat(1.0, 4, 0.1, False)}, 4, 0.1,
+                        "train").minority_accuracy(),
+     ArgumentError, "no minority examples"),
+    (lambda: supcon_group_geometry(
+        SupConEncoder(W=np.eye(2), eigenvalues=np.ones(2), p_dim=2, rho=1.0),
+        PairedDataset(np.eye(2), np.eye(2),
+                      LatentBatch(DataModel1Params(), np.eye(2), [1, -1], a=[1, -1]))),
+     ArgumentError, "requires model-2 data"),
+], ids=["no-minority", "geometry-dm1"])
+def test_evaluation_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

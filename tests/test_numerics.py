@@ -1,8 +1,11 @@
+import ctypes
+
 import mpmath
 import numpy as np
 import pytest
 
-from mmclab import DimensionError, DomainError, RngStream, make_dictionary, phi_cdf, svd_top
+from mmclab import (Dictionary, DimensionError, DomainError, RngStream, make_dictionary,
+                    numerics, phi_cdf, svd_top)
 
 
 def phi_oracle(x: float) -> float:
@@ -129,3 +132,31 @@ def test_rng_child_streams_are_stable_and_distinct():
     assert base.child(3, 4) == base.child(3, 4)
     assert base.child(3) != base.child(4)
     assert base.child(3).child(4) == base.child(3, 4)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: Dictionary(np.zeros((2, 3))), DimensionError, "dictionary must be d x l"),
+    (lambda: Dictionary(np.ones((2, 2))), DimensionError, "not orthonormal"),
+    (lambda: make_dictionary(4, 2, "random-orthonormal"), DomainError, "requires an RngStream"),
+    (lambda: svd_top(np.ones(3), 1), DimensionError, "expected a matrix"),
+], ids=["dictionary-shape", "dictionary-orthonormal", "dictionary-rng", "svd-ndim"])
+def test_numerics_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda path: object()],
+                         ids=["no-library", "no-openblas-symbols"])
+def test_openblas_threads_is_none_without_an_openblas(monkeypatch, cdll):
+    # the uncontrolled-BLAS path the harness takes for MKL, Accelerate or a
+    # numpy whose linear-algebra extension cannot be loaded
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    numerics._openblas_threads.cache_clear()
+    try:
+        assert numerics._openblas_threads() is None
+    finally:
+        numerics._openblas_threads.cache_clear()

@@ -7,7 +7,7 @@ from mmclab import (DomainError, in_distribution_predictions_dm1, sl_failure_bou
                     caption_masking_threshold_dm2, zero_shot_accuracy_dm2)
 from mmclab import (DataModel1Params, DataModel2Params, RngStream, population_cross_cov_dm2,
                     sample_latents_dm1, theory)
-from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY
+from mmclab.theory import DM1_BEST_POSSIBLE_ACCURACY, TheoremPrediction
 
 
 def phi_oracle(x):
@@ -231,3 +231,14 @@ def test_predictions_are_deterministic():
     a = zero_shot_robustness_dm1(1.3, 0.07, 0.87)
     b = zero_shot_robustness_dm1(1.3, 0.07, 0.87)
     assert a == b
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: TheoremPrediction({"overall": float("nan")}, {"overall": "upper-bound"}),
+     DomainError, "not finite"),
+    (lambda: caption_masking_threshold_dm2(1, 1.0, 0.5), DomainError, "m must be >= 2"),
+    (lambda: in_distribution_predictions_dm1(0.0, 0.0), DomainError, "degenerate denominator"),
+], ids=["nonfinite-prediction", "threshold-m", "id-denominator"])
+def test_theory_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -10,7 +10,7 @@ from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
                     make_dictionary, make_paired_dataset, mmcl_fit_closed_form,
                     mmcl_fit_gd, probe_fit, sample_latents_dm1, sl_fit_gd,
                     supcon_class_mean_cov, supcon_fit_closed_form)
-from mmclab.training import GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _descend, _Margins
+from mmclab.training import GRAD_TOL, SL_GD_DEFAULTS, MMCLModel, _descend
 
 RNG = RngStream(11, 0)
 
@@ -359,17 +359,17 @@ def test_sl_margin_space_gd_stops_on_gradient_tolerance_like_raw_loop(kind, q):
 
 
 def test_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
-    # rows one ulp apart with opposite residuals: ||x^T v|| is about 1e-12,
-    # under GRAD_TOL, while <v, K v> is a difference of two 1e8-sized products
-    # whose rounding (about 6e-8 here) would read as a norm near 1e-4
+    # rows one ulp apart under opposite labels: at w = 0 the residuals are
+    # equal, so ||x^T v|| is about 1e-12, under GRAD_TOL, while <v, K v> is a
+    # difference of two 1e8-sized products whose rounding (about 6e-8 here)
+    # would read as a norm near 1e-4
     row = 1e4 * RngStream(26, 2).generator().standard_normal(5)
     x = np.vstack([row, np.nextafter(row, np.inf)])
-    v = np.array([1.0, -1.0])
-    direct = np.linalg.norm(x.T @ v) / 2
-    assert direct < GRAD_TOL
-    kernel = _Margins(x, np.zeros(5))
-    norm, _ = kernel.grad_norm(v, np.dot(kernel.gram, v))
-    assert norm is None or norm < GRAD_TOL
+    assert np.linalg.norm(x.T @ [0.5, -0.5]) / 2 < GRAD_TOL
+    _, _, grad_norm, epochs_run = _descend(x, np.array([1.0, -1.0]), 1, 0.05, 10,
+                                           np.zeros(5), margin_space=True)
+    assert epochs_run == 0
+    assert grad_norm < GRAD_TOL
 
 
 def test_sl_meta_reports_epochs_run_and_gd_dim():
@@ -526,3 +526,24 @@ def test_probe_dm2_train_and_true_accuracy():
     pred_true = np.asarray(probe.classes)[(reps_true @ probe.W).argmax(axis=1)]
     assert np.all(pred_train == train.latents.y)
     assert np.mean(pred_true == true_batch.y) == 0.5
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: MMCLModel(G=np.eye(2), p_dim=2, rho=1.0, W_I=np.eye(2)),
+     ArgumentError, "provided together"),
+    (lambda: MMCLModel(G=np.eye(2), p_dim=2, rho=1.0, W_I=np.eye(2), W_T=2 * np.eye(2)),
+     ArgumentError, "do not reproduce G"),
+    (lambda: mmcl_fit_closed_form(np.eye(2), 1, 0.0), DomainError, "rho must be positive"),
+    (lambda: mmcl_fit_gd(_model1_dataset(9, n=20, d=4), 2, 1.0, epochs=1),
+     ArgumentError, "mmcl_fit_gd requires an RngStream"),
+    (lambda: sl_fit_gd([[np.nan], [1.0]], [1, -1], epochs=1, rng=RNG.child(27)),
+     ArgumentError, "inputs must be finite"),
+    (lambda: sl_fit_gd([[1.0], [-1.0]], [1, -1], epochs=1),
+     ArgumentError, "sl_fit_gd requires an RngStream"),
+    (lambda: supcon_fit_closed_form(np.eye(2), 1, 0.0), DomainError, "rho must be positive"),
+    (lambda: supcon_fit_closed_form(np.eye(2), 3, 1.0), DimensionError, "p_dim=3 out of range"),
+], ids=["factors-together", "factors-reproduce-g", "closed-form-rho", "mmcl-gd-rng",
+        "sl-finite", "sl-rng", "supcon-rho", "supcon-p-dim"])
+def test_training_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
