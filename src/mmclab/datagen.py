@@ -7,6 +7,8 @@ label. Latents travel as numpy-backed batches so large draws stay vectorized.
 """
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -54,7 +56,7 @@ class DataModel1Params:
         """n sampled latents of a split; n=None (enumeration) raises on model 1."""
         if n is None:
             raise ConfigurationError("model 1 has no exhaustive mode; it is only sampled")
-        return sample_latents_dm1(self, n, split, rng)
+        return _shared((self, n, split, rng), lambda: sample_latents_dm1(self, n, split, rng))
 
 
 @dataclass(frozen=True)
@@ -103,14 +105,14 @@ class DataModel2Params:
         """n sampled latents of a split, or with n=None every row of it once."""
         if n is None:
             return enumerate_latents_dm2(self, split)
-        return sample_latents_dm2(self, n, split, rng)
+        return _shared((self, n, split, rng), lambda: sample_latents_dm2(self, n, split, rng))
 
 
 class LatentBatch:
     """A batch of latent samples of one data model, whose ``params`` it carries.
 
-    Arrays: ``z`` is (n, l); ``y`` is (n,) labels; ``a`` (model 1) holds the
-    spurious attribute; ``k``/``c`` (model 2) are the label aliases of ``y``.
+    Arrays, all read-only: ``z`` is (n, l); ``y`` is (n,) labels; ``a`` (model 1)
+    holds the spurious attribute; ``k``/``c`` (model 2) are the label aliases of ``y``.
     """
 
     def __init__(self, params, z: np.ndarray, y: np.ndarray, a: np.ndarray | None = None):
@@ -119,9 +121,10 @@ class LatentBatch:
         self.params = params
         self.model = params.model
         self.z = _readonly(z)
-        self.y = np.asarray(y, dtype=int)
-        self.a = None if a is None else np.asarray(a, dtype=int)
-        self.k, self.c = params.alias(self.y) if self.model == "dm2" else (None, None)
+        self.y = _readonly(y, int)
+        self.a = None if a is None else _readonly(a, int)
+        self.k, self.c = ((_readonly(v, int) for v in params.alias(self.y))
+                          if self.model == "dm2" else (None, None))
 
     @property
     def l(self) -> int:
@@ -137,6 +140,31 @@ class LatentBatch:
             return self.a == self.y
         spu = self.z[np.arange(len(self)), self.k - 1 + self.params.m]
         return np.sign(spu).astype(int) == self.c
+
+
+# .memo: the draws of the task this thread runs, if any. Thread-local, as the evaluators'
+# public signatures carry no memo and a pool runs one task per worker thread
+_TASK = threading.local()
+
+
+@contextmanager
+def _shared_draws():
+    """Until the block exits, this thread makes each sampled draw (``draw`` and the
+    uniforms of ``_mask_batch``) once per set of inputs, and a repeat gets the first
+    draw's object. A draw is a pure function of its inputs, so no value changes."""
+    _TASK.memo = {}
+    try:
+        yield _TASK.memo
+    finally:
+        _TASK.memo.clear()
+        _TASK.memo = None
+
+
+def _shared(key, draw):
+    memo = getattr(_TASK, "memo", None)
+    if memo is None:
+        return draw()
+    return memo[key] if key in memo else memo.setdefault(key, draw())
 
 
 def _check_split(split: str):
@@ -274,21 +302,20 @@ class CaptionMask:
 
 def _mask_batch(batch: LatentBatch, mask: CaptionMask,
                 rng: RngStream | None) -> np.ndarray:
-    """Apply fresh per-sample, per-coordinate mask draws to a whole batch."""
+    """Mask a whole batch: a coordinate keeps its detail where its uniform is below its level."""
     if mask.variant == "none":
         return batch.z.copy()
     if mask.variant != ("model1" if batch.model == "dm1" else "model2"):
         raise ConfigurationError(f"{mask.variant} mask cannot be applied to {batch.model} samples")
     n, l = batch.z.shape
-    g = rng.generator()
+    shape = (2, n) if mask.variant == "model1" else (n, l)
+    u = _shared((shape, rng), lambda: rng.generator().random(shape))
     if mask.variant == "model1":
-        psi_core = g.random(n) < mask.pi_core
-        psi_spu = g.random(n) < mask.pi_spu
         out = np.empty((n, 2))
-        out[:, 0] = batch.y + psi_core * (batch.z[:, 0] - batch.y)
-        out[:, 1] = batch.a + psi_spu * (batch.z[:, 1] - batch.a)
+        out[:, 0] = batch.y + (u[0] < mask.pi_core) * (batch.z[:, 0] - batch.y)
+        out[:, 1] = batch.a + (u[1] < mask.pi_spu) * (batch.z[:, 1] - batch.a)
         return out
-    psi = (g.random((n, l)) < mask.pi).astype(float)
+    psi = (u < mask.pi).astype(float)
     psi[np.arange(n), batch.k - 1] = 1.0  # class coordinate always survives
     return psi * batch.z
 

@@ -2,9 +2,9 @@
 CSV/JSON report emission.
 
 A config is a JSON document (see docs/config_example.json). Sweeps expand to a
-cartesian grid of cells; every (cell, trial) pair runs on its own counter-based
-random stream, so results are byte-identical for a fixed root seed at any
-thread count.
+cartesian grid of cells. Each trial of a group of cells that differ only in caption
+levels runs as one task on the counter-based random stream of the group's first
+cell, so results are byte-identical for a fixed root seed at any thread count.
 """
 from __future__ import annotations
 
@@ -145,6 +145,8 @@ _FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys 
 ) for key in keys.split()}
 # sweep key -> the section its values land in
 _SWEEPS = {key: sec for (sec, key), (_, sweeps, _) in _FIELDS.items() if sweeps}
+# sweep cells whose values differ only in these share one task per trial
+_CAPTION_LEVELS = {level for levels in datagen.MASK_LEVELS.values() for level in levels}
 
 
 def _check_field(section: str, key: str, value, model: str, where: str):
@@ -218,17 +220,28 @@ def _check_cells(config: ExperimentConfig):
     """Build the data model, caption mask and checks of every sweep cell, and
     resolve each method on it (``_method_sections``), so that a value out of its
     domain or a setting the run cannot honour fails before anything runs, naming
-    its sweep cell. Bounds that depend on the method (``p_dim``) and enumeration
-    size caps stay with the run. Each ``slacks`` key must name some cell's check."""
+    its sweep cell. Other bounds of ``p_dim`` and enumeration size caps stay with
+    the run. Each ``slacks`` key must name a check that a run of some cell reaches:
+    a listed method's family on its ``eval.splits``, the SupCon geometry and attack
+    rows when switched on, and id_gap when sl and an mmcl method both evaluate train."""
     slack_keys = set()
     for cell in _sweep_cells(config):
+        reached = set()  # (family, split, metric) of every row a run of the cell writes
         try:
             params, mask, checks = _build_cell(config, cell)
             for method in config.methods:
-                _method_sections(config, method, cell, params, mask)
+                ev = _method_sections(config, method, cell, params, mask)[2]
+                family = "mmcl" if method.startswith("mmcl") else method
+                reached.update((family, split, "accuracy") for split in ev["splits"])
+                reached.update((family, "true", metric) for metric, on in (
+                    ("collinearity_residual", ev["supcon_geometry"]),
+                    ("best_probe_accuracy", ev["supcon_restarts"])) if on)
         except MmclabError as exc:
             raise ValidationError(f"{exc} (sweep cell {cell})" if cell else str(exc)) from exc
-        slack_keys.update(f"{f}:{s}:{g}:{m}" for f, s, group, m in checks for g in (group, "*"))
+        if {("sl", "train", "accuracy"), ("mmcl", "train", "accuracy")} <= reached:
+            reached.add(("sl-vs-mmcl", "train", "id_gap"))
+        slack_keys.update(f"{f}:{s}:{g}:{m}" for f, s, group, m in checks
+                          if (f, s, m) in reached for g in (group, "*"))
     unknown = sorted(set(config.slacks) - slack_keys)
     if unknown:
         raise ValidationError(f"slacks keys {', '.join(map(repr, unknown))} name no check of "
@@ -295,7 +308,7 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
     ``eval["counted"]`` (the analytic fit on model 2, whose pair-structured rule
     ``evaluation.count_zero_shot`` scores; n_eval and exhaustive go unused there).
     Raises ``ValidationError`` for a missing sample size, an n_train beside
-    train.exhaustive, a noisy counted evaluation or an input dimension below l.
+    train.exhaustive, a noisy counted evaluation or one off p_dim 2m, or d_I, d_T < l.
     Returns (modality, train, eval, CSV parameter row); the row leaves p_dim empty
     where the config does, and n_train where it does or the fit draws no rows."""
     override = config.method_overrides.get(method, {})
@@ -320,8 +333,9 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
     if not (eval_sec["exhaustive"] or eval_sec["counted"]) and eval_sec["n_eval"] is None:
         raise ValidationError(f"eval.n_eval is required for sampled evaluation "
                               f"(method {method})")
-    if eval_sec["counted"] and eval_sec["noise_sigma"] > 0:
-        raise ValidationError(f"{method} on dm2 is counted, so eval.noise_sigma (default "
+    if eval_sec["counted"] and (eval_sec["noise_sigma"] > 0 or train["p_dim"] != params.l):
+        raise ValidationError(f"{method} on dm2 is counted, so train.p_dim must be 2m = "
+                              f"{params.l}, got {train['p_dim']}, and eval.noise_sigma (default "
                               f"modality.noise_sigma_I) must be 0, got {eval_sec['noise_sigma']}")
     for key in ("d_I", "d_T"):
         if modality[key] < params.l:
@@ -517,13 +531,22 @@ def _compare(config: ExperimentConfig, checks: dict, family, split, group, metri
 # runner
 
 
-def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
-              cell_idx: int, trial: int, build) -> list[RunRecord]:
+def _run_task(config: ExperimentConfig, blas_threads: int | None, group: list, trial: int,
+              build) -> list[list[RunRecord]]:
+    """One trial of a group of (index, cell) pairs, one list of records per cell. Every
+    cell runs on the stream of the group's first cell, sharing each sampled draw
+    (``datagen._shared_draws``): only its mask thresholds, fits and scores are its own."""
+    seed = stream_id_for(group[0][0], trial)
+    with datagen._shared_draws():
+        return [_run_cell(config, blas_threads, cell, i, trial, seed, build) for i, cell in group]
+
+
+def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell: dict,
+              cell_idx: int, trial: int, seed: int, build) -> list[RunRecord]:
     run_id = f"{config.name}-c{cell_idx:03d}-t{trial:02d}"
-    seed = stream_id_for(cell_idx, trial)
     rng = RngStream(config.root_seed, seed)
     started = time.perf_counter()
-    rows = []  # the RunRecord fields that vary within the task
+    rows = []  # the RunRecord fields that vary within the cell
     measured = {}
     params, mask, checks = build(cell_idx)
     for method in config.methods:
@@ -559,9 +582,14 @@ def _run_task(config: ExperimentConfig, blas_threads: int | None, cell: dict,
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord]:
     """Run every sweep cell and trial; deterministic for a fixed root seed
     regardless of thread count (records come back in cell-major, trial-minor
-    order and each task owns an independent random stream). While more than
-    one worker runs, BLAS threads are split across the workers in use."""
+    order; one task runs each trial of a group of cells that differ only in caption
+    levels, on its own stream). While more than one worker runs, BLAS threads are
+    split across the workers in use."""
     cells = _sweep_cells(config)
+    groups = {}
+    for cell_idx, cell in enumerate(cells):
+        key = tuple(item for item in cell.items() if item[0] not in _CAPTION_LEVELS)
+        groups.setdefault(key, []).append((cell_idx, cell))
     built, lock = {}, threading.Lock()
 
     def build(cell_idx):  # by the cell's first task, so a trace sees its theory calls in one
@@ -570,9 +598,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
                 built[cell_idx] = _build_cell(config, cells[cell_idx])
             return built[cell_idx]
 
-    tasks = [(cell, cell_idx, trial)
-             for cell_idx, cell in enumerate(cells)
-             for trial in range(config.trials)]
+    tasks = [(group, trial) for group in groups.values() for trial in range(config.trials)]
     workers = min(threads, len(tasks))
     if workers <= 1:
         chunks = [_run_task(config, None, *task, build) for task in tasks]
@@ -581,7 +607,9 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
         with (blas_threads_per_worker(workers) as blas,
               ThreadPoolExecutor(max_workers=workers) as pool):
             chunks = list(pool.map(lambda t: _run_task(config, blas, *t, build), tasks))
-    return [rec for chunk in chunks for rec in chunk]
+    by_cell = {(cell_idx, trial): recs for (group, trial), chunk in zip(tasks, chunks)
+               for (cell_idx, _), recs in zip(group, chunk)}
+    return [rec for key in sorted(by_cell) for rec in by_cell[key]]
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,8 @@ def phi_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 

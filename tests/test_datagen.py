@@ -6,6 +6,7 @@ from mmclab import (ArgumentError, CaptionMask, ConfigurationError, DataModel1Pa
                     RngStream, SizeError, enumerate_latents_dm2, make_dictionary,
                     PairedDataset, make_paired_dataset, project_latents, sample_latents_dm1,
                     sample_latents_dm2)
+from mmclab import datagen
 from mmclab.datagen import _mask_batch
 
 RNG = RngStream(2024, 0)
@@ -250,3 +251,40 @@ def test_paired_dataset_is_deterministic_per_stream():
 def test_datagen_input_checks(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+@pytest.mark.parametrize("params", [DataModel1Params(1.0, 0.1, 0.9),
+                                    DataModel2Params(3, 0.7, 1 / 3)], ids=["dm1", "dm2"])
+def test_a_task_makes_each_sampled_draw_once_and_hands_it_out_read_only(params):
+    rng = RNG.child(30)
+    outside = params.draw("train", 50, rng)
+    with datagen._shared_draws() as memo:
+        first = params.draw("train", 50, rng)
+        assert params.draw("train", 50, rng) is first
+        assert params.draw("true", 50, rng) is not first
+        assert params.draw("train", 50, rng.child(1)) is not first
+        assert len(memo) == 3
+    assert memo == {} and getattr(datagen._TASK, "memo", None) is None
+    assert params.draw("train", 50, rng) is not outside
+    for name in ("z", "y", "a", "k", "c"):
+        array = getattr(first, name)
+        if array is not None:
+            np.testing.assert_array_equal(array, getattr(outside, name))
+            assert not array.flags.writeable, name
+
+
+def test_masks_in_a_task_share_their_uniforms_so_a_higher_level_keeps_more():
+    # common random numbers: each level thresholds the same uniforms, so the rows
+    # that keep their detail at one level keep it at every higher level
+    params = DataModel1Params(1.0, 0.1, 0.9)
+    batch = params.draw("train", 2000, RNG.child(31))
+    kept = {}
+    with datagen._shared_draws():
+        for level in (0.2, 0.5, 0.8):
+            out = _mask_batch(batch, CaptionMask.model1(level, level), RNG.child(32))
+            kept[level] = out[:, 0] != batch.y
+    assert np.all(kept[0.2] <= kept[0.5]) and np.all(kept[0.5] <= kept[0.8])
+    assert kept[0.2].sum() < kept[0.5].sum() < kept[0.8].sum()
+    # outside a task the same stream draws the same uniforms afresh
+    alone = _mask_batch(batch, CaptionMask.model1(0.5, 0.5), RNG.child(32))
+    np.testing.assert_array_equal(alone[:, 0] != batch.y, kept[0.5])

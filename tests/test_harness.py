@@ -1,6 +1,9 @@
+import contextlib
 import csv
 import hashlib
 import json
+import re
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -280,7 +283,8 @@ def test_dm2_switches_off_are_accepted_on_dm1():
     ({"slacks": {"sl:true:overall:collinearity_residual": 0.0}},
      "'sl:true:overall:collinearity_residual'"),
     # the dm2 sl true-split ceiling is vacuous at alpha 0.7, so no cell checks it
-    ({**_tiny_dm2_config(slacks={"sl:true:overall:accuracy": 0.0}), "modality": {}},
+    ({**_tiny_dm2_config(methods=["sl"], slacks={"sl:true:overall:accuracy": 0.0}),
+      "modality": {}},
      "'sl:true:overall:accuracy'"),
     ({"method_overrides": {"sl": {"train": {"n_train": 500}}}},
      "method_overrides.sl names a method that methods does not list"),
@@ -480,15 +484,93 @@ def test_csv_round_trip_nine_significant_digits(tmp_path):
 
 
 def test_csv_bytes_identical_across_reruns_and_threads(tmp_path):
-    doc = _tiny_dm1_config(trials=3)
-    doc["sweep"] = {"p_spu": [0.9, 0.95]}
-    digests = []
-    for threads in (1, 1, 8):
-        records = run_experiment(config_from_dict(doc), threads=threads)
-        path = tmp_path / f"t{len(digests)}.csv"
-        emit_csv(records, path)
-        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
-    assert digests[0] == digests[1] == digests[2]
+    # a p_spu sweep runs one task per (cell, trial); a caption sweep runs all of a
+    # trial's cells in one task; the mixed sweep interleaves two caption groups
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # the 8 workers switch often
+    try:
+        for sweep in ({"p_spu": [0.9, 0.95]},
+                      {"pi_core": [0.0, 0.5, 1.0], "pi_spu": [0.0, 1.0]},
+                      {"pi_core": [0.0, 1.0], "p_spu": [0.9, 0.95]}):
+            doc = _tiny_dm1_config(trials=3, sweep=sweep)
+            digests = []
+            for threads in (1, 1, 8):
+                records = run_experiment(config_from_dict(doc), threads=threads)
+                path = tmp_path / f"t{len(digests)}.csv"
+                emit_csv(records, path)
+                digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+            assert digests[0] == digests[1] == digests[2], sweep
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_the_cells_of_a_caption_group_run_on_its_first_cells_stream():
+    # p_spu 0.9 groups cells 0 and 1, p_spu 0.95 cells 2 and 3; records still come
+    # back cell-major and trial-minor, one run_id per (cell, trial)
+    doc = _tiny_dm1_config(trials=2, sweep={"p_spu": [0.9, 0.95], "pi_core": [0.0, 1.0]})
+    records = run_experiment(config_from_dict(doc))
+    ids = {r.run_id[-8:]: r.seed for r in records}
+    assert list(ids) == [f"c{c:03d}-t{t:02d}" for c in range(4) for t in range(2)]
+    assert ids == {f"c{c:03d}-t{t:02d}": numerics.stream_id_for(c - c % 2, t)
+                   for c in range(4) for t in range(2)}
+
+
+def test_a_groups_first_cell_writes_the_rows_of_its_levels_run_alone():
+    # the first cell of a caption group draws what it would draw alone, so its rows
+    # are those of the same config swept at that cell's levels only
+    swept = _tiny_dm1_config(trials=2, sweep={"pi_core": [0.0, 0.5], "pi_spu": [0.0, 1.0]})
+    alone = _tiny_dm1_config(trials=2, sweep={"pi_core": [0.0], "pi_spu": [0.0]})
+
+    def rows(records):
+        return [replace(r, wall_time=0.0) for r in records]
+
+    first = [r for r in run_experiment(config_from_dict(swept)) if "-c000-" in r.run_id]
+    assert first and rows(first) == rows(run_experiment(config_from_dict(alone)))
+
+
+def test_sl_reads_the_same_values_in_every_caption_cell_of_a_trial():
+    # the caption levels mask only the text side, which sl never sees: on the shared
+    # draws its fit and its scores are the same in each cell of a trial
+    doc = _tiny_dm1_config(trials=2, methods=["mmcl-closed", "sl"],
+                           train={"n_train": 500, "p_dim": 2, "rho": 1.0, "epochs": 200},
+                           sweep={"pi_core": [0.0, 0.5, 1.0]})
+    values = {}
+    for r in run_experiment(config_from_dict(doc)):
+        values.setdefault((r.method, r.run_id[-3:], r.group), set()).add(r.value)
+    assert {len(v) for (method, *_), v in values.items() if method == "sl"} == {1}
+    assert {len(v) for (method, *_), v in values.items() if method == "mmcl-closed"} == {3}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_the_draw_memo_is_empty_after_a_run_also_when_a_task_raises(monkeypatch, threads):
+    opened, real = [], datagen._shared_draws
+
+    @contextlib.contextmanager
+    def spy():
+        with real() as memo:
+            opened.append(memo)
+            yield memo
+            assert memo  # the task shared its draws
+
+    monkeypatch.setattr(datagen, "_shared_draws", spy)
+    config = config_from_dict(_tiny_dm1_config(trials=2, sweep={"pi_core": [0.0, 1.0]}))
+    run_experiment(config, threads=threads)
+    assert opened == [{}, {}] and getattr(datagen._TASK, "memo", None) is None
+
+    fit, fits = harness.training.mmcl_fit_closed_form, []
+
+    def failing(*args, **kwargs):
+        fits.append(None)
+        if len(fits) > 1:
+            raise RuntimeError("fit failed")
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(harness.training, "mmcl_fit_closed_form", failing)
+    opened.clear()
+    with pytest.raises(RuntimeError, match="fit failed"):
+        run_experiment(config, threads=threads)
+    assert opened and all(memo == {} for memo in opened)
+    assert getattr(datagen._TASK, "memo", None) is None
 
 
 @pytest.mark.parametrize("doc", [
@@ -861,10 +943,66 @@ def test_every_kind_builds_its_data_models_table(experiment):
         assert checks == harness._CHECKS[model](params, mask)
 
 
+@pytest.mark.parametrize("key", ["supcon:true:overall:accuracy", "mmcl:train:overall:accuracy",
+                                 "sl-vs-mmcl:train:overall:id_gap"])
+def test_a_slack_key_loads_only_where_a_run_reaches_its_check(key):
+    # the tiny config runs mmcl-closed on the true split: the dm1 table checks each
+    # key, but no run of the config compares it
+    with pytest.raises(ValidationError, match=re.escape(repr(key)) + " name no check"):
+        config_from_dict(_tiny_dm1_config(slacks={key: 0.01}))
+    # each key loads once a listed method evaluates its split, after overrides
+    train = {"eval": {"splits": ["true", "train"]}}
+    doc = _tiny_dm1_config(methods=["mmcl-closed", "sl", "supcon"], slacks={key: 0.01},
+                           method_overrides={"mmcl-closed": train, "sl": train})
+    assert config_from_dict(doc).slacks == {key: 0.01}
+
+
+def test_the_id_gap_slack_needs_sl_and_an_mmcl_method_on_train():
+    gap = {"sl-vs-mmcl:train:overall:id_gap": 0.0}
+    train = {"eval": {"splits": ["train"]}}
+    for overrides in ({"sl": train}, {"mmcl-closed": train}):
+        doc = _tiny_dm1_config(methods=["mmcl-closed", "sl"], slacks=gap,
+                               method_overrides=overrides)
+        with pytest.raises(ValidationError, match="id_gap"):
+            config_from_dict(doc)
+    doc = _tiny_dm1_config(methods=["mmcl-gd", "sl"], slacks=gap,
+                           eval={"n_eval": 2000, "splits": ["train"]})
+    assert config_from_dict(doc).slacks == gap
+
+
+def test_the_supcon_geometry_slack_needs_the_geometry_switched_on():
+    key = {"supcon:true:geometry:collinearity_residual": 1e-8}
+    doc = _tiny_dm2_config(experiment="method-compare", methods=["supcon"], slacks=key)
+    with pytest.raises(ValidationError, match="collinearity_residual' name no check"):
+        config_from_dict(doc)
+    doc["eval"] = {"exhaustive": True, "splits": ["train"], "supcon_geometry": True}
+    assert config_from_dict(doc).slacks == key
+
+
+@pytest.mark.parametrize("p_dim", [2, 9])
+def test_a_counted_analytic_fit_needs_p_dim_2m_at_load(tmp_path, capsys, p_dim):
+    # counting assumes the pair structure of the p_dim = 2m fit: p_dim 2 at m = 3
+    # wrote a "not pair-structured" [ERROR] row at run time, and p_dim 9 a DimensionError
+    doc = _tiny_dm2_config(methods=["mmcl-analytic"], train={"p_dim": p_dim})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"train.p_dim must be 2m = 6, got {p_dim}" in err and "Traceback" not in err
+    doc["sweep"] = {"p_dim": [6, p_dim]}
+    with pytest.raises(ValidationError, match=rf"got {p_dim}, .*\(sweep cell \{{'p_dim': {p_dim}\}}\)"):
+        config_from_dict(doc)
+    doc["sweep"] = {"p_dim": [6]}
+    assert config_from_dict(doc).sweep == {"p_dim": [6]}
+
+
 def test_a_wildcard_slack_key_loads_only_where_a_check_exists():
-    # only the dm2 table checks best_probe_accuracy, whatever the methods
+    # only the dm2 table checks best_probe_accuracy, and only a supcon attack reaches it
     slacks = {"supcon:true:*:best_probe_accuracy": 1e-9}
-    assert config_from_dict(_tiny_dm2_config(slacks=slacks)).slacks == slacks
+    attack = _tiny_dm2_config(experiment="method-compare", methods=["supcon"], slacks=slacks,
+                              eval={"exhaustive": True, "splits": ["true"],
+                                    "supcon_restarts": 1})
+    assert config_from_dict(attack).slacks == slacks
     dm1 = _tiny_dm1_config(experiment="method-compare", methods=["supcon"], slacks=slacks)
     with pytest.raises(ValidationError, match=r"'supcon:true:\*:best_probe_accuracy'"):
         config_from_dict(dm1)
@@ -872,7 +1010,7 @@ def test_a_wildcard_slack_key_loads_only_where_a_check_exists():
 
 def test_a_slack_key_loads_when_any_sweep_cell_checks_it():
     # the sl true-split ceiling exists at alpha 10 and is vacuous at alpha 0.7 and 0.8
-    doc = _tiny_dm2_config(slacks={"sl:true:overall:accuracy": 0.0})
+    doc = _tiny_dm2_config(methods=["sl"], slacks={"sl:true:overall:accuracy": 0.0})
     doc["sweep"] = {"alpha": [10.0, 0.7]}
     assert config_from_dict(doc).slacks == {"sl:true:overall:accuracy": 0.0}
     doc["sweep"] = {"alpha": [0.7, 0.8]}

@@ -35,8 +35,8 @@ CSV_PINS = {
     "dm1-sl": "129d52b4ce782caf86e030390da4b9c263dfd1011f13330a619945800ab3d05f",
     "dm2-mmcl": "e9f83917a38e4799f24f09f00d53cd93aceaa89e386eb50a5fe265179bf71445",
     "dm2-sl": "0fea25d627f095cd9382f8c398aa31614707b33427cd45eafc1817d4bf2c6074",
-    "captions-dm1": "2ea95897685aa1325babdd3578b0d1b06037efb0a20a5e2813cd0126fe420011",
-    "captions-dm2": "fdf8c349ca1f75aa22a7d292d87103891431aca6db8ce84122b6fbacd10952c7",
+    "captions-dm1": "ae2c5c2f3feecdb15ac952bf1cd4b6c2d207bea9ed97709566badea146e562c2",
+    "captions-dm2": "fda3b24a4147c688d77aa58885a9d91594a6657da42715b8ff4df9ab69a08edb",
     "supcon-dm1": "87dc57bdc9b532877b5a54b1ae07050114de9116e5bd9334f4bb585aab95d299",
     "supcon-dm2": "302d0ce8c9915dd0dfa558aee37d732265b8021f324158ba8eb913f997fd56ac",
     "id-control": "57795dd93edc8ae8a54634d137681ccf4f20bc9014211cbe7f46044239ea96d2",
