@@ -183,7 +183,7 @@ def pair_rule_hits_dm2(u: float, v: float, params: DataModel2Params, split: str,
     alpha, shared = Fraction(params.alpha), Fraction(params.beta * params.alpha)
     rivals = (abs(Fraction(params.beta) * u + v * shared),
               abs(Fraction(params.beta) * u - v * shared))
-    # agrees -> (own score, patterns a lower pair loses in, same for a higher pair)
+    # agrees -> (own > 0, own == 0, patterns a lower pair loses in, same for a higher pair)
     cases = {}
     for agrees in (True, False) if split == "true" else (True,):
         own = u + v * alpha if agrees else u - v * alpha
@@ -191,13 +191,13 @@ def pair_rule_hits_dm2(u: float, v: float, params: DataModel2Params, split: str,
             raise ArgumentError(f"a rival score lies within {tol:.3g} of the own-class "
                                 "score, inside the rule's deviation from the pair "
                                 "structure; the count cannot rank it exactly")
-        cases[agrees] = (own, sum(2 for r in rivals if r < own),
+        cases[agrees] = (own > 0, own == 0, sum(2 for r in rivals if r < own),
                          sum(2 for r in rivals if r <= own))
     hits = {}
     for y in params.classes:
         k, c = params.alias(y)
-        for agrees, (own, lower, higher) in cases.items():
-            beats_partner = own > 0 or (own == 0 and c == 1)
+        for agrees, (positive, zero, lower, higher) in cases.items():
+            beats_partner = positive or (zero and c == 1)
             hits[y, agrees] = beats_partner * lower ** (k - 1) * higher ** (params.m - k)
     return hits
 

@@ -217,31 +217,17 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 
 def _check_cells(config: ExperimentConfig):
-    """Build the data model, caption mask and checks of every sweep cell, and
-    resolve each method on it (``_method_sections``), so that a value out of its
-    domain or a setting the run cannot honour fails before anything runs, naming
-    its sweep cell. Other bounds of ``p_dim`` and enumeration size caps stay with
-    the run. Each ``slacks`` key must name a check that a run of some cell reaches:
-    a listed method's family on its ``eval.splits``, the SupCon geometry and attack
-    rows when switched on, and id_gap when sl and an mmcl method both evaluate train."""
+    """Build every sweep cell's plan (``_build_cell``), so that a value out of its
+    domain or a setting the run cannot honour (a p_dim above what its method can fit
+    among them) fails before anything runs, naming its sweep cell; enumeration caps
+    stay with the run. Each ``slacks`` key must name a check of some cell's plan."""
     slack_keys = set()
     for cell in _sweep_cells(config):
-        reached = set()  # (family, split, metric) of every row a run of the cell writes
         try:
-            params, mask, checks = _build_cell(config, cell)
-            for method in config.methods:
-                ev = _method_sections(config, method, cell, params, mask)[2]
-                family = "mmcl" if method.startswith("mmcl") else method
-                reached.update((family, split, "accuracy") for split in ev["splits"])
-                reached.update((family, "true", metric) for metric, on in (
-                    ("collinearity_residual", ev["supcon_geometry"]),
-                    ("best_probe_accuracy", ev["supcon_restarts"])) if on)
+            checks = _build_cell(config, cell)[3]
         except MmclabError as exc:
             raise ValidationError(f"{exc} (sweep cell {cell})" if cell else str(exc)) from exc
-        if {("sl", "train", "accuracy"), ("mmcl", "train", "accuracy")} <= reached:
-            reached.add(("sl-vs-mmcl", "train", "id_gap"))
-        slack_keys.update(f"{f}:{s}:{g}:{m}" for f, s, group, m in checks
-                          if (f, s, m) in reached for g in (group, "*"))
+        slack_keys.update(f"{f}:{s}:{g}:{m}" for f, s, group, m in checks for g in (group, "*"))
     unknown = sorted(set(config.slacks) - slack_keys)
     if unknown:
         raise ValidationError(f"slacks keys {', '.join(map(repr, unknown))} name no check of "
@@ -291,24 +277,44 @@ def _sweep_cells(config: ExperimentConfig) -> list[dict]:
 
 
 def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
-    """The data model, caption mask and checks of one sweep cell. They depend on
-    the cell's data section only, which method overrides never touch."""
+    """The plan of one sweep cell: (data model, caption mask, method -> resolved
+    sections (``_method_sections``), checks). Overrides never touch the data section
+    that the model and mask read. The checks are the table rows a run reaches (each
+    method's family on its ``eval.splits``, the SupCon geometry and attack rows when
+    on, id_gap when sl and an mmcl method both evaluate train), each as (prediction,
+    comparator, slack); a slack is the exact key's, else its ``*`` group's, else tolerance."""
     data = dict(config.data)
     data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
     params, mask = _make_params(data), _make_mask(data)
-    return params, mask, _CHECKS[data["model"]](params, mask)
+    sections = {method: _method_sections(config, method, cell, params, mask)
+                for method in config.methods}
+    reached = set()  # (family, split, metric) of every row a run of the cell writes
+    for method, (_, _, ev, _) in sections.items():
+        family = "mmcl" if method.startswith("mmcl") else method
+        reached.update((family, split, "accuracy") for split in ev["splits"])
+        reached.update((family, "true", metric) for metric, on in (
+            ("collinearity_residual", ev["supcon_geometry"]),
+            ("best_probe_accuracy", ev["supcon_restarts"])) if on)
+    if {("sl", "train", "accuracy"), ("mmcl", "train", "accuracy")} <= reached:
+        reached.add(("sl-vs-mmcl", "train", "id_gap"))
+    checks = {(f, s, g, m): (*declared, config.slacks.get(
+                  f"{f}:{s}:{g}:{m}", config.slacks.get(f"{f}:{s}:*:{m}", config.tolerance)))
+              for (f, s, g, m), declared in _CHECKS[data["model"]](params, mask).items()
+              if (f, s, m) in reached}
+    return params, mask, sections, checks
 
 
 def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
                      mask: CaptionMask) -> tuple[dict, dict, dict, dict]:
-    """The one resolver of a (cell, method), read by ``_check_cells`` and the run:
+    """The one resolver of a (cell, method), read by ``_build_cell`` into its plan:
     the config's sections merged with the method's overrides and the cell's sweep
     values, every default filled in, and two derived switches, ``train["draws"]``
     (false for mmcl-analytic, which fits the population covariance) and
     ``eval["counted"]`` (the analytic fit on model 2, whose pair-structured rule
     ``evaluation.count_zero_shot`` scores; n_eval and exhaustive go unused there).
     Raises ``ValidationError`` for a missing sample size, an n_train beside
-    train.exhaustive, a noisy counted evaluation or one off p_dim 2m, or d_I, d_T < l.
+    train.exhaustive, a noisy counted evaluation or one off p_dim 2m, d_I, d_T < l, or
+    a p_dim above the rank its fit can reach (mmcl-gd and sl have no bound).
     Returns (modality, train, eval, CSV parameter row); the row leaves p_dim empty
     where the config does, and n_train where it does or the fit draws no rows."""
     override = config.method_overrides.get(method, {})
@@ -341,6 +347,11 @@ def _method_sections(config: ExperimentConfig, method: str, cell: dict, params,
         if modality[key] < params.l:
             raise ValidationError(f"modality.{key} is {modality[key]}, below the latent "
                                   f"dimension {params.l} (method {method})")
+    bound = {"mmcl-closed": min(modality["d_I"], modality["d_T"]), "mmcl-analytic": params.l,
+             "supcon": modality["d_I"]}.get(method, train["p_dim"])
+    if train["p_dim"] > bound:
+        raise ValidationError(f"train.p_dim is {train['p_dim']}, above {bound}, the largest "
+                              f"rank this fit can reach (method {method})")
     row.update(n_train=train["n_train"] if train["draws"] else None, rho=train["rho"],
                d_I=modality["d_I"], d_T=modality["d_T"], **asdict(params), **mask.levels)
     return modality, train, eval_sec, row
@@ -508,21 +519,11 @@ _KINDS = {"dm1-robustness": ("dm1",), "dm2-robustness": ("dm2",),
 EXPERIMENT_KINDS = tuple(_KINDS)
 
 
-def _slack_for(config: ExperimentConfig, family, split, group, metric) -> float:
-    for key in (f"{family}:{split}:{group}:{metric}", f"{family}:{split}:*:{metric}"):
-        if key in config.slacks:
-            return config.slacks[key]
-    return config.tolerance
-
-
-def _compare(config: ExperimentConfig, checks: dict, family, split, group, metric,
-             value) -> dict:
+def _compare(checks: dict, key: tuple, value) -> dict:
     """The prediction, comparator and verdict of one value; empty if unchecked."""
-    check = checks.get((family, split, group, metric))
-    if check is None:
+    if key not in checks:
         return {}
-    prediction, comparator = check
-    slack = _slack_for(config, family, split, group, metric)
+    prediction, comparator, slack = checks[key]
     return {"prediction": prediction, "comparator": comparator,
             "passed": theory.COMPARATORS[comparator](value, prediction, slack)}
 
@@ -533,24 +534,23 @@ def _compare(config: ExperimentConfig, checks: dict, family, split, group, metri
 
 def _run_task(config: ExperimentConfig, blas_threads: int | None, group: list, trial: int,
               build) -> list[list[RunRecord]]:
-    """One trial of a group of (index, cell) pairs, one list of records per cell. Every
-    cell runs on the stream of the group's first cell, sharing each sampled draw
+    """One trial of a group of cell indices, one list of records per cell. Every cell
+    runs on the stream of the group's first cell, sharing each sampled draw
     (``datagen._shared_draws``): only its mask thresholds, fits and scores are its own."""
-    seed = stream_id_for(group[0][0], trial)
+    seed = stream_id_for(group[0], trial)
     with datagen._shared_draws():
-        return [_run_cell(config, blas_threads, cell, i, trial, seed, build) for i, cell in group]
+        return [_run_cell(config, blas_threads, i, trial, seed, build) for i in group]
 
 
-def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell: dict,
-              cell_idx: int, trial: int, seed: int, build) -> list[RunRecord]:
+def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell_idx: int, trial: int,
+              seed: int, build) -> list[RunRecord]:
     run_id = f"{config.name}-c{cell_idx:03d}-t{trial:02d}"
     rng = RngStream(config.root_seed, seed)
     started = time.perf_counter()
     rows = []  # the RunRecord fields that vary within the cell
     measured = {}
-    params, mask, checks = build(cell_idx)
-    for method in config.methods:
-        modality, train, eval_sec, param_row = _method_sections(config, method, cell, params, mask)
+    params, mask, sections, checks = build(cell_idx)
+    for method, (modality, train, eval_sec, param_row) in sections.items():
         try:
             values = _run_method(method, params, mask, modality, train, eval_sec,
                                  rng.child(METHODS.index(method)))
@@ -561,19 +561,17 @@ def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell: dict,
             continue
         family = "mmcl" if method.startswith("mmcl") else method
         for split, group, metric, value in values:
+            key = (family, split, group, metric)
             rows.append(dict(method=method, params=param_row, split=split, group=group,
-                             metric=metric, value=float(value),
-                             **_compare(config, checks, family, split, group, metric, value)))
-            measured[(family, split, group, metric)] = float(value)
+                             metric=metric, value=float(value), **_compare(checks, key, value)))
+            measured[key] = float(value)
     # derived in-distribution comparison when both model families ran on train
-    sl_id = measured.get(("sl", "train", "overall", "accuracy"))
-    mmcl_id = measured.get(("mmcl", "train", "overall", "accuracy"))
+    sl_id, mmcl_id = (measured.get((f, "train", "overall", "accuracy")) for f in ("sl", "mmcl"))
     if sl_id is not None and mmcl_id is not None:
         gap = sl_id - mmcl_id
         rows.append(dict(method="sl-vs-mmcl", params={}, split="train", group="overall",
                          metric="id_gap", value=gap,
-                         **_compare(config, checks, "sl-vs-mmcl", "train", "overall",
-                                    "id_gap", gap)))
+                         **_compare(checks, ("sl-vs-mmcl", "train", "overall", "id_gap"), gap)))
     elapsed = time.perf_counter() - started
     return [RunRecord(run_id=run_id, experiment=config.experiment, seed=seed,
                       wall_time=elapsed, blas_threads=blas_threads, **row) for row in rows]
@@ -589,7 +587,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
     groups = {}
     for cell_idx, cell in enumerate(cells):
         key = tuple(item for item in cell.items() if item[0] not in _CAPTION_LEVELS)
-        groups.setdefault(key, []).append((cell_idx, cell))
+        groups.setdefault(key, []).append(cell_idx)
     built, lock = {}, threading.Lock()
 
     def build(cell_idx):  # by the cell's first task, so a trace sees its theory calls in one
@@ -608,7 +606,7 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
               ThreadPoolExecutor(max_workers=workers) as pool):
             chunks = list(pool.map(lambda t: _run_task(config, blas, *t, build), tasks))
     by_cell = {(cell_idx, trial): recs for (group, trial), chunk in zip(tasks, chunks)
-               for (cell_idx, _), recs in zip(group, chunk)}
+               for cell_idx, recs in zip(group, chunk)}
     return [rec for key in sorted(by_cell) for rec in by_cell[key]]
 
 

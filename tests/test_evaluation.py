@@ -482,7 +482,7 @@ def test_counting_holds_on_every_preset_analytic_cell():
         if "mmcl-analytic" not in config.methods or config.data["model"] != "dm2":
             continue
         for cell in harness._sweep_cells(config):
-            params, mask, _ = harness._build_cell(config, cell)
+            params, mask, _, _ = harness._build_cell(config, cell)
             modality, train, eval_sec, _ = harness._method_sections(config, "mmcl-analytic",
                                                                     cell, params, mask)
             # _analytic_fit builds noiseless identity-embed inputs, as the run does here

@@ -195,7 +195,7 @@ def test_resolver_fills_defaults_from_the_merged_sections():
                            method_overrides={"sl": {"modality": {"d_I": 40,
                                                                  "noise_sigma_I": 0.3}}})
     config = config_from_dict(doc)
-    params, mask, _ = harness._build_cell(config, {})
+    params, mask, _, _ = harness._build_cell(config, {})
 
     def resolve(method):
         return harness._method_sections(config, method, {}, params, mask)
@@ -655,6 +655,34 @@ def test_each_cell_is_built_once_per_run(monkeypatch, threads):
     assert sorted(set(calls)) == sorted(set(calls[:2]))
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_each_method_is_resolved_once_per_cell_at_load_and_once_per_run(monkeypatch, threads):
+    # the plan holds each method's sections, so no (cell, trial) task resolves them
+    # again; 4 cells in 2 caption groups make 16 tasks
+    calls = []
+    resolve = harness._method_sections
+
+    def spy(config, method, cell, *args):
+        calls.append((method, tuple(sorted(cell.items()))))
+        return resolve(config, method, cell, *args)
+
+    monkeypatch.setattr(harness, "_method_sections", spy)
+    exhaustive = {"train": {"exhaustive": True}, "eval": {"exhaustive": True}}
+    config = config_from_dict({
+        "experiment": "caption-sweep-dm2", "name": "cap2", "trials": 8,
+        "data": {"model": "dm2", "m": 3, "alpha": 1.1, "beta": 1 / 3},
+        "modality": {"d_I": 6, "d_T": 6}, "methods": ["mmcl-analytic", "mmcl-closed"],
+        "train": {"p_dim": 6}, "eval": {"splits": ["true"]},
+        "method_overrides": {"mmcl-closed": exhaustive},
+        "sweep": {"pi": [0.3, 0.6], "alpha": [1.1, 1.5]}})
+    resolved = {(method, tuple(sorted(cell.items()))) for cell in harness._sweep_cells(config)
+                for method in config.methods}
+    assert sorted(calls) == sorted(resolved)                    # at load
+    records = run_experiment(config, threads=threads)
+    assert len({rec.run_id for rec in records}) == 32 and not any(r.error for r in records)
+    assert sorted(calls) == sorted([*resolved, *resolved])    # once more by the run
+
+
 def test_summary_records_blas_threads_per_worker():
     config = config_from_dict(_tiny_dm1_config(trials=2))
     assert summarize(run_experiment(config))["blas_threads_per_worker"] is None
@@ -939,8 +967,60 @@ def test_every_kind_builds_its_data_models_table(experiment):
     # the kind only limits the data model; the table and its keys come from the model
     for model in harness._KINDS[experiment]:
         config = config_from_dict(_table_doc(model, experiment))
-        params, mask, checks = harness._build_cell(config, {})
-        assert checks == harness._CHECKS[model](params, mask)
+        params, mask, _, checks = harness._build_cell(config, {})
+        assert {key: check[:2] for key, check in checks.items()} == harness._CHECKS[model](
+            params, mask)
+
+
+def test_each_plan_holds_exactly_the_checks_its_run_compares():
+    # every (cell, trial) compares each check of its cell's plan, with the plan's
+    # prediction, comparator and slack, and writes no row of the model's table that
+    # the plan dropped
+    configs = [replace(cfg, trials=min(cfg.trials, 2)) for cfg in harness.suite_configs("all", 7)]
+    configs += [config_from_dict(_table_doc(model, experiment))
+                for experiment in harness.EXPERIMENT_KINDS for model in harness._KINDS[experiment]]
+    for config in configs:
+        plans = [harness._build_cell(config, cell) for cell in harness._sweep_cells(config)]
+        tables = [harness._CHECKS[config.data["model"]](params, mask)
+                  for params, mask, _, _ in plans]
+        checked = {}
+        for rec in run_experiment(config):
+            cell_idx = int(rec.run_id.rsplit("-", 2)[1][1:])
+            checks = plans[cell_idx][3]
+            family = "mmcl" if rec.method.startswith("mmcl") else rec.method
+            key = (family, rec.split, rec.group, rec.metric)
+            assert rec.error is None and (key in checks or key not in tables[cell_idx]), key
+            if key in checks:
+                prediction, comparator, slack = checks[key]
+                assert (rec.prediction, rec.comparator) == (prediction, comparator), key
+                assert rec.passed == theory.COMPARATORS[comparator](rec.value, prediction, slack)
+                checked.setdefault(rec.run_id, set()).add(key)
+            else:
+                assert (rec.prediction, rec.comparator, rec.passed) == (None, None, None), key
+        expected = {f"{config.name}-c{c:03d}-t{t:02d}": set(plan[3])
+                    for c, plan in enumerate(plans) for t in range(config.trials)}
+        assert checked == {run_id: keys for run_id, keys in expected.items() if keys}, config.name
+        assert all(plan[3] for plan in plans), config.name
+
+
+def test_a_slack_is_the_exact_keys_then_the_groups_wildcard_then_the_tolerance():
+    # dm1 zero-shot checks are equalities, so a value 0.1 or 0.25 off its prediction
+    # passes exactly when the slack that applies reaches that far
+    doc = _tiny_dm1_config(eval={"n_eval": 2000, "splits": ["true", "train"]}, tolerance=0.3,
+                           slacks={"mmcl:true:overall:accuracy": 0.05,
+                                   "mmcl:true:*:accuracy": 0.2})
+    config = config_from_dict(doc)
+    checks = harness._build_cell(config, {})[3]
+    slacks = {"overall": 0.05, "minority": 0.2}
+    assert {key: slack for key, (_, _, slack) in checks.items()} == {
+        **{("mmcl", "true", group, "accuracy"): slack for group, slack in slacks.items()},
+        ("mmcl", "train", "overall", "accuracy"): 0.3}
+    verdicts = {(key[1], key[2], off): harness._compare(checks, key, checks[key][0] + off)["passed"]
+                for key in checks for off in (0.1, 0.25)}
+    assert verdicts == {("true", "overall", 0.1): False, ("true", "overall", 0.25): False,
+                        ("true", "minority", 0.1): True, ("true", "minority", 0.25): False,
+                        ("train", "overall", 0.1): True, ("train", "overall", 0.25): True}
+    assert harness._compare(checks, ("mmcl", "true", "y=+1,a=-1", "accuracy"), 0.0) == {}
 
 
 @pytest.mark.parametrize("key", ["supcon:true:overall:accuracy", "mmcl:train:overall:accuracy",
@@ -994,6 +1074,36 @@ def test_a_counted_analytic_fit_needs_p_dim_2m_at_load(tmp_path, capsys, p_dim):
         config_from_dict(doc)
     doc["sweep"] = {"p_dim": [6]}
     assert config_from_dict(doc).sweep == {"p_dim": [6]}
+
+
+@pytest.mark.parametrize("method,modality", [
+    ("mmcl-closed", {"d_I": 3, "d_T": 2}), ("mmcl-closed", {"d_I": 2, "d_T": 3}),
+    ("mmcl-analytic", {"d_I": 4, "d_T": 4}), ("supcon", {"d_I": 2, "d_T": 5})])
+def test_a_p_dim_above_the_fits_rank_fails_at_load(tmp_path, capsys, method, modality):
+    # the fit's covariance is d_I x d_T (mmcl-closed), l x l (mmcl-analytic) or d_I x d_I
+    # (supcon), so p_dim 3 has no rank-3 fit here; it used to write a DimensionError row
+    doc = _tiny_dm1_config(trials=1, methods=[method], modality=modality,
+                           train={"n_train": 2000, "p_dim": 3})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert (f"train.p_dim is 3, above 2, the largest rank this fit can reach "
+            f"(method {method})") in err
+    assert "Traceback" not in err
+    doc["sweep"] = {"p_dim": [2, 3]}
+    with pytest.raises(ValidationError, match=r"above 2, .*\(sweep cell \{'p_dim': 3\}\)"):
+        config_from_dict(doc)
+    doc["sweep"] = {"p_dim": [1, 2]}  # the bound itself fits
+    records = run_experiment(config_from_dict(doc))
+    assert records and not any(r.error for r in records)
+
+
+def test_mmcl_gd_and_sl_take_any_p_dim():
+    doc = _tiny_dm1_config(trials=1, methods=["mmcl-gd", "sl"],
+                           train={"n_train": 200, "p_dim": 3, "epochs": 50})
+    records = run_experiment(config_from_dict(doc))
+    assert {r.method for r in records} == {"mmcl-gd", "sl"} and not any(r.error for r in records)
 
 
 def test_a_wildcard_slack_key_loads_only_where_a_check_exists():
@@ -1068,9 +1178,9 @@ def test_every_preset_check_names_a_comparator_of_the_table():
     seen = set()
     for cfg in harness.suite_configs("all", 0):
         for cell in harness._sweep_cells(cfg):
-            checks = harness._build_cell(cfg, cell)[2]
+            checks = harness._build_cell(cfg, cell)[3]
             assert checks, (cfg.name, cell)
-            for key, (prediction, comparator) in checks.items():
+            for key, (prediction, comparator, _) in checks.items():
                 assert comparator in theory.COMPARATORS, (cfg.name, cell, key)
                 assert np.isfinite(prediction), (cfg.name, cell, key)
                 seen.add(comparator)
@@ -1185,12 +1295,13 @@ def test_cli_verify_writes_the_suite_csv(tmp_path, capsys):
 
 
 def test_cli_run_reports_a_fit_that_fails_at_run_time(tmp_path, capsys):
-    # p_dim is bounded by the fit's input dimensions, which only the run checks
+    # a failure that depends on the draw: at root seed 0 both training rows of
+    # n_train 2 share a class, so the SupCon class means miss the other one
     config_path, out = tmp_path / "cfg.json", tmp_path / "out"
     config_path.write_text(json.dumps(_tiny_dm1_config(
-        trials=1, train={"n_train": 2000, "p_dim": 3, "rho": 1.0})))
+        trials=1, root_seed=0, methods=["supcon"], train={"n_train": 2, "p_dim": 2, "rho": 1.0})))
     assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 1
-    assert "[ERROR] tiny-c000-t00: DimensionError: p_dim=3" in capsys.readouterr().out
+    assert "[ERROR] tiny-c000-t00: ArgumentError: class 1 has no examples" in capsys.readouterr().out
     with open(out / "results.csv", encoding="utf-8") as fh:
         (row,) = csv.DictReader(fh)
     assert (row["group"], row["value"], row["pass"]) == ("error", "nan", "false")
