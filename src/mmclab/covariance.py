@@ -18,11 +18,12 @@ def empirical_cross_cov(data: PairedDataset) -> np.ndarray:
     S = (1/n) sum_i x_I,i x_T,i^T - (1/(n(n-1))) sum_{i != j} x_I,i x_T,j^T,
     computed through the algebraic identity
     sum_{i != j} = (sum_i x_I)(sum_j x_T)^T - sum_i x_I x_T^T
-    so the cost stays O(n * d_I * d_T).
+    so the cost stays O(n * d_I * d_T). On a PairedDataset's C-order inputs of two or more
+    columns, einsum adds each column's rows in order: x.sum(axis=0)'s bits, at less cost.
     """
     n = data.n
     paired = np.dot(data.x_image.T, data.x_text)
-    sums = np.outer(data.x_image.sum(axis=0), data.x_text.sum(axis=0))
+    sums = np.outer(np.einsum("ij->j", data.x_image), np.einsum("ij->j", data.x_text))
     s = paired / (n - 1) - sums / (n * (n - 1))
     return _readonly(s)
 

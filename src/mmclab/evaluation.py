@@ -94,7 +94,8 @@ def _report(params, split: str, counts, hits, exact: bool = False) -> EvalReport
 def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
     """Labels of scores factors[0] ... factors[-1], multiplied left to right by np.dot
     (the scores themselves for no factors): the sign rule when the product has one
-    column (0 goes to classes[0]), else argmax. Non-finite scores raise."""
+    column (0 goes to classes[0]), else argmax's first (lowest-class) winner on exact ties,
+    for two columns by one comparison, without argmax's per-row loop. Non-finite scores raise."""
     with np.errstate(invalid="ignore", over="ignore"):  # non-finite scores raise below
         for factor in factors:
             scores = np.dot(scores, factor)
@@ -103,8 +104,9 @@ def _predict(factors: tuple, classes: tuple, scores: np.ndarray) -> np.ndarray:
     if scores.shape[1] == 1:
         raw = np.sign(scores[:, 0])  # np.dot by a d x 1 factor is the gemv of its column
         return np.where(raw == 0, classes[0], raw).astype(int)
-    picks = scores.argmax(axis=1)  # first (lowest-class) winner on exact ties
-    return np.asarray(classes)[picks]
+    if scores.shape[1] == 2:  # a tie, +-0.0 too, goes to classes[0] as under argmax
+        return np.asarray(classes)[(scores[:, 1] > scores[:, 0]).astype(np.intp)]
+    return np.asarray(classes)[scores.argmax(axis=1)]
 
 
 def _check_input_dim(image_cfg: ModalityConfig, rule: np.ndarray):

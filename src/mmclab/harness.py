@@ -9,6 +9,7 @@ cell, so results are byte-identical for a fixed root seed at any thread count.
 from __future__ import annotations
 
 import copy
+import csv
 import itertools
 import json
 import math
@@ -623,18 +624,16 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    return f"{v:.9g}"
+    return f"{float(value):.9g}"  # nan and inf print as nan, inf and -inf
 
 
 def emit_csv(records: list[RunRecord], path) -> None:
     """Write records as CSV with a fixed column order and 9-significant-digit
     numbers; output bytes depend only on the records (group keys may contain
-    commas, hence the csv writer)."""
-    import csv
-
+    commas, hence the csv writer). A params dict, shared by the records of one
+    (cell, method), is formatted once."""
+    shared = {id(rec.params): rec.params for rec in records}  # one per (cell, method)
+    shared = {k: {c: _fmt(v) for c, v in p.items() if c in CSV_COLUMNS} for k, p in shared.items()}
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
@@ -644,15 +643,17 @@ def emit_csv(records: list[RunRecord], path) -> None:
                    "group": rec.group, "metric": rec.metric, "value": rec.value,
                    "prediction": rec.prediction, "comparator": rec.comparator,
                    "pass": rec.passed}
-            row.update(rec.params)
-            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+            texts = {col: _fmt(value) for col, value in row.items()} | shared[id(rec.params)]
+            writer.writerow([texts.get(col, "") for col in CSV_COLUMNS])
 
 
 def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:
     """Aggregate per cell (mean/min/max over trials) and compute the verdict."""
+    shared = {id(rec.params): rec.params for rec in records}  # one per (cell, method)
+    shared = {key: json.dumps(params, sort_keys=True) for key, params in shared.items()}
     groups = {}
     for rec in records:
-        key = (rec.experiment, json.dumps(rec.params, sort_keys=True), rec.method,
+        key = (rec.experiment, shared[id(rec.params)], rec.method,
                rec.split, rec.group, rec.metric)
         groups.setdefault(key, []).append(rec)
     cells = []
@@ -679,14 +680,12 @@ def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:
         cells.append(entry)
     errors = [{"run_id": r.run_id, "error": r.error} for r in records if r.error]
     pooled = {r.blas_threads for r in records if r.blas_threads is not None}
-    if errors:
-        all_passed = False
     return {
         "n_records": len(records),
         "experiments": sorted({r.experiment for r in records}),
         "cells": cells,
         "errors": errors,
-        "all_passed": all_passed,
+        "all_passed": all_passed and not errors,
         "total_wall_time": round(sum({r.run_id: r.wall_time for r in records}.values()), 3),
         # the smallest per-worker count when a suite's configs split BLAS differently
         "blas_threads_per_worker": min(pooled) if pooled else None,
@@ -696,9 +695,8 @@ def summarize(records: list[RunRecord], min_pass_fraction: float = 1.0) -> dict:
 def emit_json_summary(records: list[RunRecord], path,
                       min_pass_fraction: float = 1.0) -> dict:
     summary = summarize(records, min_pass_fraction)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    with open(path, "w", encoding="utf-8") as fh:  # one write: json.dump writes every token
+        fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return summary
 
 

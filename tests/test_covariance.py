@@ -166,6 +166,37 @@ def test_supcon_missing_class_error():
         supcon_class_mean_cov(data)
 
 
+def _axis_zero_cross_cov(xi, xt):
+    """The estimator with numpy's axis-0 column sums: the reference whose bits the
+    library's einsum sums keep on C-order input."""
+    n = xi.shape[0]
+    return (np.dot(xi.T, xt) / (n - 1)
+            - np.outer(xi.sum(axis=0), xt.sum(axis=0)) / (n * (n - 1)))
+
+
+def _unlabelled_pairs(xi, xt):
+    y = np.resize([1, -1], xi.shape[0])
+    return PairedDataset(xi, xt, LatentBatch(DataModel1Params(), np.zeros((len(y), 2)), y, a=y))
+
+
+@pytest.mark.parametrize("n,d_i,d_t", [(50_000, 2, 2), (500, 2000, 60), (96, 6, 6)])
+def test_empirical_keeps_the_bits_of_axis_zero_sums_on_c_order_input(n, d_i, d_t):
+    g = RNG.child(3).generator()
+    xi, xt = g.standard_normal((n, d_i)), g.standard_normal((n, d_t))
+    np.testing.assert_array_equal(empirical_cross_cov(_unlabelled_pairs(xi, xt)),
+                                  _axis_zero_cross_cov(xi, xt))
+
+
+def test_an_f_order_dataset_is_stored_c_order_and_estimates_as_its_c_order_copy():
+    # einsum's sums over an F-order array are neither sequential nor pairwise, so the
+    # dataset, not the estimator, fixes the layout
+    g = RNG.child(4).generator()
+    xi, xt = g.standard_normal((96, 6)), g.standard_normal((96, 6))
+    data = _unlabelled_pairs(np.asfortranarray(xi), np.asfortranarray(xt))
+    assert data.x_image.flags.c_contiguous and data.x_text.flags.c_contiguous
+    np.testing.assert_array_equal(empirical_cross_cov(data), _axis_zero_cross_cov(xi, xt))
+
+
 def test_empirical_requires_two_rows():
     with pytest.raises(ArgumentError):
         _dataset_from_rows([[1.0, 0.0]], [[1.0, 0.0]], [1])

@@ -16,6 +16,7 @@ from mmclab import (ArgumentError, CaptionMask, DataModel1Params,
                     probe_fit, project_latents, sample_latents_dm1, sl_fit_gd,
                     supcon_class_mean_cov,
                     supcon_fit_closed_form, supcon_group_geometry, zero_shot_robustness_dm1)
+from mmclab import evaluation
 from mmclab.evaluation import EvalReport, GroupStat, _wilson_radius, evaluate_probe
 from mmclab.training import MMCLModel, SLModel, SupConEncoder
 from zero_shot_rule import zero_shot_predict
@@ -105,6 +106,18 @@ def test_zero_shot_exact_tie_goes_to_lowest_class():
     model, params = MMCLModel(G=np.eye(2), p_dim=2, rho=1.0), DataModel1Params(1.0, 0.1, 0.9)
     prompts = build_prompts(params, make_dictionary(2, 2))
     assert zero_shot_predict(model, np.array([0.0, 3.0]), prompts, params) == -1
+
+
+def test_two_class_picks_equal_argmax_on_exact_ties_and_signed_zeros():
+    g = RNG.child(64).generator()
+    edges = [[0.0, -0.0], [-0.0, 0.0], [1.5, 1.5], [-2.0, -2.0], [0.0, 5e-324],
+             [5e-324, 0.0], [-5e-324, -0.0], [1.0, -1.0], [-1.0, 1.0]]
+    # rounded normals tie often, many of them at +-0.0
+    scores = np.vstack([edges, g.standard_normal((1000, 2)),
+                        np.round(g.standard_normal((1000, 2)))])
+    for classes in ((-1, 1), (3, 4)):
+        picks = evaluation._predict((), classes, scores)
+        np.testing.assert_array_equal(picks, np.asarray(classes)[scores.argmax(axis=1)])
 
 
 def test_evaluate_zero_shot_dimension_mismatch_is_configuration_error():

@@ -1,15 +1,17 @@
 import contextlib
 import csv
+import ctypes
 import hashlib
 import json
 import re
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from mmclab import DomainError, ValidationError, datagen, harness, numerics, theory
+from mmclab import DomainError, ValidationError, cli, datagen, harness, numerics, theory
 from mmclab.cli import main as cli_main
 from mmclab.training import GRAD_TOL
 from mmclab.harness import (CSV_COLUMNS, config_from_dict,
@@ -1284,6 +1286,43 @@ def test_cli_run_and_exit_codes(tmp_path):
     invalid = _tiny_dm1_config(slacks={"mmcl:true:overall:accuracy": -1.0})
     config_path.write_text(json.dumps(invalid))
     assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+
+
+def test_a_run_that_makes_no_check_says_so_and_exits_0(tmp_path, capsys):
+    # SupCon on model 1 is checked on the true split alone, so a train-only run
+    # compares nothing; nothing failed either, so the exit code is 0
+    doc = _tiny_dm1_config(methods=["supcon"], eval={"n_eval": 2000, "splits": ["train"]})
+    config_path = tmp_path / "cfg.json"
+    config_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_records"] > 0 and not any("passed" in c for c in summary["cells"])
+    assert capsys.readouterr().out == f"{summary['n_records']} records; no checks made\n"
+
+
+def _no_library(path):
+    raise OSError(f"cannot load {path}")
+
+
+@pytest.mark.parametrize("cdll", [_no_library, lambda path: object()],
+                         ids=["no-library", "no-mallopt"])
+def test_the_heap_policy_is_skipped_without_glibcs_mallopt(monkeypatch, cdll):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert cli._keep_freed_heap() is None
+
+
+def test_the_cli_pads_glibcs_heap_before_it_runs(monkeypatch, tmp_path):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: types.SimpleNamespace(mallopt=mallopt))
+    missing = tmp_path / "missing.json"
+    assert cli_main(["run", "--config", str(missing), "--out", str(tmp_path / "o")]) == 2
+    assert calls == [(-3, 16 << 20), (-2, 16 << 20)]  # M_MMAP_THRESHOLD, M_TOP_PAD
 
 
 def test_cli_verify_writes_the_suite_csv(tmp_path, capsys):

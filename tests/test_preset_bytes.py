@@ -2,7 +2,8 @@
 
 Each config of ``suite_configs("all", 7)`` (the configs of ``mmclab verify
 --suite all --seed 7``) runs one trial in process. Its results.csv must hash to
-the value in ``CSV_PINS``, and the weights and ``training_meta`` of its GD fits
+the value in ``CSV_PINS``, its summary.json, less the ``total_wall_time`` line, to
+the value in ``SUMMARY_PINS``, and the weights and ``training_meta`` of its GD fits
 (sl and the SupCon probes, in fit order) to the value in ``FIT_PINS``. The run
 holds BLAS at one thread: the wide fits' bytes move with the BLAS thread count,
 though the CSV bytes do not. A change
@@ -14,8 +15,9 @@ Float results may change in the last bit with the numpy version, the BLAS build
 and the kernels OpenBLAS picks for the CPU (its core name), so the pins hold
 only for the key they were taken under; elsewhere the test skips and names the
 part of the key that differs. Each core below was forced with
-``OPENBLAS_CORETYPE``: the CSV bytes were the same on all of them, the fit
-bytes were not.
+``OPENBLAS_CORETYPE``: the CSV and summary bytes were the same on all of them,
+the fit bytes were not. The summary holds each cell's mean, min and max at full
+precision, so it shows a last-bit change in a value that the CSV rounds away.
 """
 import ctypes
 import hashlib
@@ -25,7 +27,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmclab import emit_csv, harness, run_experiment, suite_configs
+from mmclab import emit_csv, emit_json_summary, harness, run_experiment, suite_configs
 from mmclab.numerics import _OPENBLAS_NAMES, _openblas_threads
 
 PIN_KEY = {"numpy": "2.4.6", "BLAS build": "scipy-openblas 0.3.31.188.0"}
@@ -40,6 +42,18 @@ CSV_PINS = {
     "supcon-dm1": "87dc57bdc9b532877b5a54b1ae07050114de9116e5bd9334f4bb585aab95d299",
     "supcon-dm2": "302d0ce8c9915dd0dfa558aee37d732265b8021f324158ba8eb913f997fd56ac",
     "id-control": "57795dd93edc8ae8a54634d137681ccf4f20bc9014211cbe7f46044239ea96d2",
+}
+
+SUMMARY_PINS = {
+    "dm1-mmcl": "88340500a24bf0c1c5a0ef5abe7d43c1234a68828f4f97415b8ff1f1b5efe6c6",
+    "dm1-sl": "f872c1f9cefff5b84fd3f8fa6af9f6bbd14fb38079480a80e4579ce0ee6ed1f3",
+    "dm2-mmcl": "d5dd66cade4816c419d97519336211ac075597152354438e1667fac331c0f289",
+    "dm2-sl": "df003fae9b4554f819bf6d5f44da32f5ca01cda9f94b7a7548496f25511b55dd",
+    "captions-dm1": "253caaf81178a16f12993ea21e77b2fe1c24afa443939d7795d54c4acc6c3850",
+    "captions-dm2": "ded166cfea274e2c393c0f2fb38b2833887aeca26c66633b4e10464e0bb9eea8",
+    "supcon-dm1": "2ef138ba65dfe5875978f68c6b5131d666c66885af83f31ccc41c0a4d5887d6c",
+    "supcon-dm2": "5818b6f8e21bbb7ec1c028d96a2ee9d26c30500d378b2cbdb8b2846e4e407883",
+    "id-control": "44458e82c22bda9b9aadf86f52044a8e17fb00af79785a28d12d564d7f35e4ba",
 }
 
 FIT_PINS = {
@@ -135,13 +149,20 @@ def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
         return model
 
     monkeypatch.setattr(harness.training, "sl_fit_gd", recorded)  # probe_fit calls it too
-    csv_hashes, fit_hashes = {}, {}
+    csv_hashes, summary_hashes, fit_hashes = {}, {}, {}
     for config in suite_configs("all", 7):
         fits.clear()
-        path = tmp_path / f"{config.name}.csv"
+        path, summary = tmp_path / f"{config.name}.csv", tmp_path / f"{config.name}.json"
         with _one_blas_thread():
-            emit_csv(run_experiment(replace(config, trials=1)), path)
+            records = run_experiment(replace(config, trials=1))
+        emit_csv(records, path)
+        emit_json_summary(records, summary, config.min_pass_fraction)
         csv_hashes[config.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+        lines = summary.read_bytes().splitlines(keepends=True)
+        timed = [line for line in lines if line.startswith(b'  "total_wall_time": ')]
+        assert len(timed) == 1
+        lines.remove(timed[0])
+        summary_hashes[config.name] = hashlib.sha256(b"".join(lines)).hexdigest()
         if fits:
             digest = hashlib.sha256()
             for model in fits:
@@ -149,4 +170,5 @@ def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
                 digest.update(repr(sorted(model.training_meta.items())).encode())
             fit_hashes[config.name] = digest.hexdigest()
     assert csv_hashes == CSV_PINS
+    assert summary_hashes == SUMMARY_PINS
     assert fit_hashes == FIT_PINS[core]
