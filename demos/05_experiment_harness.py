@@ -2,9 +2,11 @@
 """Driving the experiment harness programmatically.
 
 Builds a caption-richness sweep config, runs it on two worker threads, writes
-the CSV and JSON reports, and shows that a rerun is byte-identical (every
-(cell, trial) pair owns a counter-based random stream, so thread scheduling
-cannot leak into the results).
+the CSV and JSON reports, and shows that a rerun is byte-identical. Each trial
+of a group of cells that differ only in caption levels (here every pi_core
+cell) runs as one task on the counter-based random stream of the group's
+first cell, so the cells share their draws, and thread scheduling cannot leak
+into the results.
 """
 import hashlib
 from pathlib import Path

@@ -154,8 +154,8 @@ def evaluate_zero_shot(model: MMCLModel, prompts: np.ndarray, params, split: str
                      split, image_cfg, n_eval, rng)
 
 
-# largest deviation from the pair structure, relative to the largest latent score,
-# that count_zero_shot accepts; the analytic fits deviate by rounding only (~1e-16)
+# relative rounding level: the largest deviation from the pair structure that
+# count_zero_shot accepts, and the gap under which SupCon line coordinates tie
 _PAIR_RTOL = 1e-12
 
 
@@ -253,11 +253,12 @@ def evaluate_probe(encoder: SupConEncoder, probe: SLModel, params, split: str,
 
 @dataclass(frozen=True)
 class GroupGeometry:
-    """Collinearity diagnostics of the four (c, spurious-sign) group means."""
+    """Collinearity and threshold-attack diagnostics of the (c, spurious-sign) groups."""
 
     residual: float
     ordering: tuple                 # (c, sign) keys by increasing line coordinate
     coefficients: dict              # (c, sign) -> mean line coordinate across k
+    best_threshold_accuracy: float  # share of rows right under each pair's best cut
 
 
 def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupGeometry:
@@ -267,7 +268,8 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
     spurious coordinate); their mean representations are projected on the best
     line through them. ``residual`` is the worst distance to the line across
     all k; the ordering of the four line coordinates is shared across k and
-    orientation-fixed so that (+1, +1) exceeds (-1, -1).
+    orientation-fixed so that (+1, +1) exceeds (-1, -1). Where each row sits at its group's
+    line coordinate, no linear probe beats ``best_threshold_accuracy``: each line's best cut.
     """
     batch = data.latents
     if batch.model != "dm2":
@@ -277,7 +279,8 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
     reps = encoder.transform(data.x_image)
     keys = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
     worst = 0.0
-    coeff_sums = {key: 0.0 for key in keys}
+    hits = 0
+    coeff_sums = np.zeros(len(keys))
     ordering = None
     for k in range(1, m + 1):
         points = []
@@ -289,17 +292,20 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
             points.append(reps[sel].mean(axis=0))
         pts = np.stack(points)
         center = pts.mean(axis=0)
-        _, _, vt = np.linalg.svd(pts - center)
-        direction = vt[0]
+        direction = np.linalg.svd(pts - center)[2][0]
         coords = np.dot(pts - center, direction)
         if coords[keys.index((1, 1))] < coords[keys.index((-1, -1))]:
-            coords = -coords
+            direction, coords = -direction, -coords
         resid = np.linalg.norm((pts - center) - np.outer(coords, direction), axis=1)
         worst = max(worst, float(resid.max()))
-        order_k = tuple(keys[i] for i in np.argsort(coords, kind="stable"))
-        if ordering is None:
-            ordering = order_k
-        for key, val in zip(keys, coords):
-            coeff_sums[key] += float(val)
-    coefficients = {key: val / m for key, val in coeff_sums.items()}
-    return GroupGeometry(residual=worst, ordering=ordering, coefficients=coefficients)
+        ordering = ordering or tuple(keys[i] for i in np.argsort(coords, kind="stable"))
+        coeff_sums += coords
+        # cut after i rows (not in a _PAIR_RTOL tie): i - 2 ups[i] + ups[-1] hits, c = +1 above
+        line = np.dot(reps[batch.k == k] - center, direction)
+        order = np.argsort(line, kind="stable")
+        ups = np.r_[0, np.cumsum(batch.c[batch.k == k][order] > 0)]  # c = +1 rows below
+        cuts = np.r_[True, np.diff(line[order]) > _PAIR_RTOL * np.abs(line).max(), True]
+        above = (np.arange(ups.size) - 2 * ups + ups[-1])[cuts]
+        hits += max(above.max(), ups.size - 1 - above.min())
+    coefficients = {key: float(val) / m for key, val in zip(keys, coeff_sums)}
+    return GroupGeometry(worst, ordering, coefficients, float(hits / len(batch)))

@@ -138,7 +138,7 @@ _FIELDS = {(sec, key): (rule, sweeps, model) for sec, rule, sweeps, model, keys 
     ("train", _STEP, False, None, "lr probe_lr"),
     ("train", _COUNT, False, None, "epochs probe_epochs"),
     ("train", _BOOL, False, "dm2", "exhaustive"),
-    ("eval", _COUNT, False, None, "n_eval adversarial_probe_epochs"),
+    ("eval", _COUNT, False, None, "n_eval"),
     ("eval", partial(_require_strings, allowed=datagen.SPLITS), False, None, "splits"),
     ("eval", _BOOL, False, "dm2", "exhaustive supcon_geometry"),
     ("eval", _NONNEG, False, None, "noise_sigma"),
@@ -282,7 +282,7 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
     sections (``_method_sections``), checks). Overrides never touch the data section
     that the model and mask read. The checks are the table rows a run reaches (each
     method's family on its ``eval.splits``, the SupCon geometry and attack rows when
-    on, id_gap when sl and an mmcl method both evaluate train), each as (prediction,
+    on, id_gap when sl and one mmcl method evaluate train; two raise), each as (prediction,
     comparator, slack); a slack is the exact key's, else its ``*`` group's, else tolerance."""
     data = dict(config.data)
     data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
@@ -297,6 +297,10 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
             ("collinearity_residual", ev["supcon_geometry"]),
             ("best_probe_accuracy", ev["supcon_restarts"])) if on)
     if {("sl", "train", "accuracy"), ("mmcl", "train", "accuracy")} <= reached:
+        paired = [mth for mth, (_, _, ev, _) in sections.items()
+                  if mth.startswith("mmcl") and "train" in ev["splits"]]
+        if len(paired) > 1:
+            raise ValidationError(f"id_gap pairs sl with one mmcl method on train, not {paired}")
         reached.add(("sl-vs-mmcl", "train", "id_gap"))
     checks = {(f, s, g, m): (*declared, config.slacks.get(
                   f"{f}:{s}:{g}:{m}", config.slacks.get(f"{f}:{s}:*:{m}", config.tolerance)))
@@ -441,18 +445,12 @@ def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: d
             true_data = datagen.make_paired_dataset(
                 datagen.enumerate_latents_dm2(params, "true"), eval_cfg, eval_cfg,
                 CaptionMask.none(), rng.child(26))
+            geo = evaluation.supcon_group_geometry(encoder, true_data)
         if geometry:
-            residual = evaluation.supcon_group_geometry(encoder, true_data).residual
-            extra.append(("true", "geometry", "collinearity_residual", residual))
-        if attack:
-            # strongest attack: a probe retrained on true-split representations. Its loss
-            # is convex in the scores, so restarts from other small weights find the same rule
-            true_reps, true_y = encoder.transform(true_data.x_image), true_data.latents.y
-            adv = training.probe_fit(true_reps, true_y, rng=rng.child(300),
-                                     **_gd_args(eval_sec, "adversarial_probe_"))
-            pred = evaluation._predict((adv.W,), adv.classes, true_reps)
+            extra.append(("true", "geometry", "collinearity_residual", geo.residual))
+        if attack:  # strongest attack: no linear probe beats the best threshold cut
             extra.append(("true", "adversarial", "best_probe_accuracy",
-                          float(np.mean(pred == true_y))))
+                          geo.best_threshold_accuracy))
 
     rows = []
     n_eval = None if eval_sec["exhaustive"] else eval_sec["n_eval"]

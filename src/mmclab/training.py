@@ -13,7 +13,7 @@ import numpy as np
 from .covariance import empirical_cross_cov
 from .datagen import PairedDataset
 from .errors import ArgumentError, DimensionError, DomainError, TrainingError
-from .numerics import Dictionary, RngStream, _readonly, svd_top
+from .numerics import RANK_CUTOFF_RATIO, Dictionary, RngStream, _readonly, svd_top
 
 # Defaults for gradient-descent fits. Long horizons matter for the supervised
 # trainers because predictions ride on the implicit-bias (max-margin) direction.
@@ -451,7 +451,8 @@ def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],
 
 
 def supcon_fit_closed_form(cov: np.ndarray, p_dim: int, rho: float) -> SupConEncoder:
-    """Encoder rows sqrt(lambda_i / rho) u_i^T from the top class-mean eigenpairs.
+    """Encoder rows sqrt(lambda_i / rho) u_i^T from the top class-mean eigenpairs; as in
+    ``svd_top``, one at or below ``RANK_CUTOFF_RATIO`` times the largest gives a zero row.
 
     The eigenbasis is canonicalized (descending eigenvalues, each vector's
     largest-magnitude entry made positive) so repeated fits are bit-identical.
@@ -463,7 +464,7 @@ def supcon_fit_closed_form(cov: np.ndarray, p_dim: int, rho: float) -> SupConEnc
         raise DimensionError(f"p_dim={p_dim} out of range for covariance dim {d}")
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1][:p_dim]
-    evals = np.clip(evals[order], 0.0, None)
+    evals = np.where(evals[order] > RANK_CUTOFF_RATIO * evals[order[0]], evals[order], 0.0)
     evecs = evecs[:, order]
     anchor = np.abs(evecs).argmax(axis=0)
     signs = np.sign(evecs[anchor, np.arange(evecs.shape[1])])

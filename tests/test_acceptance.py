@@ -213,7 +213,7 @@ def test_criterion_08_supcon_dm2(supcon_records):
     assert attack.group == "adversarial"
     ok = overall == 0.5 and residual < 1e-8 and attack.value <= 0.75 + 1e-9
     _criterion("08b", ok, f"probe true-split {overall} (= 0.50), collinearity "
-                          f"residual {residual:.2e} (< 1e-8), adversarial probe "
+                          f"residual {residual:.2e} (< 1e-8), threshold attack "
                           f"{attack.value:.4f} (<= 0.75)")
 
 

@@ -434,6 +434,35 @@ def test_geometry_ordering_swaps_below_unit_alpha():
     assert geometry.ordering == ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
 
+def _supcon_true_split(params, seed):
+    """The SupCon encoder fit on the enumerated train split, and the true split."""
+    cfg = _identity_cfg(params.l, params.l)
+    train = make_paired_dataset(enumerate_latents_dm2(params, "train"), cfg, cfg,
+                                CaptionMask.none(), RNG.child(seed))
+    enc = supcon_fit_closed_form(supcon_class_mean_cov(train), params.l, 1.0)
+    return enc, make_paired_dataset(enumerate_latents_dm2(params, "true"), cfg, cfg,
+                                    CaptionMask.none(), RNG.child(seed + 1))
+
+
+def test_threshold_attack_bounds_probes_retrained_on_the_true_split():
+    # the supcon-dm2 preset's alpha and beta at m = 3: a GD probe fit on the true-split
+    # representations themselves, without or with a bias column, cannot beat the scan
+    enc, true_data = _supcon_true_split(DataModel2Params(3, 1.5, 1 / 3), 19)
+    attack = supcon_group_geometry(enc, true_data).best_threshold_accuracy
+    assert attack == 0.75
+    reps, labels = enc.transform(true_data.x_image), true_data.latents.y
+    for feats in (reps, np.hstack([reps, np.ones((len(reps), 1))])):
+        probe = probe_fit(feats, labels, rng=RNG.child(21))
+        assert np.mean(evaluation._predict((probe.W,), probe.classes, feats) == labels) <= attack
+
+
+def test_threshold_attack_separates_groups_that_do_not_interleave():
+    # at alpha 0.5 each pair's groups lie on its line in class order, so one cut
+    # per pair gets every row right: the 3/4 ceiling needs the interleaved order
+    enc, true_data = _supcon_true_split(DataModel2Params(2, 0.5, 1 / 3), 22)
+    assert supcon_group_geometry(enc, true_data).best_threshold_accuracy == 1.0
+
+
 def test_geometry_requires_both_spurious_signs():
     params = DataModel2Params(2, 1.5, 1 / 3)
     cfg = _identity_cfg(4, 4)

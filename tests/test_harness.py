@@ -43,6 +43,11 @@ def test_unknown_keys_rejected():
     bad["train"]["momentum"] = 0.9
     with pytest.raises(ValidationError, match="momentum"):
         config_from_dict(bad)
+    # the SupCon attack fits nothing, so no eval key sets an attack probe's budget
+    bad = _tiny_dm2_config(methods=["supcon"], eval={"exhaustive": True, "supcon_restarts": 1,
+                                                     "adversarial_probe_epochs": 20000})
+    with pytest.raises(ValidationError, match="adversarial_probe_epochs"):
+        config_from_dict(bad)
 
 
 def test_zero_trials_rejected():
@@ -55,7 +60,7 @@ def test_zero_trials_rejected():
     ("train", "epochs", 2000.0),
     ("train", "probe_epochs", True),
     ("eval", "n_eval", 0),
-    ("eval", "adversarial_probe_epochs", -5),
+    ("eval", "supcon_restarts", 1.5),  # still an integer switch, as older configs set it
     ("eval", "supcon_restarts", -1),
     ("train", "lr", float("nan")),
     ("train", "probe_lr", 0.0),
@@ -860,7 +865,7 @@ def test_every_gd_fit_reports_the_epochs_it_ran(monkeypatch):
 def test_probe_narrow_fits_that_never_converge_report_their_whole_budget(monkeypatch):
     # the benchmark's frozen budgets: the supcon-dm1 probe (2000 epochs),
     # dm2-sl (40000) and the supcon-dm2 probe (60000) all end far above
-    # GRAD_TOL; only the supcon-dm2 attack probe converges early
+    # GRAD_TOL; the supcon-dm2 attack is an exact scan and fits nothing
     from pathlib import Path
 
     metas = _recorded_gd_fits(monkeypatch)
@@ -868,7 +873,7 @@ def test_probe_narrow_fits_that_never_converge_report_their_whole_budget(monkeyp
         run_experiment(config_from_file(
             Path(__file__).parent.parent / "perfbench" / "configs" / f"{name}.json"))
     assert [(meta["epochs"], meta["epochs_run"] == meta["epochs"]) for meta in metas] == [
-        (2000, True), (40000, True), (60000, True), (20000, False)]
+        (2000, True), (40000, True), (60000, True)]
     for meta in metas:
         _assert_epochs_reported(meta)
 
@@ -946,7 +951,7 @@ def _table_doc(model, experiment):
             "modality": {"d_I": 6, "d_T": 6}, "methods": ["mmcl-analytic", "sl", "supcon"],
             "train": {"exhaustive": True, "p_dim": 6, "epochs": 200, "probe_epochs": 200},
             "eval": {"exhaustive": True, "splits": ["true", "train"], "supcon_geometry": True,
-                     "supcon_restarts": 1, "adversarial_probe_epochs": 200}}
+                     "supcon_restarts": 1}}
 
 
 @pytest.mark.parametrize("experiment", harness.EXPERIMENT_KINDS)
@@ -1236,29 +1241,59 @@ def test_suite_presets_are_valid_configs():
         suite_configs("nope")
 
 
-def test_supcon_attack_fits_one_probe_for_any_restart_count(monkeypatch):
-    # the adversarial probe's loss is convex in its scores, so restarts would all
-    # reach one rule: a positive count runs the attack once, beside the main probe
-    probe_fit, fits = harness.training.probe_fit, []
+def test_supcon_attack_row_is_written_exactly_when_restarts_are_on_and_fits_nothing(
+        monkeypatch):
+    # the attack is the exact threshold scan of evaluation.supcon_group_geometry: any
+    # positive count writes its one row, and the main probe stays the only GD fit
+    sl_fit_gd, fits = harness.training.sl_fit_gd, []
 
-    def counted_probe_fit(*args, **kwargs):
+    def counted_sl_fit_gd(*args, **kwargs):  # probe_fit fits through it
         fits.append(kwargs.get("epochs"))
-        return probe_fit(*args, **kwargs)
+        return sl_fit_gd(*args, **kwargs)
 
-    monkeypatch.setattr(harness.training, "probe_fit", counted_probe_fit)
+    monkeypatch.setattr(harness.training, "sl_fit_gd", counted_sl_fit_gd)
     doc = _tiny_dm2_config(experiment="method-compare", methods=["supcon"],
                            train={"exhaustive": True, "p_dim": 6, "probe_epochs": 50},
-                           eval={"exhaustive": True, "splits": ["true"],
-                                 "supcon_restarts": 5, "adversarial_probe_epochs": 70})
+                           eval={"exhaustive": True, "splits": ["true"]})
+    for restarts in (0, 1, 5):
+        doc["eval"]["supcon_restarts"] = restarts
+        fits.clear()
+        records = run_experiment(config_from_dict(doc))
+        attacks = [r for r in records if r.metric == "best_probe_accuracy"]
+        assert [(r.split, r.group, r.comparator) for r in attacks] == (
+            [("true", "adversarial", "upper-bound")] if restarts else [])
+        assert fits == [50]
+
+
+@pytest.mark.parametrize("m,alpha", [(2, 1.5), (3, 1.5), (4, 1.5), (5, 1.5), (2, 1.0), (2, 1.2)])
+def test_supcon_dm2_preset_passes_every_check_off_its_m_and_alpha(m, alpha):
+    # the preset document at other m (alpha 1.5) and alpha (m 2): the group means
+    # stay collinear to rounding, whichever way each pair's line points, and the
+    # exact attack sits at the 3/4 ceiling
+    (doc,) = [doc for doc in harness.PRESETS["supcon"] if doc["name"] == "supcon-dm2"]
+    doc = json.loads(json.dumps(doc))
+    doc["data"].update(m=m, alpha=alpha)
+    doc["modality"] = {"d_I": 2 * m, "d_T": 2 * m}
+    doc["train"]["p_dim"] = 2 * m
     records = run_experiment(config_from_dict(doc))
-    attacks = [r for r in records if r.metric == "best_probe_accuracy"]
-    assert [(r.split, r.group, r.comparator) for r in attacks] == [
-        ("true", "adversarial", "upper-bound")]
-    assert fits == [50, 70]
-    doc["eval"]["supcon_restarts"] = 0
-    fits.clear()
-    records = run_experiment(config_from_dict(doc))
-    assert fits == [50] and not any(r.metric == "best_probe_accuracy" for r in records)
+    verdicts = [r.passed for r in records if r.passed is not None]
+    assert len(verdicts) == 4 and all(verdicts)
+    values = {r.metric: r.value for r in records if r.group in ("geometry", "adversarial")}
+    assert values["collinearity_residual"] < 1e-12 and values["best_probe_accuracy"] == 0.75
+
+
+def test_an_id_gap_with_two_mmcl_methods_on_train_fails_at_load(tmp_path):
+    # id_gap pairs sl with one mmcl method, so two on train would leave it to list order
+    doc = json.loads(json.dumps(harness.PRESETS["id"][0]))
+    doc["methods"] = ["mmcl-closed", "mmcl-analytic", "sl"]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match=r"\['mmcl-closed', 'mmcl-analytic'\]"):
+        config_from_dict(doc)
+    doc["method_overrides"]["mmcl-analytic"] = {"eval": {"splits": ["true"]}}
+    assert config_from_dict(doc).methods == ("mmcl-closed", "mmcl-analytic", "sl")
 
 
 def test_supcon_dm1_probe_is_decided_by_its_first_step():

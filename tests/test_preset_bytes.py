@@ -40,7 +40,7 @@ CSV_PINS = {
     "captions-dm1": "ae2c5c2f3feecdb15ac952bf1cd4b6c2d207bea9ed97709566badea146e562c2",
     "captions-dm2": "fda3b24a4147c688d77aa58885a9d91594a6657da42715b8ff4df9ab69a08edb",
     "supcon-dm1": "87dc57bdc9b532877b5a54b1ae07050114de9116e5bd9334f4bb585aab95d299",
-    "supcon-dm2": "302d0ce8c9915dd0dfa558aee37d732265b8021f324158ba8eb913f997fd56ac",
+    "supcon-dm2": "30a9adf79e2f192b35ff7c1c350b563d0e0d34f50a44deb6df01b0e9e72bebde",
     "id-control": "57795dd93edc8ae8a54634d137681ccf4f20bc9014211cbe7f46044239ea96d2",
 }
 
@@ -52,7 +52,7 @@ SUMMARY_PINS = {
     "captions-dm1": "253caaf81178a16f12993ea21e77b2fe1c24afa443939d7795d54c4acc6c3850",
     "captions-dm2": "ded166cfea274e2c393c0f2fb38b2833887aeca26c66633b4e10464e0bb9eea8",
     "supcon-dm1": "2ef138ba65dfe5875978f68c6b5131d666c66885af83f31ccc41c0a4d5887d6c",
-    "supcon-dm2": "5818b6f8e21bbb7ec1c028d96a2ee9d26c30500d378b2cbdb8b2846e4e407883",
+    "supcon-dm2": "4b91adcef614ce3623b67a02237f6325c703ba953bf530f51edce179d6f9826d",
     "id-control": "44458e82c22bda9b9aadf86f52044a8e17fb00af79785a28d12d564d7f35e4ba",
 }
 
@@ -61,35 +61,35 @@ FIT_PINS = {
         "dm1-sl": "d9531cf237472228f52d0fc9f9a37c85c90624be36a4c5503e771eb654a7ef0b",
         "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "fe912b8082ac9bbd40f9fc4252468af550ce1002b039a92b008a361885e434bb",
+        "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
         "id-control": "366fd879cf83a8f7d85e475489c2889f82eb33d8dc1c287f48e8e7f55ba6ffdd",
     },
     "Katmai": {
         "dm1-sl": "6184c003c973e7ac6abaf3d69da9b27ab8196a34bd56457c762fa94b4f8bb029",
         "dm2-sl": "400052f975d5fd203ccc84aec8294fd3697389e4fd0f784ab405d5ae0a48c89f",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
         "id-control": "3f51b071775035d2c46f3b671eead07616aba80e1097ab74bd0f3eb067475eb7",
     },
     "Nehalem": {
         "dm1-sl": "9135a8b115e66371c978db8958fef1370ef50aaeaa7a56a5a77c1368de9f1873",
         "dm2-sl": "8bc1ffd77e0b419f2f36906c2b790aa0d1ea394dd183fb79e1db11a961083123",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
         "id-control": "e3b1049b391291baac0663e82565ddf147e9e5bd4d3796cdd761490d5a5cdc65",
     },
     "Sandybridge": {
         "dm1-sl": "c06f55d3327f6e4bac5e6a80b2c62ef9b70d5efcd62fdefbb4d7d52b6527dfe5",
         "dm2-sl": "e1c9caab2ef9f3975f61251a5590b2f2ac517ddef1569188943643378e27f961",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "2745f5cca15d89869c2279d2fb15fa80951f2c6b1103ea6caf19bbb252b94c69",
+        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
         "id-control": "59e2b822e6aa7d131d01ac2bf6da4518dccec088819a03f42fb30cc98af88db2",
     },
     "SkylakeX": {
         "dm1-sl": "7a66121691cef5ce2c5ed0ac4267cf4923bd618447bf32ca841cefddf5c0c1da",
         "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "fe912b8082ac9bbd40f9fc4252468af550ce1002b039a92b008a361885e434bb",
+        "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
         "id-control": "f0c71fe498ed8f61f979e7ddb664839be6b298a50f1b0cd5de21f78ab61be95c",
     },
 }

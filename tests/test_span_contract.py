@@ -34,8 +34,7 @@ Tracer = _load("tracer").Tracer
 
 
 def _shrunk(doc: dict) -> dict:
-    """One trial, at most 20 epochs of any fit (the adversarial probe's too) and
-    at most 200 evaluation rows."""
+    """One trial, at most 20 epochs of any fit and at most 200 evaluation rows."""
     doc = dict(doc, trials=1)
     train, eval_sec = dict(doc.get("train", {})), dict(doc.get("eval", {}))
     for key in ("epochs", "probe_epochs"):
@@ -43,8 +42,6 @@ def _shrunk(doc: dict) -> dict:
             train[key] = min(train[key], 20)
     if "n_eval" in eval_sec:
         eval_sec["n_eval"] = min(eval_sec["n_eval"], 200)
-    if eval_sec.get("supcon_restarts"):
-        eval_sec.update(supcon_restarts=1, adversarial_probe_epochs=20)
     return dict(doc, train=train, eval=eval_sec)
 
 

@@ -469,6 +469,14 @@ def test_supcon_dm1_rank_one_representation():
     assert rep[0] == pytest.approx(np.sqrt(3.28) * (u @ [1.0, 0.8]), abs=1e-10)
 
 
+def test_supcon_rounding_level_eigenvalues_give_zero_rows():
+    # the rank rule of svd_top: 5.6e-17 is rounding, not a direction, so its row is
+    # exactly 0 rather than sqrt(5.6e-17) = 7.5e-9 along a null direction
+    enc = supcon_fit_closed_form(np.diag([2.0, 5.6e-17, -1e-17]), 3, 1.0)
+    np.testing.assert_array_equal(enc.eigenvalues, [2.0, 0.0, 0.0])
+    np.testing.assert_array_equal(enc.W, [[np.sqrt(2.0), 0, 0], [0, 0, 0], [0, 0, 0]])
+
+
 def test_supcon_dm1_class_means_are_negatives():
     enc = supcon_fit_closed_form(_dm1_exact_mean_cov(0.9), 2, 1.0)
     plus = enc.transform(np.array([1.0, 0.8]))
