@@ -282,8 +282,9 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
     sections (``_method_sections``), checks). Overrides never touch the data section
     that the model and mask read. The checks are the table rows a run reaches (each
     method's family on its ``eval.splits``, the SupCon geometry and attack rows when
-    on, id_gap when sl and one mmcl method evaluate train; two raise), each as (prediction,
-    comparator, slack); a slack is the exact key's, else its ``*`` group's, else tolerance."""
+    on, id_gap when sl and one mmcl method evaluate train; two raise, as does SupCon on dm2
+    at alpha <= 1), each as (prediction, comparator, slack); a slack is the exact key's,
+    else its ``*`` group's, else tolerance."""
     data = dict(config.data)
     data.update((k, v) for k, v in cell.items() if _SWEEPS[k] == "data")
     params, mask = _make_params(data), _make_mask(data)
@@ -296,6 +297,9 @@ def _build_cell(config: ExperimentConfig, cell: dict) -> tuple:
         reached.update((family, "true", metric) for metric, on in (
             ("collinearity_residual", ev["supcon_geometry"]),
             ("best_probe_accuracy", ev["supcon_restarts"])) if on)
+    if data["model"] == "dm2" and params.alpha <= 1 and any(f == "supcon" for f, _, _ in reached):
+        raise ValidationError(f"supcon on dm2 needs alpha > 1, got {params.alpha}: its checks "
+                              "assume the interleaved group order that alpha > 1 gives")
     if {("sl", "train", "accuracy"), ("mmcl", "train", "accuracy")} <= reached:
         paired = [mth for mth, (_, _, ev, _) in sections.items()
                   if mth.startswith("mmcl") and "train" in ev["splits"]]

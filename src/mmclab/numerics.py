@@ -1,5 +1,5 @@
-"""Deterministic RNG streams, normal CDF, orthonormal dictionaries, SVD helpers
-and the BLAS thread split for parallel runs.
+"""Deterministic RNG streams, normal CDF, orthonormal dictionaries, SVD helpers,
+the BLAS thread split for parallel runs and the symmetric Gram product of GD.
 
 Everything downstream builds on this module: all randomness flows through
 counter-based :class:`RngStream` values so that a run is reproducible for a
@@ -148,19 +148,25 @@ def svd_top(matrix: np.ndarray, p: int) -> tuple[np.ndarray, int]:
 # scipy_openblas_set_num_threads64_ in the numpy wheels
 _OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
                    ("openblas", ""), ("openblas", "64_"))
+# name and integer type of cblas_dsymv in the numpy wheels' OpenBLAS, and in others
+_SYMV_NAMES = (("scipy_cblas_dsymv64_", ctypes.c_int64), ("cblas_dsymv", ctypes.c_int))
+
+
+def _blas_library():
+    """numpy's linear-algebra extension as a ctypes.CDLL, whose calls release the GIL,
+    or None. Its symbol search also covers the libraries it links, such as its BLAS."""
+    try:
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
 
 
 @functools.cache
 def _openblas_threads():
     """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None
-    when none is found (MKL, Accelerate, or a numpy built otherwise). The calls
-    are looked up through numpy's linear-algebra extension, whose symbol search
-    also covers the libraries it links, such as its BLAS."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
-        return None
-    for prefix, suffix in _OPENBLAS_NAMES:
+    when none is found (MKL, Accelerate, or a numpy built otherwise)."""
+    lib = _blas_library()
+    for prefix, suffix in _OPENBLAS_NAMES if lib is not None else ():
         get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
         put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
         if get is not None and put is not None:
@@ -168,6 +174,36 @@ def _openblas_threads():
             put.argtypes, put.restype = [ctypes.c_int], None
             return get, put
     return None
+
+
+@functools.cache
+def _openblas_symv():
+    """cblas_dsymv of the OpenBLAS that numpy loaded, or None when none is found."""
+    lib = _blas_library()
+    for name, integer in _SYMV_NAMES if lib is not None else ():
+        symv = getattr(lib, name, None)
+        if symv is not None:
+            symv.argtypes, symv.restype = [
+                ctypes.c_int, ctypes.c_int, integer, ctypes.c_double, ctypes.c_void_p, integer,
+                ctypes.c_void_p, integer, ctypes.c_double, ctypes.c_void_p, integer], None
+            return symv
+    return None
+
+
+def gram_product(gram: np.ndarray, v: np.ndarray, out: np.ndarray):
+    """A call that writes ``gram`` times ``v`` into ``out``. Where OpenBLAS's dsymv is
+    found and the three are an n x n matrix and two n-vectors, C-contiguous float64 and
+    ``out`` writable, it reads the upper triangle of ``gram`` only, half its bytes, so
+    ``gram`` must be symmetric; otherwise it is ``np.dot(gram, v, out)``."""
+    n = len(v)
+    fits = (gram.shape == (n, n) and v.shape == out.shape == (n,) and out.flags.writeable
+            and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (gram, v, out)))
+    if (symv := _openblas_symv() if fits else None) is None:
+        return functools.partial(np.dot, gram, v, out)
+    product = functools.partial(symv, 101, 121, n, 1.0, gram.ctypes.data, max(n, 1),
+                                v.ctypes.data, 1, 0.0, out.ctypes.data, 1)  # row-major, upper
+    product.arrays = (gram, v, out)        # alive while their addresses are bound
+    return product
 
 
 @contextmanager

@@ -13,7 +13,7 @@ import numpy as np
 from .covariance import empirical_cross_cov
 from .datagen import PairedDataset
 from .errors import ArgumentError, DimensionError, DomainError, TrainingError
-from .numerics import RANK_CUTOFF_RATIO, Dictionary, RngStream, _readonly, svd_top
+from .numerics import RANK_CUTOFF_RATIO, Dictionary, RngStream, _readonly, gram_product, svd_top
 
 # Defaults for gradient-descent fits. Long horizons matter for the supervised
 # trainers because predictions ride on the implicit-bias (max-margin) direction.
@@ -225,7 +225,9 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     writes the spare buffer, so the scores it stepped from stay readable.
     <V, K V> decides the norm only when, less its rounding bound
     ``slack`` ||V||^2, it still puts the norm above GRAD_TOL; otherwise the
-    gradient is formed as x^T V / n and its norm taken directly.
+    gradient is formed as x^T V / n and its norm taken directly. The slack bounds
+    an n-term sum's rounding in any order, so it covers K V by OpenBLAS's dsymv on
+    one triangle of K (``numerics.gram_product``) as well as by np.dot.
 
     Divergence gate: the loss is at most a bound B, log 2 + mean(max(-m, 0))
     over the margins m (logistic) or log q - mean(own shifted score) over the
@@ -268,6 +270,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
         scores, spare_scores = [(a[0], a[0].view(np.int64)) for a in (state, spare)]
         delta, shift = np.empty(shape), np.empty(shape)
         kv, out = delta                    # v is formed in place, beside K v
+        gram_times_v = gram_product(gram, out, kv)
         # rounding bound of <v, K v> per unit ||v||^2
         slack = _EPS * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
         quad_tol = (GRAD_TOL * n) ** 2     # GRAD_TOL on the scale of <v, K v>
@@ -374,7 +377,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
             v = subtract(probs, onehot, out)
         # v is the residual of each row, so x^T v / n is the gradient
         if margin_space:
-            dot(gram, v, kv)
+            gram_times_v()
         else:
             divide(dot(x_t, v, grad), n, grad)
         if epoch < formed:                 # the norm clears GRAD_TOL (see above)

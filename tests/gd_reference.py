@@ -9,13 +9,16 @@ decision takes the exact loss when an own-class probability falls under the
 1e-300 floor, which otherwise hides any blow-up.
 
 ``margin_gd`` is the margin-space loop (n < d) as the library ran it before
-its convergence gate: it forms the gradient norm every epoch.
+its convergence gate: it forms the gradient norm every epoch. It forms K v
+through the library's ``numerics.gram_product``, as the library does, so that
+the two sum each row of K v in the same order.
 """
 import math
 
 import numpy as np
 
 from mmclab.errors import TrainingError
+from mmclab.numerics import gram_product
 from mmclab.training import GRAD_TOL
 
 
@@ -111,6 +114,8 @@ def margin_gd(x, target, q, lr, epochs, w0):
     gram = np.dot(x, x.T)
     slack = np.finfo(float).eps * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
     scores, coef = np.dot(x, w0), np.zeros((n,) + w0.shape[1:])
+    v, kv = np.empty_like(coef), np.empty_like(coef)
+    gram_times_v = gram_product(gram, v, kv)
     loss = np.inf
     grad_norm = np.inf
     blowup = None
@@ -118,7 +123,7 @@ def margin_gd(x, target, q, lr, epochs, w0):
     for epoch in range(epochs):
         if q == 1:
             loss = decisive = float(np.mean(np.logaddexp(0.0, scores)))
-            v = _stable_sigmoid(scores)
+            v[...] = _stable_sigmoid(scores)
         else:
             shifted = scores - scores.max(axis=1, keepdims=True)
             expsc = np.exp(shifted)
@@ -128,13 +133,13 @@ def margin_gd(x, target, q, lr, epochs, w0):
             if own.min() < 1e-300:
                 decisive = float(np.mean(np.log(expsc.sum(axis=1))
                                          - shifted[np.arange(n), target]))
-            v = probs - onehot
+            v[...] = probs - onehot
         if blowup is None:
             blowup = 1e3 * (decisive + 1.0)
         if not np.isfinite(decisive) or decisive > blowup:
             kind = "logistic" if q == 1 else "cross-entropy"
             raise TrainingError(f"{kind} GD diverged at epoch {epoch} (lr={lr})")
-        kv = gram @ v
+        gram_times_v()
         quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
         if quad - rounding > (GRAD_TOL * n) ** 2:
             grad_norm = math.sqrt(quad) / n

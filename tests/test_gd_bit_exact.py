@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import gd_reference
 from mmclab import RngStream, TrainingError, sl_fit_gd
-from mmclab import training
+from mmclab import numerics, training
 from mmclab.training import _descend
 
 RNG = RngStream(17, 0)
@@ -131,6 +131,20 @@ def test_margin_loops_match_the_margin_reference(n, d, q, lr, epochs, gated):
     assert not isinstance(want, TrainingError) and want[3] == epochs
     _assert_identical(got, want)
     assert len(roots) < epochs / 2 if gated else len(roots) > epochs
+
+
+@pytest.mark.parametrize("q", [1, 3])
+def test_margin_fits_without_dsymv_keep_the_bytes_of_a_full_product(monkeypatch, q):
+    # where numpy's BLAS exports no dsymv (MKL, Accelerate), K v is np.dot's, and a
+    # fit's bytes are those of the reference loop forming K v as gram @ v
+    monkeypatch.setattr(numerics, "_openblas_symv", lambda: None)
+    monkeypatch.setattr(gd_reference, "gram_product",
+                        lambda gram, v, out: lambda: np.copyto(out, gram @ v))
+    x, labels = _problem(60 + q, 60, 200, q)
+    got, want = _both(x, labels, q, 0.005, 2000, _init(q, 200, q), margin_space=True,
+                      reference=_margin_reference)
+    assert not isinstance(want, TrainingError) and want[3] == 2000
+    _assert_identical(got, want)
 
 
 @pytest.mark.parametrize("margin_space", [False, True])

@@ -177,6 +177,10 @@ def _tiny_dm2_config(**extra):
     return doc
 
 
+# supcon on dm2 loads at alpha > 1 only, where its checks hold
+SUPCON_DM2_DATA = {"model": "dm2", "m": 3, "alpha": 1.5, "beta": 0.3333}
+
+
 @pytest.mark.parametrize("doc,match", [
     (_tiny_dm1_config(train={"p_dim": 2}), r"train\.n_train .*mmcl-closed"),
     (_tiny_dm1_config(eval={"splits": ["true"]}), r"eval\.n_eval .*mmcl-closed"),
@@ -1059,7 +1063,8 @@ def test_the_id_gap_slack_needs_sl_and_an_mmcl_method_on_train():
 
 def test_the_supcon_geometry_slack_needs_the_geometry_switched_on():
     key = {"supcon:true:geometry:collinearity_residual": 1e-8}
-    doc = _tiny_dm2_config(experiment="method-compare", methods=["supcon"], slacks=key)
+    doc = _tiny_dm2_config(experiment="method-compare", data=SUPCON_DM2_DATA,
+                           methods=["supcon"], slacks=key)
     with pytest.raises(ValidationError, match="collinearity_residual' name no check"):
         config_from_dict(doc)
     doc["eval"] = {"exhaustive": True, "splits": ["train"], "supcon_geometry": True}
@@ -1116,7 +1121,8 @@ def test_mmcl_gd_and_sl_take_any_p_dim():
 def test_a_wildcard_slack_key_loads_only_where_a_check_exists():
     # only the dm2 table checks best_probe_accuracy, and only a supcon attack reaches it
     slacks = {"supcon:true:*:best_probe_accuracy": 1e-9}
-    attack = _tiny_dm2_config(experiment="method-compare", methods=["supcon"], slacks=slacks,
+    attack = _tiny_dm2_config(experiment="method-compare", data=SUPCON_DM2_DATA,
+                              methods=["supcon"], slacks=slacks,
                               eval={"exhaustive": True, "splits": ["true"],
                                     "supcon_restarts": 1})
     assert config_from_dict(attack).slacks == slacks
@@ -1252,7 +1258,8 @@ def test_supcon_attack_row_is_written_exactly_when_restarts_are_on_and_fits_noth
         return sl_fit_gd(*args, **kwargs)
 
     monkeypatch.setattr(harness.training, "sl_fit_gd", counted_sl_fit_gd)
-    doc = _tiny_dm2_config(experiment="method-compare", methods=["supcon"],
+    doc = _tiny_dm2_config(experiment="method-compare", data=SUPCON_DM2_DATA,
+                           methods=["supcon"],
                            train={"exhaustive": True, "p_dim": 6, "probe_epochs": 50},
                            eval={"exhaustive": True, "splits": ["true"]})
     for restarts in (0, 1, 5):
@@ -1265,7 +1272,7 @@ def test_supcon_attack_row_is_written_exactly_when_restarts_are_on_and_fits_noth
         assert fits == [50]
 
 
-@pytest.mark.parametrize("m,alpha", [(2, 1.5), (3, 1.5), (4, 1.5), (5, 1.5), (2, 1.0), (2, 1.2)])
+@pytest.mark.parametrize("m,alpha", [(2, 1.5), (3, 1.5), (4, 1.5), (5, 1.5), (2, 1.2)])
 def test_supcon_dm2_preset_passes_every_check_off_its_m_and_alpha(m, alpha):
     # the preset document at other m (alpha 1.5) and alpha (m 2): the group means
     # stay collinear to rounding, whichever way each pair's line points, and the
@@ -1280,6 +1287,24 @@ def test_supcon_dm2_preset_passes_every_check_off_its_m_and_alpha(m, alpha):
     assert len(verdicts) == 4 and all(verdicts)
     values = {r.metric: r.value for r in records if r.group in ("geometry", "adversarial")}
     assert values["collinearity_residual"] < 1e-12 and values["best_probe_accuracy"] == 0.75
+
+
+@pytest.mark.parametrize("m,alpha", [(2, 0.5), (2, 0.8), (2, 1.0), (5, 1.0)])
+def test_supcon_dm2_at_alpha_up_to_one_fails_at_load(tmp_path, m, alpha):
+    # the true-split 0.5 equality and the 0.75 attack ceiling need the interleaved
+    # group order of alpha > 1: below it the groups lie in class order, and at
+    # alpha = 1 two of them coincide
+    (doc,) = [doc for doc in harness.PRESETS["supcon"] if doc["name"] == "supcon-dm2"]
+    doc = json.loads(json.dumps(doc))
+    doc["data"].update(m=m, alpha=alpha)
+    doc["modality"] = {"d_I": 2 * m, "d_T": 2 * m}
+    doc["train"]["p_dim"] = 2 * m
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValidationError, match=rf"supcon on dm2 needs alpha > 1, got {alpha}"):
+        config_from_dict(doc)
 
 
 def test_an_id_gap_with_two_mmcl_methods_on_train_fails_at_load(tmp_path):

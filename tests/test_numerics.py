@@ -153,10 +153,80 @@ def _no_library(path):
                          ids=["no-library", "no-openblas-symbols"])
 def test_openblas_threads_is_none_without_an_openblas(monkeypatch, cdll):
     # the uncontrolled-BLAS path the harness takes for MKL, Accelerate or a
-    # numpy whose linear-algebra extension cannot be loaded
+    # numpy whose linear-algebra extension cannot be loaded; there the Gram
+    # product of margin-space GD is np.dot
     monkeypatch.setattr(ctypes, "CDLL", cdll)
-    numerics._openblas_threads.cache_clear()
+    lookups = (numerics._openblas_threads, numerics._openblas_symv)
+    for lookup in lookups:
+        lookup.cache_clear()
     try:
-        assert numerics._openblas_threads() is None
+        assert numerics._openblas_threads() is None and numerics._openblas_symv() is None
+        gram, v = _symmetric_problem(3)
+        assert numerics.gram_product(gram, v, np.empty(3)).func is np.dot
     finally:
-        numerics._openblas_threads.cache_clear()
+        for lookup in lookups:
+            lookup.cache_clear()
+
+
+def _symmetric_problem(n, seed=3):
+    g = np.random.default_rng(seed)
+    x = g.standard_normal((n, 2 * n + 1))
+    return np.dot(x, x.T), g.standard_normal(n)
+
+
+@pytest.mark.parametrize("symv", ["blas", "fallback"])
+@pytest.mark.parametrize("n", [1, 7, 500])
+def test_gram_product_agrees_with_dot_within_the_trust_gates_bound(monkeypatch, n, symv):
+    # any order of an n-term sum rounds each entry of K v by at most eps n ||K||_F ||v||,
+    # the bound that margin-space GD's trust slack is built from
+    if symv == "fallback":
+        monkeypatch.setattr(numerics, "_openblas_symv", lambda: None)
+    elif numerics._openblas_symv() is None:
+        pytest.skip("numpy's BLAS exports no cblas_dsymv")
+    gram, v = _symmetric_problem(n)
+    out = np.full(n, np.nan)
+    numerics.gram_product(gram, v, out)()
+    bound = np.finfo(float).eps * n * np.linalg.norm(gram) * np.linalg.norm(v)
+    assert np.max(np.abs(out - np.dot(gram, v))) <= bound
+    if symv == "fallback":                 # the fallback is np.dot itself, bit for bit
+        assert np.array_equal(out, np.dot(gram, v))
+
+
+def test_gram_product_reads_one_triangle_only_where_dsymv_is_found():
+    # the lower triangle is never read: poisoning it leaves the product unchanged
+    if numerics._openblas_symv() is None:
+        pytest.skip("numpy's BLAS exports no cblas_dsymv")
+    gram, v = _symmetric_problem(7)
+    out, poisoned_out = np.empty(7), np.empty(7)
+    numerics.gram_product(gram, v, out)()
+    poisoned = np.triu(gram) + np.tril(np.full_like(gram, np.nan), -1)
+    numerics.gram_product(poisoned, v, poisoned_out)()
+    assert np.array_equal(out, poisoned_out)
+
+
+@pytest.mark.parametrize("layout", ["matrix-v", "float32", "strided-v", "readonly-out",
+                                    "short-out"])
+def test_gram_product_takes_np_dot_off_dsymvs_layout(layout):
+    # dsymv is handed raw addresses, so any other shape, type or layout goes to np.dot,
+    # which also raises where the shapes do not fit
+    gram, v = _symmetric_problem(6)
+    out = np.empty(6)
+    if layout == "matrix-v":
+        v, out = np.stack([v, -v], axis=1), np.empty((6, 2))
+    elif layout == "float32":
+        gram = gram.astype(np.float32)
+        v, out = v.astype(np.float32), out.astype(np.float32)
+    elif layout == "strided-v":
+        v = np.repeat(v, 2)[::2]
+    elif layout == "readonly-out":
+        out.flags.writeable = False
+    elif layout == "short-out":
+        out = np.empty(5)
+    product = numerics.gram_product(gram, v, out)
+    assert product.func is np.dot
+    if layout in ("readonly-out", "short-out"):
+        with pytest.raises(ValueError):
+            product()
+    else:
+        product()
+        assert np.array_equal(out, np.dot(gram, v))

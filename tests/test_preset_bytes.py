@@ -58,39 +58,39 @@ SUMMARY_PINS = {
 
 FIT_PINS = {
     "Haswell": {
-        "dm1-sl": "d9531cf237472228f52d0fc9f9a37c85c90624be36a4c5503e771eb654a7ef0b",
+        "dm1-sl": "111d7cb6abb70ce30530251d2925a18442c602ed364e3a744835bd1e4c1b87fa",
         "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
         "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
-        "id-control": "366fd879cf83a8f7d85e475489c2889f82eb33d8dc1c287f48e8e7f55ba6ffdd",
+        "id-control": "312e90d75c7b95983b308276579043b5724f27077c92dbb200c8172ec87332c1",
     },
     "Katmai": {
-        "dm1-sl": "6184c003c973e7ac6abaf3d69da9b27ab8196a34bd56457c762fa94b4f8bb029",
+        "dm1-sl": "1a8a332c75775ba6886862d3d2d4514501827c50c38b51f3e06e6605b7dee30c",
         "dm2-sl": "400052f975d5fd203ccc84aec8294fd3697389e4fd0f784ab405d5ae0a48c89f",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
         "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
-        "id-control": "3f51b071775035d2c46f3b671eead07616aba80e1097ab74bd0f3eb067475eb7",
+        "id-control": "b92fe17d1672e8362256d02f13ac4fd80a528e5f64ddc60954f90ae2e7e370b2",
     },
     "Nehalem": {
-        "dm1-sl": "9135a8b115e66371c978db8958fef1370ef50aaeaa7a56a5a77c1368de9f1873",
+        "dm1-sl": "2efc5540f268f70ec1627b560b14b066fd97a0fd45e11e0d4ba570ae3aa9852f",
         "dm2-sl": "8bc1ffd77e0b419f2f36906c2b790aa0d1ea394dd183fb79e1db11a961083123",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
         "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
-        "id-control": "e3b1049b391291baac0663e82565ddf147e9e5bd4d3796cdd761490d5a5cdc65",
+        "id-control": "fafee4828a8adc16186b1018c05467ca63f38da49110129f8bb23065c28b0544",
     },
     "Sandybridge": {
-        "dm1-sl": "c06f55d3327f6e4bac5e6a80b2c62ef9b70d5efcd62fdefbb4d7d52b6527dfe5",
+        "dm1-sl": "8303abed98976b36498f96252a16c4171b6aaa5641cdc72800572bc8c18fb273",
         "dm2-sl": "e1c9caab2ef9f3975f61251a5590b2f2ac517ddef1569188943643378e27f961",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
         "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
-        "id-control": "59e2b822e6aa7d131d01ac2bf6da4518dccec088819a03f42fb30cc98af88db2",
+        "id-control": "dfec59734b8ae7ae1d466905687ecc28ac61391005a43a946a585ebefdbe3715",
     },
     "SkylakeX": {
-        "dm1-sl": "7a66121691cef5ce2c5ed0ac4267cf4923bd618447bf32ca841cefddf5c0c1da",
+        "dm1-sl": "b3287670587bc1beb1c3d3f43d8b6ed7f5d3a2559fd01e1d405501db76c5bb4a",
         "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
         "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
-        "id-control": "f0c71fe498ed8f61f979e7ddb664839be6b298a50f1b0cd5de21f78ab61be95c",
+        "id-control": "885055f3f37c53e507d5eb01c6504f0f791e8fdd46e9e151f4a10ad0375829f2",
     },
 }
 
