@@ -142,8 +142,8 @@ class LatentBatch:
         return np.sign(spu).astype(int) == self.c
 
 
-# .memo: the draws of the task this thread runs, if any. Thread-local, as the evaluators'
-# public signatures carry no memo and a pool runs one task per worker thread
+# .memo: the draws and the harness's method rows of this thread's task, if any. Thread-local,
+# as the evaluators' public signatures carry no memo and a pool runs one task per worker thread
 _TASK = threading.local()
 
 

@@ -262,7 +262,7 @@ class RunRecord:
     passed: bool | None = None
     wall_time: float = 0.0
     error: str | None = None
-    blas_threads: int | None = None  # BLAS threads per pool worker; None when serial
+    blas_threads: int | None = None  # BLAS threads per pool worker; None at the BLAS default
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +395,10 @@ def _report_rows(report: evaluation.EvalReport, split: str) -> list[tuple]:
     return [(split, group, metric, value) for group, metric, value in rows]
 
 
-def _run_method(method: str, params, mask: CaptionMask, modality: dict, train: dict,
+def _run_method(method: str, params, mask: CaptionMask | None, modality: dict, train: dict,
                 eval_sec: dict, rng: RngStream) -> list[tuple]:
-    """Fit one method in one (cell, trial) on its resolved sections
-    (``_method_sections``). Returns (split, group, metric, value) tuples."""
+    """Fit one method in one (cell, trial) on its resolved sections (``_method_sections``)
+    and mask, None for sl and supcon. Returns (split, group, metric, value) tuples."""
     kind = modality["dictionary"]
     dict_image = make_dictionary(modality["d_I"], params.l, kind, rng.child(1))
     dict_text = make_dictionary(modality["d_T"], params.l, kind, rng.child(2))
@@ -537,9 +537,11 @@ def _compare(checks: dict, key: tuple, value) -> dict:
 
 def _run_task(config: ExperimentConfig, blas_threads: int | None, group: list, trial: int,
               build) -> list[list[RunRecord]]:
-    """One trial of a group of cell indices, one list of records per cell. Every cell
-    runs on the stream of the group's first cell, sharing each sampled draw
-    (``datagen._shared_draws``): only its mask thresholds, fits and scores are its own."""
+    """One trial of a group of cells that differ only in caption masks, one list of
+    records per cell, all on the stream of the group's first cell. A memo
+    (``datagen._shared_draws``) makes each sampled draw once, and each method's rows once
+    per mask it reads: mmcl* per cell, sl and supcon per task (the first cell pays).
+    A failure is not kept, so each cell writes its own error row."""
     seed = stream_id_for(group[0], trial)
     with datagen._shared_draws():
         return [_run_cell(config, blas_threads, i, trial, seed, build) for i in group]
@@ -554,9 +556,10 @@ def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell_idx: int,
     measured = {}
     params, mask, sections, checks = build(cell_idx)
     for method, (modality, train, eval_sec, param_row) in sections.items():
+        reads = mask if method.startswith("mmcl") else None
         try:
-            values = _run_method(method, params, mask, modality, train, eval_sec,
-                                 rng.child(METHODS.index(method)))
+            values = datagen._shared((method, reads), lambda: _run_method(
+                method, params, reads, modality, train, eval_sec, rng.child(METHODS.index(method))))
         except MmclabError as error:
             rows.append(dict(method=method, params=param_row, split="", group="error",
                              metric="error", value=float("nan"), passed=False,
@@ -584,8 +587,8 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
     """Run every sweep cell and trial; deterministic for a fixed root seed
     regardless of thread count (records come back in cell-major, trial-minor
     order; one task runs each trial of a group of cells that differ only in caption
-    levels, on its own stream). While more than one worker runs, BLAS threads are
-    split across the workers in use."""
+    levels, on its own stream). A pool of min(threads, tasks) workers, at least one,
+    runs the tasks; BLAS threads are split across two or more."""
     cells = _sweep_cells(config)
     groups = {}
     for cell_idx, cell in enumerate(cells):
@@ -600,14 +603,11 @@ def run_experiment(config: ExperimentConfig, threads: int = 1) -> list[RunRecord
             return built[cell_idx]
 
     tasks = [(group, trial) for group in groups.values() for trial in range(config.trials)]
-    workers = min(threads, len(tasks))
-    if workers <= 1:
-        chunks = [_run_task(config, None, *task, build) for task in tasks]
-    else:
-        # the pool joins its workers before the BLAS thread count is restored
-        with (blas_threads_per_worker(workers) as blas,
-              ThreadPoolExecutor(max_workers=workers) as pool):
-            chunks = list(pool.map(lambda t: _run_task(config, blas, *t, build), tasks))
+    workers = max(1, min(threads, len(tasks)))
+    # the pool joins its workers before the BLAS thread count is restored
+    with (blas_threads_per_worker(workers) as blas,
+          ThreadPoolExecutor(max_workers=workers) as pool):
+        chunks = list(pool.map(lambda t: _run_task(config, blas, *t, build), tasks))
     by_cell = {(cell_idx, trial): recs for (group, trial), chunk in zip(tasks, chunks)
                for cell_idx, recs in zip(group, chunk)}
     return [rec for key in sorted(by_cell) for rec in by_cell[key]]

@@ -144,12 +144,10 @@ def svd_top(matrix: np.ndarray, p: int) -> tuple[np.ndarray, int]:
     return np.dot(u[:, :p] * s[:p], np.asfortranarray(vt[:p])), rank
 
 
-# (prefix, suffix) of the thread-count calls that OpenBLAS builds export, e.g.
-# scipy_openblas_set_num_threads64_ in the numpy wheels
-_OPENBLAS_NAMES = (("scipy_openblas", "64_"), ("scipy_openblas", ""),
-                   ("openblas", ""), ("openblas", "64_"))
-# name and integer type of cblas_dsymv in the numpy wheels' OpenBLAS, and in others
-_SYMV_NAMES = (("scipy_cblas_dsymv64_", ctypes.c_int64), ("cblas_dsymv", ctypes.c_int))
+# (prefix, suffix, BLAS integer type) of each spelling that OpenBLAS builds export, in
+# search order; the numpy wheels export scipy_openblas_set_num_threads64_, scipy_cblas_dsymv64_
+_OPENBLAS_NAMES = (("scipy_", "64_", ctypes.c_int64), ("scipy_", "", ctypes.c_int),
+                   ("", "", ctypes.c_int), ("", "64_", ctypes.c_int64))
 
 
 def _blas_library():
@@ -166,9 +164,9 @@ def _openblas_threads():
     """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None
     when none is found (MKL, Accelerate, or a numpy built otherwise)."""
     lib = _blas_library()
-    for prefix, suffix in _OPENBLAS_NAMES if lib is not None else ():
-        get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+    for prefix, suffix, _ in _OPENBLAS_NAMES if lib is not None else ():
+        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
         if get is not None and put is not None:
             get.argtypes, get.restype = [], ctypes.c_int
             put.argtypes, put.restype = [ctypes.c_int], None
@@ -180,8 +178,8 @@ def _openblas_threads():
 def _openblas_symv():
     """cblas_dsymv of the OpenBLAS that numpy loaded, or None when none is found."""
     lib = _blas_library()
-    for name, integer in _SYMV_NAMES if lib is not None else ():
-        symv = getattr(lib, name, None)
+    for prefix, suffix, integer in _OPENBLAS_NAMES if lib is not None else ():
+        symv = getattr(lib, f"{prefix}cblas_dsymv{suffix}", None)
         if symv is not None:
             symv.argtypes, symv.restype = [
                 ctypes.c_int, ctypes.c_int, integer, ctypes.c_double, ctypes.c_void_p, integer,

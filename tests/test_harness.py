@@ -11,7 +11,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmclab import DomainError, ValidationError, cli, datagen, harness, numerics, theory
+from mmclab import (DomainError, TrainingError, ValidationError, cli, datagen, harness, numerics,
+                    theory)
 from mmclab.cli import main as cli_main
 from mmclab.training import GRAD_TOL
 from mmclab.harness import (CSV_COLUMNS, config_from_dict,
@@ -550,6 +551,68 @@ def test_sl_reads_the_same_values_in_every_caption_cell_of_a_trial():
         values.setdefault((r.method, r.run_id[-3:], r.group), set()).add(r.value)
     assert {len(v) for (method, *_), v in values.items() if method == "sl"} == {1}
     assert {len(v) for (method, *_), v in values.items() if method == "mmcl-closed"} == {3}
+
+
+def _caption_group_doc():
+    """One caption group of 6 cells that runs the mmcl closed form, a wide sl and
+    supcon, as the paper's caption experiments compare them."""
+    return _tiny_dm1_config(
+        experiment="caption-sweep-dm1", trials=2, methods=["mmcl-closed", "sl", "supcon"],
+        train={"n_train": 1000, "p_dim": 2, "rho": 1.0, "probe_epochs": 20},
+        eval={"n_eval": 1000, "splits": ["true"]},
+        method_overrides={"sl": {"modality": {"d_I": 100, "noise_sigma_I": 0.1},
+                                 "train": {"n_train": 50, "epochs": 20}}},
+        slacks={"supcon:true:overall:accuracy": 0.5, "supcon:true:minority:accuracy": 1.0},
+        sweep={"pi_core": [0.0, 0.5, 1.0], "pi_spu": [0.0, 1.0]})
+
+
+def _counted(monkeypatch, module, name, calls, fail=None):
+    """Count the calls of ``module.name`` in ``calls[name]``; raise ``fail`` if set."""
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        if fail is not None:
+            raise fail
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_caption_group_fits_sl_and_supcon_once_per_trial(monkeypatch, threads):
+    # sl and supcon never read the captions, so each trial fits them once for its 6
+    # cells (sl_fit_gd: the sl fit and the supcon probe); mmcl fits once per cell
+    calls = {}
+    for name in ("sl_fit_gd", "supcon_fit_closed_form", "mmcl_fit_closed_form"):
+        _counted(monkeypatch, harness.training, name, calls)
+    records = run_experiment(config_from_dict(_caption_group_doc()), threads=threads)
+    assert calls == {"sl_fit_gd": 4, "supcon_fit_closed_form": 2, "mmcl_fit_closed_form": 12}
+    rows = {}
+    for r in records:
+        rows.setdefault((r.method, r.run_id[-3:]), set()).add(r.run_id)
+    assert {len(cells) for cells in rows.values()} == {6}   # every cell writes its rows
+
+
+def test_a_failed_sl_fit_writes_an_error_row_in_every_caption_cell(monkeypatch):
+    # a failure is not shared: each of the 6 cells of each of 2 trials tries the sl
+    # fit and writes its own error row, and the mmcl rows keep their values
+    config = config_from_dict({**_caption_group_doc(), "methods": ["mmcl-closed", "sl"],
+                               "slacks": {}})
+
+    def untimed(records, method):
+        return [replace(r, wall_time=0.0) for r in records if r.method == method]
+
+    clean = run_experiment(config)
+    calls = {}
+    _counted(monkeypatch, harness.training, "sl_fit_gd", calls,
+             fail=TrainingError("diverged at epoch 3"))
+    records = run_experiment(config)
+    errors = untimed(records, "sl")
+    assert calls == {"sl_fit_gd": 12} and len({r.run_id for r in errors}) == len(errors) == 12
+    assert {(r.group, r.passed, r.error) for r in errors} == {
+        ("error", False, "TrainingError: diverged at epoch 3")}
+    assert untimed(records, "mmcl-closed") == untimed(clean, "mmcl-closed")
 
 
 @pytest.mark.parametrize("threads", [1, 2])

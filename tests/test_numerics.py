@@ -168,6 +168,48 @@ def test_openblas_threads_is_none_without_an_openblas(monkeypatch, cdll):
             lookup.cache_clear()
 
 
+class _Library:
+    """A stand-in for numpy's linear-algebra extension that exports ``names`` only."""
+
+    def __init__(self, names):
+        for name in names:
+            setattr(self, name, type("Routine", (), {"__name__": name})())
+
+
+# (prefix, suffix) of each OpenBLAS spelling; the numpy wheels export scipy-64
+_SPELLINGS = {"scipy-64": ("scipy_", "64_"), "scipy": ("scipy_", ""), "plain": ("", ""),
+              "plain-64": ("", "64_")}
+
+
+def _routines(spelling):
+    prefix, suffix = _SPELLINGS[spelling]
+    return [f"{prefix}{name}{suffix}" for name in (
+        "openblas_get_num_threads", "openblas_set_num_threads", "cblas_dsymv")]
+
+
+@pytest.mark.parametrize("exported,found", [*(([s], s) for s in _SPELLINGS),
+                                            (list(_SPELLINGS), "scipy-64")],
+                         ids=[*_SPELLINGS, "all-spellings"])
+def test_each_openblas_spelling_finds_every_routine(monkeypatch, exported, found):
+    # an OpenBLAS exports one spelling: the thread calls and dsymv must both be found
+    # in it, dsymv with 64-bit integers exactly where the names end in 64_; where
+    # every spelling is exported, the numpy wheels' comes first
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: _Library(
+        [name for spelling in exported for name in _routines(spelling)]))
+    integer = ctypes.c_int64 if found.endswith("64") else ctypes.c_int
+    lookups = (numerics._openblas_threads, numerics._openblas_symv)
+    for lookup in lookups:
+        lookup.cache_clear()
+    try:
+        symv = numerics._openblas_symv()
+        names = [call.__name__ for call in (*numerics._openblas_threads(), symv)]
+        assert names == _routines(found)
+        assert [symv.argtypes[i] for i in (2, 5, 7, 10)] == [integer] * 4
+    finally:
+        for lookup in lookups:
+            lookup.cache_clear()
+
+
 def _symmetric_problem(n, seed=3):
     g = np.random.default_rng(seed)
     x = g.standard_normal((n, 2 * n + 1))

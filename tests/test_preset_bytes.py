@@ -107,8 +107,8 @@ def _openblas_core() -> str | None:
         lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-    for prefix, suffix in _OPENBLAS_NAMES:
-        get = getattr(lib, f"{prefix}_get_corename{suffix}", None)
+    for prefix, suffix, _ in _OPENBLAS_NAMES:
+        get = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
         if get is not None:
             get.argtypes, get.restype = [], ctypes.c_char_p
             return get().decode()
@@ -172,3 +172,27 @@ def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
     assert csv_hashes == CSV_PINS
     assert summary_hashes == SUMMARY_PINS
     assert fit_hashes == FIT_PINS[core]
+
+
+# caption groups whose cells also run sl and supcon, which never read the captions:
+# 2 p_spu values make 2 groups of 4 cells, so 8 tasks keep 8 workers busy
+CAPTION_GROUPS = {
+    "experiment": "caption-sweep-dm1", "name": "cap-sl", "root_seed": 7, "trials": 4,
+    "data": {"model": "dm1", "sigma_core": 1.0, "sigma_spu": 0.02, "p_spu": 0.999},
+    "modality": {"d_I": 2, "d_T": 2}, "methods": ["mmcl-closed", "sl", "supcon"],
+    "train": {"n_train": 2000, "p_dim": 2, "rho": 1.0, "probe_epochs": 100},
+    "eval": {"n_eval": 2000, "splits": ["true"]},
+    "method_overrides": {"sl": {"modality": {"d_I": 200, "noise_sigma_I": 0.1},
+                                "train": {"n_train": 100, "epochs": 200}}},
+    "slacks": {"supcon:true:overall:accuracy": 0.5, "supcon:true:minority:accuracy": 1.0},
+    "sweep": {"pi_core": [0.0, 1.0], "pi_spu": [0.0, 1.0], "p_spu": [0.99, 0.999]}}
+# taken when every cell of a caption group still fitted sl and supcon itself
+CAPTION_GROUPS_CSV_PIN = "8c7295ffcc3e89914174071d421b86c1a46793f80abe508a3639154f15183ae0"
+
+
+@pytest.mark.parametrize("threads", [1, 2, 8])
+def test_caption_groups_that_fit_sl_and_supcon_once_keep_their_bytes(tmp_path, threads):
+    _pinned_core()
+    path = tmp_path / "results.csv"
+    emit_csv(run_experiment(harness.config_from_dict(CAPTION_GROUPS), threads), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CAPTION_GROUPS_CSV_PIN

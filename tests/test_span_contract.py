@@ -5,13 +5,15 @@ that a traced run must see fire, and ``perfbench/tracer.py`` wraps only the
 public functions of the traced modules. A refactor that moves a public call
 under a new caller, or behind a private helper that the benchmark cannot see,
 breaks that list. This test reads both files as they are, runs each workload's
-configs at desk scale through the CLI with the tracer installed, and checks
-that every expected span fires.
+configs at desk scale through the CLI with the tracer installed, at one worker and
+at two, whose spans the tracer adopts across threads, and checks that every
+expected span fires.
 """
 import contextlib
 import importlib.util
 import io
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,9 @@ Tracer = _load("tracer").Tracer
 
 
 def _shrunk(doc: dict) -> dict:
-    """One trial, at most 20 epochs of any fit and at most 200 evaluation rows."""
-    doc = dict(doc, trials=1)
+    """Two trials, so that two workers each run a task, at most 20 epochs of any fit and
+    at most 200 evaluation rows."""
+    doc = dict(doc, trials=2)
     train, eval_sec = dict(doc.get("train", {})), dict(doc.get("eval", {}))
     for key in ("epochs", "probe_epochs"):
         if key in train:
@@ -45,8 +48,10 @@ def _shrunk(doc: dict) -> dict:
     return dict(doc, train=train, eval=eval_sec)
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_every_expected_span_fires(workload, tmp_path):
+@pytest.mark.parametrize("workload,threads", [
+    pytest.param(workload, threads, id=workload if threads == 1 else f"{workload}-two-workers")
+    for workload in sorted(WORKLOADS) for threads in (1, 2)])
+def test_every_expected_span_fires(workload, threads, tmp_path):
     spec = WORKLOADS[workload]
     paths = []
     for name in spec["configs"]:
@@ -59,10 +64,13 @@ def test_every_expected_span_fires(workload, tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             for path in paths:
                 cli.main(["run", "--config", str(path), "--out", str(tmp_path / path.stem),
-                          "--seed", "3", "--threads", "1"])
+                          "--seed", "3", "--threads", str(threads)])
     finally:
         tracer.uninstall()
     report = tracer.report(0.0)
     fired = set(report["calls"]) | set(report["edges"])
     assert [span for span in spec["spans"] if span not in fired] == []
+    # a pool runs every task, at one worker too, so no task runs on this thread
+    tasks = {s[5] for s in report["spans"] if s[1] == "harness._run_task"}
+    assert tasks and threading.get_ident() not in tasks
     assert report["counts"]["harness.errors"] == 0
