@@ -33,6 +33,12 @@ _BOUND_CLEARANCE = 1.0 - 1e-6
 # 3e-8 sqrt(n + d) (1 + max |score|) of the norm per epoch, while that
 # product of a size and a score stays under about 3e5
 _DECAY_ALLOWANCE = 1e-2
+# Below this max |score| a softmax needs no shift: q e^500 < e^709 for q < 1e90,
+# and e^-500 is a normal float, so no row sum overflows or is 0; and an exp of an
+# unshifted score is as accurate, with no rounded subtraction in its input. The
+# 5e-4 that _BOUND_CLEARANCE takes off the cap covers U's rounding (see _descend)
+# while (d + steps since max |score| was formed) max_i ||x_i|| ||W|| < 2e12
+_SCORE_CAP = 500.0
 _EPS = np.finfo(float).eps
 _SIGN_BIT = np.int64(-2 ** 63)
 
@@ -217,16 +223,20 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     The final loss is the exact (logistic) or floored (cross-entropy) loss of
     the last epoch's scores, taken after the loop since most epochs skip it.
 
+    The loop runs class-major: W is q x d, and the scores W x^T and the
+    residual V are q x n (vectors at q = 1). The gradient is g / n, g = V x;
+    every path steps by h = -lr / n times g and takes norms as sqrt(<g, g>) / n.
+
     Margin space, for n < d: GD never leaves w0 + rowspan(x), so
-    W = w0 + x^T A. With K = x x^T, a step of A by h V moves the scores x W by
-    h K V, and the gradient norm ||x^T V|| / n is sqrt(<V, K V>) / n: one n x n
-    product per epoch. ``state`` holds the scores and A as its two rows and
-    ``delta`` holds K V and V, so a step is one multiply and one add. A step
-    writes the spare buffer, so the scores it stepped from stay readable.
-    <V, K V> decides the norm only when, less its rounding bound
+    W = w0 + A x. With K = x x^T (symmetric), a step of A by h V moves the
+    scores by h V K, and the gradient norm ||V x|| / n is sqrt(<V, V K>) / n:
+    one n x n product per epoch. ``state`` holds the scores and A as its two
+    rows and ``delta`` holds V K and V, so a step is one multiply and one add. A
+    step writes the spare buffer, so the scores it stepped from stay readable.
+    <V, V K> decides the norm only when, less its rounding bound
     ``slack`` ||V||^2, it still puts the norm above GRAD_TOL; otherwise the
-    gradient is formed as x^T V / n and its norm taken directly. The slack bounds
-    an n-term sum's rounding in any order, so it covers K V by OpenBLAS's dsymv on
+    gradient is formed as V x and its norm taken directly. The slack bounds
+    an n-term sum's rounding in any order, so it covers K v by OpenBLAS's dsymv on
     one triangle of K (``numerics.gram_product``) as well as by np.dot.
 
     Divergence gate: the loss is at most a bound B, log 2 + mean(max(-m, 0))
@@ -250,65 +260,70 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     formed norm and of the stop test. On the epochs between, ||g|| is at most
     sqrt(trace(K) n b) / n, which the divergence ceiling adds instead. So every
     stop, and the reported norm, is what forming the norm every epoch gives.
+
+    Softmax gate (cross-entropy): the softmax is shift-invariant, so the scores
+    are shifted by their row max only when max |score| >= ``_SCORE_CAP``. A step
+    moves a score by at most max_i ||x_i|| lr ||g||, and a bound U on max |score|
+    adds that, with the ceiling's ||g||, to the last max |score| formed, which is
+    formed again only once U no longer clears the cap. So every shift decision is
+    exact. The row max is formed only on shifted epochs and where B is formed.
     """
     n, d = x.shape
     if q == 1:
-        # rows times -y: x w is then -m and x^T sigmoid(-m) / n the gradient.
+        # rows times -y: w x^T is then -m and sigmoid(-m) x / n the gradient.
         # Sign flips are exact, so every product and sum keeps its bytes
         x = x * -target[:, None]
-    w, x_t = w0.copy(), x.T
+    w, x_t = w0.T.copy(), x.T
     # per-epoch work arrays, reused so that an epoch allocates no array
-    grad, step = np.empty_like(w0), np.empty_like(w0)
+    grad, step = np.empty_like(w), np.empty_like(w)
     flat = grad.reshape(-1)
-    xw = np.empty((n,) + w0.shape[1:])
+    shape = w.shape[:-1] + (n,)
+    xw, out = np.empty(shape), np.empty(shape)
     if margin_space:
         gram = np.dot(x, x.T)
-        shape = (2, n) + w0.shape[1:]
-        state, spare = np.zeros(shape), np.empty(shape)
-        state[0] = np.dot(x, w0)
+        state, spare = np.zeros((2,) + shape), np.empty((2,) + shape)
+        state[0] = np.dot(x, w0).T
         # each buffer's scores, and the same row as integers for bit operations
         scores, spare_scores = [(a[0], a[0].view(np.int64)) for a in (state, spare)]
-        delta, shift = np.empty(shape), np.empty(shape)
-        kv, out = delta                    # v is formed in place, beside K v
-        gram_times_v = gram_product(gram, out, kv)
+        delta, shift = np.empty_like(state), np.empty_like(state)
+        kv, out = delta                    # v is formed in place, beside v K
+        gram_times_v = gram_product(gram, out, kv) if q == 1 else lambda: np.dot(out, gram, kv)
         # rounding bound of <v, K v> per unit ||v||^2
         slack = _EPS * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
         quad_tol = (GRAD_TOL * n) ** 2     # GRAD_TOL on the scale of <v, K v>
-    else:
-        out = np.empty_like(xw)
     if q == 1:
         work, sign = np.empty(n), np.empty(n)
         xw_bits, out_bits = xw.view(np.int64), out.view(np.int64)
     else:
-        onehot = np.zeros((n, q))
-        onehot[np.arange(n), target] = 1.0
-        own = target * n + np.arange(n)    # flat index of each row's own class, class-major
+        onehot = np.zeros(shape)
+        onehot[target, np.arange(n)] = 1.0
+        own = target * n + np.arange(n)    # flat index of each row's own class
         log_q = math.log(q)
-        # the softmax runs class-major, on q rows of n contiguous entries;
-        # the residual has its own n x q array, so that the last epoch's
-        # probabilities survive the loop for the final loss
-        probs_t = np.empty((q, n))
-        probs = probs_t.T
+        # feature space forms the scores in the softmax buffer; the residual
+        # has its own, so the last epoch's probabilities survive for the loss
+        probs = np.empty(shape) if margin_space else xw
         row_max, row_sum = np.empty(n), np.empty(n)
     # the rise of B per unit of ||g||; in margin space the squared row norms
     # are the diagonal of K
     squares = np.diagonal(gram) if margin_space else np.einsum("ij,ij->i", x, x)
     drift = (1.0 if q == 1 else 2.0) * lr * float(np.mean(np.sqrt(squares)))
+    reach = lr * math.sqrt(float(np.max(squares)))     # U's rise per unit of ||g||
     # the convergence gate's terms (see above); it certifies no epoch when
     # 1 - r - a <= 0
     b, trace = (1.0 if q == 1 else 2.0), float(np.sum(squares))
     decay = 1.0 - (0.25 if q == 1 else 0.5) * lr * trace / n - _DECAY_ALLOWANCE
     floor = GRAD_TOL + 3.0 * math.sqrt(_EPS * (n + d) * b * trace / n)
     gate = floor / decay ** 2 if decay > 0 else math.inf
-    rise_max = drift * math.sqrt(trace * n * b) / n
+    norm_max = math.sqrt(trace * n * b) / n
     formed = 0                             # the next epoch that forms the norm
     loss = np.inf
     grad_norm = np.inf
     blowup = None
     ceiling, limit = math.nan, -math.inf   # nothing clears until epoch 0 sets blowup
+    top, shifted = math.inf, False         # U, and whether the last formed max shifts
     epochs_run = epochs
     h = -lr / n
-    # An epoch is about a dozen numpy calls on small arrays, a microsecond
+    # An epoch is about eight numpy calls on small arrays, a microsecond
     # each. Local names and positional outputs spare their lookups and
     # keyword parsing, about a tenth of an epoch at the probe shapes
     dot, exp, divide, subtract, multiply = np.dot, np.exp, np.divide, np.subtract, np.multiply
@@ -319,7 +334,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
         if margin_space:                   # the scores, read before the step moves them
             xw, xw_bits = scores
         else:
-            dot(x, w, xw)
+            dot(w, x_t, xw)
         if q == 1:
             if not ceiling < limit:            # re-anchor on B
                 ceiling = _LOG2 + float(reduce_sum(np.maximum(xw, 0.0, out=work))) / n
@@ -341,73 +356,68 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
             np.maximum(out, np.sign(xw, sign), out=out)
             v = divide(out, work, out)
         else:
-            # a max is exact in any order, so the row max matches ndarray.max
-            np.copyto(probs_t, xw.T)
-            reduce_max(probs_t, axis=0, out=row_max)
-            subtract(probs_t, row_max, probs_t)
-            if not ceiling < limit:            # re-anchor on B
-                own_shifted = probs_t.take(own)
-                ceiling = log_q - float(reduce_sum(own_shifted)) / n
+            if not top < _BOUND_CLEARANCE * _SCORE_CAP:   # form max |score| again
+                top = float(reduce_max(np.abs(xw, out=out), axis=None))
+                shifted = top >= _SCORE_CAP
+            anchor = not ceiling < limit
+            if shifted or anchor:          # a max is exact in any order
+                reduce_max(xw, axis=0, out=row_max)
+            exponent = subtract(xw, row_max, probs) if shifted else xw
+            if anchor:                         # re-anchor on B, over shifted scores
+                own_scores = exponent.take(own)
+                ceiling = log_q - float(reduce_sum(own_scores - (0.0 if shifted else row_max))) / n
                 check = not ceiling < limit
-            exp(probs_t, probs_t)
-            # ndarray.sum folds a row of the n x q layout left below 8 entries,
-            # which a class-major reduce matches, and pairwise from 8, which
-            # only that layout gives
-            if q < 8:
-                reduce_sum(probs_t, axis=0, out=row_sum)
-            else:
-                np.copyto(out, probs)
-                reduce_sum(out, axis=1, out=row_sum)
-            divide(probs_t, row_sum, probs_t)
+            exp(exponent, probs)
+            reduce_sum(probs, axis=0, out=row_sum)
+            divide(probs, row_sum, probs)
             if check:
-                own_probs = probs_t.take(own)
+                own_probs = probs.take(own)
                 loss = decisive = _cross_entropy_loss(own_probs)
                 # the 1e-300 floor caps a row's loss near 690.8, under any blowup
                 # level; a row below it adds over 690 to the sum, so the exact
                 # loss decides
                 if loss * n > 690.0 and own_probs.min() < 1e-300:
-                    decisive = float(np.mean(np.log(row_sum) - own_shifted))
+                    decisive = float(np.mean(np.log(row_sum) - own_scores))
                 if blowup is None:
                     blowup = 1e3 * (decisive + 1.0)
                     limit = _BOUND_CLEARANCE * blowup
                 if not math.isfinite(decisive) or decisive > blowup:
                     raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-            # the residual goes to np.dot in the n x q layout: a class-major
-            # one takes another BLAS path, whose sums differ at d = 1
             v = subtract(probs, onehot, out)
-        # v is the residual of each row, so x^T v / n is the gradient
+        # v is the residual of each row, so v x / n is the gradient
         if margin_space:
             gram_times_v()
         else:
-            divide(dot(x_t, v, grad), n, grad)
+            dot(v, x, grad)
         if epoch < formed:                 # the norm clears GRAD_TOL (see above)
-            ceiling += rise_max
+            norm_bound = norm_max
         else:
-            if margin_space:               # <v, K v>, if it clears its rounding (see above)
+            if margin_space:               # <v, v K>, if it clears its rounding (see above)
                 quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
                 trusted = quad - rounding > quad_tol
                 if trusted:
                     grad_norm, norm_bound = sqrt(quad) / n, sqrt(quad + rounding) / n
                 else:
-                    divide(dot(x_t, v, grad), n, grad)
+                    dot(v, x, grad)
             if not margin_space or not trusted:
-                grad_norm = norm_bound = sqrt(dot(flat, flat))
+                grad_norm = norm_bound = sqrt(dot(flat, flat)) / n
             if grad_norm < GRAD_TOL:
                 epochs_run = epoch
                 break
             if grad_norm > gate:           # _DECAY_ALLOWANCE covers this count's rounding
                 formed = min(epoch + int(math.log(grad_norm / floor) / -math.log(decay)),
                              epochs - 1)
-            ceiling += drift * norm_bound
-        if margin_space:                   # A by h v and the scores by h K v, into spare
+        ceiling += drift * norm_bound
+        top += reach * norm_bound
+        if margin_space:                   # A by h v and the scores by h v K, into spare
             np.add(state, multiply(delta, h, shift), spare)
             state, spare = spare, state
             scores, spare_scores = spare_scores, scores
         else:
-            subtract(w, multiply(grad, lr, step), w)
+            np.add(w, multiply(grad, h, step), w)
     if epochs:                                 # the loss of the last epoch's scores
-        loss = _logistic_loss(xw) if q == 1 else _cross_entropy_loss(probs_t.take(own))
-    return w0 + dot(x_t, state[1]) if margin_space else w, loss, grad_norm, epochs_run
+        loss = _logistic_loss(xw) if q == 1 else _cross_entropy_loss(probs.take(own))
+    return w0 + dot(x_t, state[1].T) if margin_space else w.T.copy(), loss, grad_norm, epochs_run
 
 
 def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],

@@ -1,17 +1,26 @@
-"""Frozen reference copies of the supervised GD loops, test-only.
+"""Reference copies of the supervised GD loops, test-only.
 
-These are the straightforward per-epoch loops that ``mmclab.training`` once
-ran: the exact logistic loss every epoch, a masked stable sigmoid, and
-cross-entropy through fresh temporaries. The library's fused loops must return
-bit-identical weights, snapshots, losses, gradient norms and step counts.
-Do not optimise this file. The one change since: a cross-entropy divergence
-decision takes the exact loss when an own-class probability falls under the
-1e-300 floor, which otherwise hides any blow-up.
+The frozen loops (``logistic_gd``, ``cross_entropy_gd``, ``margin_gd``) are the
+straightforward per-epoch loops that ``mmclab.training`` once ran: the exact
+logistic loss every epoch, a masked stable sigmoid, and cross-entropy through
+fresh temporaries with every softmax shifted by its row max. Do not optimise
+this file. The one change to them since: a cross-entropy divergence decision
+takes the exact loss when an own-class probability falls under the 1e-300
+floor, which otherwise hides any blow-up.
 
 ``margin_gd`` is the margin-space loop (n < d) as the library ran it before
 its convergence gate: it forms the gradient norm every epoch. It forms K v
 through the library's ``numerics.gram_product``, as the library does, so that
 the two sum each row of K v in the same order.
+
+The contract changed once since, and the class-major loops below state the new
+one; the library's fused loops must return bit-identical weights, losses,
+gradient norms and step counts to them. Three things changed: weights are held
+as q x d and scores and residuals as q x n, so the scores are W x^T and the
+gradient V x / n; every step adds (-lr / n) times V x, and a norm is
+sqrt(<V x, V x>) / n; and a softmax is shifted by its max only when
+max |score| >= ``_SCORE_CAP``. The frozen loops stay as they were, and a test
+holds the two contracts to each other within a derived rounding bound.
 """
 import math
 
@@ -19,7 +28,7 @@ import numpy as np
 
 from mmclab.errors import TrainingError
 from mmclab.numerics import gram_product
-from mmclab.training import GRAD_TOL
+from mmclab.training import _SCORE_CAP, GRAD_TOL
 
 
 def _stable_sigmoid(x):
@@ -151,3 +160,125 @@ def margin_gd(x, target, q, lr, epochs, w0):
         scores = scores + kv * (-lr / n)
         coef = coef + v * (-lr / n)
     return w0 + x.T @ coef, loss, grad_norm, epochs_run
+
+
+# ---------------------------------------------------------------------------
+# the class-major contract: q x d weights, q x n scores and residuals, the
+# -lr / n step, and a softmax shifted only at max |score| >= _SCORE_CAP
+
+
+def _capped_softmax(scores, target):
+    """The probabilities of q x n scores, with their floored and decisive losses,
+    and whether the scores were shifted by their column max."""
+    n = scores.shape[1]
+    shifted = bool(np.abs(scores).max() >= _SCORE_CAP)
+    if shifted:
+        scores = scores - scores.max(axis=0)
+    expsc = np.exp(scores)
+    sums = expsc.sum(axis=0)
+    probs = expsc / sums
+    own = probs[target, np.arange(n)]
+    loss = decisive = float(-np.mean(np.log(own + 1e-300)))
+    if own.min() < 1e-300:
+        decisive = float(np.mean(np.log(sums) - scores[target, np.arange(n)]))
+    return probs, loss, decisive, shifted
+
+
+def _norm(g, n):
+    return math.sqrt(np.dot(g.ravel(), g.ravel())) / n
+
+
+def class_major_logistic_gd(x, y, lr, epochs, w0):
+    n = x.shape[0]
+    x = x * -y[:, None]                 # w x^T is then the negated margins
+    w = w0.copy()
+    loss = grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        neg_margins = np.dot(w, x.T)
+        loss = float(np.mean(np.logaddexp(0.0, neg_margins)))
+        if blowup is None:
+            blowup = 1e3 * (loss + 1.0)
+        if not np.isfinite(loss) or loss > blowup:
+            raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
+        g = np.dot(_stable_sigmoid(neg_margins), x)
+        grad_norm = _norm(g, n)
+        if grad_norm < GRAD_TOL:
+            epochs_run = epoch
+            break
+        w = w + (-lr / n) * g
+    return w, loss, grad_norm, epochs_run
+
+
+def class_major_cross_entropy_gd(x, target, q, lr, epochs, w0, shifts=None):
+    """Appends to ``shifts``, when given, each epoch whose softmax is shifted."""
+    n = x.shape[0]
+    w = w0.T.copy()
+    onehot = np.zeros((q, n))
+    onehot[target, np.arange(n)] = 1.0
+    loss = grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        probs, loss, decisive, shifted = _capped_softmax(np.dot(w, x.T), target)
+        if shifted and shifts is not None:
+            shifts.append(epoch)
+        if blowup is None:
+            blowup = 1e3 * (decisive + 1.0)
+        if not np.isfinite(decisive) or decisive > blowup:
+            raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
+        g = np.dot(probs - onehot, x)
+        grad_norm = _norm(g, n)
+        if grad_norm < GRAD_TOL:
+            epochs_run = epoch
+            break
+        w = w + (-lr / n) * g
+    return w.T.copy(), loss, grad_norm, epochs_run
+
+
+def class_major_margin_gd(x, target, q, lr, epochs, w0, shifts=None):
+    """``margin_gd`` on the class-major contract: with V and the scores q x n,
+    a step moves the scores by -lr/n V K, K symmetric, and the norm falls back
+    to ||V x|| / n. Appends to ``shifts`` as ``class_major_cross_entropy_gd``
+    does."""
+    n, d = x.shape
+    if q == 1:
+        x = x * -target[:, None]
+    else:
+        onehot = np.zeros((q, n))
+        onehot[target, np.arange(n)] = 1.0
+    gram = np.dot(x, x.T)
+    slack = np.finfo(float).eps * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
+    scores, coef = np.dot(x, w0).T.copy(), np.zeros(w0.shape[1:] + (n,))
+    v, kv = np.empty_like(coef), np.empty_like(coef)
+    gram_times_v = gram_product(gram, v, kv) if q == 1 else lambda: np.dot(v, gram, kv)
+    loss = grad_norm = np.inf
+    blowup = None
+    epochs_run = epochs
+    for epoch in range(epochs):
+        if q == 1:
+            loss = decisive = float(np.mean(np.logaddexp(0.0, scores)))
+            v[...] = _stable_sigmoid(scores)
+        else:
+            probs, loss, decisive, shifted = _capped_softmax(scores, target)
+            if shifted and shifts is not None:
+                shifts.append(epoch)
+            v[...] = probs - onehot
+        if blowup is None:
+            blowup = 1e3 * (decisive + 1.0)
+        if not np.isfinite(decisive) or decisive > blowup:
+            kind = "logistic" if q == 1 else "cross-entropy"
+            raise TrainingError(f"{kind} GD diverged at epoch {epoch} (lr={lr})")
+        gram_times_v()
+        quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
+        if quad - rounding > (GRAD_TOL * n) ** 2:
+            grad_norm = math.sqrt(quad) / n
+        else:
+            grad_norm = _norm(np.dot(v, x), n)
+        if grad_norm < GRAD_TOL:
+            epochs_run = epoch
+            break
+        scores = scores + kv * (-lr / n)
+        coef = coef + v * (-lr / n)
+    return w0 + np.dot(x.T, coef.T), loss, grad_norm, epochs_run

@@ -1,8 +1,12 @@
 """The fused supervised GD loops return exactly what the straightforward loops
 in ``gd_reference`` return at constant steps: weights, final loss, final
 gradient norm, steps taken, and the epoch at which a divergent run stops. The
-margin-space loop (n < d) is held to ``gd_reference.margin_gd``, which forms
-the gradient norm every epoch where the library's convergence gate skips it."""
+references are the class-major loops, the contract the library runs; the
+margin-space loop (n < d) is held to ``gd_reference.class_major_margin_gd``,
+which forms the gradient norm every epoch where the library's convergence gate
+skips it. The frozen loops of the earlier contract stay within a derived
+rounding bound of the class-major ones, and stop and diverge at the same
+epochs."""
 import math
 import types
 from contextlib import contextmanager
@@ -47,14 +51,21 @@ def _reference_descend(x, target, q, lr, epochs, w0, margin_space=False):
     return value. ``margin_space`` is ignored, so an n < d fit runs the loop on
     the raw inputs."""
     if q == 1:
-        result = gd_reference.logistic_gd(x, target, lr, epochs, w0)
-    else:
-        result = gd_reference.cross_entropy_gd(x, target, q, lr, epochs, w0)
-    return result[:4]                          # without the (empty) snapshots
+        return gd_reference.class_major_logistic_gd(x, target, lr, epochs, w0)
+    return gd_reference.class_major_cross_entropy_gd(x, target, q, lr, epochs, w0)
 
 
 def _margin_reference(x, target, q, lr, epochs, w0, margin_space=True):
-    return gd_reference.margin_gd(x, target, q, lr, epochs, w0)
+    return gd_reference.class_major_margin_gd(x, target, q, lr, epochs, w0)
+
+
+def _frozen_descend(x, target, q, lr, epochs, w0, margin_space=False):
+    """The frozen loops of the earlier contract, behind ``_descend``'s signature."""
+    if margin_space:
+        return gd_reference.margin_gd(x, target, q, lr, epochs, w0)
+    if q == 1:
+        return gd_reference.logistic_gd(x, target, lr, epochs, w0)[:4]
+    return gd_reference.cross_entropy_gd(x, target, q, lr, epochs, w0)[:4]
 
 
 def _both(x, labels, q, lr, epochs, w0, margin_space=False, reference=_reference_descend):
@@ -93,22 +104,36 @@ def _assert_same_outcome(got, want):
         _assert_identical(got, want)
 
 
+def _assert_the_frozen_loop_stops_alike(x, labels, q, lr, epochs, w0, want, margin_space=False):
+    """The frozen loop stops or diverges at the epoch where the class-major one does."""
+    target = labels.astype(float) if q == 1 else labels
+    try:
+        frozen = _frozen_descend(x, target, q, lr, epochs, w0, margin_space=margin_space)
+    except TrainingError as err:
+        assert isinstance(want, TrainingError) and str(err) == str(want)
+    else:
+        assert not isinstance(want, TrainingError) and frozen[3] == want[3]
+
+
 def _init(seed, d, q):
     g = np.random.default_rng(seed)
     return 1e-3 * (g.standard_normal(d) if q == 1 else g.standard_normal((d, q)))
 
 
-@pytest.mark.parametrize("n,d,q,lr,epochs", [
+GRID = [
     (5000, 2, 1, 0.05, 300),      # logistic, n >> d (the supcon-dm1 probe shape)
     (16, 4, 4, 0.05, 3000),       # cross-entropy at the supcon-dm2 probe shape
     (96, 6, 6, 0.05, 2000),       # cross-entropy at the dm2-sl shape
-    (40, 3, 8, 0.05, 1000),       # q = 8: the first width numpy sums pairwise
-    (300, 5, 11, 0.05, 500),      # q >= 9: numpy's pairwise row sums
+    (40, 3, 8, 0.05, 1000),       # q = 8: the first width an n x q row sum takes pairwise
+    (300, 5, 11, 0.05, 500),      # q >= 9: pairwise row sums in the frozen layout
     (60, 3, 9, 0.05, 500),        # q = 9: one block of 8, then one entry
     (64, 4, 16, 0.05, 300),       # q = 16: two blocks of 8
     (150, 3, 130, 0.05, 60),      # q = 130: a row passes the 128-entry pairwise block
-    (40, 1, 4, 0.05, 1000),       # d = 1: x^T v takes a gemv, whose sums follow v's layout
-])
+    (40, 1, 4, 0.05, 1000),       # d = 1: the products take a gemv
+]
+
+
+@pytest.mark.parametrize("n,d,q,lr,epochs", GRID)
 def test_loops_match_reference(n, d, q, lr, epochs):
     x, labels = _problem(n + q, n, d, q)
     got, want = _both(x, labels, q, lr, epochs, _init(q, d, q))
@@ -116,10 +141,62 @@ def test_loops_match_reference(n, d, q, lr, epochs):
     _assert_identical(got, want)
 
 
+def _rounding_gap_bound(x, q, lr, epochs, w0):
+    """How far apart two loops that run the same GD, and differ only in how they
+    round, can end after ``epochs`` steps from w0.
+
+    Each loop steps W to T(W) + e, with T the exact step W - lr grad F(W). F is
+    convex and its gradient is L-Lipschitz, L = c ||x||_2^2 / n (c = 1/4 for the
+    sigmoid, 1/2 for the softmax), so while lr L <= 2, T is non-expansive and
+    the loops end at most the sum of both loops' |e| apart. With u the unit
+    roundoff, gamma_m = m u / (1 - m u), b = 1 (logistic) or 2, ||V||_F <=
+    sqrt(n b) and ||W|| <= M = ||W_0|| + epochs lr/n ||x||_F sqrt(n b), up to
+    rounding, one step's |e| is at most the sum of
+      u M                                  the add;
+      3 u lr/n ||x||_F sqrt(n b)           lr / n and its product with x^T V;
+      lr/n gamma_n ||x||_F sqrt(n b)       the product x^T V, in any order;
+      lr/n ||x||_2 c gamma_d ||x||_F M     the scores' rounding, through V;
+      lr/n ||x||_2 sqrt(n) kappa u         V's own rounding, per row at most
+                                           kappa u in the 1-norm.
+    kappa = 16 covers the sigmoid (exp to 4 ulp, an add and a divide), and
+    32 + 4q the softmax: exp to 4 ulp, the row sum, the divide, the one-hot
+    subtract, and a shift, whose rounding moves an entry e^-t by u t e^-t <= u/e
+    against a row sum of at least 1."""
+    n, d = x.shape
+    u = np.finfo(float).eps / 2
+    gamma_n, gamma_d = (m * u / (1 - m * u) for m in (n, d))
+    c, b, kappa = (0.25, 1.0, 16) if q == 1 else (0.5, 2.0, 32 + 4 * q)
+    x_f, x_2, h = np.linalg.norm(x), np.linalg.norm(x, 2), lr / n
+    assert lr * c * x_2 ** 2 / n <= 2, "T is not known to be non-expansive"
+    v_f = math.sqrt(n * b)
+    size = (np.linalg.norm(w0) + epochs * h * x_f * v_f) * (1 + 1e-6)
+    step = u * size + h * ((3 * u + gamma_n) * x_f * v_f
+                           + x_2 * (c * gamma_d * x_f * size + math.sqrt(n) * kappa * u))
+    return 2 * epochs * step
+
+
+@pytest.mark.parametrize("n,d,q,lr,epochs", GRID)
+def test_the_frozen_loops_stay_within_rounding_of_the_class_major_loops(n, d, q, lr, epochs):
+    # the two contracts run the same GD and round differently: the frozen
+    # loops shift every softmax, sum in the n x q layout and divide by n before
+    # the step. Each gap measured about 1e-16 relative; the bounds are 2e-12 to 2e-10
+    x, labels = _problem(n + q, n, d, q)
+    w0 = _init(q, d, q)
+    target = labels.astype(float) if q == 1 else labels
+    w, _, _, epochs_run = _reference_descend(x, target, q, lr, epochs, w0)
+    w_frozen, _, _, epochs_frozen = _frozen_descend(x, target, q, lr, epochs, w0)
+    assert epochs_run == epochs_frozen == epochs
+    assert np.linalg.norm(w - w_frozen) <= _rounding_gap_bound(x, q, lr, epochs, w0)
+    if q == 1:
+        assert np.array_equal(x @ w > 0, x @ w_frozen > 0)
+    else:
+        assert np.array_equal(np.argmax(x @ w, axis=1), np.argmax(x @ w_frozen, axis=1))
+
+
 @pytest.mark.parametrize("n,d,q,lr,epochs,gated", [
     (60, 200, 1, 0.005, 2000, True),    # logistic at r < 1: the gate skips most norms
     (30, 80, 3, 0.01, 1000, True),      # cross-entropy at r < 1
-    (20, 50, 9, 0.02, 500, True),       # q = 9: the row sums copied back to n x q
+    (20, 50, 9, 0.02, 500, True),       # q = 9: pairwise row sums in the frozen layout
     (24, 40, 6, 0.5, 1000, False),      # r >= 1, as at dm2-sl: every norm is formed
 ])
 def test_margin_loops_match_the_margin_reference(n, d, q, lr, epochs, gated):
@@ -174,6 +251,7 @@ def test_converging_fits_skip_norms_and_stop_where_the_reference_stops(q, rows, 
     assert not isinstance(want, TrainingError) and 0 < want[3] < 20000
     assert want[2] < training.GRAD_TOL
     _assert_identical(got, want)
+    _assert_the_frozen_loop_stops_alike(x, labels, q, lr, 20000, w0, want, margin_space)
     # a formed norm takes one or two roots, so some epochs formed none
     assert len(roots) < want[3]
 
@@ -184,6 +262,7 @@ def test_stop_on_gradient_tolerance_matches_reference():
     got, want = _both(x, y, 1, 0.5, 20000, np.array([1e-3]))
     assert 0 < want[3] < 20000
     _assert_identical(got, want)
+    _assert_the_frozen_loop_stops_alike(x, y, 1, 0.5, 20000, np.array([1e-3]), want)
 
 
 def test_cross_entropy_stop_on_gradient_tolerance_matches_reference():
@@ -196,6 +275,7 @@ def test_cross_entropy_stop_on_gradient_tolerance_matches_reference():
     got, want = _both(x, labels, 3, 0.5, 20000, _init(8, 3, 3))
     assert 0 < want[3] < 20000
     _assert_identical(got, want)
+    _assert_the_frozen_loop_stops_alike(x, labels, 3, 0.5, 20000, _init(8, 3, 3), want)
 
 
 @pytest.mark.parametrize("q", [1, 4])
@@ -220,6 +300,7 @@ def test_divergence_stops_at_the_reference_epoch(q, lr, scale):
     labels = np.concatenate([labels, -labels if q == 1 else (labels + 1) % q])
     with np.errstate(over="ignore", invalid="ignore"):
         got, want = _both(x, labels, q, lr, 50, _init(6, 3, q))
+        _assert_the_frozen_loop_stops_alike(x, labels, q, lr, 50, _init(6, 3, q), want)
     assert isinstance(want, TrainingError) and "lr" in str(want)
     _assert_same_outcome(got, want)
 
@@ -241,6 +322,7 @@ def test_exact_loss_decides_when_the_bound_does_not_clear_blowup():
     got, want = _both(x, y, 1, lr, 3, np.zeros(1))
     assert "epoch 2" in str(want)
     _assert_same_outcome(got, want)
+    _assert_the_frozen_loop_stops_alike(x, y, 1, lr, 3, np.zeros(1), want)
 
 
 def test_exact_loss_decides_when_the_cross_entropy_bound_does_not_clear_blowup():
@@ -265,6 +347,7 @@ def test_exact_loss_decides_when_the_cross_entropy_bound_does_not_clear_blowup()
     got, want = _both(x, labels, 2, lr, 3, np.zeros((1, 2)))
     assert "epoch 2" in str(want)
     _assert_same_outcome(got, want)
+    _assert_the_frozen_loop_stops_alike(x, labels, 2, lr, 3, np.zeros((1, 2)), want)
 
 
 @pytest.mark.parametrize("margin_space", [False, True])
@@ -291,6 +374,74 @@ def test_divergence_after_a_long_quiet_stretch_stops_at_the_reference_epoch(
     got, want = _both(x, labels, q, lr, 400, w0, margin_space=margin_space)
     assert isinstance(want, TrainingError) and f"epoch {epoch} " in str(want)
     _assert_same_outcome(got, want)
+    _assert_the_frozen_loop_stops_alike(x, labels, q, lr, 400, w0, want, margin_space)
+
+
+@contextmanager
+def _recorded_shifts():
+    """Record the epochs on which ``_descend`` shifts a softmax by its row max:
+    a cross-entropy epoch takes one exp, and a shift subtracts an n-vector."""
+    shifts, exps = [], [0]
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(*args):
+            exps[0] += 1
+            return np.exp(*args)
+
+        @staticmethod
+        def subtract(a, b, *out):
+            if np.ndim(b) == 1:
+                shifts.append(exps[0])
+            return np.subtract(a, b, *out)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "np", Spy())
+        yield shifts
+
+
+def _offset_problem(offset, margin_space):
+    """Three noisy classes in the plane, plus a constant input that every class
+    weighs by ``offset``. The softmax ignores a score all classes share, so GD
+    never moves it: max |score| starts at ``offset`` and grows with the
+    classes' own scores. Zero columns put n < d, for the margin path."""
+    g = np.random.default_rng(5)
+    labels = np.arange(30) % 3
+    centers = np.array([[1.0, 0.0], [-0.5, 0.87], [-0.5, -0.87]])
+    x = np.hstack([2 * centers[labels] + 0.8 * g.standard_normal((30, 2)), np.ones((30, 1))])
+    x = np.hstack([x, np.zeros((30, 30 * margin_space))])
+    w0 = np.zeros((x.shape[1], 3))
+    w0[2] = offset
+    return x, labels, w0
+
+
+@pytest.mark.parametrize("margin_space", [False, True])
+def test_scores_that_cross_the_cap_shift_on_the_reference_epochs(margin_space):
+    x, labels, w0 = _offset_problem(490.0, margin_space)
+    reference = (gd_reference.class_major_margin_gd if margin_space
+                 else gd_reference.class_major_cross_entropy_gd)
+    shifts = []
+    want = reference(x, labels, 3, 0.5, 600, w0, shifts=shifts)
+    with _recorded_shifts() as got_shifts:
+        got = _descend(x, labels, 3, 0.5, 600, w0, margin_space=margin_space)
+    # max |score| starts near 490 and passes the cap about 240 epochs in
+    assert 100 < shifts[0] and shifts == list(range(shifts[0], 600))
+    assert got_shifts == shifts
+    _assert_identical(got, want)
+
+
+@pytest.mark.parametrize("margin_space", [False, True])
+def test_scores_past_the_range_of_exp_fit_without_overflow(margin_space):
+    # e^710 overflows a float, and numpy's overflow RuntimeWarning fails the test
+    x, labels, w0 = _offset_problem(700.0, margin_space)
+    reference = _margin_reference if margin_space else _reference_descend
+    got, want = _both(x, labels, 3, 0.5, 600, w0, margin_space=margin_space,
+                      reference=reference)
+    _assert_identical(got, want)
+    assert np.abs(x @ got[0]).max() > 710
 
 
 def _fit_with_reference_loops(*args, **kwargs):

@@ -59,37 +59,37 @@ SUMMARY_PINS = {
 FIT_PINS = {
     "Haswell": {
         "dm1-sl": "111d7cb6abb70ce30530251d2925a18442c602ed364e3a744835bd1e4c1b87fa",
-        "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
+        "dm2-sl": "7ef56d72755e24acd8abf004975bae0b52bc228ae27b5e7fe7ad3cb98c98a958",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
+        "supcon-dm2": "7aed5346acbf512d06299beee363e22292c1bf732fd1dc32b3fb6d6caf5b1307",
         "id-control": "312e90d75c7b95983b308276579043b5724f27077c92dbb200c8172ec87332c1",
     },
     "Katmai": {
         "dm1-sl": "1a8a332c75775ba6886862d3d2d4514501827c50c38b51f3e06e6605b7dee30c",
-        "dm2-sl": "400052f975d5fd203ccc84aec8294fd3697389e4fd0f784ab405d5ae0a48c89f",
+        "dm2-sl": "4e318095d229fa72e63e46b936a9d3e4f7c875540c98ef4cc7340cb199b4c693",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
+        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
         "id-control": "b92fe17d1672e8362256d02f13ac4fd80a528e5f64ddc60954f90ae2e7e370b2",
     },
     "Nehalem": {
         "dm1-sl": "2efc5540f268f70ec1627b560b14b066fd97a0fd45e11e0d4ba570ae3aa9852f",
-        "dm2-sl": "8bc1ffd77e0b419f2f36906c2b790aa0d1ea394dd183fb79e1db11a961083123",
+        "dm2-sl": "921c26cbe6ecfe323033b22024e17df31de96eb8b5e83df20642bcc9e54ecd17",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
+        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
         "id-control": "fafee4828a8adc16186b1018c05467ca63f38da49110129f8bb23065c28b0544",
     },
     "Sandybridge": {
         "dm1-sl": "8303abed98976b36498f96252a16c4171b6aaa5641cdc72800572bc8c18fb273",
-        "dm2-sl": "e1c9caab2ef9f3975f61251a5590b2f2ac517ddef1569188943643378e27f961",
+        "dm2-sl": "dcc1a6b2c37693e9c648c061633dc9690a4bacd8f289002ef6ed75e18bb6fb36",
         "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "d597d30947f0c2cd8a912e16129ef10d5c6417b1e326cf0edda4f2d43110d5a6",
+        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
         "id-control": "dfec59734b8ae7ae1d466905687ecc28ac61391005a43a946a585ebefdbe3715",
     },
     "SkylakeX": {
         "dm1-sl": "b3287670587bc1beb1c3d3f43d8b6ed7f5d3a2559fd01e1d405501db76c5bb4a",
-        "dm2-sl": "252b29e1092a060e2babfed18e42a50495fa0b7f1934ec7829bc29eac104bd91",
+        "dm2-sl": "7ef56d72755e24acd8abf004975bae0b52bc228ae27b5e7fe7ad3cb98c98a958",
         "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "fd97987cfacd234270835c3dbea61c2d1a4d182eb993563f37804f3c87b46813",
+        "supcon-dm2": "b45447ade7b3393edabfa9c7cc9e69d2a9d414fbcaef02eae32a9343f5c3557f",
         "id-control": "885055f3f37c53e507d5eb01c6504f0f791e8fdd46e9e151f4a10ad0375829f2",
     },
 }
