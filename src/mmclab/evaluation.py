@@ -275,7 +275,7 @@ def supcon_group_geometry(encoder: SupConEncoder, data: PairedDataset) -> GroupG
     if batch.model != "dm2":
         raise ArgumentError("group geometry requires model-2 data")
     m = batch.params.m
-    spu_sign = np.sign(batch.z[np.arange(len(batch)), batch.k - 1 + m]).astype(int)
+    spu_sign = np.where(batch.spurious_agrees(), batch.c, -batch.c)
     reps = encoder.transform(data.x_image)
     keys = [(-1, -1), (1, -1), (-1, 1), (1, 1)]
     worst = 0.0

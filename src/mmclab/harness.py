@@ -575,8 +575,8 @@ def _run_cell(config: ExperimentConfig, blas_threads: int | None, cell_idx: int,
     sl_id, mmcl_id = (measured.get((f, "train", "overall", "accuracy")) for f in ("sl", "mmcl"))
     if sl_id is not None and mmcl_id is not None:
         gap = sl_id - mmcl_id
-        rows.append(dict(method="sl-vs-mmcl", params={}, split="train", group="overall",
-                         metric="id_gap", value=gap,
+        rows.append(dict(method="sl-vs-mmcl", params={**asdict(params), **mask.levels},
+                         split="train", group="overall", metric="id_gap", value=gap,
                          **_compare(checks, ("sl-vs-mmcl", "train", "overall", "id_gap"), gap)))
     elapsed = time.perf_counter() - started
     return [RunRecord(run_id=run_id, experiment=config.experiment, seed=seed,

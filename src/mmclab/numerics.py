@@ -150,41 +150,22 @@ _OPENBLAS_NAMES = (("scipy_", "64_", ctypes.c_int64), ("scipy_", "", ctypes.c_in
                    ("", "", ctypes.c_int), ("", "64_", ctypes.c_int64))
 
 
-def _blas_library():
-    """numpy's linear-algebra extension as a ctypes.CDLL, whose calls release the GIL,
-    or None. Its symbol search also covers the libraries it links, such as its BLAS."""
+@functools.cache
+def _openblas(*names):
+    """The routines ``names`` of the OpenBLAS that numpy loaded, from the first spelling
+    that exports all of them, then that spelling's BLAS integer type; None where none
+    does (MKL, Accelerate, or a numpy built otherwise). They come from numpy's
+    linear-algebra extension as a ctypes.CDLL, whose calls release the GIL and whose
+    symbol search also covers the libraries it links, such as its BLAS. No signature is
+    set, so a caller passes ctypes values wherever a C int does not fit."""
     try:
-        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (AttributeError, OSError):
         return None
-
-
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count calls of the OpenBLAS that numpy loaded, or None
-    when none is found (MKL, Accelerate, or a numpy built otherwise)."""
-    lib = _blas_library()
-    for prefix, suffix, _ in _OPENBLAS_NAMES if lib is not None else ():
-        get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-        put = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-        if get is not None and put is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-            put.argtypes, put.restype = [ctypes.c_int], None
-            return get, put
-    return None
-
-
-@functools.cache
-def _openblas_symv():
-    """cblas_dsymv of the OpenBLAS that numpy loaded, or None when none is found."""
-    lib = _blas_library()
-    for prefix, suffix, integer in _OPENBLAS_NAMES if lib is not None else ():
-        symv = getattr(lib, f"{prefix}cblas_dsymv{suffix}", None)
-        if symv is not None:
-            symv.argtypes, symv.restype = [
-                ctypes.c_int, ctypes.c_int, integer, ctypes.c_double, ctypes.c_void_p, integer,
-                ctypes.c_void_p, integer, ctypes.c_double, ctypes.c_void_p, integer], None
-            return symv
+    for prefix, suffix, integer in _OPENBLAS_NAMES:
+        routines = [getattr(lib, f"{prefix}{name}{suffix}", None) for name in names]
+        if all(routine is not None for routine in routines):
+            return (*routines, integer)
     return None
 
 
@@ -196,10 +177,14 @@ def gram_product(gram: np.ndarray, v: np.ndarray, out: np.ndarray):
     n = len(v)
     fits = (gram.shape == (n, n) and v.shape == out.shape == (n,) and out.flags.writeable
             and all(a.dtype == np.float64 and a.flags.c_contiguous for a in (gram, v, out)))
-    if (symv := _openblas_symv() if fits else None) is None:
+    if (found := _openblas("cblas_dsymv") if fits else None) is None:
         return functools.partial(np.dot, gram, v, out)
-    product = functools.partial(symv, 101, 121, n, 1.0, gram.ctypes.data, max(n, 1),
-                                v.ctypes.data, 1, 0.0, out.ctypes.data, 1)  # row-major, upper
+    symv, integer = found
+    address, double, one = ctypes.c_void_p, ctypes.c_double, integer(1)  # symv has no signature
+    product = functools.partial(symv, 101, 121, integer(n), double(1.0),  # row-major, upper
+                                address(gram.ctypes.data), integer(max(n, 1)),
+                                address(v.ctypes.data), one, double(0.0),
+                                address(out.ctypes.data), one)
     product.arrays = (gram, v, out)        # alive while their addresses are bound
     return product
 
@@ -216,11 +201,12 @@ def blas_threads_per_worker(workers: int):
     controlled. The count is process-wide: do not nest or overlap blocks
     from different threads.
     """
-    calls = _openblas_threads() if workers > 1 else None
+    calls = (_openblas("openblas_get_num_threads", "openblas_set_num_threads")
+             if workers > 1 else None)
     if calls is None:
         yield None
         return
-    get, put = calls
+    get, put, _ = calls
     before = get()
     per_worker = max(1, before // workers)
     put(per_worker)

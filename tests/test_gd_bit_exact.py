@@ -214,7 +214,9 @@ def test_margin_loops_match_the_margin_reference(n, d, q, lr, epochs, gated):
 def test_margin_fits_without_dsymv_keep_the_bytes_of_a_full_product(monkeypatch, q):
     # where numpy's BLAS exports no dsymv (MKL, Accelerate), K v is np.dot's, and a
     # fit's bytes are those of the reference loop forming K v as gram @ v
-    monkeypatch.setattr(numerics, "_openblas_symv", lambda: None)
+    found = numerics._openblas
+    monkeypatch.setattr(numerics, "_openblas",
+                        lambda *names: None if names == ("cblas_dsymv",) else found(*names))
     monkeypatch.setattr(gd_reference, "gram_product",
                         lambda gram, v, out: lambda: np.copyto(out, gram @ v))
     x, labels = _problem(60 + q, 60, 200, q)

@@ -62,11 +62,17 @@ def test_no_module_binds_a_library_that_holds_the_gil():
                        "library with ctypes.CDLL instead: " + ", ".join(found))
 
 
+def _openblas_lookups(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_openblas":
+            yield tuple(arg.value for arg in node.args)
+
+
 def test_every_bound_blas_routine_releases_the_gil():
-    lib = numerics._blas_library()
-    if lib is None:
-        return                             # nothing bound, so nothing holds the GIL
-    assert not lib._func_flags_ & ctypes._FUNCFLAG_PYTHONAPI
-    routines = [numerics._openblas_symv(), *(numerics._openblas_threads() or ())]
-    for routine in filter(None, routines):
-        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI, routine.__name__
+    # every lookup the package makes, read from its source, so a new routine is covered
+    lookups = {names for _, tree in _modules() for names in _openblas_lookups(tree)}
+    assert ("cblas_dsymv",) in lookups and len(lookups) == 2
+    for names in lookups:
+        found = numerics._openblas(*names)
+        for routine in found[:-1] if found else ():
+            assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI, routine.__name__

@@ -672,14 +672,17 @@ def test_csv_bytes_identical_at_sizes_where_blas_threads(tmp_path, doc):
     assert digests[0] == digests[1]
 
 
-@pytest.mark.skipif(numerics._openblas_threads() is None,
+THREAD_CALLS = ("openblas_get_num_threads", "openblas_set_num_threads")
+
+
+@pytest.mark.skipif(numerics._openblas(*THREAD_CALLS) is None,
                     reason="BLAS thread count cannot be controlled here")
 @pytest.mark.parametrize("threads,trials,in_task,recorded", [
     (2, 2, 2, 2), (3, 2, 2, 2), (3, 3, 1, 1), (2, 1, 4, None)])
 def test_blas_threads_split_across_workers_and_restored(monkeypatch, threads, trials,
                                                         in_task, recorded):
     # BLAS starts at 4 threads; workers in use are min(threads, trials)
-    get, put = numerics._openblas_threads()
+    get, put, _ = numerics._openblas(*THREAD_CALLS)
     before = get()
     seen = []
 
@@ -760,7 +763,7 @@ def test_each_method_is_resolved_once_per_cell_at_load_and_once_per_run(monkeypa
 def test_summary_records_blas_threads_per_worker():
     config = config_from_dict(_tiny_dm1_config(trials=2))
     assert summarize(run_experiment(config))["blas_threads_per_worker"] is None
-    calls = numerics._openblas_threads()
+    calls = numerics._openblas(*THREAD_CALLS)
     expected = None if calls is None else max(1, calls[0]() // 2)
     assert summarize(run_experiment(config, threads=2))["blas_threads_per_worker"] == expected
 
@@ -769,7 +772,9 @@ def test_an_uncontrolled_blas_runs_pooled_at_the_serial_bytes(monkeypatch, tmp_p
     # README: a BLAS that cannot be controlled keeps its default, recorded as null
     config = config_from_dict(_tiny_dm1_config(trials=2))
     emit_csv(run_experiment(config), tmp_path / "serial.csv")
-    monkeypatch.setattr(numerics, "_openblas_threads", lambda: None)
+    found = numerics._openblas
+    monkeypatch.setattr(numerics, "_openblas",
+                        lambda *names: None if names == THREAD_CALLS else found(*names))
     records = run_experiment(config, threads=2)
     emit_csv(records, tmp_path / "pooled.csv")
     assert (tmp_path / "pooled.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
@@ -1122,6 +1127,24 @@ def test_the_id_gap_slack_needs_sl_and_an_mmcl_method_on_train():
     doc = _tiny_dm1_config(methods=["mmcl-gd", "sl"], slacks=gap,
                            eval={"n_eval": 2000, "splits": ["train"]})
     assert config_from_dict(doc).slacks == gap
+
+
+def test_each_id_gap_row_names_its_cell(tmp_path):
+    # the gap row carries the data-model parameters and caption levels that sl and
+    # mmcl share, so summarize keeps one entry per sweep cell and the CSV names the cell
+    doc = _tiny_dm1_config(methods=["mmcl-closed", "sl"], sweep={"p_spu": [0.9, 0.999]},
+                           eval={"n_eval": 2000, "splits": ["train"]},
+                           method_overrides={"sl": {"train": {"n_train": 200, "epochs": 200}}})
+    records = run_experiment(config_from_dict(doc))
+    gaps = [cell for cell in summarize(records)["cells"] if cell["metric"] == "id_gap"]
+    assert [(cell["params"]["p_spu"], cell["n"]) for cell in gaps] == [(0.9, 2), (0.999, 2)]
+    assert gaps[0]["params"] == {"sigma_core": 1.0, "sigma_spu": 0.05, "p_spu": 0.9}
+    emit_csv(records, tmp_path / "results.csv")
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = [row for row in csv.DictReader(fh) if row["metric"] == "id_gap"]
+    assert [row["p_spu"] for row in rows] == ["0.9", "0.9", "0.999", "0.999"]
+    assert {row["sigma_spu"] for row in rows} == {"0.05"}
+    assert not any(row["n_train"] for row in rows)
 
 
 def test_the_supcon_geometry_slack_needs_the_geometry_switched_on():

@@ -145,27 +145,40 @@ def test_numerics_input_checks(call, error, message):
         call()
 
 
+THREAD_CALLS = ("openblas_get_num_threads", "openblas_set_num_threads")
+
+
+@pytest.fixture
+def fake_library(monkeypatch):
+    """Makes numpy's linear-algebra extension load as ``cdll(path)`` until the test
+    ends; the cached lookups are cleared on either side."""
+    def load(cdll):
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        numerics._openblas.cache_clear()
+    yield load
+    numerics._openblas.cache_clear()
+
+
 def _no_library(path):
     raise OSError(f"cannot load {path}")
 
 
+def _split(workers=2):
+    with numerics.blas_threads_per_worker(workers) as per_worker:
+        return per_worker
+
+
 @pytest.mark.parametrize("cdll", [_no_library, lambda path: object()],
                          ids=["no-library", "no-openblas-symbols"])
-def test_openblas_threads_is_none_without_an_openblas(monkeypatch, cdll):
+def test_openblas_threads_is_none_without_an_openblas(fake_library, cdll):
     # the uncontrolled-BLAS path the harness takes for MKL, Accelerate or a
     # numpy whose linear-algebra extension cannot be loaded; there the Gram
     # product of margin-space GD is np.dot
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    lookups = (numerics._openblas_threads, numerics._openblas_symv)
-    for lookup in lookups:
-        lookup.cache_clear()
-    try:
-        assert numerics._openblas_threads() is None and numerics._openblas_symv() is None
-        gram, v = _symmetric_problem(3)
-        assert numerics.gram_product(gram, v, np.empty(3)).func is np.dot
-    finally:
-        for lookup in lookups:
-            lookup.cache_clear()
+    fake_library(cdll)
+    assert numerics._openblas(*THREAD_CALLS) is None and _split() is None
+    assert numerics._openblas("cblas_dsymv") is None
+    gram, v = _symmetric_problem(3)
+    assert numerics.gram_product(gram, v, np.empty(3)).func is np.dot
 
 
 class _Library:
@@ -173,41 +186,68 @@ class _Library:
 
     def __init__(self, names):
         for name in names:
-            setattr(self, name, type("Routine", (), {"__name__": name})())
+            routine = type("Routine", (), {"__name__": name, "__call__": lambda self, *a: None})
+            setattr(self, name, routine())
 
 
-# (prefix, suffix) of each OpenBLAS spelling; the numpy wheels export scipy-64
-_SPELLINGS = {"scipy-64": ("scipy_", "64_"), "scipy": ("scipy_", ""), "plain": ("", ""),
-              "plain-64": ("", "64_")}
+# (prefix, suffix, BLAS integer type) of each OpenBLAS spelling; the numpy wheels
+# export scipy-64
+_SPELLINGS = {"scipy-64": ("scipy_", "64_", ctypes.c_int64),
+              "scipy": ("scipy_", "", ctypes.c_int), "plain": ("", "", ctypes.c_int),
+              "plain-64": ("", "64_", ctypes.c_int64)}
 
 
-def _routines(spelling):
-    prefix, suffix = _SPELLINGS[spelling]
-    return [f"{prefix}{name}{suffix}" for name in (
-        "openblas_get_num_threads", "openblas_set_num_threads", "cblas_dsymv")]
+def _spelled(spelling, *names):
+    prefix, suffix, _ = _SPELLINGS[spelling]
+    return [f"{prefix}{name}{suffix}" for name in names]
+
+
+def _names(found):
+    return [routine.__name__ for routine in found[:-1]]
 
 
 @pytest.mark.parametrize("exported,found", [*(([s], s) for s in _SPELLINGS),
                                             (list(_SPELLINGS), "scipy-64")],
                          ids=[*_SPELLINGS, "all-spellings"])
-def test_each_openblas_spelling_finds_every_routine(monkeypatch, exported, found):
+def test_each_openblas_spelling_finds_every_routine(fake_library, exported, found):
     # an OpenBLAS exports one spelling: the thread calls and dsymv must both be found
-    # in it, dsymv with 64-bit integers exactly where the names end in 64_; where
-    # every spelling is exported, the numpy wheels' comes first
-    monkeypatch.setattr(ctypes, "CDLL", lambda path: _Library(
-        [name for spelling in exported for name in _routines(spelling)]))
-    integer = ctypes.c_int64 if found.endswith("64") else ctypes.c_int
-    lookups = (numerics._openblas_threads, numerics._openblas_symv)
-    for lookup in lookups:
-        lookup.cache_clear()
-    try:
-        symv = numerics._openblas_symv()
-        names = [call.__name__ for call in (*numerics._openblas_threads(), symv)]
-        assert names == _routines(found)
-        assert [symv.argtypes[i] for i in (2, 5, 7, 10)] == [integer] * 4
-    finally:
-        for lookup in lookups:
-            lookup.cache_clear()
+    # in it, with 64-bit integers exactly where the names end in 64_; where every
+    # spelling is exported, the numpy wheels' comes first
+    fake_library(lambda path: _Library([name for spelling in exported for name in
+                                        _spelled(spelling, *THREAD_CALLS, "cblas_dsymv")]))
+    threads, symv = numerics._openblas(*THREAD_CALLS), numerics._openblas("cblas_dsymv")
+    assert _names(threads) == _spelled(found, *THREAD_CALLS)
+    assert _names(symv) == _spelled(found, "cblas_dsymv")
+    assert threads[-1] is symv[-1] is _SPELLINGS[found][2]
+
+
+@pytest.mark.parametrize("exported,pair,symv", [
+    ([*_spelled("scipy-64", "openblas_get_num_threads", "cblas_dsymv"),
+      *_spelled("scipy", "openblas_set_num_threads"), *_spelled("plain", *THREAD_CALLS),
+      *_spelled("plain-64", *THREAD_CALLS, "cblas_dsymv")], "plain", "scipy-64"),
+    ([*_spelled("scipy-64", "openblas_set_num_threads"), *_spelled("scipy", "cblas_dsymv"),
+      *_spelled("plain", "openblas_get_num_threads"),
+      *_spelled("plain-64", *THREAD_CALLS, "cblas_dsymv")], "plain-64", "scipy"),
+], ids=["pair-plain-symv-scipy-64", "pair-plain-64-symv-scipy"])
+def test_mixed_spellings_find_the_pair_in_one_spelling_and_dsymv_in_its_first(
+        fake_library, exported, pair, symv):
+    # the get/set pair is looked up in one call, so both come from the first spelling
+    # that exports both; dsymv comes from the first spelling that exports it, with
+    # that spelling's integer type, whichever spelling the pair came from
+    fake_library(lambda path: _Library(exported))
+    threads, found = numerics._openblas(*THREAD_CALLS), numerics._openblas("cblas_dsymv")
+    assert _names(threads) == _spelled(pair, *THREAD_CALLS)
+    assert threads[-1] is _SPELLINGS[pair][2]
+    assert _names(found) == _spelled(symv, "cblas_dsymv")
+    assert found[-1] is _SPELLINGS[symv][2]
+
+
+def test_a_lone_get_call_splits_no_threads_while_dsymv_is_found(fake_library):
+    # a set call is what splits the threads, so a library without one is uncontrolled
+    fake_library(lambda path: _Library(["openblas_get_num_threads", "cblas_dsymv"]))
+    assert numerics._openblas(*THREAD_CALLS) is None and _split() is None
+    gram, v = _symmetric_problem(3)
+    assert numerics.gram_product(gram, v, np.empty(3)).func.__name__ == "cblas_dsymv"
 
 
 def _symmetric_problem(n, seed=3):
@@ -222,8 +262,10 @@ def test_gram_product_agrees_with_dot_within_the_trust_gates_bound(monkeypatch, 
     # any order of an n-term sum rounds each entry of K v by at most eps n ||K||_F ||v||,
     # the bound that margin-space GD's trust slack is built from
     if symv == "fallback":
-        monkeypatch.setattr(numerics, "_openblas_symv", lambda: None)
-    elif numerics._openblas_symv() is None:
+        found = numerics._openblas
+        monkeypatch.setattr(numerics, "_openblas",
+                            lambda *names: None if names == ("cblas_dsymv",) else found(*names))
+    elif numerics._openblas("cblas_dsymv") is None:
         pytest.skip("numpy's BLAS exports no cblas_dsymv")
     gram, v = _symmetric_problem(n)
     out = np.full(n, np.nan)
@@ -236,7 +278,7 @@ def test_gram_product_agrees_with_dot_within_the_trust_gates_bound(monkeypatch, 
 
 def test_gram_product_reads_one_triangle_only_where_dsymv_is_found():
     # the lower triangle is never read: poisoning it leaves the product unchanged
-    if numerics._openblas_symv() is None:
+    if numerics._openblas("cblas_dsymv") is None:
         pytest.skip("numpy's BLAS exports no cblas_dsymv")
     gram, v = _symmetric_problem(7)
     out, poisoned_out = np.empty(7), np.empty(7)

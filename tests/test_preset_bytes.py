@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from mmclab import emit_csv, emit_json_summary, harness, run_experiment, suite_configs
-from mmclab.numerics import _OPENBLAS_NAMES, _openblas_threads
+from mmclab.numerics import _openblas
 
 PIN_KEY = {"numpy": "2.4.6", "BLAS build": "scipy-openblas 0.3.31.188.0"}
 
@@ -41,7 +41,7 @@ CSV_PINS = {
     "captions-dm2": "fda3b24a4147c688d77aa58885a9d91594a6657da42715b8ff4df9ab69a08edb",
     "supcon-dm1": "87dc57bdc9b532877b5a54b1ae07050114de9116e5bd9334f4bb585aab95d299",
     "supcon-dm2": "30a9adf79e2f192b35ff7c1c350b563d0e0d34f50a44deb6df01b0e9e72bebde",
-    "id-control": "57795dd93edc8ae8a54634d137681ccf4f20bc9014211cbe7f46044239ea96d2",
+    "id-control": "642af84466f534bb9bff5d075720d2d58a492997e5bc0d0c16095d5ec9b5e553",
 }
 
 SUMMARY_PINS = {
@@ -53,7 +53,7 @@ SUMMARY_PINS = {
     "captions-dm2": "ded166cfea274e2c393c0f2fb38b2833887aeca26c66633b4e10464e0bb9eea8",
     "supcon-dm1": "2ef138ba65dfe5875978f68c6b5131d666c66885af83f31ccc41c0a4d5887d6c",
     "supcon-dm2": "4b91adcef614ce3623b67a02237f6325c703ba953bf530f51edce179d6f9826d",
-    "id-control": "44458e82c22bda9b9aadf86f52044a8e17fb00af79785a28d12d564d7f35e4ba",
+    "id-control": "bc3eebf9e5dfafb27d960993835c184f622a39a28601a8763d81caeb42c70fcb",
 }
 
 FIT_PINS = {
@@ -103,16 +103,11 @@ def _blas_build() -> str:
 def _openblas_core() -> str | None:
     """The core name of the kernels OpenBLAS chose for this CPU, or None when numpy
     does not run on an OpenBLAS that reports one."""
-    try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
-    except (AttributeError, OSError):
+    if (found := _openblas("openblas_get_corename")) is None:
         return None
-    for prefix, suffix, _ in _OPENBLAS_NAMES:
-        get = getattr(lib, f"{prefix}openblas_get_corename{suffix}", None)
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_char_p
-            return get().decode()
-    return None
+    get, _ = found
+    get.restype = ctypes.c_char_p
+    return get().decode()
 
 
 def _pinned_core() -> str:
@@ -130,7 +125,7 @@ def _pinned_core() -> str:
 
 @contextmanager
 def _one_blas_thread():
-    get, put = _openblas_threads()
+    get, put, _ = _openblas("openblas_get_num_threads", "openblas_set_num_threads")
     before = get()
     put(1)
     try:
