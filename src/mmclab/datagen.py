@@ -381,7 +381,7 @@ def project_latents(z: np.ndarray, cfg: ModalityConfig, rng: RngStream | None = 
         raise DimensionError(
             f"latent dim {z.shape[-1]} does not match dictionary latent dim {cfg.latent_dim}")
     if not cfg.noise_sigma > 0:
-        x = np.dot(z, cfg.dictionary.matrix.T)
+        x = np.dot(z, cfg.dictionary.matrix.T.copy())  # a C-order right factor is faster
         return x if rule is None else np.dot(x, rule)
     if rng is None:
         raise ArgumentError("noisy projection requires an RngStream")
@@ -393,7 +393,7 @@ def project_latents(z: np.ndarray, cfg: ModalityConfig, rng: RngStream | None = 
     # exactly, so the values equal D z + s * noise bit for bit
     x = rng.generator().standard_normal(z.shape[:-1] + (cfg.ambient_dim,))
     x *= cfg.noise_sigma / np.sqrt(cfg.ambient_dim)
-    x += np.dot(z, cfg.dictionary.matrix.T)
+    x += np.dot(z, cfg.dictionary.matrix.T.copy())
     return x
 
 

@@ -116,12 +116,12 @@ def _check_input_dim(image_cfg: ModalityConfig, rule: np.ndarray):
 
 
 def _prompt_factor(prompts: np.ndarray, params) -> np.ndarray:
-    """The prompts as a rule's last factor, one column per class of ``params``. Any
-    other row count raises: its columns would score the wrong classes."""
+    """The prompts as a rule's last factor, C-order, one column per class of ``params``.
+    Any other row count raises: its columns would score the wrong classes."""
     if prompts.shape[0] != len(params.classes):
         raise DimensionError(f"{prompts.shape[0]} prompts for the {len(params.classes)} "
                              f"classes {params.classes}")
-    return prompts.T
+    return prompts.T.copy()
 
 
 def _evaluate(factors: tuple, classes: tuple, params, split: str, image_cfg: ModalityConfig,

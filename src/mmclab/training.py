@@ -4,6 +4,7 @@ contrastive closed form, and linear probes on frozen representations.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ _DECAY_ALLOWANCE = 1e-2
 # while (d + steps since max |score| was formed) max_i ||x_i|| ||W|| < 2e12
 _SCORE_CAP = 500.0
 _EPS = np.finfo(float).eps
-_SIGN_BIT = np.int64(-2 ** 63)
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def mmcl_fit_gd(data: PairedDataset, p_dim: int, rho: float,
 # supervised fits (logistic / cross-entropy gradient descent)
 
 
-def _logistic_loss(neg_margins: np.ndarray) -> float:
-    return float(np.mean(np.logaddexp(0.0, neg_margins)))
+def _logistic_loss(margins: np.ndarray) -> float:
+    return float(np.mean(np.logaddexp(0.0, -margins)))
 
 
 def _cross_entropy_loss(own_probs: np.ndarray) -> float:
@@ -224,22 +224,25 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     the last epoch's scores, taken after the loop since most epochs skip it.
 
     The loop runs class-major: W is q x d, and the scores W x^T and the
-    residual V are q x n (vectors at q = 1). The gradient is g / n, g = V x;
-    every path steps by h = -lr / n times g and takes norms as sqrt(<g, g>) / n.
+    residual V are q x n (vectors at q = 1); the gradient is V x / n. The step
+    is folded into the inputs: cross-entropy steps by V (h x), V = P - Y and
+    h = -lr / n. The logistic rows are multiplied by y, so the scores are the
+    margins m, and v = (lr / n) / (1 + e^m) makes v x the step; e^m overflows
+    to inf past m = 709.78, where v is 0. Every norm is ||step|| / lr.
 
-    Margin space, for n < d: GD never leaves w0 + rowspan(x), so
-    W = w0 + A x. With K = x x^T (symmetric), a step of A by h V moves the
-    scores by h V K, and the gradient norm ||V x|| / n is sqrt(<V, V K>) / n:
-    one n x n product per epoch. ``state`` holds the scores and A as its two
-    rows and ``delta`` holds V K and V, so a step is one multiply and one add. A
-    step writes the spare buffer, so the scores it stepped from stay readable.
-    <V, V K> decides the norm only when, less its rounding bound
-    ``slack`` ||V||^2, it still puts the norm above GRAD_TOL; otherwise the
-    gradient is formed as V x and its norm taken directly. The slack bounds
-    an n-term sum's rounding in any order, so it covers K v by OpenBLAS's dsymv on
-    one triangle of K (``numerics.gram_product``) as well as by np.dot.
+    Margin space, for n < d: GD never leaves w0 + rowspan(x), so W = w0 + A x
+    (w0 + B (h x) for cross-entropy). With K = x x^T, symmetric, a step adds v
+    to A and v K to the scores (V to B and V (h K) to the scores). ``state``
+    holds the scores and A (or B) as its rows and ``delta`` their step: one
+    add, into the spare buffer, so the scores it stepped from stay readable.
+    ||step||^2 is <v, v K> (h <V, V (h K)>): one n x n product per epoch. It
+    decides the norm only when, less its rounding bound ``slack`` ||v||^2, it
+    still puts the norm above GRAD_TOL; otherwise the step is formed as in
+    feature space. The slack bounds an n-term sum's rounding in any order, so
+    it covers K v by OpenBLAS's dsymv on one triangle of K
+    (``numerics.gram_product``) as well as by np.dot.
 
-    Divergence gate: the loss is at most a bound B, log 2 + mean(max(-m, 0))
+    Divergence gate: the loss is at most a bound B, log 2 - mean(min(m, 0))
     over the margins m (logistic) or log q - mean(own shifted score) over the
     scores minus their row max (cross-entropy). A step moves W by lr ||g||, so
     it moves a margin by at most ||x_i|| lr ||g|| and an own shifted score by
@@ -256,7 +259,7 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     from below by G (1 - r - a)^k, a = ``_DECAY_ALLOWANCE``. The norm is formed
     again only at the first epoch k with G (1 - r - a)^(k + 1) <= GRAD_TOL + 3E,
     and at the last epoch; E = sqrt(eps (n + d) b trace(K) / n), with
-    ||v||^2 <= n b (b = 1 logistic, 2 cross-entropy), covers the rounding of a
+    ||V||^2 <= n b (b = 1 logistic, 2 cross-entropy), covers the rounding of a
     formed norm and of the stop test. On the epochs between, ||g|| is at most
     sqrt(trace(K) n b) / n, which the divergence ceiling adds instead. So every
     stop, and the reported norm, is what forming the norm every epoch gives.
@@ -269,40 +272,40 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     exact. The row max is formed only on shifted epochs and where B is formed.
     """
     n, d = x.shape
-    if q == 1:
-        # rows times -y: w x^T is then -m and sigmoid(-m) x / n the gradient.
-        # Sign flips are exact, so every product and sum keeps its bytes
-        x = x * -target[:, None]
-    w, x_t = w0.T.copy(), x.T
-    # per-epoch work arrays, reused so that an epoch allocates no array
-    grad, step = np.empty_like(w), np.empty_like(w)
-    flat = grad.reshape(-1)
+    h = -lr / n
+    w = w0.T.copy()
+    step = np.empty_like(w)                # per-epoch buffers: an epoch allocates no array
+    flat = step.reshape(-1)
     shape = w.shape[:-1] + (n,)
     xw, out = np.empty(shape), np.empty(shape)
-    if margin_space:
-        gram = np.dot(x, x.T)
-        state, spare = np.zeros((2,) + shape), np.empty((2,) + shape)
-        state[0] = np.dot(x, w0).T
-        # each buffer's scores, and the same row as integers for bit operations
-        scores, spare_scores = [(a[0], a[0].view(np.int64)) for a in (state, spare)]
-        delta, shift = np.empty_like(state), np.empty_like(state)
-        kv, out = delta                    # v is formed in place, beside v K
-        gram_times_v = gram_product(gram, out, kv) if q == 1 else lambda: np.dot(out, gram, kv)
-        # rounding bound of <v, K v> per unit ||v||^2
-        slack = _EPS * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
-        quad_tol = (GRAD_TOL * n) ** 2     # GRAD_TOL on the scale of <v, K v>
     if q == 1:
-        work, sign = np.empty(n), np.empty(n)
-        xw_bits, out_bits = xw.view(np.int64), out.view(np.int64)
+        x = x * target[:, None]            # sign flips are exact
+        inputs, scale = x, 1.0             # v carries the step
     else:
+        inputs, scale = h * x, h           # the step folded into the inputs
         onehot = np.zeros(shape)
         onehot[target, np.arange(n)] = 1.0
         own = target * n + np.arange(n)    # flat index of each row's own class
-        log_q = math.log(q)
+        log_q, ones = math.log(q), np.ones(q)
         # feature space forms the scores in the softmax buffer; the residual
         # has its own, so the last epoch's probabilities survive for the loss
         probs = np.empty(shape) if margin_space else xw
         row_max, row_sum = np.empty(n), np.empty(n)
+    if margin_space:
+        gram = np.dot(x, x.T)
+        state, spare = np.zeros((2,) + shape), np.empty((2,) + shape)
+        state[0] = np.dot(x, w0).T
+        scores, spare_scores = state[0], spare[0]
+        delta = np.empty_like(state)
+        kv, out = delta                    # v is formed in place, beside its score step
+        gram_times_v = (gram_product(gram, out, kv) if q == 1
+                        else functools.partial(np.dot, out, h * gram, kv))
+        # ||step||^2 is scale <v, kv>, and slack ||v||^2 bounds its rounding: the d term
+        # is twice K's, and its spare half covers the one rounding of each entry of h K
+        slack = _EPS * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2) * (scale * scale)
+        quad_tol = (GRAD_TOL * lr) * (GRAD_TOL * lr)    # GRAD_TOL on the scale of ||step||^2
+    else:
+        x_t = x.T.copy()                   # a C-order right factor takes the faster product
     # the rise of B per unit of ||g||; in margin space the squared row norms
     # are the diagonal of K
     squares = np.diagonal(gram) if margin_space else np.einsum("ij,ij->i", x, x)
@@ -322,102 +325,96 @@ def _descend(x, target, q, lr, epochs, w0, margin_space=False):
     ceiling, limit = math.nan, -math.inf   # nothing clears until epoch 0 sets blowup
     top, shifted = math.inf, False         # U, and whether the last formed max shifts
     epochs_run = epochs
-    h = -lr / n
-    # An epoch is about eight numpy calls on small arrays, a microsecond
+    # An epoch is five to seven numpy calls on small arrays, about a microsecond
     # each. Local names and positional outputs spare their lookups and
     # keyword parsing, about a tenth of an epoch at the probe shapes
-    dot, exp, divide, subtract, multiply = np.dot, np.exp, np.divide, np.subtract, np.multiply
+    dot, exp, add, divide, subtract = np.dot, np.exp, np.add, np.divide, np.subtract
     reduce_max, reduce_sum, sqrt = np.maximum.reduce, np.add.reduce, math.sqrt
-    bitwise_or = np.bitwise_or
-    for epoch in range(epochs):
-        check = False
-        if margin_space:                   # the scores, read before the step moves them
-            xw, xw_bits = scores
-        else:
-            dot(w, x_t, xw)
-        if q == 1:
-            if not ceiling < limit:            # re-anchor on B
-                ceiling = _LOG2 + float(reduce_sum(np.maximum(xw, 0.0, out=work))) / n
-                check = not ceiling < limit
-            if check:
-                loss = _logistic_loss(xw)
-                if blowup is None:
-                    blowup = 1e3 * (loss + 1.0)
-                    limit = _BOUND_CLEARANCE * blowup
-                if not math.isfinite(loss) or loss > blowup:
-                    raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
-            # sigmoid(-m) from one exp, e = e^-|m|: 1/(1+e) for m <= 0, else
-            # e/(1+e); max(e, sign(-m)) picks the numerator, as e <= 1 and
-            # e = 1 at m = 0. -|m| is m with its sign bit set, which one
-            # integer OR forms (np.copysign is not vectorised, and slower)
-            bitwise_or(xw_bits, _SIGN_BIT, out_bits)
-            exp(out, out)
-            np.add(out, 1.0, work)
-            np.maximum(out, np.sign(xw, sign), out=out)
-            v = divide(out, work, out)
-        else:
-            if not top < _BOUND_CLEARANCE * _SCORE_CAP:   # form max |score| again
-                top = float(reduce_max(np.abs(xw, out=out), axis=None))
-                shifted = top >= _SCORE_CAP
-            anchor = not ceiling < limit
-            if shifted or anchor:          # a max is exact in any order
-                reduce_max(xw, axis=0, out=row_max)
-            exponent = subtract(xw, row_max, probs) if shifted else xw
-            if anchor:                         # re-anchor on B, over shifted scores
-                own_scores = exponent.take(own)
-                ceiling = log_q - float(reduce_sum(own_scores - (0.0 if shifted else row_max))) / n
-                check = not ceiling < limit
-            exp(exponent, probs)
-            reduce_sum(probs, axis=0, out=row_sum)
-            divide(probs, row_sum, probs)
-            if check:
-                own_probs = probs.take(own)
-                loss = decisive = _cross_entropy_loss(own_probs)
-                # the 1e-300 floor caps a row's loss near 690.8, under any blowup
-                # level; a row below it adds over 690 to the sum, so the exact
-                # loss decides
-                if loss * n > 690.0 and own_probs.min() < 1e-300:
-                    decisive = float(np.mean(np.log(row_sum) - own_scores))
-                if blowup is None:
-                    blowup = 1e3 * (decisive + 1.0)
-                    limit = _BOUND_CLEARANCE * blowup
-                if not math.isfinite(decisive) or decisive > blowup:
-                    raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-            v = subtract(probs, onehot, out)
-        # v is the residual of each row, so v x / n is the gradient
-        if margin_space:
-            gram_times_v()
-        else:
-            dot(v, x, grad)
-        if epoch < formed:                 # the norm clears GRAD_TOL (see above)
-            norm_bound = norm_max
-        else:
-            if margin_space:               # <v, v K>, if it clears its rounding (see above)
-                quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
-                trusted = quad - rounding > quad_tol
-                if trusted:
-                    grad_norm, norm_bound = sqrt(quad) / n, sqrt(quad + rounding) / n
-                else:
-                    dot(v, x, grad)
-            if not margin_space or not trusted:
-                grad_norm = norm_bound = sqrt(dot(flat, flat)) / n
-            if grad_norm < GRAD_TOL:
-                epochs_run = epoch
-                break
-            if grad_norm > gate:           # _DECAY_ALLOWANCE covers this count's rounding
-                formed = min(epoch + int(math.log(grad_norm / floor) / -math.log(decay)),
-                             epochs - 1)
-        ceiling += drift * norm_bound
-        top += reach * norm_bound
-        if margin_space:                   # A by h v and the scores by h v K, into spare
-            np.add(state, multiply(delta, h, shift), spare)
-            state, spare = spare, state
-            scores, spare_scores = spare_scores, scores
-        else:
-            np.add(w, multiply(grad, h, step), w)
+    with np.errstate(over="ignore" if q == 1 else None):
+        for epoch in range(epochs):
+            check = False
+            if margin_space:                   # the scores, read before the step moves them
+                xw = scores
+            else:
+                dot(w, x_t, xw)
+            if q == 1:
+                if not ceiling < limit:            # re-anchor on B
+                    ceiling = _LOG2 - float(reduce_sum(np.minimum(xw, 0.0, out=out))) / n
+                    check = not ceiling < limit
+                if check:
+                    loss = _logistic_loss(xw)
+                    if blowup is None:
+                        blowup = 1e3 * (loss + 1.0)
+                        limit = _BOUND_CLEARANCE * blowup
+                    if not math.isfinite(loss) or loss > blowup:
+                        raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
+                exp(xw, out)                   # inf past exp's range, so v = 0 there
+                add(out, 1.0, out)
+                v = divide(-h, out, out)       # -h = lr / n
+            else:
+                if not top < _BOUND_CLEARANCE * _SCORE_CAP:   # form max |score| again
+                    top = float(reduce_max(np.abs(xw, out=out), axis=None))
+                    shifted = top >= _SCORE_CAP
+                anchor = not ceiling < limit
+                if shifted or anchor:          # a max is exact in any order
+                    reduce_max(xw, axis=0, out=row_max)
+                exponent = subtract(xw, row_max, probs) if shifted else xw
+                if anchor:                         # re-anchor on B, over shifted scores
+                    own_scores = exponent.take(own)
+                    ceiling = log_q - float(reduce_sum(
+                        own_scores - (0.0 if shifted else row_max))) / n
+                    check = not ceiling < limit
+                exp(exponent, probs)
+                dot(ones, probs, row_sum)
+                divide(probs, row_sum, probs)
+                if check:
+                    own_probs = probs.take(own)
+                    loss = decisive = _cross_entropy_loss(own_probs)
+                    # the 1e-300 floor caps a row's loss near 690.8, under any blowup
+                    # level; a row below it adds over 690 to the sum, so the exact
+                    # loss decides
+                    if loss * n > 690.0 and own_probs.min() < 1e-300:
+                        decisive = float(np.mean(np.log(row_sum) - own_scores))
+                    if blowup is None:
+                        blowup = 1e3 * (decisive + 1.0)
+                        limit = _BOUND_CLEARANCE * blowup
+                    if not math.isfinite(decisive) or decisive > blowup:
+                        raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
+                v = subtract(probs, onehot, out)
+            if margin_space:
+                gram_times_v()
+            else:
+                dot(v, inputs, step)
+            if epoch < formed:                 # the norm clears GRAD_TOL (see above)
+                norm_bound = norm_max
+            else:
+                if margin_space:               # ||step||^2 from K, if it clears its rounding
+                    quad, rounding = scale * np.vdot(v, kv), slack * np.vdot(v, v)
+                    trusted = quad - rounding > quad_tol
+                    if trusted:
+                        grad_norm, norm_bound = sqrt(quad) / lr, sqrt(quad + rounding) / lr
+                    else:
+                        dot(v, inputs, step)
+                if not margin_space or not trusted:
+                    grad_norm = norm_bound = sqrt(dot(flat, flat)) / lr
+                if grad_norm < GRAD_TOL:
+                    epochs_run = epoch
+                    break
+                if grad_norm > gate:           # _DECAY_ALLOWANCE covers this count's rounding
+                    formed = min(epoch + int(math.log(grad_norm / floor) / -math.log(decay)),
+                                 epochs - 1)
+            ceiling += drift * norm_bound
+            top += reach * norm_bound
+            if margin_space:                   # the scores and A (or B), into spare
+                add(state, delta, spare)
+                state, spare = spare, state
+                scores, spare_scores = spare_scores, scores
+            else:
+                add(w, step, w)
     if epochs:                                 # the loss of the last epoch's scores
         loss = _logistic_loss(xw) if q == 1 else _cross_entropy_loss(probs.take(own))
-    return w0 + dot(x_t, state[1].T) if margin_space else w.T.copy(), loss, grad_norm, epochs_run
+    w = w0 + dot(inputs.T, state[1].T) if margin_space else w.T.copy()
+    return w, loss, grad_norm, epochs_run
 
 
 def sl_fit_gd(images: np.ndarray, labels, lr: float = SL_GD_DEFAULTS["lr"],

@@ -13,16 +13,22 @@ its convergence gate: it forms the gradient norm every epoch. It forms K v
 through the library's ``numerics.gram_product``, as the library does, so that
 the two sum each row of K v in the same order.
 
-The contract changed once since, and the class-major loops below state the new
-one; the library's fused loops must return bit-identical weights, losses,
-gradient norms and step counts to them. Three things changed: weights are held
-as q x d and scores and residuals as q x n, so the scores are W x^T and the
-gradient V x / n; every step adds (-lr / n) times V x, and a norm is
-sqrt(<V x, V x>) / n; and a softmax is shifted by its max only when
-max |score| >= ``_SCORE_CAP``. The frozen loops stay as they were, and a test
-holds the two contracts to each other within a derived rounding bound.
+The contract has changed twice since, and the class-major loops below state
+the current one; the library's fused loops must return bit-identical weights,
+losses, gradient norms and step counts to them. The first change: weights are
+held as q x d and scores and residuals as q x n, so the scores are W x^T and
+the gradient V x / n; and a softmax is shifted by its max only when
+max |score| >= ``_SCORE_CAP``. The second folds the step into the inputs: the
+scores multiply a C-order copy of x^T; cross-entropy steps by (P - Y)(h x),
+h = -lr / n, with its row sums a product by a vector of q ones; the logistic
+rows are multiplied by +y, so the scores are the margins m, and the step is
+v x with v = (lr / n) / (1 + e^m), one exp that overflows to inf, and v to 0,
+past exp's range; and a norm is ||step|| / lr. The frozen loops stay as they
+were, and a test holds them within a derived rounding bound of the class-major
+loops.
 """
 import math
+from functools import partial
 
 import numpy as np
 
@@ -163,19 +169,19 @@ def margin_gd(x, target, q, lr, epochs, w0):
 
 
 # ---------------------------------------------------------------------------
-# the class-major contract: q x d weights, q x n scores and residuals, the
-# -lr / n step, and a softmax shifted only at max |score| >= _SCORE_CAP
+# the class-major contract: q x d weights, q x n scores and residuals, the step
+# folded into the inputs, and a softmax shifted only at max |score| >= _SCORE_CAP
 
 
 def _capped_softmax(scores, target):
     """The probabilities of q x n scores, with their floored and decisive losses,
     and whether the scores were shifted by their column max."""
-    n = scores.shape[1]
+    q, n = scores.shape
     shifted = bool(np.abs(scores).max() >= _SCORE_CAP)
     if shifted:
         scores = scores - scores.max(axis=0)
     expsc = np.exp(scores)
-    sums = expsc.sum(axis=0)
+    sums = np.dot(np.ones(q), expsc)
     probs = expsc / sums
     own = probs[target, np.arange(n)]
     loss = decisive = float(-np.mean(np.log(own + 1e-300)))
@@ -184,36 +190,44 @@ def _capped_softmax(scores, target):
     return probs, loss, decisive, shifted
 
 
-def _norm(g, n):
-    return math.sqrt(np.dot(g.ravel(), g.ravel())) / n
+def _scaled_sigmoid(margins, lr, n):
+    """(lr / n) sigmoid(-m) = (lr / n) / (1 + e^m): 0 where e^m overflows."""
+    with np.errstate(over="ignore"):
+        return (lr / n) / (1.0 + np.exp(margins))
+
+
+def _norm(step, lr):
+    return math.sqrt(np.dot(step.ravel(), step.ravel())) / lr
 
 
 def class_major_logistic_gd(x, y, lr, epochs, w0):
     n = x.shape[0]
-    x = x * -y[:, None]                 # w x^T is then the negated margins
+    x = x * y[:, None]                  # w x^T is then the margins
+    x_t = x.T.copy()
     w = w0.copy()
     loss = grad_norm = np.inf
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
-        neg_margins = np.dot(w, x.T)
-        loss = float(np.mean(np.logaddexp(0.0, neg_margins)))
+        margins = np.dot(w, x_t)
+        loss = float(np.mean(np.logaddexp(0.0, -margins)))
         if blowup is None:
             blowup = 1e3 * (loss + 1.0)
         if not np.isfinite(loss) or loss > blowup:
             raise TrainingError(f"logistic GD diverged at epoch {epoch} (lr={lr})")
-        g = np.dot(_stable_sigmoid(neg_margins), x)
-        grad_norm = _norm(g, n)
+        step = np.dot(_scaled_sigmoid(margins, lr, n), x)
+        grad_norm = _norm(step, lr)
         if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break
-        w = w + (-lr / n) * g
+        w = w + step
     return w, loss, grad_norm, epochs_run
 
 
 def class_major_cross_entropy_gd(x, target, q, lr, epochs, w0, shifts=None):
     """Appends to ``shifts``, when given, each epoch whose softmax is shifted."""
     n = x.shape[0]
+    hx, x_t = (-lr / n) * x, x.T.copy()
     w = w0.T.copy()
     onehot = np.zeros((q, n))
     onehot[target, np.arange(n)] = 1.0
@@ -221,45 +235,52 @@ def class_major_cross_entropy_gd(x, target, q, lr, epochs, w0, shifts=None):
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
-        probs, loss, decisive, shifted = _capped_softmax(np.dot(w, x.T), target)
+        probs, loss, decisive, shifted = _capped_softmax(np.dot(w, x_t), target)
         if shifted and shifts is not None:
             shifts.append(epoch)
         if blowup is None:
             blowup = 1e3 * (decisive + 1.0)
         if not np.isfinite(decisive) or decisive > blowup:
             raise TrainingError(f"cross-entropy GD diverged at epoch {epoch} (lr={lr})")
-        g = np.dot(probs - onehot, x)
-        grad_norm = _norm(g, n)
+        step = np.dot(probs - onehot, hx)
+        grad_norm = _norm(step, lr)
         if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break
-        w = w + (-lr / n) * g
+        w = w + step
     return w.T.copy(), loss, grad_norm, epochs_run
 
 
 def class_major_margin_gd(x, target, q, lr, epochs, w0, shifts=None):
-    """``margin_gd`` on the class-major contract: with V and the scores q x n,
-    a step moves the scores by -lr/n V K, K symmetric, and the norm falls back
-    to ||V x|| / n. Appends to ``shifts`` as ``class_major_cross_entropy_gd``
-    does."""
+    """``margin_gd`` on the class-major contract, for n < d: W = w0 + A x. The
+    logistic residual v is the step's own, so A sums the v and the scores the
+    v K. Cross-entropy folds h = -lr/n into x and K instead: W = w0 + B (h x)
+    for the sum B of the V, and the scores sum the V (h K). ||step||^2 is
+    <v, v K> or h <V, V (h K)> when that clears GRAD_TOL by more than its
+    rounding bound, else the step is formed as v x or V (h x). Appends to
+    ``shifts`` as ``class_major_cross_entropy_gd`` does."""
     n, d = x.shape
+    h = -lr / n
     if q == 1:
-        x = x * -target[:, None]
+        x = x * target[:, None]
+        inputs, scale = x, 1.0
     else:
         onehot = np.zeros((q, n))
         onehot[target, np.arange(n)] = 1.0
+        inputs, scale = h * x, h
     gram = np.dot(x, x.T)
-    slack = np.finfo(float).eps * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
+    slack = (np.finfo(float).eps * (n * np.linalg.norm(gram) + d * np.linalg.norm(x) ** 2)
+             * (scale * scale))
     scores, coef = np.dot(x, w0).T.copy(), np.zeros(w0.shape[1:] + (n,))
     v, kv = np.empty_like(coef), np.empty_like(coef)
-    gram_times_v = gram_product(gram, v, kv) if q == 1 else lambda: np.dot(v, gram, kv)
+    gram_times_v = gram_product(gram, v, kv) if q == 1 else partial(np.dot, v, h * gram, kv)
     loss = grad_norm = np.inf
     blowup = None
     epochs_run = epochs
     for epoch in range(epochs):
         if q == 1:
-            loss = decisive = float(np.mean(np.logaddexp(0.0, scores)))
-            v[...] = _stable_sigmoid(scores)
+            loss = decisive = float(np.mean(np.logaddexp(0.0, -scores)))
+            v[...] = _scaled_sigmoid(scores, lr, n)
         else:
             probs, loss, decisive, shifted = _capped_softmax(scores, target)
             if shifted and shifts is not None:
@@ -271,14 +292,14 @@ def class_major_margin_gd(x, target, q, lr, epochs, w0, shifts=None):
             kind = "logistic" if q == 1 else "cross-entropy"
             raise TrainingError(f"{kind} GD diverged at epoch {epoch} (lr={lr})")
         gram_times_v()
-        quad, rounding = np.vdot(v, kv), slack * np.vdot(v, v)
-        if quad - rounding > (GRAD_TOL * n) ** 2:
-            grad_norm = math.sqrt(quad) / n
+        quad, rounding = scale * np.vdot(v, kv), slack * np.vdot(v, v)
+        if quad - rounding > (GRAD_TOL * lr) * (GRAD_TOL * lr):
+            grad_norm = math.sqrt(quad) / lr
         else:
-            grad_norm = _norm(np.dot(v, x), n)
+            grad_norm = _norm(np.dot(v, inputs), lr)
         if grad_norm < GRAD_TOL:
             epochs_run = epoch
             break
-        scores = scores + kv * (-lr / n)
-        coef = coef + v * (-lr / n)
-    return w0 + np.dot(x.T, coef.T), loss, grad_norm, epochs_run
+        scores = scores + kv
+        coef = coef + v
+    return w0 + np.dot(inputs.T, coef.T), loss, grad_norm, epochs_run

@@ -9,6 +9,7 @@ rounding bound of the class-major ones, and stop and diverge at the same
 epochs."""
 import math
 import types
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
@@ -153,15 +154,22 @@ def _rounding_gap_bound(x, q, lr, epochs, w0):
     sqrt(n b) and ||W|| <= M = ||W_0|| + epochs lr/n ||x||_F sqrt(n b), up to
     rounding, one step's |e| is at most the sum of
       u M                                  the add;
-      3 u lr/n ||x||_F sqrt(n b)           lr / n and its product with x^T V;
-      lr/n gamma_n ||x||_F sqrt(n b)       the product x^T V, in any order;
-      lr/n ||x||_2 c gamma_d ||x||_F M     the scores' rounding, through V;
+      3 u lr/n ||x||_F sqrt(n b)           the step factor's roundings: lr / n
+                                           and its product with each entry of
+                                           x (cross-entropy's h x) or V (the
+                                           logistic v), or the frozen loops'
+                                           divide by n and product with lr; two
+                                           roundings, and one to spare;
+      lr/n gamma_n ||x||_F sqrt(n b)       the product V x, in any order;
+      lr/n ||x||_2 c gamma_d ||x||_F M     the scores' rounding, through V,
+                                           whatever the layout of x^T;
       lr/n ||x||_2 sqrt(n) kappa u         V's own rounding, per row at most
                                            kappa u in the 1-norm.
-    kappa = 16 covers the sigmoid (exp to 4 ulp, an add and a divide), and
-    32 + 4q the softmax: exp to 4 ulp, the row sum, the divide, the one-hot
-    subtract, and a shift, whose rounding moves an entry e^-t by u t e^-t <= u/e
-    against a row sum of at least 1."""
+    kappa = 16 covers the sigmoid: 1 / (1 + e^m) is exp to 4 ulp, an add and a
+    divide, at most 10 u, as is the frozen loops' masked form. 32 + 4q covers
+    the softmax: exp to 4 ulp, the row sum in any order (a product by ones is
+    one), the divide, the one-hot subtract, and a shift, whose rounding moves
+    an entry e^-t by u t e^-t <= u/e against a row sum of at least 1."""
     n, d = x.shape
     u = np.finfo(float).eps / 2
     gamma_n, gamma_d = (m * u / (1 - m * u) for m in (n, d))
@@ -179,7 +187,8 @@ def _rounding_gap_bound(x, q, lr, epochs, w0):
 def test_the_frozen_loops_stay_within_rounding_of_the_class_major_loops(n, d, q, lr, epochs):
     # the two contracts run the same GD and round differently: the frozen
     # loops shift every softmax, sum in the n x q layout and divide by n before
-    # the step. Each gap measured about 1e-16 relative; the bounds are 2e-12 to 2e-10
+    # the step, where the class-major ones fold the step into x or the logistic
+    # residual. Each gap measured about 1e-16 relative; the bounds are 2e-12 to 2e-10
     x, labels = _problem(n + q, n, d, q)
     w0 = _init(q, d, q)
     target = labels.astype(float) if q == 1 else labels
@@ -444,6 +453,52 @@ def test_scores_past_the_range_of_exp_fit_without_overflow(margin_space):
                       reference=reference)
     _assert_identical(got, want)
     assert np.abs(x @ got[0]).max() > 710
+
+
+@contextmanager
+def _recorded_divides():
+    """Record a copy of each array ``_descend`` divides into: the logistic loop
+    divides once per epoch, forming its residual."""
+    quotients = []
+
+    class Spy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def divide(*args):
+            quotient = np.divide(*args)
+            quotients.append(quotient.copy())
+            return quotient
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(training, "np", Spy())
+        yield quotients
+
+
+def test_the_logistic_residual_is_the_sigmoid_to_a_few_ulp():
+    # margins across [-800, 800] as one input column under +1 labels, from w0 = 1
+    # at lr = n: the step factor lr / n is 1, so the residual is 1 / (1 + e^m).
+    # exp within 4 ulp, then an add and a divide of half an ulp each, keep it
+    # within 5 eps relative of the exact value wherever that is a normal float
+    # (about 1.03 eps measured). Past exp's range, m > log(max float) = 709.78,
+    # e^m is inf and the residual exactly 0; that overflow raises no warning
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is no wider than a float here")
+    margins = np.concatenate([np.linspace(-800.0, 800.0, 16001),
+                              [0.0, 708.3, 708.4, 709.78, 709.79, 745.2]])
+    n = len(margins)
+    with warnings.catch_warnings(), _recorded_divides() as quotients:
+        warnings.simplefilter("error", RuntimeWarning)
+        _descend(margins[:, None], np.ones(n), 1, float(n), 1, np.ones(1))
+    (v,) = quotients
+    exact = 1.0 / (1.0 + np.exp(margins.astype(np.longdouble)))
+    normal = exact >= np.finfo(float).tiny
+    assert normal.sum() > 14000 and not normal[margins > 708.4].any()
+    error = np.abs(v[normal] - exact[normal])
+    assert np.all(error <= 5 * np.finfo(float).eps * exact[normal])
+    past = margins > 709.79
+    assert past.sum() > 900 and np.all(v[past] == 0.0)
 
 
 def _fit_with_reference_loops(*args, **kwargs):

@@ -4,10 +4,11 @@ Each config of ``suite_configs("all", 7)`` (the configs of ``mmclab verify
 --suite all --seed 7``) runs one trial in process. Its results.csv must hash to
 the value in ``CSV_PINS``, its summary.json, less the ``total_wall_time`` line, to
 the value in ``SUMMARY_PINS``, and the weights and ``training_meta`` of its GD fits
-(sl and the SupCon probes, in fit order) to the value in ``FIT_PINS``. The run
-holds BLAS at one thread: the wide fits' bytes move with the BLAS thread count,
-though the CSV bytes do not. A change
-that means to keep every byte is checked here, not by hand-run hashes. The CSV
+(sl and the SupCon probes, in fit order) to the value in ``FIT_PINS``.
+``PYTHONPATH=src python tests/test_preset_bytes.py`` prints all three for the
+machine it runs on. The run holds BLAS at one thread: the wide fits' bytes move
+with the BLAS thread count, though the CSV bytes do not. A change that means to
+keep every byte is checked here, not by hand-run hashes. The CSV
 rounds to 9 significant digits and most of its values are hit counts, so a
 last-bit change in a fit seldom shows there; the fit digests show it.
 
@@ -21,8 +22,10 @@ precision, so it shows a last-bit change in a value that the CSV rounds away.
 """
 import ctypes
 import hashlib
+import tempfile
 from contextlib import contextmanager
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,39 +61,39 @@ SUMMARY_PINS = {
 
 FIT_PINS = {
     "Haswell": {
-        "dm1-sl": "111d7cb6abb70ce30530251d2925a18442c602ed364e3a744835bd1e4c1b87fa",
-        "dm2-sl": "7ef56d72755e24acd8abf004975bae0b52bc228ae27b5e7fe7ad3cb98c98a958",
-        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "7aed5346acbf512d06299beee363e22292c1bf732fd1dc32b3fb6d6caf5b1307",
-        "id-control": "312e90d75c7b95983b308276579043b5724f27077c92dbb200c8172ec87332c1",
+        "dm1-sl": "92e7aa4975b2fb7889e838193cd346b226a6ac38cecb4e89903c30549beb7b06",
+        "dm2-sl": "44c3addc6adc3fa5220a60eca380d38c568da28440f4d756456fbd8caea2fd35",
+        "supcon-dm1": "9b6ad6aa8a994793af059c0a1bfee04fa22ca94cd5553a9be478cff77ab793ea",
+        "supcon-dm2": "836bec836e27ff637a05f130c293ae361ee2ddbb770e71122396fec84b1c9075",
+        "id-control": "4aa000412352bf4300f3a31597db914858d0562a9ccd63bc62c94f3319d3d349",
     },
     "Katmai": {
-        "dm1-sl": "1a8a332c75775ba6886862d3d2d4514501827c50c38b51f3e06e6605b7dee30c",
-        "dm2-sl": "4e318095d229fa72e63e46b936a9d3e4f7c875540c98ef4cc7340cb199b4c693",
-        "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
-        "id-control": "b92fe17d1672e8362256d02f13ac4fd80a528e5f64ddc60954f90ae2e7e370b2",
+        "dm1-sl": "81acf8c65d40050f5af717826a01e1298be485231c95bbadedc33dde1aba2302",
+        "dm2-sl": "634bddf2f5b1671cd26daeeebea99479f8a344a3b24a31bd56e9373b534a2735",
+        "supcon-dm1": "d80426c08d8440720de5ecd063d84157a762f353bd22aaef4146c3a20b5b657b",
+        "supcon-dm2": "2ffa9b57e5eb0e9956e38f32d761a7e912daf4d2ae92b9291dd43ee3d1f3f9aa",
+        "id-control": "0863b86b0d27a2e6d8469ec8d00cdec581c5fb130d943df2928b1a906833c0ef",
     },
     "Nehalem": {
-        "dm1-sl": "2efc5540f268f70ec1627b560b14b066fd97a0fd45e11e0d4ba570ae3aa9852f",
-        "dm2-sl": "921c26cbe6ecfe323033b22024e17df31de96eb8b5e83df20642bcc9e54ecd17",
-        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
-        "id-control": "fafee4828a8adc16186b1018c05467ca63f38da49110129f8bb23065c28b0544",
+        "dm1-sl": "4c9a087f6ce708bb9194910a349481ef810c2186a3c2b694ec282e195236d609",
+        "dm2-sl": "ae8ee5ad7ccf63446006f0798935f516f775b8c2da7a94dde66852cd0c36fca7",
+        "supcon-dm1": "9b6ad6aa8a994793af059c0a1bfee04fa22ca94cd5553a9be478cff77ab793ea",
+        "supcon-dm2": "2ffa9b57e5eb0e9956e38f32d761a7e912daf4d2ae92b9291dd43ee3d1f3f9aa",
+        "id-control": "f9d0f0f3f88c3357cb58c6a7aeca329e2725c1a6d672893f5f782d3f0025b22a",
     },
     "Sandybridge": {
-        "dm1-sl": "8303abed98976b36498f96252a16c4171b6aaa5641cdc72800572bc8c18fb273",
-        "dm2-sl": "dcc1a6b2c37693e9c648c061633dc9690a4bacd8f289002ef6ed75e18bb6fb36",
-        "supcon-dm1": "a560b3ce71f58936247eab7faaa590c3ab5370e567209fbdf20b558d4b67c68e",
-        "supcon-dm2": "0944152bac0b0947afddbaf36b49ff60f71325ad7ff92f00ac40a0a2539d94c9",
-        "id-control": "dfec59734b8ae7ae1d466905687ecc28ac61391005a43a946a585ebefdbe3715",
+        "dm1-sl": "16088f681aec8b51843715038a6401d9063aedaeb71158142fb87764b7151bc0",
+        "dm2-sl": "feeabd2a5383ecd2cf34fd65b5c0b1b00ad9bc8fdcf04d3e3df8b2a97443edea",
+        "supcon-dm1": "d80426c08d8440720de5ecd063d84157a762f353bd22aaef4146c3a20b5b657b",
+        "supcon-dm2": "2ffa9b57e5eb0e9956e38f32d761a7e912daf4d2ae92b9291dd43ee3d1f3f9aa",
+        "id-control": "c31e73b879e91bee2f164e5d26f247adb2f7ef48f4f8858f2440247fb1cfca81",
     },
     "SkylakeX": {
-        "dm1-sl": "b3287670587bc1beb1c3d3f43d8b6ed7f5d3a2559fd01e1d405501db76c5bb4a",
-        "dm2-sl": "7ef56d72755e24acd8abf004975bae0b52bc228ae27b5e7fe7ad3cb98c98a958",
-        "supcon-dm1": "44250b11c52936a07e12df91993184e73f90f2c888cc97a4536cdba72694c02d",
-        "supcon-dm2": "b45447ade7b3393edabfa9c7cc9e69d2a9d414fbcaef02eae32a9343f5c3557f",
-        "id-control": "885055f3f37c53e507d5eb01c6504f0f791e8fdd46e9e151f4a10ad0375829f2",
+        "dm1-sl": "e62ebd2bc81fea584768ef382ee9f824e1c4baebe19f839efc532581cd225d93",
+        "dm2-sl": "1ac62fc90ca14af820a606a6fbf3b08afae218a81b26382769c7e3c29e3b3e42",
+        "supcon-dm1": "9b6ad6aa8a994793af059c0a1bfee04fa22ca94cd5553a9be478cff77ab793ea",
+        "supcon-dm2": "27e2fdedf1a5b23065d29eca3d329cdd69700993196aaabfd95dbc90b5ac48ca",
+        "id-control": "1bf63a080a96d3c5398bed3c8be6982c05a838ca590a4b86bdd9ade15d0af267",
     },
 }
 
@@ -134,8 +137,9 @@ def _one_blas_thread():
         put(before)
 
 
-def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
-    core = _pinned_core()
+def preset_hashes(directory: Path) -> tuple[dict, dict, dict]:
+    """The CSV, summary and fit hashes of each preset config's one-trial run at one
+    BLAS thread, as the pins hold them; the runs write their files under ``directory``."""
     fits = []
 
     def recorded(*args, _fit=harness.training.sl_fit_gd, **kwargs):
@@ -143,27 +147,34 @@ def test_every_preset_config_writes_its_pinned_bytes(tmp_path, monkeypatch):
         fits.append(model)
         return model
 
-    monkeypatch.setattr(harness.training, "sl_fit_gd", recorded)  # probe_fit calls it too
     csv_hashes, summary_hashes, fit_hashes = {}, {}, {}
-    for config in suite_configs("all", 7):
-        fits.clear()
-        path, summary = tmp_path / f"{config.name}.csv", tmp_path / f"{config.name}.json"
-        with _one_blas_thread():
-            records = run_experiment(replace(config, trials=1))
-        emit_csv(records, path)
-        emit_json_summary(records, summary, config.min_pass_fraction)
-        csv_hashes[config.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines = summary.read_bytes().splitlines(keepends=True)
-        timed = [line for line in lines if line.startswith(b'  "total_wall_time": ')]
-        assert len(timed) == 1
-        lines.remove(timed[0])
-        summary_hashes[config.name] = hashlib.sha256(b"".join(lines)).hexdigest()
-        if fits:
-            digest = hashlib.sha256()
-            for model in fits:
-                digest.update(model.W.tobytes())
-                digest.update(repr(sorted(model.training_meta.items())).encode())
-            fit_hashes[config.name] = digest.hexdigest()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness.training, "sl_fit_gd", recorded)  # probe_fit calls it too
+        for config in suite_configs("all", 7):
+            fits.clear()
+            path, summary = directory / f"{config.name}.csv", directory / f"{config.name}.json"
+            with _one_blas_thread():
+                records = run_experiment(replace(config, trials=1))
+            emit_csv(records, path)
+            emit_json_summary(records, summary, config.min_pass_fraction)
+            csv_hashes[config.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            lines = summary.read_bytes().splitlines(keepends=True)
+            timed = [line for line in lines if line.startswith(b'  "total_wall_time": ')]
+            assert len(timed) == 1
+            lines.remove(timed[0])
+            summary_hashes[config.name] = hashlib.sha256(b"".join(lines)).hexdigest()
+            if fits:
+                digest = hashlib.sha256()
+                for model in fits:
+                    digest.update(model.W.tobytes())
+                    digest.update(repr(sorted(model.training_meta.items())).encode())
+                fit_hashes[config.name] = digest.hexdigest()
+    return csv_hashes, summary_hashes, fit_hashes
+
+
+def test_every_preset_config_writes_its_pinned_bytes(tmp_path):
+    core = _pinned_core()
+    csv_hashes, summary_hashes, fit_hashes = preset_hashes(tmp_path)
     assert csv_hashes == CSV_PINS
     assert summary_hashes == SUMMARY_PINS
     assert fit_hashes == FIT_PINS[core]
@@ -191,3 +202,18 @@ def test_caption_groups_that_fit_sl_and_supcon_once_keep_their_bytes(tmp_path, t
     path = tmp_path / "results.csv"
     emit_csv(run_experiment(harness.config_from_dict(CAPTION_GROUPS), threads), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CAPTION_GROUPS_CSV_PIN
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_preset_bytes.py prints this machine's pins
+    # (OPENBLAS_CORETYPE forces another core's kernels) in the form they take above
+    with tempfile.TemporaryDirectory() as directory:
+        hashes = preset_hashes(Path(directory))
+    print(f"# numpy {np.__version__}, BLAS build {_blas_build()!r}, "
+          f"OpenBLAS core {_openblas_core()!r}")
+    names = ("CSV_PINS", "SUMMARY_PINS", f"FIT_PINS[{_openblas_core()!r}]")
+    for name, pins in zip(names, hashes):
+        print(f"{name} = {{")
+        for config, digest in pins.items():
+            print(f'    "{config}": "{digest}",')
+        print("}")

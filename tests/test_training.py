@@ -372,6 +372,19 @@ def test_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
     assert grad_norm < GRAD_TOL
 
 
+def test_cross_entropy_margin_space_gradient_norm_never_decides_from_a_cancelled_form():
+    # the rows above under classes 0 and 1: at w = 0 the residual rows are
+    # (-1/2, 1/2) and (1/2, -1/2), so ||V x|| cancels as the logistic one does,
+    # while the rounding of h <V, V (h K)> would read as a norm far above
+    # GRAD_TOL; the slack, scaled by h^2 into the units of ||step||^2, covers it
+    row = 1e4 * RngStream(26, 2).generator().standard_normal(5)
+    x = np.vstack([row, np.nextafter(row, np.inf)])
+    _, _, grad_norm, epochs_run = _descend(x, np.array([0, 1]), 2, 0.05, 10,
+                                           np.zeros((5, 2)), margin_space=True)
+    assert epochs_run == 0
+    assert grad_norm < GRAD_TOL
+
+
 def test_sl_meta_reports_epochs_run_and_gd_dim():
     x = np.array([[1.0], [1.0], [-1.0], [-1.0]])
     y = np.array([1, -1, -1, 1])
